@@ -388,6 +388,9 @@ pub struct Simulation<'g> {
     mu_table: MuTable,
     moves_buf: Vec<(usize, StrategyId)>,
     commit_buf: Vec<(u32, u32)>,
+    /// Per-class movable-origin mask of the player-level kernel (indexed by
+    /// class-local strategy id; addressed streams only).
+    movable_buf: Vec<bool>,
 }
 
 impl<'g> Simulation<'g> {
@@ -461,6 +464,7 @@ impl<'g> Simulation<'g> {
             mu_table: MuTable::default(),
             moves_buf: Vec::new(),
             commit_buf: Vec::new(),
+            movable_buf: Vec::new(),
         })
     }
 
@@ -880,6 +884,10 @@ impl<'g> Simulation<'g> {
             }
         };
         let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
+        // On an addressed stream a player's draws are a pure function of
+        // its site, so a player who provably stays can skip them without
+        // shifting anyone else's words; sequential streams draw for all.
+        let addressed = rng.addressed();
         // Decisions all use the pre-round state; μ values repeat across
         // players of one class, so memoize them in the dense epoch table.
         // Classes modify disjoint player/strategy ranges, so each class can
@@ -887,6 +895,7 @@ impl<'g> Simulation<'g> {
         let mut mu_table = std::mem::take(&mut self.mu_table);
         let mut moves = std::mem::take(&mut self.moves_buf);
         let mut commit = std::mem::take(&mut self.commit_buf);
+        let mut movable = std::mem::take(&mut self.movable_buf);
         for (ci, class) in self.game.classes().iter().enumerate() {
             let n_c = class.players();
             if n_c == 0 {
@@ -907,7 +916,62 @@ impl<'g> Simulation<'g> {
                 let self_exclude = imit.is_some_and(|p| p.self_sampling() == SelfSampling::Exclude);
                 let real_pool = if self_exclude { n_c - 1 } else { n_c };
                 let pool = real_pool + if virtual_agents { s_c as u64 } else { 0 };
+                // The migration probability of a player on `from` handed
+                // `to`, from the pre-round state: the one definition the
+                // movable mask and the player walk both evaluate, so the two
+                // agree bit for bit.
+                let (state, game, params) = (&self.state, &*self.game, &self.params);
+                let mu_of = |from: StrategyId, to: StrategyId, is_explore: bool| {
+                    let l_from = state.strategy_latency(game, from);
+                    let l_to = state.latency_after_move(game, from, to);
+                    let gain = l_from - l_to;
+                    if is_explore {
+                        exploration_mu(
+                            &expl.expect("explore implies protocol"),
+                            params,
+                            l_from,
+                            gain,
+                            s_c,
+                            n_c,
+                        )
+                    } else {
+                        imitation_mu(&imit.expect("imitate implies protocol"), params, l_from, gain)
+                    }
+                };
+                if addressed {
+                    // Movable-origin mask: origin P is movable iff some
+                    // destination the protocol could hand a player on P has
+                    // μ > 0 — an imitated agent's strategy (occupied, or any
+                    // with virtual agents) or an explored one (any). Every
+                    // outcome for a player on an immovable origin is "stay".
+                    movable.clear();
+                    movable.resize(s_c, false);
+                    let class_strategies = || my_range.clone().map(StrategyId::new);
+                    let imitates = imit.is_some() && pool > 0;
+                    let explores = explore_prob > 0.0;
+                    let mut any_movable = false;
+                    for from in state.occupied_or_scan(game, ci) {
+                        let can_move = (imitates
+                            && if virtual_agents {
+                                class_strategies().any(|to| mu_of(from, to, false) > 0.0)
+                            } else {
+                                state
+                                    .occupied_or_scan(game, ci)
+                                    .any(|to| mu_of(from, to, false) > 0.0)
+                            })
+                            || (explores
+                                && class_strategies().any(|to| mu_of(from, to, true) > 0.0));
+                        movable[(from.raw() - my_range.start) as usize] = can_move;
+                        any_movable |= can_move;
+                    }
+                    if !any_movable {
+                        continue;
+                    }
+                }
                 for (local, &from) in class_players.iter().enumerate() {
+                    if addressed && !movable[(from.raw() - my_range.start) as usize] {
+                        continue;
+                    }
                     // Counter mode addresses each player's decision by the
                     // global player index.
                     rng.begin_site((start + local) as u64);
@@ -949,28 +1013,7 @@ impl<'g> Simulation<'g> {
                     // (zero gain), so it never migrates — and keeping it on
                     // the straight-line path avoids an unpredictable branch
                     // on a freshly gathered value.
-                    let compute_mu = || {
-                        let l_from = self.state.strategy_latency(&self.game, from);
-                        let l_to = self.state.latency_after_move(&self.game, from, to);
-                        let gain = l_from - l_to;
-                        if is_explore {
-                            exploration_mu(
-                                &expl.expect("explore implies protocol"),
-                                &self.params,
-                                l_from,
-                                gain,
-                                s_c,
-                                n_c,
-                            )
-                        } else {
-                            imitation_mu(
-                                &imit.expect("imitate implies protocol"),
-                                &self.params,
-                                l_from,
-                                gain,
-                            )
-                        }
-                    };
+                    let compute_mu = || mu_of(from, to, is_explore);
                     let mu = if dense_memo {
                         // Dense tier: one stamp compare, no bookkeeping —
                         // the exact pre-LRU hot path.
@@ -1034,6 +1077,7 @@ impl<'g> Simulation<'g> {
         self.mu_table = mu_table;
         self.moves_buf = moves;
         self.commit_buf = commit;
+        self.movable_buf = movable;
         Ok(())
     }
 

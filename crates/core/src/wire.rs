@@ -917,6 +917,12 @@ pub fn decode_shard_file<R: WireReduce>(
     let mut cur = WireCursor::new(bytes);
     cur.take(payload_at, "header")?;
     let blocks = cur.u32("block count")?;
+    // The count is untrusted (FNV is no MAC: a forged payload can carry a
+    // valid checksum). Every block needs at least its 4-byte frame length,
+    // so bound the allocation by what the payload can actually hold.
+    if blocks as usize > cur.remaining() / 4 {
+        return Err(WireError::Truncated { context: "block table" });
+    }
     let mut out = Vec::with_capacity(blocks as usize);
     for _ in 0..blocks {
         let frame_len = cur.u32("frame length")? as usize;
@@ -1102,6 +1108,32 @@ mod tests {
         let err = decode_shard_file(&Welford::new(), &bytes).unwrap_err();
         assert!(matches!(err, WireError::ChecksumMismatch { .. }), "{err}");
         assert!(err.to_string().contains("checksum"));
+    }
+
+    /// Rewrite a shard file's payload in place and re-seal its checksum,
+    /// as a forger would: the result passes every integrity check, so only
+    /// the structural decoder stands between it and the merger.
+    fn reseal(bytes: &mut [u8], edit: impl FnOnce(&mut [u8])) {
+        let header = decode_shard_header(bytes).unwrap();
+        let at = 8 + 4 + 8 * 4 + 4 + 4 + 1 + 8 + header.reducer_id.len() + 8 + header.config.len();
+        let payload_at = at + 16;
+        edit(&mut bytes[payload_at..]);
+        let sum = fnv1a64(&bytes[payload_at..]);
+        bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn forged_block_count_is_a_precise_error_not_an_abort() {
+        let mut bytes = encode_shard_file(&sample_header(), &[sample_welford(&[1.0])]);
+        reseal(&mut bytes, |payload| payload[..4].copy_from_slice(&u32::MAX.to_le_bytes()));
+        let err = decode_shard_file(&Welford::new(), &bytes).unwrap_err();
+        assert_eq!(err, WireError::Truncated { context: "block table" });
+        // A count the payload could hold, but does not, fails on the
+        // missing frame instead.
+        let mut bytes = encode_shard_file(&sample_header(), &[sample_welford(&[1.0])]);
+        reseal(&mut bytes, |payload| payload[..4].copy_from_slice(&2u32.to_le_bytes()));
+        let err = decode_shard_file(&Welford::new(), &bytes).unwrap_err();
+        assert_eq!(err, WireError::Truncated { context: "frame length" });
     }
 
     #[test]

@@ -61,6 +61,16 @@ pub enum GameError {
         /// Class of the destination strategy.
         to_class: usize,
     },
+    /// Adding players would overflow a `u64` player count or load.
+    PlayerOverflow {
+        /// Which count overflowed: `"population"`, `"strategy"`, or
+        /// `"resource load"`.
+        what: &'static str,
+        /// Its value before the addition.
+        present: u64,
+        /// Players being added.
+        added: u64,
+    },
     /// A numeric parameter was invalid (negative, NaN, out of range, ...).
     InvalidParameter {
         /// Name of the offending parameter.
@@ -100,6 +110,10 @@ impl fmt::Display for GameError {
                 f,
                 "players cannot migrate across classes (from class {from_class} to class {to_class})"
             ),
+            GameError::PlayerOverflow { what, present, added } => write!(
+                f,
+                "adding {added} players to a {what} count of {present} overflows u64"
+            ),
             GameError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -123,6 +137,7 @@ mod tests {
             GameError::WrongLength { expected: 2, found: 3 },
             GameError::InsufficientPlayers { strategy: 1, available: 0, requested: 2 },
             GameError::CrossClassMigration { from_class: 0, to_class: 1 },
+            GameError::PlayerOverflow { what: "population", present: 2000, added: u64::MAX },
             GameError::InvalidParameter { name: "lambda", message: "must be in (0, 1]" },
         ];
         for e in errors {

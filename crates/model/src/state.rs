@@ -930,7 +930,9 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails if `s` is out of range for `game`.
+    /// Fails (leaving the state unchanged) if `s` is out of range for
+    /// `game`, or with [`GameError::PlayerOverflow`] if the strategy's
+    /// count or one of its resource loads would overflow `u64`.
     pub fn add_players(
         &mut self,
         game: &CongestionGame,
@@ -941,8 +943,16 @@ impl State {
         if count == 0 {
             return Ok(());
         }
-        self.counts[s.index()] += count;
-        for &r in game.strategy(s).resources() {
+        let overflow = |what, present| GameError::PlayerOverflow { what, present, added: count };
+        let present = self.counts[s.index()];
+        let grown = present.checked_add(count).ok_or(overflow("strategy", present))?;
+        let resources = game.strategy(s).resources();
+        for &r in resources {
+            let load = self.loads[r.index()];
+            load.checked_add(count).ok_or(overflow("resource load", load))?;
+        }
+        self.counts[s.index()] = grown;
+        for &r in resources {
             self.loads[r.index()] += count;
         }
         self.invalidate_caches_for_game_change();

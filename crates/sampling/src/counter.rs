@@ -41,6 +41,17 @@
 //! property that makes counter mode bit-identical across thread counts,
 //! shard counts, and lane widths by construction.
 //!
+//! # Skipping unobservable sites
+//!
+//! The same property lets a kernel leave a site *undrawn*: skipping a
+//! site's `begin_site` and draws shifts no other site's words. A kernel may
+//! do so when every outcome the site's draws could select is the same —
+//! the player-level engine skips players whose origin strategy has no
+//! destination with positive migration probability. Kernels ask the
+//! stream through [`DrawRng::addressed`](crate::DrawRng::addressed), which
+//! is `true` for [`CounterRng`] and `false` by default, so sequential
+//! streams and wrappers that do not forward it keep the full-draw path.
+//!
 //! # Lane addressing
 //!
 //! Replica-major lane kernels run `W` trials of the same game in lockstep

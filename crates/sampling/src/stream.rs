@@ -7,10 +7,13 @@
 //! (all historical pins hold unmodified); for the counter backend they
 //! reposition the [`CounterRng`] so each draw is addressed by
 //! `(trial, round, site, index)` — see [`crate::counter`] for the key
-//! schedule.
+//! schedule. A third hook, [`addressed`], tells a kernel which of the two
+//! it is drawing from: only an addressed stream lets it leave a site
+//! nobody observes undrawn.
 //!
 //! [`begin_round`]: DrawRng::begin_round
 //! [`begin_site`]: DrawRng::begin_site
+//! [`addressed`]: DrawRng::addressed
 
 use crate::counter::CounterRng;
 use crate::seeds::seeded_rng;
@@ -79,6 +82,23 @@ impl std::fmt::Display for RngMode {
 /// hooks (default no-op bodies), so threading `DrawRng` through a kernel
 /// does not perturb an existing sequential stream by a single bit.
 pub trait DrawRng: Rng {
+    /// Whether every draw is a pure function of its `(round, site, index)`
+    /// address, so that skipping a site — neither calling
+    /// [`begin_site`](DrawRng::begin_site) for it nor drawing from it —
+    /// leaves every other site's words unchanged.
+    ///
+    /// Kernels may skip a site only when this returns `true` *and* every
+    /// outcome the site's draws could select is provably the same (e.g.
+    /// no player on the site's strategy can move). The default is `false`:
+    /// a sequential stream, or a wrapper that does not forward this hook,
+    /// keeps the full-draw path, where every site consumes its words
+    /// whether or not they matter. Implement it only for streams whose
+    /// positioning hooks really do address every word.
+    #[inline]
+    fn addressed(&self) -> bool {
+        false
+    }
+
     /// Position the stream at the start of `round`.
     #[inline]
     fn begin_round(&mut self, round: u64) {
@@ -97,6 +117,11 @@ impl DrawRng for SmallRng {}
 
 impl DrawRng for CounterRng {
     #[inline]
+    fn addressed(&self) -> bool {
+        true
+    }
+
+    #[inline]
     fn begin_round(&mut self, round: u64) {
         CounterRng::begin_round(self, round);
     }
@@ -108,6 +133,11 @@ impl DrawRng for CounterRng {
 }
 
 impl<R: DrawRng + ?Sized> DrawRng for &mut R {
+    #[inline]
+    fn addressed(&self) -> bool {
+        (**self).addressed()
+    }
+
     #[inline]
     fn begin_round(&mut self, round: u64) {
         (**self).begin_round(round);
@@ -179,6 +209,11 @@ impl RngCore for DrawStream {
 
 impl DrawRng for DrawStream {
     #[inline]
+    fn addressed(&self) -> bool {
+        matches!(self, DrawStream::Counter(_))
+    }
+
+    #[inline]
     fn begin_round(&mut self, round: u64) {
         match self {
             DrawStream::Xoshiro(_) => {}
@@ -219,6 +254,22 @@ mod tests {
         stream.begin_site(2);
         let first = stream.next_u64();
         assert_eq!(first, CounterRng::at(11, 4, 9, 2, 0));
+    }
+
+    #[test]
+    fn only_counter_streams_are_addressed() {
+        let mut counter = DrawStream::for_trial(RngMode::Counter, 11, 4);
+        let mut xoshiro = DrawStream::for_trial(RngMode::Xoshiro, 11, 4);
+        assert!(counter.addressed());
+        assert!(!xoshiro.addressed());
+        assert!(CounterRng::for_trial(11, 4).addressed());
+        assert!(!seeded_rng(11, 4).addressed());
+        // `&mut R` forwards the hook rather than falling back to `false`.
+        fn through<R: DrawRng>(r: R) -> bool {
+            r.addressed()
+        }
+        assert!(through(&mut counter));
+        assert!(!through(&mut xoshiro));
     }
 
     #[test]

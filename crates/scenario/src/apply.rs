@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use congames_dynamics::{DynamicsError, RoundHook};
-use congames_model::{CongestionGame, ResourceId, State, StrategyId};
+use congames_model::{CongestionGame, GameError, ResourceId, State, StrategyId};
 
 use crate::error::ScenarioError;
 use crate::event::{Schedule, ScheduledEvent};
@@ -28,9 +28,9 @@ use crate::event::{Schedule, ScheduledEvent};
 ///
 /// # Errors
 ///
-/// Unknown resource/strategy/class ids, and departures exceeding the
-/// players actually present, are rejected with the game and state left
-/// unchanged.
+/// Unknown resource/strategy/class ids, departures exceeding the players
+/// actually present, and arrivals that would overflow a `u64` population,
+/// count, or load are rejected with the game and state left unchanged.
 pub fn apply_event(
     game: &mut CongestionGame,
     state: &mut State,
@@ -49,10 +49,12 @@ pub fn apply_event(
             let sid = StrategyId::new(strategy);
             game.check_strategy(sid)?;
             let class = game.class_of(sid);
+            check_population(game, count)?;
             let players = game.classes()[class].players();
-            game.set_class_players(class, players + count)?;
-            // `add_players` maintains counts/loads and invalidates caches.
+            // State first, as for departures: `add_players` validates its
+            // counts and loads, maintains them, and invalidates caches.
             state.add_players(game, sid, count)?;
+            game.set_class_players(class, players + count)?;
         }
         ScheduledEvent::RemovePlayers { strategy, count } => {
             let sid = StrategyId::new(strategy);
@@ -84,8 +86,9 @@ pub fn apply_event(
                     .map(StrategyId::new)
                     .find(|s| state.counts()[s.index()] > 0)
                     .unwrap_or(StrategyId::new(range.start));
-                game.set_class_players(class, players)?;
+                check_population(game, players - current)?;
                 state.add_players(game, target, players - current)?;
+                game.set_class_players(class, players)?;
             } else if players < current {
                 // Departures: drain ascending strategy ids, first-fit.
                 let mut remaining = current - players;
@@ -105,6 +108,16 @@ pub fn apply_event(
         }
     }
     Ok(())
+}
+
+/// Arrivals must keep the game's total population — and with it every
+/// class size — inside `u64`; a wrapped count would silently shrink it.
+fn check_population(game: &CongestionGame, added: u64) -> Result<(), ScenarioError> {
+    let present = game.total_players();
+    match present.checked_add(added) {
+        Some(_) => Ok(()),
+        None => Err(GameError::PlayerOverflow { what: "population", present, added }.into()),
+    }
 }
 
 /// A [`Schedule`] adapted to the engine's [`RoundHook`] seam: a cursor
@@ -188,7 +201,7 @@ impl RoundHook for ScheduleCursor {
 mod tests {
     use super::*;
     use crate::event::LatencySpec;
-    use congames_model::{potential, Affine, GameError};
+    use congames_model::{potential, Affine};
 
     fn two_links(n: u64, counts: Vec<u64>) -> (CongestionGame, State) {
         let game = CongestionGame::singleton(
@@ -251,6 +264,45 @@ mod tests {
         assert!(matches!(err, ScenarioError::Game(GameError::InsufficientPlayers { .. })));
         assert_eq!(game.total_players(), 9);
         assert_eq!(state.counts(), &[0, 9]);
+    }
+
+    #[test]
+    fn overflowing_arrivals_fail_and_leave_game_and_state_unchanged() {
+        // Two classes of 1000 on disjoint links: raising class 0's demand
+        // to u64::MAX overflows only the total population.
+        let mut b = CongestionGame::builder();
+        let links = [
+            b.add_resource(Affine::linear(1.0).into()),
+            b.add_resource(Affine::linear(2.0).into()),
+        ];
+        for (&name, &r) in ["a", "b"].iter().zip(&links) {
+            b.add_class(name, 1000, vec![congames_model::Strategy::singleton(r)]).unwrap();
+        }
+        let mut game = b.build().unwrap();
+        let mut state = State::from_counts(&game, vec![1000, 1000]).unwrap();
+        let (game0, state0) = (game.clone(), state.clone());
+        for event in [
+            ScheduledEvent::AddPlayers { strategy: 0, count: u64::MAX },
+            ScheduledEvent::SetDemand { class: 0, players: u64::MAX },
+        ] {
+            let err = apply_event(&mut game, &mut state, &event).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::Game(GameError::PlayerOverflow { .. })),
+                "{event:?}: {err}"
+            );
+            assert!(err.to_string().contains("overflows u64"), "{err}");
+            assert_eq!(game.total_players(), 2000);
+            assert_eq!(state, state0);
+            assert_eq!(format!("{game:?}"), format!("{game0:?}"));
+        }
+        // The state's own guard: a strategy count that would wrap.
+        let (game, mut state) = two_links(2000, vec![1000, 1000]);
+        let err = state.add_players(&game, StrategyId::new(1), u64::MAX - 5).unwrap_err();
+        assert_eq!(
+            err,
+            GameError::PlayerOverflow { what: "strategy", present: 1000, added: u64::MAX - 5 }
+        );
+        assert_eq!(state.counts(), &[1000, 1000]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use congames::dynamics::{
     EngineKind, Ensemble, ExplorationProtocol, ImitationProtocol, Protocol, Simulation, StopSpec,
 };
 use congames::model::{average_latency, potential, CongestionGame, State};
-use congames::sampling::RngMode;
+use congames::sampling::{DrawRng, RngMode};
 use congames_testutil::games;
 use congames_testutil::rng::{fixture_rng, fixture_stream};
 use congames_testutil::sim::{
@@ -852,4 +852,141 @@ fn counter_and_xoshiro_modes_statistically_equivalent() {
         d <= thresh,
         "xoshiro vs counter occupancy KS distance {d:.4} exceeds {thresh:.4} over {trials} trials"
     );
+}
+
+/// A stream wrapper that forwards every draw and positioning hook and
+/// counts the sites begun. With `forward_addressed == false` it also hides
+/// [`DrawRng::addressed`], so the player-level kernel takes its full-draw
+/// path: every player begins its site and draws, as on a sequential
+/// stream.
+struct SiteCounter<R> {
+    inner: R,
+    forward_addressed: bool,
+    sites: u64,
+}
+
+impl<R: rand::RngCore> rand::RngCore for SiteCounter<R> {
+    fn next_u32(&mut self) -> u32 {
+        self.inner.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.inner.next_u64()
+    }
+}
+
+impl<R: DrawRng> DrawRng for SiteCounter<R> {
+    fn addressed(&self) -> bool {
+        self.forward_addressed && self.inner.addressed()
+    }
+
+    fn begin_round(&mut self, round: u64) {
+        self.inner.begin_round(round);
+    }
+
+    fn begin_site(&mut self, site: u64) {
+        self.sites += 1;
+        self.inner.begin_site(site);
+    }
+}
+
+/// Per-round `(counts, potential bits)` of a counter-mode player-level run
+/// of `rounds` rounds, plus the number of sites the kernel began. With a
+/// schedule, every round goes through `run` (the only entry point that fires
+/// hooks), one round per call.
+fn counter_player_trajectory(
+    game: &CongestionGame,
+    protocol: Protocol,
+    start: &State,
+    schedule: Option<&std::sync::Arc<congames::scenario::Schedule>>,
+    skip: bool,
+    rounds: u64,
+) -> (Vec<(Vec<u64>, u64)>, u64) {
+    let mut sim = Simulation::new(game, protocol, start.clone())
+        .expect("valid simulation")
+        .with_engine(EngineKind::PlayerLevel);
+    if let Some(schedule) = schedule {
+        sim = sim.with_hook(Box::new(congames::scenario::ScheduleCursor::new(
+            std::sync::Arc::clone(schedule),
+        )));
+    }
+    let mut rng = SiteCounter {
+        inner: fixture_stream("eq/movable-skip", RngMode::Counter, 3),
+        forward_addressed: skip,
+        sites: 0,
+    };
+    let mut trajectory = Vec::new();
+    for round in 1..=rounds {
+        if schedule.is_some() {
+            sim.run(&StopSpec::max_rounds(round), &mut rng).expect("run");
+        } else {
+            sim.step(&mut rng).expect("step");
+        }
+        trajectory.push((sim.state().counts().to_vec(), sim.potential().to_bits()));
+    }
+    (trajectory, rng.sites)
+}
+
+/// The counter-mode player kernel skips the draws of players on origins
+/// with no positive-μ destination. That must be invisible: against the
+/// full-draw path (forced by a wrapper that hides `addressed()`), every
+/// per-round count and potential bit agrees, across the imitation,
+/// exploration and combined protocols, virtual agents on and off, both
+/// self-sampling modes, 1- and 2-class games, supported and piled starts,
+/// and a shocked run. Every supported-start case must also really skip
+/// some sites, or it would not test the skip.
+#[test]
+fn movable_origin_skip_matches_full_draw_path_bitwise() {
+    use congames::dynamics::SelfSampling;
+    let imitation = |va: bool, ss: SelfSampling| {
+        ImitationProtocol::paper_default().with_virtual_agents(va).with_self_sampling(ss)
+    };
+    let mut protocols: Vec<(String, Protocol)> = Vec::new();
+    for va in [false, true] {
+        for ss in [SelfSampling::Exclude, SelfSampling::Include] {
+            protocols.push((format!("imitation/va={va}/{ss:?}"), imitation(va, ss).into()));
+            let combined =
+                Protocol::combined(imitation(va, ss), ExplorationProtocol::paper_default(), 0.25)
+                    .expect("valid combined protocol");
+            protocols.push((format!("combined/va={va}/{ss:?}"), combined));
+        }
+    }
+    protocols.push(("exploration".into(), ExplorationProtocol::paper_default().into()));
+    let one_class = games::linear_singleton(4, 300);
+    let two_class = games::two_class_overlap(150, 90);
+    let shock = std::sync::Arc::new(
+        congames::scenario::generate::step_shock(40, 0, 3.0).expect("valid schedule"),
+    );
+    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 3] = [
+        ("1-class", &one_class, None),
+        ("2-class", &two_class, None),
+        ("1-class/step_shock", &one_class, Some(&shock)),
+    ];
+    // The piled start leaves strategies empty, which only virtual agents
+    // and exploration can reach: the mask must count them as destinations.
+    for ((fixture, game, schedule), start_name) in
+        fixtures.into_iter().flat_map(|f| ["geometric", "piled"].map(|s| (f, s)))
+    {
+        for (name, protocol) in &protocols {
+            let virtual_agents = protocol.imitation().is_some_and(|p| p.virtual_agents());
+            let mut start = match start_name {
+                "geometric" => games::geometric_state(game),
+                _ => games::piled_state(game),
+            };
+            if virtual_agents {
+                start = start.with_virtual_agents(game);
+            }
+            let label = format!("{fixture}/{start_name}/{name}");
+            let run = |skip| counter_player_trajectory(game, *protocol, &start, schedule, skip, 90);
+            let (full, full_sites) = run(false);
+            let (skipped, skipped_sites) = run(true);
+            assert_eq!(skipped, full, "{label}: the skipping kernel diverged from the full path");
+            // Supported starts settle within the horizon, so they must
+            // skip; piled starts under exploration may still be moving.
+            assert!(
+                skipped_sites < full_sites || start_name == "piled",
+                "{label}: no site was skipped ({skipped_sites} of {full_sites} begun)"
+            );
+        }
+    }
 }

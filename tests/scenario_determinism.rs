@@ -179,3 +179,33 @@ fn mixed_scenario_shard_sets_are_rejected() {
     let ok = vec![header(0, &shock.digest()), header(1, &shock.digest())];
     validate_shard_sequence(&ok).expect("uniform-scenario shards merge");
 }
+
+/// An arrival that would wrap the population must stop the run with a
+/// precise error, not continue on a silently shrunken game (2000 players +
+/// u64::MAX used to wrap to 1999).
+#[test]
+fn wrapping_arrival_trace_fails_the_run() {
+    use congames::dynamics::{DynamicsError, Simulation};
+    use congames::sampling::DrawStream;
+    let schedule = congames::scenario::trace::parse_trace(
+        "# congames-trace v1\n5,add_players,0,18446744073709551615\n",
+    )
+    .expect("the trace parses: the overflow is a property of the game it meets");
+    let game = games::linear_singleton(3, 2000);
+    let start = games::geometric_state(&game);
+    for engine in [EngineKind::Aggregate, EngineKind::PlayerLevel] {
+        let mut sim =
+            Simulation::new(&game, ImitationProtocol::paper_default().into(), start.clone())
+                .expect("valid simulation")
+                .with_engine(engine)
+                .with_hook(Box::new(ScheduleCursor::new(Arc::new(schedule.clone()))));
+        let mut rng = DrawStream::for_trial(RngMode::Counter, 5, 0);
+        let err = sim.run(&StopSpec::max_rounds(50), &mut rng).unwrap_err();
+        assert!(
+            matches!(&err, DynamicsError::Hook { message } if message.contains("overflows u64")),
+            "{engine:?}: {err}"
+        );
+        assert_eq!(sim.round(), 5, "{engine:?}: the run must stop at the event");
+        assert_eq!(sim.state().counts().iter().sum::<u64>(), 2000);
+    }
+}

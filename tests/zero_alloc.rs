@@ -13,6 +13,7 @@
 
 use congames::dynamics::{EngineKind, ImitationProtocol, NuRule, Protocol, Simulation};
 use congames::model::{Affine, CongestionGame, State};
+use congames::sampling::{DrawRng, DrawStream, RngMode};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -78,12 +79,12 @@ fn assert_steady_state_alloc_free(
     protocol: Protocol,
     label: &str,
     require_steady_migrations: bool,
+    mut rng: impl DrawRng,
 ) {
     let game = game();
     let mut sim = Simulation::new(&game, protocol, skewed_start(&game))
         .expect("valid simulation")
         .with_engine(engine);
-    let mut rng = SmallRng::seed_from_u64(1234);
     // Warm-up: the first rounds carry the largest flows, so 50 rounds
     // drive every scratch buffer to its high-water mark.
     let mut migrated = 0u64;
@@ -286,12 +287,24 @@ fn round_kernels_do_not_allocate_in_steady_state() {
             protocol,
             &format!("aggregate/{name}"),
             steady,
+            SmallRng::seed_from_u64(1234),
         );
         assert_steady_state_alloc_free(
             EngineKind::PlayerLevel,
             protocol,
             &format!("player-level/{name}"),
             steady,
+            SmallRng::seed_from_u64(1234),
+        );
+        // Counter-mode player rounds additionally build the movable-origin
+        // mask every class visit and skip the sites of immovable origins;
+        // the mask lives in a reused simulation buffer.
+        assert_steady_state_alloc_free(
+            EngineKind::PlayerLevel,
+            protocol,
+            &format!("player-level/counter/{name}"),
+            steady,
+            DrawStream::for_trial(RngMode::Counter, 1234, 0),
         );
     }
     // The batched-latency paths this repo's perf story now rests on:
