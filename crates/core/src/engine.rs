@@ -19,12 +19,13 @@ use congames_model::{
     ResourceId, State, StrategyId,
 };
 use congames_sampling::{multinomial_with_rest_into, DrawRng};
+use rand::{Rng, RngCore};
 
 use crate::error::DynamicsError;
 use crate::expectation::PairFlow;
 use crate::hook::RoundHook;
 use crate::observe::Observer;
-use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
+use crate::protocol::{ExplorationProtocol, ImitationProtocol, Protocol, SelfSampling};
 use crate::stopping::{RunOutcome, RunSummary, StopCondition, StopReason, StopSpec};
 use crate::trajectory::{capture_record, RecordConfig, Trajectory};
 
@@ -330,6 +331,158 @@ impl MuTable {
     }
 }
 
+/// Movable players whose first Philox blocks the counter-mode player walk
+/// fetches per [`DrawRng::site_blocks`] call.
+const SITE_CHUNK: usize = 256;
+
+/// A player's decision words, read from the first block of its site.
+///
+/// A decision reads at most three words — the exploration coin, the pick
+/// (a single-word multiply-shift), and the migration test — so the block
+/// always suffices and there is no fallback to the stream.
+struct BlockWords {
+    block: [u64; 4],
+    next: usize,
+}
+
+impl RngCore for BlockWords {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        debug_assert!(self.next < 3, "a player decision reads at most three words");
+        let word = self.block[self.next];
+        self.next += 1;
+        word
+    }
+}
+
+/// One class's per-player decision under the pre-round state: the
+/// sampling-pool constants, and the one μ definition that the
+/// movable-origin mask and the player walk both evaluate, so the two agree
+/// bit for bit.
+struct PlayerDecider<'a> {
+    state: &'a State,
+    game: &'a CongestionGame,
+    params: &'a GameParams,
+    imit: Option<ImitationProtocol>,
+    expl: Option<ExplorationProtocol>,
+    explore_prob: f64,
+    class_players: &'a [StrategyId],
+    /// Global id of the class's first strategy.
+    first: u32,
+    s_c: usize,
+    n_c: u64,
+    self_exclude: bool,
+    real_pool: u64,
+    pool: u64,
+    memoize: bool,
+    dense_memo: bool,
+}
+
+impl PlayerDecider<'_> {
+    /// The migration probability of a player on `from` handed `to`.
+    fn mu(&self, from: StrategyId, to: StrategyId, is_explore: bool) -> f64 {
+        let l_from = self.state.strategy_latency(self.game, from);
+        let l_to = self.state.latency_after_move(self.game, from, to);
+        let gain = l_from - l_to;
+        if is_explore {
+            exploration_mu(
+                &self.expl.expect("explore implies protocol"),
+                self.params,
+                l_from,
+                gain,
+                self.s_c,
+                self.n_c,
+            )
+        } else {
+            imitation_mu(&self.imit.expect("imitate implies protocol"), self.params, l_from, gain)
+        }
+    }
+
+    /// Decide player `local` (on `from`), drawing its words from `words`:
+    /// the destination it migrates to, or `None` if it stays. Generic over
+    /// the word source so a block cursor and a sequential stream run the
+    /// same body.
+    #[inline(always)]
+    fn decide<W: RngCore>(
+        &self,
+        mu_table: &mut MuTable,
+        local: usize,
+        from: StrategyId,
+        words: &mut W,
+    ) -> Option<StrategyId> {
+        let explore = self.explore_prob > 0.0 && words.gen::<f64>() < self.explore_prob;
+        let to: StrategyId;
+        let is_explore: bool;
+        // The migration test's uniform variate: the imitation path derives
+        // it from the *same* 64-bit draw that picks the sampled agent (the
+        // quotient selects the agent, the remainder is uniform conditional
+        // on it), halving the per-player RNG cost.
+        let mut test_u: Option<f64> = None;
+        if explore {
+            let pick = words.gen_range(0..self.s_c) as u32 + self.first;
+            to = StrategyId::new(pick);
+            is_explore = true;
+        } else {
+            if self.imit.is_none() || self.pool == 0 {
+                return None;
+            }
+            // Sample another agent uniformly (optionally self / virtual
+            // agents) by multiply-shift.
+            let wide = words.next_u64() as u128 * self.pool as u128;
+            let draw = (wide >> 64) as u64;
+            test_u = Some((wide as u64 >> 11) as f64 * (1.0 / (1u64 << 53) as f64));
+            if draw < self.real_pool {
+                // Branchless self-exclusion shift: `j >= local` is
+                // data-dependent and unpredictable, so a conditional jump
+                // here would mispredict often.
+                let j = draw as usize + ((draw as usize >= local) & self.self_exclude) as usize;
+                to = self.class_players[j];
+            } else {
+                to = StrategyId::new(self.first + (draw - self.real_pool) as u32);
+            }
+            is_explore = false;
+        }
+        // `to == from` flows through: its μ is 0 by definition (zero gain),
+        // so it never migrates — and keeping it on the straight-line path
+        // avoids an unpredictable branch on a freshly gathered value.
+        let from_local = (from.raw() - self.first) as usize;
+        let to_local = (to.raw() - self.first) as usize;
+        let compute_mu = || self.mu(from, to, is_explore);
+        let mu = if self.dense_memo {
+            // Dense tier: one stamp compare, no bookkeeping — the exact
+            // pre-LRU hot path.
+            let slot = (from_local * self.s_c + to_local) * 2 + is_explore as usize;
+            if mu_table.slots[slot].0 == mu_table.current {
+                mu_table.slots[slot].1
+            } else {
+                let mu = compute_mu();
+                mu_table.slots[slot] = (mu_table.current, mu);
+                mu
+            }
+        } else if self.memoize {
+            // LRU row tier: support-keyed origin row + destination slot; the
+            // row's assignment stamp doubles as the freshness stamp.
+            mu_table.row_mu(from_local, to_local, is_explore, compute_mu)
+        } else {
+            compute_mu()
+        };
+        // Only the explore path draws its test word, and only when it can
+        // matter; `u < μ` already fails for μ = 0, so the imitation path
+        // decides without a branch on μ.
+        let u = match test_u {
+            Some(u) => u,
+            None if mu > 0.0 => words.gen::<f64>(),
+            None => return None,
+        };
+        (u < mu).then_some(to)
+    }
+}
+
 /// The simulation's game: borrowed for the common stationary case, owned
 /// (a private clone) once a [`RoundHook`] needs mutable access. All reads
 /// go through `Deref`, so the two cases share every code path.
@@ -391,6 +544,10 @@ pub struct Simulation<'g> {
     /// Per-class movable-origin mask of the player-level kernel (indexed by
     /// class-local strategy id; addressed streams only).
     movable_buf: Vec<bool>,
+    /// The class's movable players' sites, compacted, and one chunk of
+    /// their first Philox blocks (addressed streams only).
+    sites_buf: Vec<u64>,
+    blocks_buf: Vec<[u64; 4]>,
 }
 
 impl<'g> Simulation<'g> {
@@ -465,6 +622,8 @@ impl<'g> Simulation<'g> {
             moves_buf: Vec::new(),
             commit_buf: Vec::new(),
             movable_buf: Vec::new(),
+            sites_buf: Vec::new(),
+            blocks_buf: Vec::new(),
         })
     }
 
@@ -886,7 +1045,8 @@ impl<'g> Simulation<'g> {
         let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
         // On an addressed stream a player's draws are a pure function of
         // its site, so a player who provably stays can skip them without
-        // shifting anyone else's words; sequential streams draw for all.
+        // shifting anyone else's words, and the movable players' blocks can
+        // be computed in site batches; sequential streams draw for all.
         let addressed = rng.addressed();
         // Decisions all use the pre-round state; μ values repeat across
         // players of one class, so memoize them in the dense epoch table.
@@ -896,6 +1056,8 @@ impl<'g> Simulation<'g> {
         let mut moves = std::mem::take(&mut self.moves_buf);
         let mut commit = std::mem::take(&mut self.commit_buf);
         let mut movable = std::mem::take(&mut self.movable_buf);
+        let mut sites = std::mem::take(&mut self.sites_buf);
+        let mut blocks = std::mem::take(&mut self.blocks_buf);
         for (ci, class) in self.game.classes().iter().enumerate() {
             let n_c = class.players();
             if n_c == 0 {
@@ -905,149 +1067,101 @@ impl<'g> Simulation<'g> {
             let start = self.class_offsets[ci];
             let my_range = class.strategy_range();
             let memoize = mu_table.begin(s_c);
-            // Loop-invariant tier split, hoisted so the hot loop branches
-            // on registers.
-            let dense_memo = memoize && mu_table.dense;
-            moves.clear();
+            let mut moved = 0;
             {
                 let players = self.players.as_ref().expect("ensure_players ran");
                 let class_players = &players[start..start + n_c as usize];
                 // Per-class sampling-pool constants.
                 let self_exclude = imit.is_some_and(|p| p.self_sampling() == SelfSampling::Exclude);
                 let real_pool = if self_exclude { n_c - 1 } else { n_c };
-                let pool = real_pool + if virtual_agents { s_c as u64 } else { 0 };
-                // The migration probability of a player on `from` handed
-                // `to`, from the pre-round state: the one definition the
-                // movable mask and the player walk both evaluate, so the two
-                // agree bit for bit.
-                let (state, game, params) = (&self.state, &*self.game, &self.params);
-                let mu_of = |from: StrategyId, to: StrategyId, is_explore: bool| {
-                    let l_from = state.strategy_latency(game, from);
-                    let l_to = state.latency_after_move(game, from, to);
-                    let gain = l_from - l_to;
-                    if is_explore {
-                        exploration_mu(
-                            &expl.expect("explore implies protocol"),
-                            params,
-                            l_from,
-                            gain,
-                            s_c,
-                            n_c,
-                        )
-                    } else {
-                        imitation_mu(&imit.expect("imitate implies protocol"), params, l_from, gain)
-                    }
+                let decider = PlayerDecider {
+                    state: &self.state,
+                    game: &self.game,
+                    params: &self.params,
+                    imit,
+                    expl,
+                    explore_prob,
+                    class_players,
+                    first: my_range.start,
+                    s_c,
+                    n_c,
+                    self_exclude,
+                    real_pool,
+                    pool: real_pool + if virtual_agents { s_c as u64 } else { 0 },
+                    memoize,
+                    // Loop-invariant tier split, hoisted so the hot loop
+                    // branches on registers.
+                    dense_memo: memoize && mu_table.dense,
                 };
-                if addressed {
+                // Every decided player writes a move slot; only movers advance
+                // past it, so the accept test never branches.
+                if moves.len() < class_players.len() {
+                    moves.resize(class_players.len(), (0, StrategyId::new(0)));
+                }
+                if !addressed {
+                    // Sequential streams ignore the site; a counter stream
+                    // behind a wrapper that hides `addressed()` is still
+                    // positioned at the global player index.
+                    for (local, &from) in class_players.iter().enumerate() {
+                        rng.begin_site((start + local) as u64);
+                        let to = decider.decide(&mut mu_table, local, from, rng);
+                        moves[moved] = (start + local, to.unwrap_or(from));
+                        moved += to.is_some() as usize;
+                    }
+                } else {
                     // Movable-origin mask: origin P is movable iff some
                     // destination the protocol could hand a player on P has
                     // μ > 0 — an imitated agent's strategy (occupied, or any
                     // with virtual agents) or an explored one (any). Every
                     // outcome for a player on an immovable origin is "stay".
+                    let (state, game) = (&self.state, &*self.game);
                     movable.clear();
                     movable.resize(s_c, false);
                     let class_strategies = || my_range.clone().map(StrategyId::new);
-                    let imitates = imit.is_some() && pool > 0;
+                    let imitates = imit.is_some() && decider.pool > 0;
                     let explores = explore_prob > 0.0;
                     let mut any_movable = false;
                     for from in state.occupied_or_scan(game, ci) {
                         let can_move = (imitates
                             && if virtual_agents {
-                                class_strategies().any(|to| mu_of(from, to, false) > 0.0)
+                                class_strategies().any(|to| decider.mu(from, to, false) > 0.0)
                             } else {
                                 state
                                     .occupied_or_scan(game, ci)
-                                    .any(|to| mu_of(from, to, false) > 0.0)
+                                    .any(|to| decider.mu(from, to, false) > 0.0)
                             })
                             || (explores
-                                && class_strategies().any(|to| mu_of(from, to, true) > 0.0));
+                                && class_strategies().any(|to| decider.mu(from, to, true) > 0.0));
                         movable[(from.raw() - my_range.start) as usize] = can_move;
                         any_movable |= can_move;
                     }
                     if !any_movable {
                         continue;
                     }
-                }
-                for (local, &from) in class_players.iter().enumerate() {
-                    if addressed && !movable[(from.raw() - my_range.start) as usize] {
-                        continue;
+                    // Compact the movable players' sites (the global player
+                    // indices) branch-free: every player writes its slot,
+                    // only movable ones advance past it.
+                    if sites.len() < class_players.len() {
+                        sites.resize(class_players.len(), 0);
                     }
-                    // Counter mode addresses each player's decision by the
-                    // global player index.
-                    rng.begin_site((start + local) as u64);
-                    let explore = explore_prob > 0.0 && rng.gen::<f64>() < explore_prob;
-                    let to: StrategyId;
-                    let is_explore: bool;
-                    // The migration test's uniform variate: the imitation
-                    // path derives it from the *same* 64-bit draw that
-                    // picks the sampled agent (the quotient selects the
-                    // agent, the remainder is uniform conditional on it),
-                    // halving the per-player RNG cost.
-                    let mut test_u: Option<f64> = None;
-                    if explore {
-                        let pick = rng.gen_range(0..s_c) as u32 + my_range.start;
-                        to = StrategyId::new(pick);
-                        is_explore = true;
-                    } else {
-                        if imit.is_none() || pool == 0 {
-                            continue;
-                        }
-                        // Sample another agent uniformly (optionally self /
-                        // virtual agents) by multiply-shift.
-                        let wide = rng.next_u64() as u128 * pool as u128;
-                        let draw = (wide >> 64) as u64;
-                        test_u = Some((wide as u64 >> 11) as f64 * (1.0 / (1u64 << 53) as f64));
-                        if draw < real_pool {
-                            // Branchless self-exclusion shift: `j >= local`
-                            // is data-dependent and unpredictable, so a
-                            // conditional jump here would mispredict often.
-                            let j =
-                                draw as usize + ((draw as usize >= local) & self_exclude) as usize;
-                            to = class_players[j];
-                        } else {
-                            to = StrategyId::new(my_range.start + (draw - real_pool) as u32);
-                        }
-                        is_explore = false;
+                    let mut k = 0;
+                    for (local, &from) in class_players.iter().enumerate() {
+                        sites[k] = (start + local) as u64;
+                        k += movable[(from.raw() - my_range.start) as usize] as usize;
                     }
-                    // `to == from` flows through: its μ is 0 by definition
-                    // (zero gain), so it never migrates — and keeping it on
-                    // the straight-line path avoids an unpredictable branch
-                    // on a freshly gathered value.
-                    let compute_mu = || mu_of(from, to, is_explore);
-                    let mu = if dense_memo {
-                        // Dense tier: one stamp compare, no bookkeeping —
-                        // the exact pre-LRU hot path.
-                        let slot = ((from.raw() - my_range.start) as usize * s_c
-                            + (to.raw() - my_range.start) as usize)
-                            * 2
-                            + is_explore as usize;
-                        if mu_table.slots[slot].0 == mu_table.current {
-                            mu_table.slots[slot].1
-                        } else {
-                            let mu = compute_mu();
-                            mu_table.slots[slot] = (mu_table.current, mu);
-                            mu
-                        }
-                    } else if memoize {
-                        // LRU row tier: support-keyed origin row +
-                        // destination slot; the row's assignment stamp
-                        // doubles as the freshness stamp.
-                        mu_table.row_mu(
-                            (from.raw() - my_range.start) as usize,
-                            (to.raw() - my_range.start) as usize,
-                            is_explore,
-                            compute_mu,
-                        )
-                    } else {
-                        compute_mu()
-                    };
-                    if mu > 0.0 {
-                        let u = match test_u {
-                            Some(u) => u,
-                            None => rng.gen::<f64>(),
-                        };
-                        if u < mu {
-                            moves.push((start + local, to));
+                    // Fetch each movable player's first Philox block, a chunk
+                    // of sites per call, and decide the player from it.
+                    blocks.resize(SITE_CHUNK, [0; 4]);
+                    for chunk in sites[..k].chunks(SITE_CHUNK) {
+                        let chunk_blocks = &mut blocks[..chunk.len()];
+                        rng.site_blocks(chunk, chunk_blocks);
+                        for (&site, &block) in chunk.iter().zip(chunk_blocks.iter()) {
+                            let local = site as usize - start;
+                            let mut words = BlockWords { block, next: 0 };
+                            let from = class_players[local];
+                            let to = decider.decide(&mut mu_table, local, from, &mut words);
+                            moves[moved] = (site as usize, to.unwrap_or(from));
+                            moved += to.is_some() as usize;
                         }
                     }
                 }
@@ -1057,7 +1171,7 @@ impl<'g> Simulation<'g> {
             // deterministic order, no per-round allocation.
             let players = self.players.as_mut().expect("ensure_players ran");
             commit.clear();
-            for &(idx, to) in &moves {
+            for &(idx, to) in &moves[..moved] {
                 let from = players[idx];
                 players[idx] = to;
                 commit.push((from.raw(), to.raw()));
@@ -1078,6 +1192,8 @@ impl<'g> Simulation<'g> {
         self.moves_buf = moves;
         self.commit_buf = commit;
         self.movable_buf = movable;
+        self.sites_buf = sites;
+        self.blocks_buf = blocks;
         Ok(())
     }
 

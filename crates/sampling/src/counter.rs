@@ -52,6 +52,29 @@
 //! is `true` for [`CounterRng`] and `false` by default, so sequential
 //! streams and wrappers that do not forward it keep the full-draw path.
 //!
+//! # Batched sites
+//!
+//! Consecutive sites of one `(trial, round)` differ only in counter word 1,
+//! so their first blocks can come from one across-site Philox sweep, the
+//! same vector kernel the lane front end below runs across trials (word
+//! 3). [`DrawRng::site_blocks`](crate::DrawRng::site_blocks) is that
+//! sweep: `out[i]` is the first block of `sites[i]`, the four words
+//! `begin_site(sites[i])` and four draws would return. Its contract:
+//!
+//! * the trait's default body is exactly that per-site walk, so every
+//!   [`DrawRng`](crate::DrawRng) has it, and it is exact for any addressed
+//!   stream;
+//! * [`CounterRng`] overrides it with the batched sweep under
+//!   [`Dispatch::global`] ([`counter_site_blocks`] is the same sweep with
+//!   an explicit dispatch), and `&mut R` and
+//!   [`DrawStream`](crate::DrawStream) forward it;
+//! * kernels call it only when `addressed()` is `true`: on a sequential
+//!   stream a site's words depend on every earlier draw.
+//!
+//! The player-level engine compacts each class's movable players, fetches
+//! their blocks 256 sites per call, and decides each player from its
+//! block: a decision reads at most three words, so one block suffices.
+//!
 //! # Lane addressing
 //!
 //! Replica-major lane kernels run `W` trials of the same game in lockstep
@@ -94,6 +117,11 @@ const SPEC: PhiloxSpec = PhiloxSpec {
     w1: PHILOX_W1,
     rounds: PHILOX_ROUNDS,
 };
+
+/// The 128-bit cipher key of the experiment keyed by `base_seed`.
+fn key_for(base_seed: u64) -> [u64; 2] {
+    [split_seed(base_seed, KEY_STREAM_0), split_seed(base_seed, KEY_STREAM_1)]
+}
 
 #[inline]
 fn mulhilo(a: u64, b: u64) -> (u64, u64) {
@@ -140,7 +168,7 @@ impl CounterRng {
     /// `base_seed`. Positioned at round 0, site 0, index 0.
     pub fn for_trial(base_seed: u64, trial: u64) -> Self {
         CounterRng {
-            key: [split_seed(base_seed, KEY_STREAM_0), split_seed(base_seed, KEY_STREAM_1)],
+            key: key_for(base_seed),
             trial,
             round: 0,
             site: 0,
@@ -172,8 +200,23 @@ impl CounterRng {
     /// the pure function the sequential interface walks. Exposed so tests
     /// (and lane kernels) can pin random access against it.
     pub fn at(base_seed: u64, trial: u64, round: u64, site: u64, index: u64) -> u64 {
-        let key = [split_seed(base_seed, KEY_STREAM_0), split_seed(base_seed, KEY_STREAM_1)];
-        philox4x64(key, [index >> 2, site, round, trial])[(index & 3) as usize]
+        philox4x64(key_for(base_seed), [index >> 2, site, round, trial])[(index & 3) as usize]
+    }
+
+    /// The first block of each of `sites` in the current `(trial, round)`,
+    /// from one across-site sweep (see [`counter_site_blocks`]). Leaves the
+    /// stream's own position untouched.
+    #[inline]
+    pub(crate) fn site_blocks(&self, sites: &[u64], out: &mut [[u64; 4]]) {
+        philox4x64_batch(
+            Dispatch::global(),
+            SPEC,
+            self.key,
+            [0, 0, self.round, self.trial],
+            1,
+            sites,
+            out,
+        );
     }
 }
 
@@ -203,8 +246,28 @@ pub fn counter_blocks(
     trials: &[u64],
     out: &mut [[u64; 4]],
 ) {
-    let key = [split_seed(base_seed, KEY_STREAM_0), split_seed(base_seed, KEY_STREAM_1)];
-    philox4x64_batch(dispatch, SPEC, key, [block, site, round], trials, out);
+    philox4x64_batch(dispatch, SPEC, key_for(base_seed), [block, site, round, 0], 3, trials, out);
+}
+
+/// Site-batched random access: `out[i]` receives the first block of site
+/// `sites[i]` in `(trial, round)` of the experiment keyed by `base_seed` —
+/// `out[i][j] == CounterRng::at(base_seed, trial, round, sites[i], j)` —
+/// produced by one across-site Philox sweep. Bit-identical in every
+/// dispatch arm. [`DrawRng::site_blocks`](crate::DrawRng::site_blocks) on a
+/// [`CounterRng`] is this sweep under [`Dispatch::global`].
+///
+/// # Panics
+///
+/// Panics if `out.len() != sites.len()`.
+pub fn counter_site_blocks(
+    dispatch: Dispatch,
+    base_seed: u64,
+    trial: u64,
+    round: u64,
+    sites: &[u64],
+    out: &mut [[u64; 4]],
+) {
+    philox4x64_batch(dispatch, SPEC, key_for(base_seed), [0, 0, round, trial], 1, sites, out);
 }
 
 /// The lane-block stream set of a replica-major kernel: per-lane
@@ -294,7 +357,8 @@ impl LaneStreams {
             self.dispatch,
             SPEC,
             key,
-            [0, site, round],
+            [0, site, round, 0],
+            3,
             &self.trials,
             &mut self.blocks,
         );

@@ -38,7 +38,7 @@ mod stream;
 
 pub use alias::AliasTable;
 pub use binomial::binomial;
-pub use counter::{counter_blocks, lane_streams, CounterRng, LaneStreams};
+pub use counter::{counter_blocks, counter_site_blocks, lane_streams, CounterRng, LaneStreams};
 // Re-exported so downstream crates pick dispatch arms without depending on
 // `congames-simd` directly.
 pub use congames_simd::Dispatch;

@@ -9,11 +9,13 @@
 //! `(trial, round, site, index)` — see [`crate::counter`] for the key
 //! schedule. A third hook, [`addressed`], tells a kernel which of the two
 //! it is drawing from: only an addressed stream lets it leave a site
-//! nobody observes undrawn.
+//! nobody observes undrawn, or fetch many sites' first blocks at once
+//! through [`site_blocks`].
 //!
 //! [`begin_round`]: DrawRng::begin_round
 //! [`begin_site`]: DrawRng::begin_site
 //! [`addressed`]: DrawRng::addressed
+//! [`site_blocks`]: DrawRng::site_blocks
 
 use crate::counter::CounterRng;
 use crate::seeds::seeded_rng;
@@ -110,6 +112,30 @@ pub trait DrawRng: Rng {
     fn begin_site(&mut self, site: u64) {
         let _ = site;
     }
+
+    /// The first four words of each of `sites` in the current round:
+    /// `out[i]` is what `begin_site(sites[i])` followed by four `next_u64`
+    /// calls would return. Afterwards the stream's position is
+    /// unspecified; begin a site before drawing from it again.
+    ///
+    /// Kernels call this only when [`addressed`](DrawRng::addressed) is
+    /// `true`: on a sequential stream the words of one site depend on
+    /// every earlier draw, so the result is exact there only if the caller
+    /// consumes all four words of every site in order. The default body is
+    /// that per-site walk; [`CounterRng`] overrides it with one batched
+    /// across-site Philox sweep that computes the same words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != sites.len()`.
+    #[inline]
+    fn site_blocks(&mut self, sites: &[u64], out: &mut [[u64; 4]]) {
+        assert_eq!(out.len(), sites.len(), "one output block per site");
+        for (block, &site) in out.iter_mut().zip(sites) {
+            self.begin_site(site);
+            *block = [self.next_u64(), self.next_u64(), self.next_u64(), self.next_u64()];
+        }
+    }
 }
 
 /// Sequential backend: the hooks are no-ops, the stream is untouched.
@@ -130,6 +156,11 @@ impl DrawRng for CounterRng {
     fn begin_site(&mut self, site: u64) {
         CounterRng::begin_site(self, site);
     }
+
+    #[inline]
+    fn site_blocks(&mut self, sites: &[u64], out: &mut [[u64; 4]]) {
+        CounterRng::site_blocks(self, sites, out);
+    }
 }
 
 impl<R: DrawRng + ?Sized> DrawRng for &mut R {
@@ -146,6 +177,11 @@ impl<R: DrawRng + ?Sized> DrawRng for &mut R {
     #[inline]
     fn begin_site(&mut self, site: u64) {
         (**self).begin_site(site);
+    }
+
+    #[inline]
+    fn site_blocks(&mut self, sites: &[u64], out: &mut [[u64; 4]]) {
+        (**self).site_blocks(sites, out);
     }
 }
 
@@ -228,6 +264,14 @@ impl DrawRng for DrawStream {
             DrawStream::Counter(r) => r.begin_site(site),
         }
     }
+
+    #[inline]
+    fn site_blocks(&mut self, sites: &[u64], out: &mut [[u64; 4]]) {
+        match self {
+            DrawStream::Xoshiro(r) => r.site_blocks(sites, out),
+            DrawStream::Counter(r) => DrawRng::site_blocks(r, sites, out),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -270,6 +314,40 @@ mod tests {
         }
         assert!(through(&mut counter));
         assert!(!through(&mut xoshiro));
+    }
+
+    #[test]
+    fn batched_site_blocks_match_the_default_walk() {
+        /// Forwards everything but `site_blocks`, so it gets the default.
+        struct Plain(CounterRng);
+        impl RngCore for Plain {
+            fn next_u32(&mut self) -> u32 {
+                self.0.next_u32()
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0.next_u64()
+            }
+        }
+        impl DrawRng for Plain {
+            fn begin_site(&mut self, site: u64) {
+                self.0.begin_site(site);
+            }
+        }
+        let sites = [9u64, 0, 4, 4, 1 << 40, 3, 17, 2, 8, 11, 5];
+        let mut plain = Plain(CounterRng::for_trial(11, 4));
+        plain.0.begin_round(6);
+        let mut walked = [[0u64; 4]; 11];
+        plain.site_blocks(&sites, &mut walked);
+        let mut stream = DrawStream::for_trial(RngMode::Counter, 11, 4);
+        stream.begin_round(6);
+        let mut batched = [[0u64; 4]; 11];
+        // Through `&mut R`, which must forward the override.
+        fn through<R: DrawRng>(mut r: R, sites: &[u64], out: &mut [[u64; 4]]) {
+            r.site_blocks(sites, out);
+        }
+        through(&mut stream, &sites, &mut batched);
+        assert_eq!(walked, batched);
+        assert_eq!(batched[2][3], CounterRng::at(11, 4, 6, 4, 3));
     }
 
     #[test]

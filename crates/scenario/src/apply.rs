@@ -29,8 +29,9 @@ use crate::event::{Schedule, ScheduledEvent};
 /// # Errors
 ///
 /// Unknown resource/strategy/class ids, departures exceeding the players
-/// actually present, and arrivals that would overflow a `u64` population,
-/// count, or load are rejected with the game and state left unchanged.
+/// actually present, arrivals that would overflow a `u64` population,
+/// count, or load, and latency changes whose result is non-finite or
+/// negative are rejected with the game and state left unchanged.
 pub fn apply_event(
     game: &mut CongestionGame,
     state: &mut State,
@@ -38,12 +39,12 @@ pub fn apply_event(
 ) -> Result<(), ScenarioError> {
     match *event {
         ScheduledEvent::SetLatency { resource, ref latency } => {
-            game.set_latency(ResourceId::new(resource), latency.build())?;
-            state.invalidate_caches_for_game_change();
+            let r = ResourceId::new(resource);
+            swap_latency(game, state, r, |game| game.set_latency(r, latency.build()))?;
         }
         ScheduledEvent::ScaleLatency { resource, factor } => {
-            game.scale_latency(ResourceId::new(resource), factor)?;
-            state.invalidate_caches_for_game_change();
+            let r = ResourceId::new(resource);
+            swap_latency(game, state, r, |game| game.scale_latency(r, factor))?;
         }
         ScheduledEvent::AddPlayers { strategy, count } => {
             let sid = StrategyId::new(strategy);
@@ -107,6 +108,39 @@ pub fn apply_event(
             }
         }
     }
+    Ok(())
+}
+
+/// Replace resource `r`'s latency through `mutate`, then require the new
+/// function to be finite and non-negative at load 0 and one past the
+/// largest load a player could face (every player plus the resource's
+/// base load, plus one for a move's `ℓ(x+1)`). A function that fails is
+/// swapped back out, so the game and state are left unchanged.
+fn swap_latency(
+    game: &mut CongestionGame,
+    state: &mut State,
+    r: ResourceId,
+    mutate: impl FnOnce(&mut CongestionGame) -> Result<(), GameError>,
+) -> Result<(), ScenarioError> {
+    let previous = game.resources().get(r.index()).map(|res| res.latency().clone());
+    mutate(game)?;
+    let base = state.effective_load(r) - state.load(r);
+    let top = game.total_players().saturating_add(base).saturating_add(1);
+    for load in [0, top] {
+        let value = game.latency(r, load);
+        if !(value.is_finite() && value >= 0.0) {
+            game.set_latency(r, previous.expect("the mutation validated the resource"))?;
+            return Err(ScenarioError::Apply {
+                round: 0,
+                message: format!(
+                    "resource {} latency at load {load} would be {value} \
+                     (latencies must be finite and non-negative)",
+                    r.raw()
+                ),
+            });
+        }
+    }
+    state.invalidate_caches_for_game_change();
     Ok(())
 }
 
@@ -188,7 +222,13 @@ impl RoundHook for ScheduleCursor {
                 break;
             }
             apply_event(game, state, event).map_err(|e| DynamicsError::Hook {
-                message: format!("scheduled event at round {fire_round}: {e}"),
+                message: match e {
+                    // `apply_event` does not know the round; stamp it here.
+                    ScenarioError::Apply { message, .. } => {
+                        ScenarioError::Apply { round: *fire_round, message }.to_string()
+                    }
+                    e => format!("scheduled event at round {fire_round}: {e}"),
+                },
             })?;
             self.next += 1;
             changed = true;
@@ -303,6 +343,60 @@ mod tests {
             GameError::PlayerOverflow { what: "strategy", present: 1000, added: u64::MAX - 5 }
         );
         assert_eq!(state.counts(), &[1000, 1000]);
+    }
+
+    #[test]
+    fn non_finite_latencies_fail_and_leave_game_and_state_unchanged() {
+        // Links 1,2,4 with 2000 players: one ×1e300 keeps ℓ(2001) finite,
+        // the second compounds it to ∞.
+        let mut game = CongestionGame::singleton(
+            [1.0, 2.0, 4.0].map(|a| Affine::linear(a).into()).to_vec(),
+            2000,
+        )
+        .unwrap();
+        let mut state = State::from_counts(&game, vec![1000, 600, 400]).unwrap();
+        let scale = ScheduledEvent::ScaleLatency { resource: 0, factor: 1e300 };
+        apply_event(&mut game, &mut state, &scale).unwrap();
+        state.ensure_latency_cache(&game);
+        let (game0, state0) = (game.clone(), state.clone());
+        let overflowing = LatencySpec::Monomial { coefficient: 1e300, degree: 4 };
+        for event in
+            [scale.clone(), ScheduledEvent::SetLatency { resource: 1, latency: overflowing }]
+        {
+            let err = apply_event(&mut game, &mut state, &event).unwrap_err();
+            assert!(matches!(err, ScenarioError::Apply { .. }), "{event:?}: {err}");
+            assert!(err.to_string().contains("finite and non-negative"), "{err}");
+            assert_eq!(state, state0);
+            assert_eq!(format!("{game:?}"), format!("{game0:?}"));
+            for load in [0, 1, 2001] {
+                for r in 0..3 {
+                    let r = ResourceId::new(r);
+                    assert_eq!(game.latency(r, load).to_bits(), game0.latency(r, load).to_bits());
+                }
+            }
+        }
+        // Through a cursor, the error names the round the event fired at.
+        let schedule = Arc::new(Schedule::new(vec![(4, scale)]).unwrap());
+        let err = ScheduleCursor::new(schedule).fire(4, &mut game, &mut state).unwrap_err();
+        assert!(err.to_string().contains("event at round 4 failed to apply"), "{err}");
+        assert_eq!(state, state0);
+        // Virtual agents raise the largest load a player can face: a
+        // function finite at n + 1 but not at n + base + 1 is rejected.
+        let mut game = CongestionGame::singleton(vec![Affine::linear(1.0).into()], 10).unwrap();
+        let mut state = State::from_counts(&game, vec![10]).unwrap().with_virtual_agents(&game);
+        // One virtual agent: the largest load is 10 + 1 + 1 = 12, and
+        // c·x⁴ is finite at x = 11 but overflows at x = 12.
+        let edge = f64::MAX / 11.5f64.powi(4);
+        let err = apply_event(
+            &mut game,
+            &mut state,
+            &ScheduledEvent::SetLatency {
+                resource: 0,
+                latency: LatencySpec::Monomial { coefficient: edge, degree: 4 },
+            },
+        );
+        assert!((edge * 11f64.powi(4)).is_finite());
+        assert!(matches!(err, Err(ScenarioError::Apply { .. })), "{err:?}");
     }
 
     #[test]

@@ -170,48 +170,50 @@ fn philox_scalar(spec: PhiloxSpec, mut key: [u64; 2], mut ctr: [u64; 4]) -> [u64
 }
 
 /// Batched keyed Philox 4×64: `out[i]` is the output block of counter
-/// `[prefix[0], prefix[1], prefix[2], trials[i]]` under `key` — one call
-/// produces every lane's block for a shared `(block, site, round)`
-/// address prefix. Bit-identical across arms (integer construction).
+/// `ctr` with word `lane_word` replaced by `lanes[i]` under `key` — one
+/// call produces a block per lane for a shared address prefix. The lane
+/// word is word 3 (trial) for an across-trial sweep of one site, and word 1
+/// (site) for an across-site sweep of one trial. Bit-identical across arms
+/// (integer construction).
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != trials.len()`.
+/// Panics if `out.len() != lanes.len()` or `lane_word > 3`.
 #[inline]
 pub fn philox4x64_batch(
     d: Dispatch,
     spec: PhiloxSpec,
     key: [u64; 2],
-    prefix: [u64; 3],
-    trials: &[u64],
+    ctr: [u64; 4],
+    lane_word: usize,
+    lanes: &[u64],
     out: &mut [[u64; 4]],
 ) {
-    assert_eq!(out.len(), trials.len(), "one output block per trial");
-    match resolved(d) {
-        Dispatch::Scalar => {
-            for (o, &t) in out.iter_mut().zip(trials) {
-                *o = philox_scalar(spec, key, [prefix[0], prefix[1], prefix[2], t]);
-            }
+    assert_eq!(out.len(), lanes.len(), "one output block per lane");
+    assert!(lane_word < 4, "counter word {lane_word} out of range");
+    let scalar_tail = |out: &mut [[u64; 4]], lanes: &[u64]| {
+        for (o, &v) in out.iter_mut().zip(lanes) {
+            let mut c = ctr;
+            c[lane_word] = v;
+            *o = philox_scalar(spec, key, c);
         }
+    };
+    match resolved(d) {
+        Dispatch::Scalar => scalar_tail(out, lanes),
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => {
-            let n4 = trials.len() & !3;
-            avx2::philox4x64_batch(spec, key, prefix, &trials[..n4], &mut out[..n4]);
-            for (o, &t) in out[n4..].iter_mut().zip(&trials[n4..]) {
-                *o = philox_scalar(spec, key, [prefix[0], prefix[1], prefix[2], t]);
-            }
+            let n4 = lanes.len() & !3;
+            avx2::philox4x64_batch(spec, key, ctr, lane_word, &lanes[..n4], &mut out[..n4]);
+            scalar_tail(&mut out[n4..], &lanes[n4..]);
         }
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => {
-            let n8 = trials.len() & !7;
-            avx512::philox4x64_batch(spec, key, prefix, &trials[..n8], &mut out[..n8]);
-            let tail_t = &trials[n8..];
-            let tail_o = &mut out[n8..];
-            let n4 = tail_t.len() & !3;
-            avx2::philox4x64_batch(spec, key, prefix, &tail_t[..n4], &mut tail_o[..n4]);
-            for (o, &t) in tail_o[n4..].iter_mut().zip(&tail_t[n4..]) {
-                *o = philox_scalar(spec, key, [prefix[0], prefix[1], prefix[2], t]);
-            }
+            let n8 = lanes.len() & !7;
+            avx512::philox4x64_batch(spec, key, ctr, lane_word, &lanes[..n8], &mut out[..n8]);
+            let (tail_l, tail_o) = (&lanes[n8..], &mut out[n8..]);
+            let n4 = tail_l.len() & !3;
+            avx2::philox4x64_batch(spec, key, ctr, lane_word, &tail_l[..n4], &mut tail_o[..n4]);
+            scalar_tail(&mut tail_o[n4..], &tail_l[n4..]);
         }
         #[cfg(not(target_arch = "x86_64"))]
         Dispatch::Avx2 | Dispatch::Avx512 => {
@@ -559,24 +561,56 @@ mod avx2 {
     pub fn philox4x64_batch(
         spec: PhiloxSpec,
         key: [u64; 2],
-        prefix: [u64; 3],
-        trials: &[u64],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
         out: &mut [[u64; 4]],
     ) {
-        debug_assert_eq!(trials.len() % 4, 0);
-        debug_assert_eq!(out.len(), trials.len());
+        debug_assert_eq!(lanes.len() % 4, 0);
+        debug_assert_eq!(out.len(), lanes.len());
         // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { philox4x64_batch_impl(spec, key, prefix, trials, out) }
+        unsafe { philox4x64_batch_impl(spec, key, ctr, lane_word, lanes, out) }
     }
 
+    /// Eight lanes (two vectors) per sweep while they last: the rounds are
+    /// one long multiply chain per vector, and a second independent chain
+    /// in flight hides its latency. Then one vector for a 4-lane rest.
     #[target_feature(enable = "avx2")]
     unsafe fn philox4x64_batch_impl(
         spec: PhiloxSpec,
         key: [u64; 2],
-        prefix: [u64; 3],
-        trials: &[u64],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
         out: &mut [[u64; 4]],
     ) {
+        let n8 = lanes.len() & !7;
+        for (chunk, blocks) in lanes[..n8].chunks_exact(8).zip(out[..n8].chunks_exact_mut(8)) {
+            sweep::<2>(spec, key, ctr, lane_word, chunk, blocks);
+        }
+        for (chunk, blocks) in lanes[n8..].chunks_exact(4).zip(out[n8..].chunks_exact_mut(4)) {
+            sweep::<1>(spec, key, ctr, lane_word, chunk, blocks);
+        }
+    }
+
+    /// The blocks of `N` vectors of four lanes: `chunk` and `blocks` hold
+    /// `4·N` lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Every load and store goes through a
+    /// 4-lane `chunks_exact` piece, so no length can take it out of bounds.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep<const N: usize>(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        chunk: &[u64],
+        blocks: &mut [[u64; 4]],
+    ) {
+        debug_assert!(chunk.len() == 4 * N && blocks.len() == 4 * N);
         let lo32 = _mm256_set1_epi64x(LO32 as i64);
         let m0_lo = _mm256_set1_epi64x((spec.m0 & LO32) as i64);
         let m0_hi = _mm256_set1_epi64x((spec.m0 >> 32) as i64);
@@ -584,29 +618,40 @@ mod avx2 {
         let m1_hi = _mm256_set1_epi64x((spec.m1 >> 32) as i64);
         let w0 = _mm256_set1_epi64x(spec.w0 as i64);
         let w1 = _mm256_set1_epi64x(spec.w1 as i64);
-        for (chunk, blocks) in trials.chunks_exact(4).zip(out.chunks_exact_mut(4)) {
-            let mut k0 = _mm256_set1_epi64x(key[0] as i64);
-            let mut k1 = _mm256_set1_epi64x(key[1] as i64);
-            let mut c0 = _mm256_set1_epi64x(prefix[0] as i64);
-            let mut c1 = _mm256_set1_epi64x(prefix[1] as i64);
-            let mut c2 = _mm256_set1_epi64x(prefix[2] as i64);
-            let mut c3 = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-            for _ in 0..spec.rounds {
+        let shared = [
+            _mm256_set1_epi64x(ctr[0] as i64),
+            _mm256_set1_epi64x(ctr[1] as i64),
+            _mm256_set1_epi64x(ctr[2] as i64),
+            _mm256_set1_epi64x(ctr[3] as i64),
+        ];
+        let mut c = [shared; N];
+        for (words, lanes) in c.iter_mut().zip(chunk.chunks_exact(4)) {
+            words[lane_word] = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
+        }
+        let mut k0 = _mm256_set1_epi64x(key[0] as i64);
+        let mut k1 = _mm256_set1_epi64x(key[1] as i64);
+        for _ in 0..spec.rounds {
+            for words in c.iter_mut() {
+                let [c0, c1, c2, c3] = *words;
                 let (hi0, lo0) = mulhilo(m0_lo, m0_hi, c0, lo32);
                 let (hi1, lo1) = mulhilo(m1_lo, m1_hi, c2, lo32);
-                c0 = _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0);
-                c1 = lo1;
-                c2 = _mm256_xor_si256(_mm256_xor_si256(hi0, c3), k1);
-                c3 = lo0;
-                k0 = _mm256_add_epi64(k0, w0);
-                k1 = _mm256_add_epi64(k1, w1);
+                *words = [
+                    _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0),
+                    lo1,
+                    _mm256_xor_si256(_mm256_xor_si256(hi0, c3), k1),
+                    lo0,
+                ];
             }
-            // Transpose the four word-vectors into per-lane blocks.
+            k0 = _mm256_add_epi64(k0, w0);
+            k1 = _mm256_add_epi64(k1, w1);
+        }
+        // Transpose each vector's four word-vectors into per-lane blocks.
+        for (&[c0, c1, c2, c3], out) in c.iter().zip(blocks.chunks_exact_mut(4)) {
             let t0 = _mm256_unpacklo_epi64(c0, c1);
             let t1 = _mm256_unpackhi_epi64(c0, c1);
             let t2 = _mm256_unpacklo_epi64(c2, c3);
             let t3 = _mm256_unpackhi_epi64(c2, c3);
-            let base = blocks.as_mut_ptr() as *mut __m256i;
+            let base = out.as_mut_ptr() as *mut __m256i;
             _mm256_storeu_si256(base, _mm256_permute2x128_si256::<0x20>(t0, t2));
             _mm256_storeu_si256(base.add(1), _mm256_permute2x128_si256::<0x20>(t1, t3));
             _mm256_storeu_si256(base.add(2), _mm256_permute2x128_si256::<0x31>(t0, t2));
@@ -1007,24 +1052,56 @@ mod avx512 {
     pub fn philox4x64_batch(
         spec: PhiloxSpec,
         key: [u64; 2],
-        prefix: [u64; 3],
-        trials: &[u64],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
         out: &mut [[u64; 4]],
     ) {
-        debug_assert_eq!(trials.len() % 8, 0);
-        debug_assert_eq!(out.len(), trials.len());
+        debug_assert_eq!(lanes.len() % 8, 0);
+        debug_assert_eq!(out.len(), lanes.len());
         // SAFETY: the public wrapper verified AVX-512 availability.
-        unsafe { philox4x64_batch_impl(spec, key, prefix, trials, out) }
+        unsafe { philox4x64_batch_impl(spec, key, ctr, lane_word, lanes, out) }
     }
 
+    /// Sixteen lanes (two vectors) per sweep while they last, to hide the
+    /// multiply-chain latency as in the AVX2 arm; then one vector for an
+    /// 8-lane rest.
     #[target_feature(enable = "avx512f")]
     unsafe fn philox4x64_batch_impl(
         spec: PhiloxSpec,
         key: [u64; 2],
-        prefix: [u64; 3],
-        trials: &[u64],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
         out: &mut [[u64; 4]],
     ) {
+        let n16 = lanes.len() & !15;
+        for (chunk, blocks) in lanes[..n16].chunks_exact(16).zip(out[..n16].chunks_exact_mut(16)) {
+            sweep::<2>(spec, key, ctr, lane_word, chunk, blocks);
+        }
+        for (chunk, blocks) in lanes[n16..].chunks_exact(8).zip(out[n16..].chunks_exact_mut(8)) {
+            sweep::<1>(spec, key, ctr, lane_word, chunk, blocks);
+        }
+    }
+
+    /// The blocks of `N` vectors of eight lanes: `chunk` and `blocks` hold
+    /// `8·N` lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F. Every load and store goes through an
+    /// 8-lane `chunks_exact` piece, so no length can take it out of bounds.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sweep<const N: usize>(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        chunk: &[u64],
+        blocks: &mut [[u64; 4]],
+    ) {
+        debug_assert!(chunk.len() == 8 * N && blocks.len() == 8 * N);
         let lo32 = _mm512_set1_epi64(LO32 as i64);
         let m0_lo = _mm512_set1_epi64((spec.m0 & LO32) as i64);
         let m0_hi = _mm512_set1_epi64((spec.m0 >> 32) as i64);
@@ -1032,26 +1109,37 @@ mod avx512 {
         let m1_hi = _mm512_set1_epi64((spec.m1 >> 32) as i64);
         let w0 = _mm512_set1_epi64(spec.w0 as i64);
         let w1 = _mm512_set1_epi64(spec.w1 as i64);
-        for (chunk, blocks) in trials.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
-            let mut k0 = _mm512_set1_epi64(key[0] as i64);
-            let mut k1 = _mm512_set1_epi64(key[1] as i64);
-            let mut c0 = _mm512_set1_epi64(prefix[0] as i64);
-            let mut c1 = _mm512_set1_epi64(prefix[1] as i64);
-            let mut c2 = _mm512_set1_epi64(prefix[2] as i64);
-            let mut c3 = _mm512_loadu_si512(chunk.as_ptr() as *const __m512i);
-            for _ in 0..spec.rounds {
+        let shared = [
+            _mm512_set1_epi64(ctr[0] as i64),
+            _mm512_set1_epi64(ctr[1] as i64),
+            _mm512_set1_epi64(ctr[2] as i64),
+            _mm512_set1_epi64(ctr[3] as i64),
+        ];
+        let mut c = [shared; N];
+        for (words, lanes) in c.iter_mut().zip(chunk.chunks_exact(8)) {
+            words[lane_word] = _mm512_loadu_si512(lanes.as_ptr() as *const __m512i);
+        }
+        let mut k0 = _mm512_set1_epi64(key[0] as i64);
+        let mut k1 = _mm512_set1_epi64(key[1] as i64);
+        for _ in 0..spec.rounds {
+            for words in c.iter_mut() {
+                let [c0, c1, c2, c3] = *words;
                 let (hi0, lo0) = mulhilo(m0_lo, m0_hi, c0, lo32);
                 let (hi1, lo1) = mulhilo(m1_lo, m1_hi, c2, lo32);
-                c0 = _mm512_xor_si512(_mm512_xor_si512(hi1, c1), k0);
-                c1 = lo1;
-                c2 = _mm512_xor_si512(_mm512_xor_si512(hi0, c3), k1);
-                c3 = lo0;
-                k0 = _mm512_add_epi64(k0, w0);
-                k1 = _mm512_add_epi64(k1, w1);
+                *words = [
+                    _mm512_xor_si512(_mm512_xor_si512(hi1, c1), k0),
+                    lo1,
+                    _mm512_xor_si512(_mm512_xor_si512(hi0, c3), k1),
+                    lo0,
+                ];
             }
-            // Transpose the four word-vectors into eight per-lane blocks:
-            // qword interleave within 128-bit lanes, then two rounds of
-            // 128-bit-lane shuffles.
+            k0 = _mm512_add_epi64(k0, w0);
+            k1 = _mm512_add_epi64(k1, w1);
+        }
+        // Transpose each vector's four word-vectors into eight per-lane
+        // blocks: qword interleave within 128-bit lanes, then two rounds of
+        // 128-bit-lane shuffles.
+        for (&[c0, c1, c2, c3], out) in c.iter().zip(blocks.chunks_exact_mut(8)) {
             let t0 = _mm512_unpacklo_epi64(c0, c1); // [c0ᵢ c1ᵢ] for even i
             let t1 = _mm512_unpackhi_epi64(c0, c1); // [c0ᵢ c1ᵢ] for odd i
             let t2 = _mm512_unpacklo_epi64(c2, c3); // [c2ᵢ c3ᵢ] for even i
@@ -1060,7 +1148,7 @@ mod avx512 {
             let p13_lo = _mm512_shuffle_i64x2::<0x44>(t1, t3);
             let p02_hi = _mm512_shuffle_i64x2::<0xEE>(t0, t2); // t0.L2 t0.L3 t2.L2 t2.L3
             let p13_hi = _mm512_shuffle_i64x2::<0xEE>(t1, t3);
-            let base = blocks.as_mut_ptr() as *mut __m512i;
+            let base = out.as_mut_ptr() as *mut __m512i;
             // lanes 0,1 · 2,3 · 4,5 · 6,7 — each 512-bit store is two blocks.
             _mm512_storeu_si512(base, _mm512_shuffle_i64x2::<0x88>(p02_lo, p13_lo));
             _mm512_storeu_si512(base.add(1), _mm512_shuffle_i64x2::<0xDD>(p02_lo, p13_lo));
@@ -1141,22 +1229,36 @@ mod tests {
     fn philox_batch_arms_agree_bitwise() {
         for seed in 0..8u64 {
             let key = [mix(seed), mix(seed + 100)];
-            let prefix = [mix(seed + 200), mix(seed + 300), mix(seed + 400)];
-            for width in [1usize, 3, 4, 5, 8, 32, 64] {
-                let trials: Vec<u64> = (0..width as u64).map(|t| mix(seed * 64 + t)).collect();
-                let mut scalar = vec![[0u64; 4]; width];
-                philox4x64_batch(Dispatch::Scalar, SPEC, key, prefix, &trials, &mut scalar);
-                for (i, &t) in trials.iter().enumerate() {
-                    let direct = philox_scalar(SPEC, key, [prefix[0], prefix[1], prefix[2], t]);
-                    assert_eq!(scalar[i], direct, "scalar batch lane {i}");
-                }
-                for d in [Dispatch::Avx2, Dispatch::Avx512] {
-                    if !d.is_available() {
-                        continue;
+            let ctr = [mix(seed + 200), mix(seed + 300), mix(seed + 400), mix(seed + 500)];
+            for lane_word in 0..4 {
+                for width in [1usize, 3, 4, 5, 8, 13, 32, 64] {
+                    let lanes: Vec<u64> = (0..width as u64).map(|t| mix(seed * 64 + t)).collect();
+                    let mut scalar = vec![[0u64; 4]; width];
+                    philox4x64_batch(
+                        Dispatch::Scalar,
+                        SPEC,
+                        key,
+                        ctr,
+                        lane_word,
+                        &lanes,
+                        &mut scalar,
+                    );
+                    for (i, &v) in lanes.iter().enumerate() {
+                        let mut c = ctr;
+                        c[lane_word] = v;
+                        assert_eq!(scalar[i], philox_scalar(SPEC, key, c), "scalar batch lane {i}");
                     }
-                    let mut vector = vec![[0u64; 4]; width];
-                    philox4x64_batch(d, SPEC, key, prefix, &trials, &mut vector);
-                    assert_eq!(scalar, vector, "{d:?} seed {seed} width {width}");
+                    for d in [Dispatch::Avx2, Dispatch::Avx512] {
+                        if !d.is_available() {
+                            continue;
+                        }
+                        let mut vector = vec![[0u64; 4]; width];
+                        philox4x64_batch(d, SPEC, key, ctr, lane_word, &lanes, &mut vector);
+                        assert_eq!(
+                            scalar, vector,
+                            "{d:?} seed {seed} word {lane_word} width {width}"
+                        );
+                    }
                 }
             }
         }

@@ -528,6 +528,11 @@ fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         }
         return simulate_ensemble(game, opts, state, &stop);
     }
+    if let Some(path) = &opts.shock_csv {
+        // Fail before the run, not after it: create the file now (the
+        // summary overwrites it at the end).
+        std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    }
     let mut sim = Simulation::new(game, opts.protocol()?, state)
         .map_err(|e| e.to_string())?
         .with_engine(opts.engine);

@@ -855,7 +855,9 @@ fn counter_and_xoshiro_modes_statistically_equivalent() {
 }
 
 /// A stream wrapper that forwards every draw and positioning hook and
-/// counts the sites begun. With `forward_addressed == false` it also hides
+/// counts the sites begun. It does not override [`DrawRng::site_blocks`],
+/// so an addressed kernel fetches its blocks through the trait's default
+/// per-site walk. With `forward_addressed == false` it also hides
 /// [`DrawRng::addressed`], so the player-level kernel takes its full-draw
 /// path: every player begins its site and draws, as on a sequential
 /// stream.
@@ -891,17 +893,17 @@ impl<R: DrawRng> DrawRng for SiteCounter<R> {
 }
 
 /// Per-round `(counts, potential bits)` of a counter-mode player-level run
-/// of `rounds` rounds, plus the number of sites the kernel began. With a
-/// schedule, every round goes through `run` (the only entry point that fires
-/// hooks), one round per call.
+/// of `rounds` rounds drawing from `rng`. With a schedule, every round goes
+/// through `run` (the only entry point that fires hooks), one round per
+/// call.
 fn counter_player_trajectory(
     game: &CongestionGame,
     protocol: Protocol,
     start: &State,
     schedule: Option<&std::sync::Arc<congames::scenario::Schedule>>,
-    skip: bool,
+    mut rng: impl DrawRng,
     rounds: u64,
-) -> (Vec<(Vec<u64>, u64)>, u64) {
+) -> Vec<(Vec<u64>, u64)> {
     let mut sim = Simulation::new(game, protocol, start.clone())
         .expect("valid simulation")
         .with_engine(EngineKind::PlayerLevel);
@@ -910,11 +912,6 @@ fn counter_player_trajectory(
             std::sync::Arc::clone(schedule),
         )));
     }
-    let mut rng = SiteCounter {
-        inner: fixture_stream("eq/movable-skip", RngMode::Counter, 3),
-        forward_addressed: skip,
-        sites: 0,
-    };
     let mut trajectory = Vec::new();
     for round in 1..=rounds {
         if schedule.is_some() {
@@ -924,17 +921,25 @@ fn counter_player_trajectory(
         }
         trajectory.push((sim.state().counts().to_vec(), sim.potential().to_bits()));
     }
-    (trajectory, rng.sites)
+    trajectory
 }
 
 /// The counter-mode player kernel skips the draws of players on origins
-/// with no positive-μ destination. That must be invisible: against the
-/// full-draw path (forced by a wrapper that hides `addressed()`), every
-/// per-round count and potential bit agrees, across the imitation,
-/// exploration and combined protocols, virtual agents on and off, both
-/// self-sampling modes, 1- and 2-class games, supported and piled starts,
-/// and a shocked run. Every supported-start case must also really skip
-/// some sites, or it would not test the skip.
+/// with no positive-μ destination, and fetches the movable players' first
+/// Philox blocks in site batches. Both must be invisible. Three streams
+/// run every case:
+///
+/// * the bare counter stream (the batched across-site `site_blocks`);
+/// * a wrapper that forwards `addressed()` but not `site_blocks` (the
+///   trait's default per-site walk);
+/// * a wrapper that hides `addressed()` (the full-draw path).
+///
+/// Every per-round count and potential bit agrees across the three, for
+/// the imitation, exploration and combined protocols, virtual agents on
+/// and off, both self-sampling modes, 1- and 2-class games, a class larger
+/// than one site chunk whose size is not a multiple of the vector width,
+/// supported and piled starts, and a shocked run. Every supported-start
+/// case must also really skip some sites, or it would not test the skip.
 #[test]
 fn movable_origin_skip_matches_full_draw_path_bitwise() {
     use congames::dynamics::SelfSampling;
@@ -954,12 +959,16 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
     protocols.push(("exploration".into(), ExplorationProtocol::paper_default().into()));
     let one_class = games::linear_singleton(4, 300);
     let two_class = games::two_class_overlap(150, 90);
+    // More movable players than one 256-site chunk, in a class whose size
+    // is not a multiple of 8: full chunks and ragged vector tails both run.
+    let wide_class = games::linear_singleton(4, 523);
     let shock = std::sync::Arc::new(
         congames::scenario::generate::step_shock(40, 0, 3.0).expect("valid schedule"),
     );
-    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 3] = [
+    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 4] = [
         ("1-class", &one_class, None),
         ("2-class", &two_class, None),
+        ("1-class/523", &wide_class, None),
         ("1-class/step_shock", &one_class, Some(&shock)),
     ];
     // The piled start leaves strategies empty, which only virtual agents
@@ -977,15 +986,31 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
                 start = start.with_virtual_agents(game);
             }
             let label = format!("{fixture}/{start_name}/{name}");
-            let run = |skip| counter_player_trajectory(game, *protocol, &start, schedule, skip, 90);
-            let (full, full_sites) = run(false);
-            let (skipped, skipped_sites) = run(true);
-            assert_eq!(skipped, full, "{label}: the skipping kernel diverged from the full path");
+            let stream = || fixture_stream("eq/movable-skip", RngMode::Counter, 3);
+            let mut default_blocks =
+                SiteCounter { inner: stream(), forward_addressed: true, sites: 0 };
+            let mut full = SiteCounter { inner: stream(), forward_addressed: false, sites: 0 };
+            let batched =
+                counter_player_trajectory(game, *protocol, &start, schedule, stream(), 90);
+            let walked = counter_player_trajectory(
+                game,
+                *protocol,
+                &start,
+                schedule,
+                &mut default_blocks,
+                90,
+            );
+            let full_path =
+                counter_player_trajectory(game, *protocol, &start, schedule, &mut full, 90);
+            assert_eq!(walked, full_path, "{label}: the default site_blocks walk diverged");
+            assert_eq!(batched, full_path, "{label}: the batched site_blocks diverged");
             // Supported starts settle within the horizon, so they must
             // skip; piled starts under exploration may still be moving.
             assert!(
-                skipped_sites < full_sites || start_name == "piled",
-                "{label}: no site was skipped ({skipped_sites} of {full_sites} begun)"
+                default_blocks.sites < full.sites || start_name == "piled",
+                "{label}: no site was skipped ({} of {} begun)",
+                default_blocks.sites,
+                full.sites
             );
         }
     }

@@ -12,6 +12,10 @@
 //!   addresses, lane counts (covering every vector-width tail: the 8-,
 //!   4-, and 1-lane remainders), and lane strides — in **every** dispatch
 //!   arm the host can run;
+//! * [`counter_site_blocks`] (the across-site sweep behind the
+//!   player-level kernel's `DrawRng::site_blocks`) equals the same
+//!   reference over random keys, trials, rounds and site lists of every
+//!   length 0–19, in every arm;
 //! * a [`LaneKernel`] stepped under each vector arm realizes bit for bit
 //!   the counts, potential bits, and migration tallies of the same kernel
 //!   stepped under forced-scalar dispatch, for every supported lane width
@@ -25,7 +29,7 @@
 
 use congames::dynamics::{ImitationProtocol, LaneKernel, Protocol};
 use congames::model::{Affine, CongestionGame, State};
-use congames::sampling::{counter_blocks, CounterRng, Dispatch};
+use congames::sampling::{counter_blocks, counter_site_blocks, CounterRng, Dispatch};
 use proptest::prelude::*;
 
 /// Lockstep rounds per kernel comparison: enough churn to reach (and
@@ -91,6 +95,31 @@ proptest! {
                     prop_assert!(
                         word == expect,
                         "{d:?}: lane {i} (trial {t}) word {j}: {word:#x} != {expect:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The site-batched sweep equals the scalar random-access reference
+    /// word for word, in every arm, at every length 0–19 (so the 16-, 8-
+    /// and 4-lane sweeps and the scalar tail all run).
+    #[test]
+    fn site_batched_philox_matches_scalar(
+        base_seed in any::<u64>(),
+        trial in any::<u64>(),
+        round in any::<u64>(),
+        sites in proptest::collection::vec(any::<u64>(), 0..20),
+    ) {
+        for d in arms() {
+            let mut out = vec![[0u64; 4]; sites.len()];
+            counter_site_blocks(d, base_seed, trial, round, &sites, &mut out);
+            for (i, &site) in sites.iter().enumerate() {
+                for (j, &word) in out[i].iter().enumerate() {
+                    let expect = CounterRng::at(base_seed, trial, round, site, j as u64);
+                    prop_assert!(
+                        word == expect,
+                        "{d:?}: site {i} ({site}) word {j}: {word:#x} != {expect:#x}"
                     );
                 }
             }

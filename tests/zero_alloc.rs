@@ -61,27 +61,33 @@ fn allocations() -> u64 {
 /// while buffers are already at their high-water marks — the largest
 /// flows happen in the *first* rounds.
 fn game() -> CongestionGame {
+    sized_game(4096)
+}
+
+fn sized_game(players: u64) -> CongestionGame {
     CongestionGame::singleton(
         (0..8).map(|i| Affine::linear(1.0 + 0.25 * i as f64).into()).collect(),
-        4096,
+        players,
     )
     .expect("valid game")
 }
 
 fn skewed_start(game: &CongestionGame) -> State {
-    let mut counts = vec![64u64; game.num_strategies()];
-    counts[0] = 4096 - 7 * 64;
+    let n = game.total_players();
+    let mut counts = vec![n / 64; game.num_strategies()];
+    counts[0] = n - 7 * (n / 64);
     State::from_counts(game, counts).expect("valid start")
 }
 
 fn assert_steady_state_alloc_free(
+    players: u64,
     engine: EngineKind,
     protocol: Protocol,
     label: &str,
     require_steady_migrations: bool,
     mut rng: impl DrawRng,
 ) {
-    let game = game();
+    let game = sized_game(players);
     let mut sim = Simulation::new(&game, protocol, skewed_start(&game))
         .expect("valid simulation")
         .with_engine(engine);
@@ -283,6 +289,7 @@ fn round_kernels_do_not_allocate_in_steady_state() {
             .expect("valid combined protocol");
     for (protocol, name, steady) in [(imitation, "imitation", true), (combined, "combined", true)] {
         assert_steady_state_alloc_free(
+            4096,
             EngineKind::Aggregate,
             protocol,
             &format!("aggregate/{name}"),
@@ -290,6 +297,7 @@ fn round_kernels_do_not_allocate_in_steady_state() {
             SmallRng::seed_from_u64(1234),
         );
         assert_steady_state_alloc_free(
+            4096,
             EngineKind::PlayerLevel,
             protocol,
             &format!("player-level/{name}"),
@@ -297,15 +305,21 @@ fn round_kernels_do_not_allocate_in_steady_state() {
             SmallRng::seed_from_u64(1234),
         );
         // Counter-mode player rounds additionally build the movable-origin
-        // mask every class visit and skip the sites of immovable origins;
-        // the mask lives in a reused simulation buffer.
-        assert_steady_state_alloc_free(
-            EngineKind::PlayerLevel,
-            protocol,
-            &format!("player-level/counter/{name}"),
-            steady,
-            DrawStream::for_trial(RngMode::Counter, 1234, 0),
-        );
+        // mask every class visit, compact the movable players' sites, and
+        // fetch their Philox blocks in site batches; the mask, site and
+        // block buffers are reused simulation scratch. 4099 players fill
+        // many site chunks and are not a multiple of the vector width, and
+        // (unlike a few hundred players) still migrate in the window.
+        for players in [4096, 4099] {
+            assert_steady_state_alloc_free(
+                players,
+                EngineKind::PlayerLevel,
+                protocol,
+                &format!("player-level/counter/{players}/{name}"),
+                steady,
+                DrawStream::for_trial(RngMode::Counter, 1234, 0),
+            );
+        }
     }
     // The batched-latency paths this repo's perf story now rests on:
     // big-flow ΔΦ walks and full cache rebuilds stay off the heap too.
