@@ -26,7 +26,7 @@ use crate::expectation::PairFlow;
 use crate::hook::RoundHook;
 use crate::observe::Observer;
 use crate::protocol::{ExplorationProtocol, ImitationProtocol, Protocol, SelfSampling};
-use crate::stopping::{RunOutcome, RunSummary, StopCondition, StopReason, StopSpec};
+use crate::stopping::{stop_reason, RunOutcome, RunSummary, StopSpec};
 use crate::trajectory::{capture_record, RecordConfig, Trajectory};
 
 /// Which round engine to use.
@@ -1272,7 +1272,17 @@ impl<'g> Simulation<'g> {
                     fired,
                 ));
             }
-            if let Some(reason) = self.check_stop(stop) {
+            let events_pending = self.hook.as_ref().and_then(|h| h.next_fire()).is_some();
+            if let Some(reason) = stop_reason(
+                stop,
+                self.round,
+                self.potential,
+                events_pending,
+                &self.game,
+                &self.state,
+                &self.protocol,
+                &self.params,
+            ) {
                 if self.record.every > 0 && !recording {
                     observer.observe(&capture_record(
                         &self.game,
@@ -1289,45 +1299,6 @@ impl<'g> Simulation<'g> {
             let stats = self.step(rng)?;
             last_migrations = stats.migrations;
         }
-    }
-
-    fn check_stop(&self, stop: &StopSpec) -> Option<StopReason> {
-        // While a round hook still has scheduled fires pending, the run is
-        // nonstationary by declaration: equilibrium-type conditions are
-        // deferred until the schedule drains (today's stable state is not
-        // an outcome, it is the pre-shock reference). Only the round
-        // budget can stop a run mid-schedule.
-        let events_pending = self.hook.as_ref().and_then(|h| h.next_fire()).is_some();
-        let expensive_due = self.round % stop.check_every() == 0 && !events_pending;
-        for cond in stop.conditions() {
-            match cond {
-                StopCondition::MaxRounds(r) if self.round >= *r => {
-                    return Some(StopReason::MaxRounds);
-                }
-                StopCondition::PotentialAtMost(v) if !events_pending && self.potential <= *v => {
-                    return Some(StopReason::PotentialReached);
-                }
-                StopCondition::ImitationStable if expensive_due => {
-                    let nu = self.protocol.stability_threshold(&self.params);
-                    if congames_model::is_imitation_stable(&self.game, &self.state, nu) {
-                        return Some(StopReason::ImitationStable);
-                    }
-                }
-                StopCondition::ApproxEquilibrium(eq)
-                    if expensive_due && eq.is_satisfied(&self.game, &self.state) =>
-                {
-                    return Some(StopReason::ApproxEquilibrium);
-                }
-                StopCondition::NashEquilibrium { tol }
-                    if expensive_due
-                        && congames_model::is_nash_equilibrium(&self.game, &self.state, *tol) =>
-                {
-                    return Some(StopReason::NashEquilibrium);
-                }
-                _ => {}
-            }
-        }
-        None
     }
 }
 
@@ -1363,6 +1334,7 @@ pub(crate) fn exploration_mu(
 mod tests {
     use super::*;
     use crate::protocol::{Damping, ExplorationProtocol, ImitationProtocol, NuRule};
+    use crate::stopping::{StopCondition, StopReason};
     use congames_model::Affine;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -17,6 +17,19 @@
 //! bit-identical-across-thread-counts guarantee, via a reduction tree that
 //! is a function of the trial count alone.
 //!
+//! Every reduced sweep — [`Ensemble::run_reduced`] and one shard of a
+//! distributed sweep, [`Ensemble::run_reduced_shard`], scalar or lane
+//! kernel, one thread or many — goes through one block scheduler. It
+//! produces the [`REDUCE_BLOCK`]-trial block partials of a block range and
+//! hands them, in block order, to a *sink*: `run_reduced`'s sink merges
+//! each partial into the accumulator, the shard's sink keeps it as a
+//! leaf. Workers claim *units* of one block (two for a 64-lane group),
+//! and a *unit runner* — a loop of scalar replicas or one lane group at a
+//! time — is the only part that differs between the kernels. On failure
+//! the scheduler keeps the lowest failing trial and skips only the trials
+//! above it, so the error or panic reported is that trial's whatever the
+//! thread count, lane width or shard split.
+//!
 //! The lower-level [`run_indexed`] primitive (a panic-transparent indexed
 //! parallel map) is exported for harnesses that fan out non-simulation
 //! work; `congames-analysis::run_trials` builds on it. All batch entry
@@ -27,6 +40,7 @@
 use congames_model::{CongestionGame, State};
 use congames_sampling::{split_seed, DrawStream, RngMode};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -336,35 +350,33 @@ impl<'g> Ensemble<'g> {
         Ok(())
     }
 
-    /// Run trials `start..end` through lockstep lane groups of at most
-    /// `width`, feeding each finished trial's output to `absorb` in trial
-    /// order. Grouping is pure scheduling — per-trial outputs are
-    /// bit-identical for any chunking — so callers may anchor groups
-    /// wherever their block coverage starts. Errors carry the failing
-    /// global trial index; `abort` (when given) stops the group loop
-    /// early after a concurrent failure.
+    /// The lane unit runner: run `trials` through lockstep lane groups of
+    /// at most `width`, feeding each finished trial's output to `absorb` in
+    /// trial order. Grouping is pure scheduling — per-trial outputs are
+    /// bit-identical for any chunking — so groups anchor wherever the unit
+    /// starts. Groups starting above the lowest failing trial (`failed`)
+    /// are skipped; `at` is set to the first trial of the group about to
+    /// run, or to the failing trial on error (see [`Ensemble::run_unit`]).
     #[allow(clippy::too_many_arguments)]
     fn run_lane_trials<O: Observer>(
         &self,
-        start: usize,
-        end: usize,
+        trials: Range<usize>,
         width: usize,
         stop: &StopSpec,
         observer_factory: &(impl Fn(usize) -> O + Sync),
-        abort: Option<&AtomicBool>,
+        failed: &AtomicUsize,
+        at: &mut usize,
         mut absorb: impl FnMut(usize, O::Output),
-    ) -> Result<(), (usize, DynamicsError)> {
+    ) -> Result<(), DynamicsError> {
         // One kernel serves every group in the range: `reset` re-points
         // the stream/state buffers at the next group without reallocating
         // (tails reset to a narrower lane count), so a sweep's steady
         // state allocates lane storage once, not once per group.
         let mut kernel: Option<LaneKernel<'_>> = None;
-        let mut t = start;
-        while t < end {
-            if abort.is_some_and(|a| a.load(Ordering::Relaxed)) {
-                return Ok(());
-            }
-            let lanes = width.min(end - t);
+        let mut t = trials.start;
+        while t < trials.end && t <= failed.load(Ordering::Relaxed) {
+            *at = t;
+            let lanes = width.min(trials.end - t);
             let kernel = match kernel.as_mut() {
                 Some(k) => {
                     k.reset(t as u64, lanes);
@@ -378,14 +390,15 @@ impl<'g> Ensemble<'g> {
                         self.base_seed,
                         t as u64,
                         lanes,
-                    )
-                    .map_err(|e| (t, e))?
+                    )?
                     .with_recording(self.record),
                 ),
             };
             let observers: Vec<O> = (0..lanes).map(|l| observer_factory(t + l)).collect();
-            let outputs =
-                kernel.run_observed(stop, observers).map_err(|(lane, e)| (t + lane, e))?;
+            let outputs = kernel.run_observed(stop, observers).map_err(|(lane, e)| {
+                *at = t + lane;
+                e
+            })?;
             for (l, out) in outputs.into_iter().enumerate() {
                 absorb(t + l, out);
             }
@@ -464,7 +477,7 @@ impl<'g> Ensemble<'g> {
         results.into_iter().collect()
     }
 
-    /// Run one replica and fold its observed output into `partial`.
+    /// Run one replica and return its observer's output.
     fn reduce_one_trial<O: Observer>(
         &self,
         trial: usize,
@@ -476,6 +489,141 @@ impl<'g> Ensemble<'g> {
         let mut observer = observer_factory(trial);
         let summary = sim.run_observed(stop, &mut rng, &mut observer)?;
         Ok(observer.finish(&summary))
+    }
+
+    /// The unit runner, and the only place scalar and lane sweeps differ:
+    /// run `trials` (one replica at a time, or in lockstep lane groups) and
+    /// hand each output to `absorb` in trial order. Trials above the lowest
+    /// failing trial so far (`failed`) are skipped. `at` is the trial a
+    /// failure is charged to: the running trial, the first trial of the
+    /// running lane group (a lockstep panic cannot be pinned to one lane),
+    /// or the exact trial of a returned error.
+    fn run_unit<O: Observer>(
+        &self,
+        trials: Range<usize>,
+        stop: &StopSpec,
+        observer_factory: &(impl Fn(usize) -> O + Sync),
+        failed: &AtomicUsize,
+        at: &mut usize,
+        mut absorb: impl FnMut(usize, O::Output),
+    ) -> Result<(), DynamicsError> {
+        if let Some(width) = self.lane_width {
+            return self.run_lane_trials(trials, width, stop, observer_factory, failed, at, absorb);
+        }
+        for trial in trials {
+            if trial > failed.load(Ordering::Relaxed) {
+                break;
+            }
+            *at = trial;
+            absorb(trial, self.reduce_one_trial(trial, stop, observer_factory)?);
+        }
+        Ok(())
+    }
+
+    /// The block scheduler behind every reduced sweep: produce the partial
+    /// of each [`REDUCE_BLOCK`]-trial block in `blocks` and hand the
+    /// partials to `sink` in block order.
+    ///
+    /// Work is claimed in *units* of consecutive blocks — one block, or two
+    /// for a 64-lane group — anchored at `blocks.start`. A unit's partials
+    /// start from `prototype.identity()` and absorb their trials in trial
+    /// order through [`Ensemble::run_unit`]. Workers park finished partials,
+    /// and whichever worker completes the next block in order drains them
+    /// into `sink`. A unit is claimed only within a reorder window of the
+    /// last delivered block, so live partials stay `O(threads)`. With one
+    /// thread the same worker body runs on the calling thread.
+    ///
+    /// Failures: the sweep keeps the lowest failing trial — a replica
+    /// error, or a panic in the observer, the reducer or `sink` (charged to
+    /// its block's first trial) — and workers skip only trials above it.
+    /// The error returned or payload re-raised is therefore the lowest
+    /// failing trial's for every thread count and block range. A failed
+    /// unit never reaches `sink`.
+    fn reduce_blocks<O, R>(
+        &self,
+        blocks: Range<usize>,
+        stop: &StopSpec,
+        observer_factory: &(impl Fn(usize) -> O + Sync),
+        prototype: &R,
+        sink: impl FnMut(R) + Send,
+    ) -> Result<(), DynamicsError>
+    where
+        O: Observer,
+        R: Reducer<Item = O::Output> + Send + Sync,
+    {
+        if let Some(width) = self.lane_width {
+            self.validate_lane_config(width)?;
+        }
+        let unit_blocks = self.lane_width.map_or(1, |w| w.div_ceil(REDUCE_BLOCK));
+        let units = blocks.len().div_ceil(unit_blocks);
+        let threads = self.threads.min(units);
+        // Reorder window, in blocks: the unit starting at block `b` is
+        // claimed only once block `b − window` has been delivered.
+        let window = threads * 2 * unit_blocks;
+        let failed = AtomicUsize::new(usize::MAX);
+        let pipeline = Mutex::new(Pipeline {
+            claimed: 0,
+            delivered: blocks.start,
+            pending: BTreeMap::new(),
+            sink,
+            failure: None,
+        });
+        let cv = Condvar::new();
+        let worker = || loop {
+            let b0 = {
+                let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
+                loop {
+                    let b0 = blocks.start + p.claimed * unit_blocks;
+                    if p.claimed == units || b0 * REDUCE_BLOCK > failed.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    if b0 - p.delivered < window {
+                        p.claimed += 1;
+                        break b0;
+                    }
+                    p = cv.wait(p).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let b1 = (b0 + unit_blocks).min(blocks.end);
+            let mut at = b0 * REDUCE_BLOCK;
+            // Even `identity()` runs under the catch: a worker that dies
+            // without reporting would leave window waiters asleep forever.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut partials: Vec<R> = (b0..b1).map(|_| prototype.identity()).collect();
+                let trials = b0 * REDUCE_BLOCK..(b1 * REDUCE_BLOCK).min(self.trials);
+                self.run_unit(trials, stop, observer_factory, &failed, &mut at, |trial, out| {
+                    partials[trial / REDUCE_BLOCK - b0].absorb(out);
+                })
+                .map(|()| partials)
+            }));
+            let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
+            match result {
+                Ok(Ok(partials)) => {
+                    p.pending.extend((b0..).zip(partials));
+                    p.drain(&failed);
+                }
+                Ok(Err(e)) => p.fail(&failed, at, Failure::Error(e)),
+                Err(payload) => p.fail(&failed, at, Failure::Panic(payload)),
+            }
+            drop(p);
+            // Delivery progress unblocks window waiters; a failure must
+            // wake them too so they can exit.
+            cv.notify_all();
+        };
+        if threads <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(worker);
+                }
+            });
+        }
+        match pipeline.into_inner().unwrap_or_else(PoisonError::into_inner).failure {
+            None => Ok(()),
+            Some((_, Failure::Error(e))) => Err(e),
+            Some((_, Failure::Panic(payload))) => resume_unwind(payload),
+        }
     }
 
     /// Run every replica and fold the per-trial observer outputs into
@@ -495,25 +643,36 @@ impl<'g> Ensemble<'g> {
     /// # Determinism
     ///
     /// Trials are partitioned into fixed-size consecutive blocks
-    /// (currently 32 trials); each block partial starts from
+    /// ([`REDUCE_BLOCK`] trials); each block partial starts from
     /// `reducer.identity()`, absorbs its trials in trial order, and the
     /// partials are merged into the accumulator **in block order**. The
     /// reduction tree therefore depends only on the trial count, so the
-    /// returned reducer is **bit-identical for every thread count** — the
-    /// same contract the outcome-level APIs pin for threads 1/2/8.
-    /// Workers claim blocks dynamically but a bounded reorder window (a
-    /// small multiple of the thread count) keeps pending partials — and
-    /// hence memory — bounded even when early blocks run long.
+    /// returned reducer is **bit-identical for every thread count** and
+    /// with the lane kernel on or off. Workers claim *units* (one block, or
+    /// the two blocks of a 64-lane group) dynamically and park finished
+    /// partials; the partials are merged as their block's turn comes up,
+    /// and a bounded reorder window (a small multiple of the thread count)
+    /// keeps pending partials — and hence memory — bounded even when early
+    /// blocks run long. [`Ensemble::run_reduced_shard`] runs the same
+    /// scheduler over one shard's blocks.
     ///
     /// With zero trials the reducer is returned untouched (the identity
-    /// reduction; see [`Ensemble::trials`]).
+    /// reduction; see [`Ensemble::trials`]) — once the lane configuration
+    /// has been validated.
     ///
     /// # Errors
     ///
-    /// A failing replica aborts the sweep early (remaining workers stop
-    /// claiming trials) and the lowest-trial-index error observed is
-    /// returned; a panicking replica or reducer likewise aborts and the
-    /// original payload is re-raised, as in [`run_indexed`].
+    /// Fails with [`DynamicsError::InvalidParameter`] for a lane
+    /// configuration [`Ensemble::lane_width`] does not accept: a width
+    /// outside [`LANE_WIDTHS`], xoshiro RNG, the player engine, or a round
+    /// hook.
+    ///
+    /// A failing replica stops the sweep early: workers skip every trial
+    /// above the lowest failing trial seen so far, and that trial's error
+    /// is returned. A panicking replica, observer or reducer is handled the
+    /// same way, and the original payload of the lowest failing trial is
+    /// re-raised. The reported failure is the same for every thread count,
+    /// lane width and shard split.
     ///
     /// # Example
     ///
@@ -549,258 +708,20 @@ impl<'g> Ensemble<'g> {
         O: Observer,
         R: Reducer<Item = O::Output> + Send + Sync,
     {
-        let trials = self.trials;
         let mut acc = reducer;
-        if trials == 0 {
-            return Ok(acc);
-        }
-        if let Some(width) = self.lane_width {
-            self.validate_lane_config(width)?;
-        }
-        let blocks = trials.div_ceil(REDUCE_BLOCK);
-        let block_range = |b: usize| b * REDUCE_BLOCK..((b + 1) * REDUCE_BLOCK).min(trials);
-        // The scheduling unit: one reduce block, except that a 64-lane
-        // group spans two consecutive blocks (one lockstep run fills both
-        // partials). The unit split is scheduling only — per-trial outputs,
-        // and therefore the block partials and the merge tree, are
-        // bit-identical however trials are grouped into lanes.
-        let unit_blocks = self.lane_width.map_or(1, |w| w.div_ceil(REDUCE_BLOCK));
-        let units = blocks.div_ceil(unit_blocks);
-        let threads = self.threads.min(units);
-        if threads <= 1 {
-            // Sequential path: same block structure, same merge order.
-            for unit in 0..units {
-                let b0 = unit * unit_blocks;
-                let b1 = ((unit + 1) * unit_blocks).min(blocks);
-                let mut partials: Vec<R> = (b0..b1).map(|_| acc.identity()).collect();
-                match self.lane_width {
-                    None => {
-                        for block in b0..b1 {
-                            for trial in block_range(block) {
-                                partials[block - b0].absorb(self.reduce_one_trial(
-                                    trial,
-                                    stop,
-                                    &observer_factory,
-                                )?);
-                            }
-                        }
-                    }
-                    Some(width) => {
-                        let t0 = b0 * REDUCE_BLOCK;
-                        let t1 = (b1 * REDUCE_BLOCK).min(trials);
-                        self.run_lane_trials(
-                            t0,
-                            t1,
-                            width,
-                            stop,
-                            &observer_factory,
-                            None,
-                            |trial, out| partials[trial / REDUCE_BLOCK - b0].absorb(out),
-                        )
-                        .map_err(|(_, e)| e)?;
-                    }
-                }
-                for partial in partials {
-                    acc.merge(partial);
-                }
-            }
-            return Ok(acc);
-        }
-
-        type Panic = Box<dyn std::any::Any + Send + 'static>;
-        struct MergeState<R> {
-            /// Next scheduling unit to hand out (a unit is `unit_blocks`
-            /// consecutive reduce blocks; see above).
-            next_unit: usize,
-            /// Blocks merged into `acc` so far (block `merged` is the next
-            /// one the in-order merge is waiting for).
-            merged: usize,
-            /// Finished partials waiting for their in-order merge slot.
-            pending: BTreeMap<usize, R>,
-            acc: Option<R>,
-            /// Lowest-trial-index replica error observed.
-            error: Option<(usize, DynamicsError)>,
-            /// Lowest-trial-index panic payload observed.
-            panic: Option<(usize, Panic)>,
-        }
         let prototype = acc.identity();
-        let state = Mutex::new(MergeState {
-            next_unit: 0,
-            merged: 0,
-            pending: BTreeMap::new(),
-            acc: Some(acc),
-            error: None,
-            panic: None,
-        });
-        let cv = Condvar::new();
-        // Set on the first error or panic: workers stop claiming blocks
-        // (and finish their current block early), so a failing sweep
-        // surfaces its failure promptly instead of simulating every
-        // remaining trial first — mirroring `run_indexed`'s abort flag.
-        let abort = AtomicBool::new(false);
-        // Reorder window: a worker only claims a unit whose first block is
-        // `b` once block `b − window` has been merged, bounding `pending`
-        // (and therefore live partials) to `O(threads)` however uneven the
-        // block durations are.
-        let window = threads * 2 * unit_blocks;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let unit = {
-                        let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                        loop {
-                            if st.next_unit >= units || abort.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            if st.next_unit * unit_blocks - st.merged < window {
-                                break;
-                            }
-                            st = cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-                        }
-                        st.next_unit += 1;
-                        st.next_unit - 1
-                    };
-                    let b0 = unit * unit_blocks;
-                    let b1 = ((unit + 1) * unit_blocks).min(blocks);
-                    // Even `identity()` runs under a catch: a worker that
-                    // dies without parking its blocks would stall the
-                    // in-order pipeline, and window waiters would sleep
-                    // forever.
-                    let partials = catch_unwind(AssertUnwindSafe(|| {
-                        (b0..b1).map(|_| prototype.identity()).collect::<Vec<R>>()
-                    }));
-                    let mut partials = match partials {
-                        Ok(p) => p,
-                        Err(payload) => {
-                            let trial = b0 * REDUCE_BLOCK;
-                            let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                            if st.panic.as_ref().map_or(true, |(t, _)| trial < *t) {
-                                st.panic = Some((trial, payload));
-                            }
-                            abort.store(true, Ordering::Relaxed);
-                            cv.notify_all();
-                            return;
-                        }
-                    };
-                    let mut error: Option<(usize, DynamicsError)> = None;
-                    let mut panic: Option<(usize, Panic)> = None;
-                    match self.lane_width {
-                        None => {
-                            'blocks: for block in b0..b1 {
-                                for trial in block_range(block) {
-                                    if abort.load(Ordering::Relaxed) {
-                                        break 'blocks;
-                                    }
-                                    // The catch covers the reducer's `absorb`
-                                    // too: a panicking accumulator (e.g. a
-                                    // user-written reducer with an internal
-                                    // assertion) must not kill the worker, or
-                                    // the in-order merge pipeline would wait
-                                    // on its block forever.
-                                    let result = catch_unwind(AssertUnwindSafe(|| {
-                                        self.reduce_one_trial(trial, stop, &observer_factory)
-                                            .map(|item| partials[block - b0].absorb(item))
-                                    }));
-                                    match result {
-                                        Ok(Ok(())) => {}
-                                        Ok(Err(e)) => {
-                                            error = Some((trial, e));
-                                            break 'blocks;
-                                        }
-                                        Err(payload) => {
-                                            panic = Some((trial, payload));
-                                            break 'blocks;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Some(width) => {
-                            let t0 = b0 * REDUCE_BLOCK;
-                            let t1 = (b1 * REDUCE_BLOCK).min(trials);
-                            // One catch around the whole lane group: the
-                            // kernel steps all lanes in lockstep, so a panic
-                            // cannot be pinned to a single trial — attribute
-                            // it to the group's first trial (the payload is
-                            // what propagates; the index only picks the
-                            // winner when several workers fail at once).
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                self.run_lane_trials(
-                                    t0,
-                                    t1,
-                                    width,
-                                    stop,
-                                    &observer_factory,
-                                    Some(&abort),
-                                    |trial, out| {
-                                        partials[trial / REDUCE_BLOCK - b0].absorb(out);
-                                    },
-                                )
-                            }));
-                            match result {
-                                Ok(Ok(())) => {}
-                                Ok(Err((trial, e))) => error = Some((trial, e)),
-                                Err(payload) => panic = Some((t0, payload)),
-                            }
-                        }
-                    }
-                    let failed = error.is_some() || panic.is_some();
-                    let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                    if let Some((trial, e)) = error {
-                        if st.error.as_ref().map_or(true, |(t, _)| trial < *t) {
-                            st.error = Some((trial, e));
-                        }
-                    }
-                    if let Some((trial, p)) = panic {
-                        if st.panic.as_ref().map_or(true, |(t, _)| trial < *t) {
-                            st.panic = Some((trial, p));
-                        }
-                    }
-                    // Park the partials (possibly incomplete on error — the
-                    // reduction is discarded in that case, but parking them
-                    // keeps the in-order pipeline advancing), then drain
-                    // every partial whose merge slot has come up.
-                    for (i, partial) in partials.into_iter().enumerate() {
-                        st.pending.insert(b0 + i, partial);
-                    }
-                    let mut advanced = false;
-                    loop {
-                        let slot = st.merged;
-                        let Some(ready) = st.pending.remove(&slot) else { break };
-                        let acc = st.acc.as_mut().expect("accumulator present during the run");
-                        // A panicking `merge` gets the same treatment as a
-                        // panicking `absorb`: record, abort, keep the
-                        // worker alive so the scope can unwind cleanly.
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| acc.merge(ready))) {
-                            let trial = slot * REDUCE_BLOCK;
-                            if st.panic.as_ref().map_or(true, |(t, _)| trial < *t) {
-                                st.panic = Some((trial, payload));
-                            }
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        st.merged += 1;
-                        advanced = true;
-                    }
-                    if failed {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    if advanced || abort.load(Ordering::Relaxed) {
-                        // Merge progress unblocks window waiters; an abort
-                        // must wake them too so they can exit.
-                        cv.notify_all();
-                    }
-                });
-            }
-        });
-        let st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, payload)) = st.panic {
-            resume_unwind(payload);
-        }
-        if let Some((_, e)) = st.error {
-            return Err(e);
-        }
-        Ok(st.acc.expect("accumulator present after the run"))
+        let blocks = 0..self.trials.div_ceil(REDUCE_BLOCK);
+        self.reduce_blocks(blocks, stop, &observer_factory, &prototype, |p| acc.merge(p))?;
+        Ok(acc)
+    }
+
+    /// The reduction blocks shard `shard` of `num_shards` covers (see
+    /// [`Ensemble::shard_trials`]).
+    fn shard_blocks(&self, shard: usize, num_shards: usize) -> Range<usize> {
+        assert!(num_shards > 0, "need at least one shard");
+        assert!(shard < num_shards, "shard index {shard} out of range for {num_shards} shards");
+        let blocks = self.trials.div_ceil(REDUCE_BLOCK);
+        shard * blocks / num_shards..(shard + 1) * blocks / num_shards
     }
 
     /// The global trial range shard `shard` of `num_shards` covers.
@@ -818,19 +739,16 @@ impl<'g> Ensemble<'g> {
     /// # Panics
     ///
     /// Panics if `num_shards == 0` or `shard >= num_shards`.
-    pub fn shard_trials(&self, shard: usize, num_shards: usize) -> std::ops::Range<usize> {
-        assert!(num_shards > 0, "need at least one shard");
-        assert!(shard < num_shards, "shard index {shard} out of range for {num_shards} shards");
-        let blocks = self.trials.div_ceil(REDUCE_BLOCK);
-        let lo_block = shard * blocks / num_shards;
-        let hi_block = (shard + 1) * blocks / num_shards;
-        (lo_block * REDUCE_BLOCK).min(self.trials)..(hi_block * REDUCE_BLOCK).min(self.trials)
+    pub fn shard_trials(&self, shard: usize, num_shards: usize) -> Range<usize> {
+        let blocks = self.shard_blocks(shard, num_shards);
+        (blocks.start * REDUCE_BLOCK).min(self.trials)..(blocks.end * REDUCE_BLOCK).min(self.trials)
     }
 
     /// Run only shard `shard` of `num_shards` and return its reduction-tree
     /// **leaves**: one partial per [`REDUCE_BLOCK`]-trial block, in block
     /// order — exactly the partials [`Ensemble::run_reduced`] would have
-    /// produced for those blocks in a single-process sweep.
+    /// produced for those blocks in a single-process sweep, from the same
+    /// block scheduler (lane groups anchor at the shard's first block).
     ///
     /// Per-trial seeds still derive from `split_seed(base_seed, trial)`
     /// with **global** trial indices, so the shard split cannot change any
@@ -845,13 +763,14 @@ impl<'g> Ensemble<'g> {
     ///
     /// # Errors
     ///
-    /// Propagates the lowest-trial-index replica error of this shard, if
-    /// any.
+    /// As [`Ensemble::run_reduced`]: an invalid lane configuration (even
+    /// for an empty shard), or the lowest failing trial's error.
     ///
     /// # Panics
     ///
     /// Panics if `num_shards == 0` or `shard >= num_shards`; replica or
-    /// reducer panics are re-raised as in [`run_indexed`].
+    /// reducer panics re-raise the lowest failing trial's payload, as in
+    /// [`Ensemble::run_reduced`].
     pub fn run_reduced_shard<O, R>(
         &self,
         shard: usize,
@@ -864,63 +783,51 @@ impl<'g> Ensemble<'g> {
         O: Observer,
         R: Reducer<Item = O::Output> + Send + Sync,
     {
-        let range = self.shard_trials(shard, num_shards);
-        if range.is_empty() {
-            if let Some(width) = self.lane_width {
-                self.validate_lane_config(width)?;
-            }
-            return Ok(Vec::new());
+        let blocks = self.shard_blocks(shard, num_shards);
+        let mut leaves = Vec::with_capacity(blocks.len());
+        self.reduce_blocks(blocks, stop, &observer_factory, reducer, |leaf| leaves.push(leaf))?;
+        Ok(leaves)
+    }
+}
+
+/// What stopped a reduced sweep at its lowest failing trial.
+enum Failure {
+    Error(DynamicsError),
+    Panic(Box<dyn std::any::Any + Send + 'static>),
+}
+
+/// The in-order delivery state [`Ensemble::reduce_blocks`] workers share.
+struct Pipeline<R, S> {
+    /// Units handed out so far.
+    claimed: usize,
+    /// The block `sink` receives next.
+    delivered: usize,
+    /// Finished partials waiting for their delivery slot.
+    pending: BTreeMap<usize, R>,
+    sink: S,
+    /// The lowest failing trial and what went wrong there.
+    failure: Option<(usize, Failure)>,
+}
+
+impl<R, S: FnMut(R)> Pipeline<R, S> {
+    /// Keep `failure` if `trial` is the lowest failing trial so far.
+    fn fail(&mut self, failed: &AtomicUsize, trial: usize, failure: Failure) {
+        if trial < failed.fetch_min(trial, Ordering::Relaxed) {
+            self.failure = Some((trial, failure));
         }
-        debug_assert_eq!(range.start % REDUCE_BLOCK, 0, "shard ranges are block-aligned");
-        let lo_block = range.start / REDUCE_BLOCK;
-        let shard_blocks = (range.end - range.start).div_ceil(REDUCE_BLOCK);
-        if let Some(width) = self.lane_width {
-            self.validate_lane_config(width)?;
-            // Lane groups anchor at shard-local block boundaries. That is
-            // safe without any global alignment: the counter addressing
-            // makes every trial's output bit-identical regardless of which
-            // lane group runs it, so only the per-block absorption order
-            // matters — and `run_lane_trials` delivers outputs in trial
-            // order within each group.
-            let unit_blocks = width.div_ceil(REDUCE_BLOCK);
-            let units = shard_blocks.div_ceil(unit_blocks);
-            let results: Vec<Result<Vec<R>, DynamicsError>> =
-                run_indexed(units, self.threads.min(units), |u| {
-                    let b0 = lo_block + u * unit_blocks;
-                    let b1 = (b0 + unit_blocks).min(lo_block + shard_blocks);
-                    let mut partials: Vec<R> = (b0..b1).map(|_| reducer.identity()).collect();
-                    let t0 = b0 * REDUCE_BLOCK;
-                    let t1 = (b1 * REDUCE_BLOCK).min(self.trials);
-                    self.run_lane_trials(
-                        t0,
-                        t1,
-                        width,
-                        stop,
-                        &observer_factory,
-                        None,
-                        |trial, out| {
-                            partials[trial / REDUCE_BLOCK - b0].absorb(out);
-                        },
-                    )
-                    .map_err(|(_, e)| e)?;
-                    Ok(partials)
-                });
-            let mut leaves = Vec::with_capacity(shard_blocks);
-            for unit in results {
-                leaves.extend(unit?);
+    }
+
+    /// Hand every parked partial whose slot has come up to the sink. A
+    /// panicking sink fails the sweep at its block's first trial.
+    fn drain(&mut self, failed: &AtomicUsize) {
+        while let Some(partial) = self.pending.remove(&self.delivered) {
+            let sink = &mut self.sink;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| sink(partial))) {
+                self.fail(failed, self.delivered * REDUCE_BLOCK, Failure::Panic(payload));
+                return;
             }
-            return Ok(leaves);
+            self.delivered += 1;
         }
-        let results = run_indexed(shard_blocks, self.threads.min(shard_blocks), |b| {
-            let block = lo_block + b;
-            let block_range = block * REDUCE_BLOCK..((block + 1) * REDUCE_BLOCK).min(self.trials);
-            let mut partial = reducer.identity();
-            for trial in block_range {
-                partial.absorb(self.reduce_one_trial(trial, stop, &observer_factory)?);
-            }
-            Ok(partial)
-        });
-        results.into_iter().collect()
     }
 }
 
@@ -1062,27 +969,59 @@ mod tests {
             .is_empty());
     }
 
+    /// Two trials panic in the observer factory; the payload re-raised is
+    /// always the lower trial's — for every thread count, with and without
+    /// lanes, and through the sharded entry point — even when a worker
+    /// reaches the higher trial first.
     #[test]
-    #[should_panic(expected = "observer factory exploded")]
     fn run_reduced_propagates_original_panic() {
         use crate::observe::FinalSummary;
         use crate::reduce::ConvergenceHistogram;
         let game = two_links(20);
         let start = State::from_counts(&game, vec![15, 5]).unwrap();
-        let _ = Ensemble::new(&game, ImitationProtocol::paper_default().into(), start)
-            .unwrap()
-            .trials(80)
-            .threads(4)
-            .run_reduced(
-                &StopSpec::max_rounds(5),
-                |trial| {
-                    if trial == 41 {
-                        panic!("observer factory exploded");
-                    }
-                    FinalSummary
-                },
-                ConvergenceHistogram::new(),
-            );
+        let stop = StopSpec::max_rounds(5);
+        let factory = |trial: usize| {
+            match trial {
+                7 => panic!("observer factory exploded at trial 7"),
+                41 => panic!("observer factory exploded at trial 41"),
+                _ => {}
+            }
+            FinalSummary
+        };
+        let message = |payload: Box<dyn std::any::Any + Send>| match payload.downcast::<&str>() {
+            Ok(s) => s.to_string(),
+            Err(payload) => *payload.downcast::<String>().expect("a string payload"),
+        };
+        for (mode, lanes) in
+            [(RngMode::Xoshiro, None), (RngMode::Counter, None), (RngMode::Counter, Some(32))]
+        {
+            for threads in [1, 2, 8] {
+                let mut e =
+                    Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
+                        .unwrap()
+                        .trials(80)
+                        .threads(threads)
+                        .rng_mode(mode);
+                if let Some(w) = lanes {
+                    e = e.lane_width(w);
+                }
+                let reduced = catch_unwind(AssertUnwindSafe(|| {
+                    e.run_reduced(&stop, factory, ConvergenceHistogram::new())
+                }))
+                .expect_err("run_reduced must re-raise the panic");
+                let sharded = catch_unwind(AssertUnwindSafe(|| {
+                    e.run_reduced_shard(0, 1, &stop, factory, &ConvergenceHistogram::new())
+                }))
+                .expect_err("run_reduced_shard must re-raise the panic");
+                for payload in [reduced, sharded] {
+                    assert_eq!(
+                        message(payload),
+                        "observer factory exploded at trial 7",
+                        "{mode:?} lanes={lanes:?} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     /// A reducer that panics inside `absorb` (here: a `MapItem` projection)
@@ -1235,13 +1174,13 @@ mod tests {
         let game = two_links(120);
         let start = State::from_counts(&game, vec![90, 30]).unwrap();
         let stop = StopSpec::max_rounds(20);
-        let ensemble = |lanes: Option<usize>| {
+        let ensemble = |lanes: Option<usize>, threads: usize| {
             let mut e =
                 Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
                     .unwrap()
                     .trials(70)
                     .base_seed(5)
-                    .threads(2)
+                    .threads(threads)
                     .rng_mode(RngMode::Counter);
             if let Some(w) = lanes {
                 e = e.lane_width(w);
@@ -1249,29 +1188,37 @@ mod tests {
             e
         };
         let reducer = || MapItem::new(|s: RunSummary| s.potential, ScalarStats::new());
-        let single = ensemble(None)
+        let single = ensemble(None, 1)
             .run_reduced(&stop, |_trial| FinalSummary, reducer())
             .unwrap()
             .into_inner();
-        // W=64 lane groups re-anchor at each shard's first block; the
-        // leaves must still be the single-process leaves bit for bit.
-        for num_shards in [1usize, 2, 3, 5] {
-            let mut leaves = Vec::new();
-            for shard in 0..num_shards {
-                leaves.extend(
-                    ensemble(Some(64))
-                        .run_reduced_shard(
-                            shard,
-                            num_shards,
-                            &stop,
-                            |_trial| FinalSummary,
-                            &reducer(),
-                        )
-                        .unwrap(),
-                );
+        // Lane groups re-anchor at each shard's first block (W=64 units
+        // span two blocks); the leaves must still be the single-process
+        // leaves bit for bit, whatever the thread count.
+        for width in LANE_WIDTHS {
+            for threads in [1, 2, 8] {
+                for num_shards in [1usize, 2, 3, 5] {
+                    let mut leaves = Vec::new();
+                    for shard in 0..num_shards {
+                        leaves.extend(
+                            ensemble(Some(width), threads)
+                                .run_reduced_shard(
+                                    shard,
+                                    num_shards,
+                                    &stop,
+                                    |_trial| FinalSummary,
+                                    &reducer(),
+                                )
+                                .unwrap(),
+                        );
+                    }
+                    let merged = merge_partials(reducer(), leaves).into_inner();
+                    assert_eq!(
+                        merged, single,
+                        "{num_shards} shards at lanes={width} threads={threads} changed the bits"
+                    );
+                }
             }
-            let merged = merge_partials(reducer(), leaves).into_inner();
-            assert_eq!(merged, single, "{num_shards} lane shards changed the reduction bits");
         }
     }
 
@@ -1289,6 +1236,14 @@ mod tests {
         };
         // Width must be one of LANE_WIDTHS.
         let err = base()
+            .rng_mode(RngMode::Counter)
+            .lane_width(12)
+            .run_reduced(&stop, |_t| FinalSummary, ConvergenceHistogram::new())
+            .unwrap_err();
+        assert!(err.to_string().contains("8, 16, 32, 64"), "got: {err}");
+        // Validation comes first: an empty sweep does not skip it.
+        let err = base()
+            .trials(0)
             .rng_mode(RngMode::Counter)
             .lane_width(12)
             .run_reduced(&stop, |_t| FinalSummary, ConvergenceHistogram::new())

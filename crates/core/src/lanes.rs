@@ -69,7 +69,7 @@ use crate::engine::{exploration_mu, imitation_mu, PairBuffer};
 use crate::error::DynamicsError;
 use crate::observe::Observer;
 use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
-use crate::stopping::{RunSummary, StopCondition, StopReason, StopSpec};
+use crate::stopping::{stop_reason, RunSummary, StopSpec};
 use crate::trajectory::{capture_record, RecordConfig};
 
 /// Lane widths the ensemble scheduler accepts: the power-of-two block
@@ -874,58 +874,6 @@ impl<'g> LaneKernel<'g> {
         }
     }
 
-    /// Per-lane mirror of the scalar stop check (`Simulation::check_stop`
-    /// with no hook, so no condition is deferred). `gathered` memoizes the
-    /// scratch gather across the conditions of one lane-round.
-    fn check_stop_lane(
-        &mut self,
-        stop: &StopSpec,
-        l: usize,
-        gathered: &mut bool,
-    ) -> Option<StopReason> {
-        let expensive_due = self.round % stop.check_every() == 0;
-        for cond in stop.conditions() {
-            match cond {
-                StopCondition::MaxRounds(r) if self.round >= *r => {
-                    return Some(StopReason::MaxRounds);
-                }
-                StopCondition::PotentialAtMost(v) if self.potentials[l] <= *v => {
-                    return Some(StopReason::PotentialReached);
-                }
-                StopCondition::ImitationStable if expensive_due => {
-                    if !*gathered {
-                        self.gather(l);
-                        *gathered = true;
-                    }
-                    let nu = self.protocol.stability_threshold(&self.params);
-                    if congames_model::is_imitation_stable(self.game, &self.scratch, nu) {
-                        return Some(StopReason::ImitationStable);
-                    }
-                }
-                StopCondition::ApproxEquilibrium(eq) if expensive_due => {
-                    if !*gathered {
-                        self.gather(l);
-                        *gathered = true;
-                    }
-                    if eq.is_satisfied(self.game, &self.scratch) {
-                        return Some(StopReason::ApproxEquilibrium);
-                    }
-                }
-                StopCondition::NashEquilibrium { tol } if expensive_due => {
-                    if !*gathered {
-                        self.gather(l);
-                        *gathered = true;
-                    }
-                    if congames_model::is_nash_equilibrium(self.game, &self.scratch, *tol) {
-                        return Some(StopReason::NashEquilibrium);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
     /// Run every lane until its stop condition fires, streaming each
     /// lane's recorded rounds into its observer — the lane-group analogue
     /// of `Simulation::run_observed`, with the same record cadence
@@ -975,7 +923,23 @@ impl<'g> LaneKernel<'g> {
                     );
                     observers[l].as_mut().expect("active lane has its observer").observe(&record);
                 }
-                if let Some(reason) = self.check_stop_lane(stop, l, &mut gathered) {
+                // The shared stop check reads the lane's state from
+                // `scratch`, so gather it whenever an expensive condition
+                // is due (lanes carry no hook: nothing is ever deferred).
+                if !gathered && stop.expensive_due(self.round) {
+                    self.gather(l);
+                    gathered = true;
+                }
+                if let Some(reason) = stop_reason(
+                    stop,
+                    self.round,
+                    self.potentials[l],
+                    false,
+                    self.game,
+                    &self.scratch,
+                    &self.protocol,
+                    &self.params,
+                ) {
                     if self.record.every > 0 && !recording {
                         if !gathered {
                             self.gather(l);
@@ -1020,6 +984,7 @@ mod tests {
     use super::*;
     use crate::engine::Simulation;
     use crate::protocol::ImitationProtocol;
+    use crate::stopping::StopCondition;
     use congames_model::Affine;
     use congames_sampling::{DrawStream, RngMode};
 

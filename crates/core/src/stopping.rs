@@ -1,7 +1,10 @@
 //! Stopping conditions for simulation runs.
 
-use congames_model::ApproxEquilibrium;
+use congames_model::{
+    is_imitation_stable, is_nash_equilibrium, ApproxEquilibrium, CongestionGame, GameParams, State,
+};
 
+use crate::protocol::Protocol;
 use crate::trajectory::Trajectory;
 
 /// A condition that ends a run.
@@ -106,6 +109,70 @@ impl StopSpec {
     pub fn check_every(&self) -> u64 {
         self.check_every
     }
+
+    /// Whether [`stop_reason`] evaluates an expensive condition at `round`:
+    /// the round is on the cadence and the spec has one to evaluate.
+    pub(crate) fn expensive_due(&self, round: u64) -> bool {
+        round % self.check_every == 0
+            && self.conditions.iter().any(|c| {
+                matches!(
+                    c,
+                    StopCondition::ImitationStable
+                        | StopCondition::ApproxEquilibrium(_)
+                        | StopCondition::NashEquilibrium { .. }
+                )
+            })
+    }
+}
+
+/// The one stop check both drivers (`Simulation` and `LaneKernel`) run:
+/// the first condition of `stop`, in spec order, that holds for a run at
+/// `round` with `potential` and `state`.
+///
+/// While a round hook still has scheduled fires (`events_pending`), the
+/// run is nonstationary by declaration: equilibrium-type conditions are
+/// deferred until the schedule drains (today's stable state is not an
+/// outcome, it is the pre-shock reference). Only the round budget can stop
+/// a run mid-schedule. `state` is read only when an expensive condition is
+/// due ([`StopSpec::expensive_due`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stop_reason(
+    stop: &StopSpec,
+    round: u64,
+    potential: f64,
+    events_pending: bool,
+    game: &CongestionGame,
+    state: &State,
+    protocol: &Protocol,
+    params: &GameParams,
+) -> Option<StopReason> {
+    let expensive_due = round % stop.check_every() == 0 && !events_pending;
+    for cond in stop.conditions() {
+        match cond {
+            StopCondition::MaxRounds(r) if round >= *r => return Some(StopReason::MaxRounds),
+            StopCondition::PotentialAtMost(v) if !events_pending && potential <= *v => {
+                return Some(StopReason::PotentialReached);
+            }
+            StopCondition::ImitationStable
+                if expensive_due
+                    && is_imitation_stable(game, state, protocol.stability_threshold(params)) =>
+            {
+                return Some(StopReason::ImitationStable);
+            }
+            StopCondition::ApproxEquilibrium(eq)
+                if expensive_due && eq.is_satisfied(game, state) =>
+            {
+                return Some(StopReason::ApproxEquilibrium);
+            }
+            StopCondition::NashEquilibrium { tol }
+                if expensive_due && is_nash_equilibrium(game, state, *tol) =>
+            {
+                return Some(StopReason::NashEquilibrium);
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// The trajectory-free result of a run: what stopped it, when, and at

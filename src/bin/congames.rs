@@ -32,6 +32,7 @@ use congames::scenario::{trace::parse_trace, Schedule, ScheduleCursor};
 use congames::RecordConfig;
 use congames::{Affine, CongestionGame, State};
 use rand::SeedableRng;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -673,14 +674,13 @@ fn print_convergence_report(hist: &ConvergenceHistogram) {
     }
 }
 
-/// Run `--trials` independent replicas in parallel and print per-ensemble
-/// summaries; the numbers are identical for every `--threads` value.
-fn simulate_ensemble(
-    game: &CongestionGame,
+/// The ensemble `run --trials` and `shard` sweep: engine, RNG, trials,
+/// seed, threads, lanes and scenario hook, all from the flags.
+fn ensemble<'g>(
+    game: &'g CongestionGame,
     opts: &Options,
     start: State,
-    stop: &StopSpec,
-) -> Result<(), String> {
+) -> Result<Ensemble<'g>, String> {
     let mut ensemble = Ensemble::new(game, opts.protocol()?, start)
         .map_err(|e| e.to_string())?
         .engine(opts.engine)
@@ -696,6 +696,18 @@ fn simulate_ensemble(
         ensemble =
             ensemble.with_round_hook(move || Box::new(ScheduleCursor::new(Arc::clone(&schedule))));
     }
+    Ok(ensemble)
+}
+
+/// Run `--trials` independent replicas in parallel and print per-ensemble
+/// summaries; the numbers are identical for every `--threads` value.
+fn simulate_ensemble(
+    game: &CongestionGame,
+    opts: &Options,
+    start: State,
+    stop: &StopSpec,
+) -> Result<(), String> {
+    let ensemble = ensemble(game, opts, start)?;
     println!("ensemble of {} trials ({} threads, seed {}):", opts.trials, opts.threads, opts.seed);
     match opts.reduce {
         None => {
@@ -751,21 +763,7 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
     println!("{}", opts.repro_header());
     let start = start_state(game, opts)?;
     let stop = stop_spec(opts);
-    let mut ensemble = Ensemble::new(game, opts.protocol()?, start)
-        .map_err(|e| e.to_string())?
-        .engine(opts.engine)
-        .rng_mode(opts.rng)
-        .trials(opts.trials)
-        .base_seed(opts.seed)
-        .threads(opts.threads);
-    if let Some(w) = opts.lanes {
-        ensemble = ensemble.lane_width(w);
-    }
-    if let Some(sc) = &opts.scenario {
-        let schedule = Arc::clone(&sc.schedule);
-        ensemble =
-            ensemble.with_round_hook(move || Box::new(ScheduleCursor::new(Arc::clone(&schedule))));
-    }
+    let ensemble = ensemble(game, opts, start)?;
     let range = ensemble.shard_trials(shard, num_shards);
     let header = ShardHeader {
         base_seed: opts.seed,
@@ -778,6 +776,8 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         reducer_id: String::new(), // filled in per reducer below
         config: opts.config_digest(),
     };
+    // Fail before the run, not after it: create the file now.
+    let mut file = std::fs::File::create(out).map_err(|e| format!("cannot write `{out}`: {e}"))?;
     let bytes = match mode {
         ReduceMode::Mean => {
             let cadence = mean_cadence(opts.rounds);
@@ -803,7 +803,7 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
             encode_shard_file(&ShardHeader { reducer_id: reducer.wire_id(), ..header }, &blocks)
         }
     };
-    std::fs::write(out, &bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    file.write_all(&bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
     println!(
         "wrote shard {}/{}: trials [{}, {}) of {}, {} bytes to {}",
         shard,
@@ -853,6 +853,14 @@ fn merge(args: &[String]) -> Result<(), String> {
     let rounds: u64 = config_value(&first.config, "rounds")
         .and_then(|v| v.parse().ok())
         .ok_or("shard file config carries no `rounds` entry")?;
+    // Settle `--csv` before any payload is decoded or any report line is
+    // printed: reject it where no table exists, and create the file now.
+    if let Some(path) = &csv_out {
+        if mode == ReduceMode::Quantiles {
+            return Err("--csv is only supported for mean/convergence merges".into());
+        }
+        std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    }
     // Banner only after every payload validated and merged — a failing
     // merge must not open with a success-looking line.
     let banner = || {
@@ -896,9 +904,6 @@ fn merge(args: &[String]) -> Result<(), String> {
             let (rounds, potential) = merge_files(&quantiles_reducer(), &files, &paths)?;
             banner();
             print_quantiles_report(rounds.inner(), potential.inner());
-            if csv_out.is_some() {
-                return Err("--csv is only supported for mean/convergence merges".into());
-            }
         }
         ReduceMode::Convergence => {
             let hist = merge_files(&ConvergenceHistogram::new(), &files, &paths)?;

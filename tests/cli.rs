@@ -39,3 +39,85 @@ fn shock_csv_path_is_validated_before_the_run() {
     std::fs::remove_file(&csv).expect("remove the scratch file");
     assert!(written.lines().count() >= 2, "header plus one shock row:\n{written}");
 }
+
+/// The flags of a small fixed-seed sweep `shard` and `run` agree on.
+const SWEEP: [&str; 10] =
+    ["--links", "1,2,4", "--players", "2000", "--trials", "40", "--rounds", "400", "--seed", "7"];
+
+fn shard_to(path: &std::path::Path, reduce: &str, extra: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_congames"))
+        .arg("shard")
+        .args(SWEEP)
+        .args(["--reduce", reduce, "--shard", "0", "--num-shards", "1"])
+        .args(extra)
+        .arg("--out")
+        .arg(path)
+        .output()
+        .expect("the binary runs")
+}
+
+/// An unwritable `shard --out` fails before the sweep runs. The sweep
+/// itself would fail too — its scenario overflows the population at round
+/// 5 — so the write error can only win if the file is created first. A
+/// writable path receives the partial file.
+#[test]
+fn shard_out_path_is_validated_before_the_run() {
+    let trace = scratch("overflow.trace");
+    std::fs::write(&trace, "# congames-trace v1\n5,add_players,0,18446744073709551615\n")
+        .expect("write the scratch trace");
+    let missing_dir = scratch("missing-dir").join("part.bin");
+    let out = shard_to(&missing_dir, "convergence", &["--scenario", trace.to_str().unwrap()]);
+    std::fs::remove_file(&trace).expect("remove the scratch trace");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "an unwritable path must fail the shard");
+    assert!(stderr.contains("cannot write"), "the run must not start:\n{stderr}");
+
+    let part = scratch("part.bin");
+    let out = shard_to(&part, "convergence", &[]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let written = std::fs::metadata(&part).expect("the partial file was written").len();
+    std::fs::remove_file(&part).expect("remove the scratch file");
+    assert!(written > 0, "the partial file is empty");
+}
+
+/// `merge --csv` settles its output before decoding any payload: a
+/// quantiles shard set (which has no CSV table) and an unwritable path
+/// both fail without printing a report.
+#[test]
+fn merge_csv_is_validated_before_the_report() {
+    let merge = |part: &std::path::Path, csv: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_congames"))
+            .arg("merge")
+            .arg(part)
+            .arg("--csv")
+            .arg(csv)
+            .output()
+            .expect("the binary runs")
+    };
+    let csv = scratch("merged.csv");
+    for (reduce, csv, error) in [
+        ("quantiles", csv.clone(), "only supported for mean/convergence"),
+        ("convergence", scratch("missing-dir").join("merged.csv"), "cannot write"),
+    ] {
+        let part = scratch(&format!("{reduce}.bin"));
+        assert!(shard_to(&part, reduce, &[]).status.success());
+        let out = merge(&part, &csv);
+        std::fs::remove_file(&part).expect("remove the scratch file");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{reduce}: merge must fail");
+        assert!(stderr.contains(error), "{reduce}: {stderr}");
+        assert!(stdout.is_empty(), "{reduce}: nothing may be printed:\n{stdout}");
+    }
+    assert!(!csv.exists(), "a rejected --csv must not leave a file behind");
+
+    // The accepted case still writes its table.
+    let part = scratch("mean.bin");
+    assert!(shard_to(&part, "mean", &[]).status.success());
+    let out = merge(&part, &csv);
+    std::fs::remove_file(&part).expect("remove the scratch file");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let written = std::fs::read_to_string(&csv).expect("the table was written");
+    std::fs::remove_file(&csv).expect("remove the scratch file");
+    assert!(written.lines().count() >= 2, "header plus rows:\n{written}");
+}
