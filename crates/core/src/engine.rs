@@ -332,38 +332,30 @@ impl MuTable {
 }
 
 /// Movable players whose first Philox blocks the counter-mode player walk
-/// fetches per [`DrawRng::site_blocks`] call.
+/// fetches and decides per batch.
 const SITE_CHUNK: usize = 256;
 
-/// A player's decision words, read from the first block of its site.
-///
-/// A decision reads at most three words — the exploration coin, the pick
-/// (a single-word multiply-shift), and the migration test — so the block
-/// always suffices and there is no fallback to the stream.
-struct BlockWords {
-    block: [u64; 4],
-    next: usize,
-}
-
-impl RngCore for BlockWords {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        debug_assert!(self.next < 3, "a player decision reads at most three words");
-        let word = self.block[self.next];
-        self.next += 1;
-        word
-    }
+/// The uniform `[0, 1)` variate of a word: its top 53 bits, exactly as
+/// `Rng::gen::<f64>` maps the same word.
+#[inline(always)]
+fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// One class's per-player decision under the pre-round state: the
 /// sampling-pool constants, and the one μ definition that the
-/// movable-origin mask and the player walk both evaluate, so the two agree
-/// bit for bit.
+/// movable-origin mask and every decision evaluate, so the two agree bit
+/// for bit.
+///
+/// Two decision paths share it. On an addressed (counter-mode) stream,
+/// [`PlayerDecider::fill_rows`] evaluates μ once per class visit into the
+/// dense tier's rows and reads the movable mask off them, and
+/// [`PlayerDecider::decide_chunk`] decides a whole chunk of movable
+/// players from their first Philox blocks in one pass: the decisions are
+/// branch-free, and only the migrations are written out.
+/// [`PlayerDecider::decide`] is the sequential path — one player at a
+/// time from the stream, as a xoshiro stream requires — and the full-draw
+/// reference the batch pass must match bit for bit.
 struct PlayerDecider<'a> {
     state: &'a State,
     game: &'a CongestionGame,
@@ -377,6 +369,7 @@ struct PlayerDecider<'a> {
     s_c: usize,
     n_c: u64,
     self_exclude: bool,
+    virtual_agents: bool,
     real_pool: u64,
     pool: u64,
     memoize: bool,
@@ -403,10 +396,170 @@ impl PlayerDecider<'_> {
         }
     }
 
-    /// Decide player `local` (on `from`), drawing its words from `words`:
-    /// the destination it migrates to, or `None` if it stays. Generic over
-    /// the word source so a block cursor and a sequential stream run the
-    /// same body.
+    /// The dense tier's slot of `(from_local, to_local, is_explore)`, as a
+    /// closure that owns its row length so a hot loop keeps it in a
+    /// register.
+    fn dense_index(&self) -> impl Fn(usize, usize, bool) -> usize + Copy {
+        let row = 2 * self.s_c;
+        move |from, to, is_explore| from * row + to * 2 + is_explore as usize
+    }
+
+    /// Movable-origin mask of class `class`, and, for a dense-tier class,
+    /// its μ rows: origin P is movable iff some destination the protocol
+    /// could hand a player on P has μ > 0 — an imitated agent's strategy
+    /// (occupied, or any with virtual agents) or an explored one (any).
+    /// Every outcome for a player on an immovable origin is "stay".
+    ///
+    /// A dense-tier class evaluates μ once for every occupied origin ×
+    /// every such destination and stamps it into the current visit's
+    /// slots, so [`PlayerDecider::decide_chunk`] reads every μ it needs
+    /// without a freshness check and none is evaluated twice. Other tiers
+    /// stop at an origin's first positive μ and leave the memo untouched,
+    /// so their counters see only the decisions' lookups. Returns whether
+    /// any origin is movable.
+    fn fill_rows(&self, class: usize, mu_table: &mut MuTable, movable: &mut Vec<bool>) -> bool {
+        let (state, game) = (self.state, self.game);
+        let all = || (self.first..self.first + self.s_c as u32).map(StrategyId::new);
+        let imitates = self.imit.is_some() && self.pool > 0;
+        let explores = self.explore_prob > 0.0;
+        let (dense, stamp, index) = (self.dense_memo, mu_table.current, self.dense_index());
+        let local = |s: StrategyId| (s.raw() - self.first) as usize;
+        movable.clear();
+        movable.resize(self.s_c, false);
+        let mut any_movable = false;
+        for from in state.occupied_or_scan(game, class) {
+            let mut can_move = false;
+            // Visit one destination; `true` once the origin's answer is
+            // settled (never for a dense class, which fills whole rows).
+            let mut visit = |to: StrategyId, is_explore: bool| {
+                let mu = self.mu(from, to, is_explore);
+                if dense {
+                    let slot = index(local(from), local(to), is_explore);
+                    mu_table.slots[slot] = (stamp, mu);
+                }
+                can_move |= mu > 0.0;
+                can_move && !dense
+            };
+            let settled = imitates
+                && if self.virtual_agents {
+                    all().any(|to| visit(to, false))
+                } else {
+                    state.occupied_or_scan(game, class).any(|to| visit(to, false))
+                };
+            if !settled && explores {
+                all().any(|to| visit(to, true));
+            }
+            movable[local(from)] = can_move;
+            any_movable |= can_move;
+        }
+        any_movable
+    }
+
+    /// Decide one chunk of movable players straight from their first
+    /// Philox blocks (`blocks[i]` belongs to global player `sites[i]`),
+    /// writing the migrations to `moves` from `moved` on and returning the
+    /// new count.
+    ///
+    /// The words sit at fixed indices: with an exploration component the
+    /// coin is word 0, the pick word 1 and the explore test word 2;
+    /// without one the pick is word 0. The imitation test is the pick's
+    /// remainder, as in [`PlayerDecider::decide`]. Virtual agents and
+    /// self-exclusion are selects, and `mu_of(from_local, to_local,
+    /// is_explore)` is called exactly when `decide` would look μ up, in
+    /// player order.
+    #[inline(always)]
+    fn decide_chunk(
+        &self,
+        start: usize,
+        sites: &[u64],
+        blocks: &[[u64; 4]],
+        mu_of: impl FnMut(usize, usize, bool) -> f64,
+        moves: &mut [(usize, StrategyId)],
+        moved: usize,
+    ) -> usize {
+        // Compile the loop-invariant protocol shape in: without
+        // exploration word 0 is the pick and every movable player
+        // imitates; without virtual agents every draw names a real agent.
+        match (self.explore_prob > 0.0, self.virtual_agents) {
+            (false, false) => {
+                self.decide_chunk_in::<false, false>(start, sites, blocks, mu_of, moves, moved)
+            }
+            (false, true) => {
+                self.decide_chunk_in::<false, true>(start, sites, blocks, mu_of, moves, moved)
+            }
+            (true, false) => {
+                self.decide_chunk_in::<true, false>(start, sites, blocks, mu_of, moves, moved)
+            }
+            (true, true) => {
+                self.decide_chunk_in::<true, true>(start, sites, blocks, mu_of, moves, moved)
+            }
+        }
+    }
+
+    /// The body of [`PlayerDecider::decide_chunk`] for one protocol shape:
+    /// `EXPLORES` is `explore_prob > 0`, `VIRTUAL` is `virtual_agents`.
+    /// Out of line, so the loop keeps its own registers.
+    ///
+    /// Each group of 64 players is decided into a destination array and a
+    /// migration bitmask, and only then are the set bits written out: a
+    /// store whose address waits on the previous player's decision would
+    /// hold every later player's loads back.
+    #[inline(never)]
+    fn decide_chunk_in<const EXPLORES: bool, const VIRTUAL: bool>(
+        &self,
+        start: usize,
+        sites: &[u64],
+        blocks: &[[u64; 4]],
+        mut mu_of: impl FnMut(usize, usize, bool) -> f64,
+        moves: &mut [(usize, StrategyId)],
+        mut moved: usize,
+    ) -> usize {
+        let (explore_prob, pool, real_pool, s_c) =
+            (self.explore_prob, self.pool, self.real_pool, self.s_c as u64);
+        // A class without exploration reaches this pass only if some
+        // player can imitate (the mask is empty otherwise).
+        let can_imitate = !EXPLORES || (self.imit.is_some() && pool > 0);
+        let (players, first, self_exclude) = (self.class_players, self.first, self.self_exclude);
+        let last = players.len() - 1;
+        let mut dest = [0u32; 64];
+        for (sites, blocks) in sites.chunks(64).zip(blocks.chunks(64)) {
+            let mut migrating = 0u64;
+            for (bit, ((&site, block), dest)) in sites.iter().zip(blocks).zip(&mut dest).enumerate()
+            {
+                let local = site as usize - start;
+                let from = (players[local].raw() - first) as usize;
+                let explore = EXPLORES && unit_f64(block[0]) < explore_prob;
+                let pick = block[EXPLORES as usize];
+                // Imitation: the multiply-shift quotient samples the
+                // agent, the remainder is the test variate.
+                let wide = pick as u128 * pool as u128;
+                let draw = (wide >> 64) as u64;
+                let real = !VIRTUAL || draw < real_pool;
+                let j = draw as usize + ((draw as usize >= local) & self_exclude) as usize;
+                let agent = (players[if real { j } else { last }].raw() - first) as usize;
+                let imitated = if real { agent } else { draw.wrapping_sub(real_pool) as usize };
+                let explored = ((pick as u128 * s_c as u128) >> 64) as usize;
+                let to = if explore { explored } else { imitated };
+                let u = if explore { unit_f64(block[2]) } else { unit_f64(wide as u64) };
+                let active = explore | can_imitate;
+                let mu = if active { mu_of(from, to, explore) } else { 0.0 };
+                *dest = first + to as u32;
+                migrating |= ((active & (u < mu)) as u64) << bit;
+            }
+            while migrating != 0 {
+                let bit = migrating.trailing_zeros() as usize;
+                moves[moved] = (sites[bit] as usize, StrategyId::new(dest[bit]));
+                moved += 1;
+                migrating &= migrating - 1;
+            }
+        }
+        moved
+    }
+
+    /// Decide player `local` (on `from`), drawing its words from the
+    /// stream `words`: the destination it migrates to, or `None` if it
+    /// stays. The sequential path, which draws only the words it needs,
+    /// and the reference [`PlayerDecider::decide_chunk`] reproduces.
     #[inline(always)]
     fn decide<W: RngCore>(
         &self,
@@ -627,12 +780,12 @@ impl<'g> Simulation<'g> {
         })
     }
 
-    /// Select the round engine.
+    /// Select the round engine. The player-level engine's per-player
+    /// array is built by its first round, which fails with
+    /// [`DynamicsError::InvalidParameter`] if the population is too large
+    /// to hold.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        if engine == EngineKind::PlayerLevel {
-            self.ensure_players();
-        }
         self
     }
 
@@ -707,11 +860,21 @@ impl<'g> Simulation<'g> {
         self.potential
     }
 
-    fn ensure_players(&mut self) {
+    /// Build the explicit player array from the per-strategy counts
+    /// unless it is current. A population that cannot be given one slot
+    /// per player is an error, not an allocation abort.
+    fn ensure_players(&mut self) -> Result<(), DynamicsError> {
         if self.players.is_some() {
-            return;
+            return Ok(());
         }
-        let mut players = Vec::with_capacity(self.game.total_players() as usize);
+        let mut players = Vec::new();
+        usize::try_from(self.game.total_players())
+            .ok()
+            .and_then(|n| players.try_reserve_exact(n).ok())
+            .ok_or(DynamicsError::InvalidParameter {
+                name: "players",
+                message: "the player-level engine cannot allocate one slot per player",
+            })?;
         for class in self.game.classes() {
             for sid in class.strategy_ids() {
                 for _ in 0..self.state.counts()[sid.index()] {
@@ -720,6 +883,7 @@ impl<'g> Simulation<'g> {
             }
         }
         self.players = Some(players);
+        Ok(())
     }
 
     /// Fire the attached hook if it has events due at (or before — a
@@ -783,16 +947,15 @@ impl<'g> Simulation<'g> {
             off += c.players() as usize;
             self.class_offsets.push(off);
         }
-        if self.players.is_some() {
-            // Arrivals/departures invalidate the explicit player array;
-            // rebuild it from the (deterministic) per-strategy counts.
-            self.players = None;
-            self.ensure_players();
-        }
         self.state.invalidate_caches_for_game_change();
         self.state.ensure_latency_cache(&self.game);
         self.state.ensure_support_index(&self.game);
         self.potential = potential(&self.game, &self.state);
+        if self.players.take().is_some() {
+            // Arrivals/departures invalidate the explicit player array;
+            // rebuild it from the (deterministic) per-strategy counts.
+            self.ensure_players()?;
+        }
         Ok(())
     }
 
@@ -1029,12 +1192,25 @@ impl<'g> Simulation<'g> {
         result
     }
 
+    /// One player-level round: every player of every class decides under
+    /// the pre-round state, then the class commits.
+    ///
+    /// On an addressed (counter-mode) stream a class visit is one batch
+    /// pass. [`PlayerDecider::fill_rows`] fills the dense-tier μ rows and
+    /// reads the movable-origin mask off them; the movable players' sites
+    /// are compacted; and each [`SITE_CHUNK`] of them gets its first
+    /// Philox blocks from one [`DrawRng::site_blocks`] call and is decided
+    /// by [`PlayerDecider::decide_chunk`] straight from those words.
+    /// Players on immovable origins draw nothing. A sequential stream
+    /// instead decides every player in turn with
+    /// [`PlayerDecider::decide`], which is also the full-draw reference
+    /// the batch pass matches bit for bit.
     fn player_round(
         &mut self,
         rng: &mut impl DrawRng,
         migrations: &mut Vec<Migration>,
     ) -> Result<(), DynamicsError> {
-        self.ensure_players();
+        self.ensure_players()?;
         let (explore_prob, imit, expl) = match &self.protocol {
             Protocol::Imitation(p) => (0.0, Some(*p), None),
             Protocol::Exploration(p) => (1.0, None, Some(*p)),
@@ -1086,6 +1262,7 @@ impl<'g> Simulation<'g> {
                     s_c,
                     n_c,
                     self_exclude,
+                    virtual_agents,
                     real_pool,
                     pool: real_pool + if virtual_agents { s_c as u64 } else { 0 },
                     memoize,
@@ -1093,15 +1270,16 @@ impl<'g> Simulation<'g> {
                     // branches on registers.
                     dense_memo: memoize && mu_table.dense,
                 };
-                // Every decided player writes a move slot; only movers advance
-                // past it, so the accept test never branches.
+                // Room for every player of the class to migrate.
                 if moves.len() < class_players.len() {
                     moves.resize(class_players.len(), (0, StrategyId::new(0)));
                 }
                 if !addressed {
                     // Sequential streams ignore the site; a counter stream
                     // behind a wrapper that hides `addressed()` is still
-                    // positioned at the global player index.
+                    // positioned at the global player index. Every player
+                    // writes a move slot; only movers advance past it, so
+                    // the accept test never branches.
                     for (local, &from) in class_players.iter().enumerate() {
                         rng.begin_site((start + local) as u64);
                         let to = decider.decide(&mut mu_table, local, from, rng);
@@ -1109,33 +1287,7 @@ impl<'g> Simulation<'g> {
                         moved += to.is_some() as usize;
                     }
                 } else {
-                    // Movable-origin mask: origin P is movable iff some
-                    // destination the protocol could hand a player on P has
-                    // μ > 0 — an imitated agent's strategy (occupied, or any
-                    // with virtual agents) or an explored one (any). Every
-                    // outcome for a player on an immovable origin is "stay".
-                    let (state, game) = (&self.state, &*self.game);
-                    movable.clear();
-                    movable.resize(s_c, false);
-                    let class_strategies = || my_range.clone().map(StrategyId::new);
-                    let imitates = imit.is_some() && decider.pool > 0;
-                    let explores = explore_prob > 0.0;
-                    let mut any_movable = false;
-                    for from in state.occupied_or_scan(game, ci) {
-                        let can_move = (imitates
-                            && if virtual_agents {
-                                class_strategies().any(|to| decider.mu(from, to, false) > 0.0)
-                            } else {
-                                state
-                                    .occupied_or_scan(game, ci)
-                                    .any(|to| decider.mu(from, to, false) > 0.0)
-                            })
-                            || (explores
-                                && class_strategies().any(|to| decider.mu(from, to, true) > 0.0));
-                        movable[(from.raw() - my_range.start) as usize] = can_move;
-                        any_movable |= can_move;
-                    }
-                    if !any_movable {
+                    if !decider.fill_rows(ci, &mut mu_table, &mut movable) {
                         continue;
                     }
                     // Compact the movable players' sites (the global player
@@ -1149,20 +1301,48 @@ impl<'g> Simulation<'g> {
                         sites[k] = (start + local) as u64;
                         k += movable[(from.raw() - my_range.start) as usize] as usize;
                     }
-                    // Fetch each movable player's first Philox block, a chunk
-                    // of sites per call, and decide the player from it.
+                    // Fetch each chunk's first Philox blocks in one call and
+                    // decide the chunk from them in one pass, reading μ
+                    // from the class's tier.
+                    let first = my_range.start;
+                    let id = |local: usize| StrategyId::new(first + local as u32);
                     blocks.resize(SITE_CHUNK, [0; 4]);
                     for chunk in sites[..k].chunks(SITE_CHUNK) {
                         let chunk_blocks = &mut blocks[..chunk.len()];
                         rng.site_blocks(chunk, chunk_blocks);
-                        for (&site, &block) in chunk.iter().zip(chunk_blocks.iter()) {
-                            let local = site as usize - start;
-                            let mut words = BlockWords { block, next: 0 };
-                            let from = class_players[local];
-                            let to = decider.decide(&mut mu_table, local, from, &mut words);
-                            moves[moved] = (site as usize, to.unwrap_or(from));
-                            moved += to.is_some() as usize;
-                        }
+                        moved = if decider.dense_memo {
+                            let (slots, index) = (&mu_table.slots[..], decider.dense_index());
+                            let mu_of = move |f, t, e| slots[index(f, t, e)].1;
+                            decider.decide_chunk(
+                                start,
+                                chunk,
+                                chunk_blocks,
+                                mu_of,
+                                &mut moves,
+                                moved,
+                            )
+                        } else if decider.memoize {
+                            let mu_of =
+                                |f, t, e| mu_table.row_mu(f, t, e, || decider.mu(id(f), id(t), e));
+                            decider.decide_chunk(
+                                start,
+                                chunk,
+                                chunk_blocks,
+                                mu_of,
+                                &mut moves,
+                                moved,
+                            )
+                        } else {
+                            let mu_of = |f, t, e| decider.mu(id(f), id(t), e);
+                            decider.decide_chunk(
+                                start,
+                                chunk,
+                                chunk_blocks,
+                                mu_of,
+                                &mut moves,
+                                moved,
+                            )
+                        };
                     }
                 }
             }

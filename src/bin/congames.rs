@@ -503,6 +503,20 @@ fn stop_spec(opts: &Options) -> StopSpec {
 }
 
 fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
+    // Settle everything that can fail on the flags alone before printing
+    // anything or drawing the O(n) start state.
+    let protocol = opts.protocol()?;
+    let ensemble_run = opts.trials > 1 || opts.reduce.is_some();
+    if let Some(path) = &opts.shock_csv {
+        if ensemble_run {
+            return Err("--shock-csv analyzes a single trajectory; drop --trials/--reduce \
+                        (ensembles summarize via --reduce instead)"
+                .into());
+        }
+        // Fail before the run, not after it: create the file now (the
+        // summary overwrites it at the end).
+        std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    }
     println!("{}", opts.repro_header());
     // Random start, then run. In xoshiro mode the single-run stream is the
     // historical `SmallRng::seed_from_u64(--seed)`; counter mode runs as
@@ -521,22 +535,11 @@ fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         state.loads()
     );
     let stop = stop_spec(opts);
-    if opts.trials > 1 || opts.reduce.is_some() {
-        if opts.shock_csv.is_some() {
-            return Err("--shock-csv analyzes a single trajectory; drop --trials/--reduce \
-                        (ensembles summarize via --reduce instead)"
-                .into());
-        }
-        return simulate_ensemble(game, opts, state, &stop);
+    if ensemble_run {
+        return simulate_ensemble(game, opts, protocol, state, &stop);
     }
-    if let Some(path) = &opts.shock_csv {
-        // Fail before the run, not after it: create the file now (the
-        // summary overwrites it at the end).
-        std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    }
-    let mut sim = Simulation::new(game, opts.protocol()?, state)
-        .map_err(|e| e.to_string())?
-        .with_engine(opts.engine);
+    let mut sim =
+        Simulation::new(game, protocol, state).map_err(|e| e.to_string())?.with_engine(opts.engine);
     if let Some(sc) = &opts.scenario {
         sim = sim.with_hook(Box::new(sc.cursor()));
     }
@@ -679,9 +682,10 @@ fn print_convergence_report(hist: &ConvergenceHistogram) {
 fn ensemble<'g>(
     game: &'g CongestionGame,
     opts: &Options,
+    protocol: Protocol,
     start: State,
 ) -> Result<Ensemble<'g>, String> {
-    let mut ensemble = Ensemble::new(game, opts.protocol()?, start)
+    let mut ensemble = Ensemble::new(game, protocol, start)
         .map_err(|e| e.to_string())?
         .engine(opts.engine)
         .rng_mode(opts.rng)
@@ -704,10 +708,11 @@ fn ensemble<'g>(
 fn simulate_ensemble(
     game: &CongestionGame,
     opts: &Options,
+    protocol: Protocol,
     start: State,
     stop: &StopSpec,
 ) -> Result<(), String> {
-    let ensemble = ensemble(game, opts, start)?;
+    let ensemble = ensemble(game, opts, protocol, start)?;
     println!("ensemble of {} trials ({} threads, seed {}):", opts.trials, opts.threads, opts.seed);
     match opts.reduce {
         None => {
@@ -760,10 +765,11 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
     if shard >= num_shards {
         return Err(format!("--shard {shard} is out of range for --num-shards {num_shards}"));
     }
+    let protocol = opts.protocol()?;
     println!("{}", opts.repro_header());
     let start = start_state(game, opts)?;
     let stop = stop_spec(opts);
-    let ensemble = ensemble(game, opts, start)?;
+    let ensemble = ensemble(game, opts, protocol, start)?;
     let range = ensemble.shard_trials(shard, num_shards);
     let header = ShardHeader {
         base_seed: opts.seed,

@@ -40,6 +40,39 @@ fn shock_csv_path_is_validated_before_the_run() {
     assert!(written.lines().count() >= 2, "header plus one shock row:\n{written}");
 }
 
+/// Flag errors that need no run surface before anything is printed: a
+/// bad protocol or λ (for `run` and `shard`), and `--shock-csv` on an
+/// ensemble. Stdout stays empty and the `--shock-csv` file is not created.
+#[test]
+fn run_rejects_bad_flags_before_any_output() {
+    let csv = scratch("ensemble.csv");
+    let csv = csv.to_str().expect("utf-8 scratch path");
+    let small = ["--links", "1,2", "--players", "10"];
+    for (cmd, extra, error) in [
+        ("run", vec!["--protocol", "bogus"], "unknown protocol"),
+        ("run", vec!["--lambda", "0"], "lambda"),
+        ("run", vec!["--scenario", TRACE, "--shock-csv", csv, "--trials", "2"], "--shock-csv"),
+        ("shard", vec!["--protocol", "bogus"], "unknown protocol"),
+    ] {
+        let mut argv = vec![cmd];
+        argv.extend(small);
+        argv.extend(&extra);
+        if cmd == "shard" {
+            argv.extend(["--reduce", "mean", "--shard", "0", "--num-shards", "1", "--out", csv]);
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_congames"))
+            .args(&argv)
+            .output()
+            .expect("the binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{argv:?} must fail");
+        assert!(stderr.contains(error), "{argv:?}: {stderr}");
+        assert!(stdout.is_empty(), "{argv:?}: nothing may be printed:\n{stdout}");
+    }
+    assert!(!std::path::Path::new(csv).exists(), "a rejected run must not create its files");
+}
+
 /// The flags of a small fixed-seed sweep `shard` and `run` agree on.
 const SWEEP: [&str; 10] =
     ["--links", "1,2,4", "--players", "2000", "--trials", "40", "--rounds", "400", "--seed", "7"];

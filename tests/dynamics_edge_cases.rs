@@ -30,6 +30,22 @@ fn single_player_class_is_inert_under_imitation() {
     }
 }
 
+/// A population too large for the player-level engine's per-player array
+/// is a precise error from `step`, not an allocation abort. The 2⁶²-player
+/// start comes straight from counts, so building it costs nothing.
+#[test]
+fn player_engine_rejects_a_population_it_cannot_hold() {
+    let n = 1u64 << 62;
+    let game = links(vec![Affine::linear(1.0).into(), Affine::linear(2.0).into()], n);
+    let state = State::from_counts(&game, vec![n, 0]).unwrap();
+    let proto: Protocol = ImitationProtocol::paper_default().into();
+    let mut sim =
+        Simulation::new(&game, proto, state).unwrap().with_engine(EngineKind::PlayerLevel);
+    let err = sim.step(&mut seeded_rng(1, 0)).expect_err("2^62 player slots cannot be allocated");
+    assert!(err.to_string().contains("players"), "{err}");
+    assert_eq!(sim.round(), 0, "a failed round must not advance the simulation");
+}
+
 #[test]
 fn zero_player_game_runs_without_panic() {
     let game = links(vec![Affine::linear(1.0).into()], 0);

@@ -893,20 +893,25 @@ impl<R: DrawRng> DrawRng for SiteCounter<R> {
 }
 
 /// Per-round `(counts, potential bits)` of a counter-mode player-level run
-/// of `rounds` rounds drawing from `rng`. With a schedule, every round goes
-/// through `run` (the only entry point that fires hooks), one round per
-/// call.
+/// of `rounds` rounds drawing from `rng`, with the μ memo bounded to
+/// `memo` slots if given, plus the final memo counters. With a schedule,
+/// every round goes through `run` (the only entry point that fires hooks),
+/// one round per call.
 fn counter_player_trajectory(
     game: &CongestionGame,
     protocol: Protocol,
     start: &State,
     schedule: Option<&std::sync::Arc<congames::scenario::Schedule>>,
+    memo: Option<usize>,
     mut rng: impl DrawRng,
     rounds: u64,
-) -> Vec<(Vec<u64>, u64)> {
+) -> (Vec<(Vec<u64>, u64)>, congames::dynamics::MuMemoStats) {
     let mut sim = Simulation::new(game, protocol, start.clone())
         .expect("valid simulation")
         .with_engine(EngineKind::PlayerLevel);
+    if let Some(slots) = memo {
+        sim = sim.with_mu_memo_capacity(slots);
+    }
     if let Some(schedule) = schedule {
         sim = sim.with_hook(Box::new(congames::scenario::ScheduleCursor::new(
             std::sync::Arc::clone(schedule),
@@ -921,28 +926,34 @@ fn counter_player_trajectory(
         }
         trajectory.push((sim.state().counts().to_vec(), sim.potential().to_bits()));
     }
-    trajectory
+    (trajectory, sim.mu_memo_stats())
 }
 
 /// The counter-mode player kernel skips the draws of players on origins
-/// with no positive-μ destination, and fetches the movable players' first
-/// Philox blocks in site batches. Both must be invisible. Three streams
-/// run every case:
+/// with no positive-μ destination, fetches the movable players' first
+/// Philox blocks in site batches, and decides each batch in one pass over
+/// μ rows prefilled per class visit. All of it must be invisible. Three
+/// streams run every case:
 ///
 /// * the bare counter stream (the batched across-site `site_blocks`);
 /// * a wrapper that forwards `addressed()` but not `site_blocks` (the
 ///   trait's default per-site walk);
-/// * a wrapper that hides `addressed()` (the full-draw path).
+/// * a wrapper that hides `addressed()` (the full-draw path, which
+///   decides player by player).
 ///
 /// Every per-round count and potential bit agrees across the three, for
-/// the imitation, exploration and combined protocols, virtual agents on
-/// and off, both self-sampling modes, 1- and 2-class games, a class larger
-/// than one site chunk whose size is not a multiple of the vector width,
-/// supported and piled starts, and a shocked run. Every supported-start
-/// case must also really skip some sites, or it would not test the skip.
+/// the imitation (with and without the ν threshold), exploration and
+/// combined protocols, virtual agents on and off, both self-sampling
+/// modes, 1- and 2-class games, a class larger than one site chunk whose
+/// size is not a multiple of the vector width, a 1-player class (an empty
+/// sampling pool), supported and piled starts, a shocked run, and every μ
+/// source: the dense tier, the LRU row tier (a 32-slot memo on 8
+/// strategies) and no memo. The two addressed streams also agree on the
+/// memo counters. Every supported-start case must also really skip some
+/// sites, or it would not test the skip.
 #[test]
 fn movable_origin_skip_matches_full_draw_path_bitwise() {
-    use congames::dynamics::SelfSampling;
+    use congames::dynamics::{NuRule, SelfSampling};
     let imitation = |va: bool, ss: SelfSampling| {
         ImitationProtocol::paper_default().with_virtual_agents(va).with_self_sampling(ss)
     };
@@ -956,19 +967,29 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
             protocols.push((format!("combined/va={va}/{ss:?}"), combined));
         }
     }
+    protocols.push((
+        "imitation/nu=none".into(),
+        ImitationProtocol::paper_default().with_nu_rule(NuRule::None).into(),
+    ));
     protocols.push(("exploration".into(), ExplorationProtocol::paper_default().into()));
     let one_class = games::linear_singleton(4, 300);
     let two_class = games::two_class_overlap(150, 90);
     // More movable players than one 256-site chunk, in a class whose size
     // is not a multiple of 8: full chunks and ragged vector tails both run.
     let wide_class = games::linear_singleton(4, 523);
+    // A lone player has nobody to imitate under self-exclusion.
+    let lone_player = games::two_class_overlap(150, 1);
+    // 2·8² = 128 μ slots: a 32-slot memo holds two LRU origin rows.
+    let eight_links = games::linear_singleton(8, 300);
     let shock = std::sync::Arc::new(
         congames::scenario::generate::step_shock(40, 0, 3.0).expect("valid schedule"),
     );
-    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 4] = [
+    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 6] = [
         ("1-class", &one_class, None),
         ("2-class", &two_class, None),
         ("1-class/523", &wide_class, None),
+        ("2-class/1-player", &lone_player, None),
+        ("1-class/8-links", &eight_links, None),
         ("1-class/step_shock", &one_class, Some(&shock)),
     ];
     // The piled start leaves strategies empty, which only virtual agents
@@ -977,41 +998,63 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
         fixtures.into_iter().flat_map(|f| ["geometric", "piled"].map(|s| (f, s)))
     {
         for (name, protocol) in &protocols {
-            let virtual_agents = protocol.imitation().is_some_and(|p| p.virtual_agents());
-            let mut start = match start_name {
-                "geometric" => games::geometric_state(game),
-                _ => games::piled_state(game),
+            // A 32-slot memo is the dense tier on the 2- and 4-strategy
+            // classes, so only the 8-link class runs it.
+            let memos: &[Option<usize>] = if fixture == "1-class/8-links" {
+                &[None, Some(32), Some(0)]
+            } else {
+                &[None, Some(0)]
             };
-            if virtual_agents {
-                start = start.with_virtual_agents(game);
+            for &memo in memos {
+                let virtual_agents = protocol.imitation().is_some_and(|p| p.virtual_agents());
+                let mut start = match start_name {
+                    "geometric" => games::geometric_state(game),
+                    _ => games::piled_state(game),
+                };
+                if virtual_agents {
+                    start = start.with_virtual_agents(game);
+                }
+                let label = format!("{fixture}/{start_name}/{name}/memo={memo:?}");
+                let stream = || fixture_stream("eq/movable-skip", RngMode::Counter, 3);
+                let mut default_blocks =
+                    SiteCounter { inner: stream(), forward_addressed: true, sites: 0 };
+                let mut full = SiteCounter { inner: stream(), forward_addressed: false, sites: 0 };
+                let (batched, batched_memo) = counter_player_trajectory(
+                    game,
+                    *protocol,
+                    &start,
+                    schedule,
+                    memo,
+                    stream(),
+                    90,
+                );
+                let (walked, walked_memo) = counter_player_trajectory(
+                    game,
+                    *protocol,
+                    &start,
+                    schedule,
+                    memo,
+                    &mut default_blocks,
+                    90,
+                );
+                let (full_path, _) = counter_player_trajectory(
+                    game, *protocol, &start, schedule, memo, &mut full, 90,
+                );
+                assert_eq!(walked, full_path, "{label}: the default site_blocks walk diverged");
+                assert_eq!(batched, full_path, "{label}: the batched site_blocks diverged");
+                assert_eq!(batched_memo, walked_memo, "{label}: the memo counters diverged");
+                if memo == Some(32) && start_name == "geometric" {
+                    assert!(batched_memo.row_allocs > 0, "{label}: the LRU rows went unused");
+                }
+                // Supported starts settle within the horizon, so they must
+                // skip; piled starts under exploration may still be moving.
+                assert!(
+                    default_blocks.sites < full.sites || start_name == "piled",
+                    "{label}: no site was skipped ({} of {} begun)",
+                    default_blocks.sites,
+                    full.sites
+                );
             }
-            let label = format!("{fixture}/{start_name}/{name}");
-            let stream = || fixture_stream("eq/movable-skip", RngMode::Counter, 3);
-            let mut default_blocks =
-                SiteCounter { inner: stream(), forward_addressed: true, sites: 0 };
-            let mut full = SiteCounter { inner: stream(), forward_addressed: false, sites: 0 };
-            let batched =
-                counter_player_trajectory(game, *protocol, &start, schedule, stream(), 90);
-            let walked = counter_player_trajectory(
-                game,
-                *protocol,
-                &start,
-                schedule,
-                &mut default_blocks,
-                90,
-            );
-            let full_path =
-                counter_player_trajectory(game, *protocol, &start, schedule, &mut full, 90);
-            assert_eq!(walked, full_path, "{label}: the default site_blocks walk diverged");
-            assert_eq!(batched, full_path, "{label}: the batched site_blocks diverged");
-            // Supported starts settle within the horizon, so they must
-            // skip; piled starts under exploration may still be moving.
-            assert!(
-                default_blocks.sites < full.sites || start_name == "piled",
-                "{label}: no site was skipped ({} of {} begun)",
-                default_blocks.sites,
-                full.sites
-            );
         }
     }
 }
