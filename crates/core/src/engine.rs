@@ -369,14 +369,20 @@ struct PlayerDecider<'a> {
     s_c: usize,
     n_c: u64,
     self_exclude: bool,
-    virtual_agents: bool,
     real_pool: u64,
+    /// `real_pool`, plus one virtual agent per strategy when they are on.
     pool: u64,
     memoize: bool,
     dense_memo: bool,
 }
 
 impl PlayerDecider<'_> {
+    /// Whether the sampling pool holds virtual agents (one per strategy,
+    /// so the pool outgrows the real players exactly when they are on).
+    fn virtual_agents(&self) -> bool {
+        self.pool != self.real_pool
+    }
+
     /// The migration probability of a player on `from` handed `to`.
     fn mu(&self, from: StrategyId, to: StrategyId, is_explore: bool) -> f64 {
         let l_from = self.state.strategy_latency(self.game, from);
@@ -441,7 +447,7 @@ impl PlayerDecider<'_> {
                 can_move && !dense
             };
             let settled = imitates
-                && if self.virtual_agents {
+                && if self.virtual_agents() {
                     all().any(|to| visit(to, false))
                 } else {
                     state.occupied_or_scan(game, class).any(|to| visit(to, false))
@@ -480,7 +486,7 @@ impl PlayerDecider<'_> {
         // Compile the loop-invariant protocol shape in: without
         // exploration word 0 is the pick and every movable player
         // imitates; without virtual agents every draw names a real agent.
-        match (self.explore_prob > 0.0, self.virtual_agents) {
+        match (self.explore_prob > 0.0, self.virtual_agents()) {
             (false, false) => {
                 self.decide_chunk_in::<false, false>(start, sites, blocks, mu_of, moves, moved)
             }
@@ -497,7 +503,7 @@ impl PlayerDecider<'_> {
     }
 
     /// The body of [`PlayerDecider::decide_chunk`] for one protocol shape:
-    /// `EXPLORES` is `explore_prob > 0`, `VIRTUAL` is `virtual_agents`.
+    /// `EXPLORES` is `explore_prob > 0`, `VIRTUAL` is `virtual_agents()`.
     /// Out of line, so the loop keeps its own registers.
     ///
     /// Each group of 64 players is decided into a destination array and a
@@ -534,7 +540,9 @@ impl PlayerDecider<'_> {
                 // agent, the remainder is the test variate.
                 let wide = pick as u128 * pool as u128;
                 let draw = (wide >> 64) as u64;
-                let real = !VIRTUAL || draw < real_pool;
+                // A player who cannot imitate (an empty pool) names no
+                // real agent, so its unused index stays in bounds.
+                let real = can_imitate && (!VIRTUAL || draw < real_pool);
                 let j = draw as usize + ((draw as usize >= local) & self_exclude) as usize;
                 let agent = (players[if real { j } else { last }].raw() - first) as usize;
                 let imitated = if real { agent } else { draw.wrapping_sub(real_pool) as usize };
@@ -588,7 +596,7 @@ impl PlayerDecider<'_> {
             // agents) by multiply-shift.
             let wide = words.next_u64() as u128 * self.pool as u128;
             let draw = (wide >> 64) as u64;
-            test_u = Some((wide as u64 >> 11) as f64 * (1.0 / (1u64 << 53) as f64));
+            test_u = Some(unit_f64(wide as u64));
             if draw < self.real_pool {
                 // Branchless self-exclusion shift: `j >= local` is
                 // data-dependent and unpredictable, so a conditional jump
@@ -609,7 +617,7 @@ impl PlayerDecider<'_> {
         let mu = if self.dense_memo {
             // Dense tier: one stamp compare, no bookkeeping — the exact
             // pre-LRU hot path.
-            let slot = (from_local * self.s_c + to_local) * 2 + is_explore as usize;
+            let slot = self.dense_index()(from_local, to_local, is_explore);
             if mu_table.slots[slot].0 == mu_table.current {
                 mu_table.slots[slot].1
             } else {
@@ -1262,7 +1270,6 @@ impl<'g> Simulation<'g> {
                     s_c,
                     n_c,
                     self_exclude,
-                    virtual_agents,
                     real_pool,
                     pool: real_pool + if virtual_agents { s_c as u64 } else { 0 },
                     memoize,

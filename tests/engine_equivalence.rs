@@ -946,9 +946,9 @@ fn counter_player_trajectory(
 /// combined protocols, virtual agents on and off, both self-sampling
 /// modes, 1- and 2-class games, a class larger than one site chunk whose
 /// size is not a multiple of the vector width, a 1-player class (an empty
-/// sampling pool), supported and piled starts, a shocked run, and every μ
-/// source: the dense tier, the LRU row tier (a 32-slot memo on 8
-/// strategies) and no memo. The two addressed streams also agree on the
+/// sampling pool) that is movable from round 0, supported and piled
+/// starts, a shocked run, and every μ source: the dense tier, the LRU row
+/// tier (a 32-slot memo on 8 strategies) and no memo. The two addressed streams also agree on the
 /// memo counters. Every supported-start case must also really skip some
 /// sites, or it would not test the skip.
 #[test]
@@ -994,9 +994,17 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
     ];
     // The piled start leaves strategies empty, which only virtual agents
     // and exploration can reach: the mask must count them as destinations.
-    for ((fixture, game, schedule), start_name) in
-        fixtures.into_iter().flat_map(|f| ["geometric", "piled"].map(|s| (f, s)))
-    {
+    // The stranded start puts class a on {r1,r2} and the lone player of
+    // class b on r2, so the lone player is movable from round 0.
+    let fixture_starts = fixtures.into_iter().flat_map(|f| {
+        let starts: &[&str] = if f.0 == "2-class/1-player" {
+            &["geometric", "piled", "stranded"]
+        } else {
+            &["geometric", "piled"]
+        };
+        starts.iter().map(move |&s| (f, s))
+    });
+    for ((fixture, game, schedule), start_name) in fixture_starts {
         for (name, protocol) in &protocols {
             // A 32-slot memo is the dense tier on the 2- and 4-strategy
             // classes, so only the 8-link class runs it.
@@ -1009,7 +1017,8 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
                 let virtual_agents = protocol.imitation().is_some_and(|p| p.virtual_agents());
                 let mut start = match start_name {
                     "geometric" => games::geometric_state(game),
-                    _ => games::piled_state(game),
+                    "piled" => games::piled_state(game),
+                    _ => State::from_counts(game, vec![0, 150, 1, 0]).expect("stranded start"),
                 };
                 if virtual_agents {
                     start = start.with_virtual_agents(game);
@@ -1046,10 +1055,19 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
                 if memo == Some(32) && start_name == "geometric" {
                     assert!(batched_memo.row_allocs > 0, "{label}: the LRU rows went unused");
                 }
+                // The stranded lone player can leave r2 only by exploring
+                // or by imitating a virtual agent.
+                if start_name == "stranded" && (protocol.exploration().is_some() || virtual_agents)
+                {
+                    assert!(
+                        batched.iter().any(|(counts, _)| counts[2] == 0),
+                        "{label}: the lone player never moved"
+                    );
+                }
                 // Supported starts settle within the horizon, so they must
-                // skip; piled starts under exploration may still be moving.
+                // skip; unsupported starts may still be moving.
                 assert!(
-                    default_blocks.sites < full.sites || start_name == "piled",
+                    default_blocks.sites < full.sites || start_name != "geometric",
                     "{label}: no site was skipped ({} of {} begun)",
                     default_blocks.sites,
                     full.sites
