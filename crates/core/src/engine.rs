@@ -16,7 +16,7 @@
 
 use congames_model::{
     potential, potential_delta_for_load_change, CongestionGame, GameError, GameParams, Migration,
-    ResourceId, State, StrategyId,
+    PlayerClass, ResourceId, State, StrategyId,
 };
 use congames_sampling::{multinomial_with_rest_into, DrawRng};
 use rand::{Rng, RngCore};
@@ -973,83 +973,73 @@ impl<'g> Simulation<'g> {
     /// weight) and the anticipated latency gain.
     ///
     /// Origins iterate the state's per-class support index (players can
-    /// only sit on occupied strategies), and pure-imitation rounds without
-    /// virtual agents iterate occupied *destinations* too — support
-    /// invariance makes every unoccupied destination unsampleable, so such
-    /// rounds cost `O(Σ_c support_c²)` instead of `O(Σ_c S_c²)`. The index
-    /// is sorted by strategy id, so the sparse walks visit exactly the
-    /// pairs the dense scans would, in the same order (bit-identical pair
-    /// streams). Exploration and virtual-agent rounds can target empty
-    /// strategies and fall back to the dense destination scan; a state
+    /// only sit on occupied strategies). The index is sorted by strategy
+    /// id, so the sparse walks visit exactly the pairs the dense scans
+    /// would, in the same order (bit-identical pair streams); a state
     /// without a built index (never the case inside a [`Simulation`])
-    /// falls back entirely.
+    /// falls back to the dense scans.
+    ///
+    /// Pure-imitation rounds without virtual agents — the paper's default
+    /// protocol — are confined to the support on the destination side too
+    /// (every unoccupied destination is unsampleable), so they cost
+    /// `O(Σ_c support_c²)`. With a fresh latency cache that branch is one
+    /// loop over two per-class rows of [`State::latency_rows`]: the origin
+    /// row `ℓ_P(x)` and the destination row `ℓ_Q(x + 1_Q − 1_P)`, with
+    /// `λ/d` and the gain threshold hoisted out ([`ClassSampling`]). For a
+    /// class whose strategies share no resource (every singleton game;
+    /// [`PlayerClass::strategies_disjoint`]) the destination value is
+    /// `ℓ_Q(x + 1_Q)` whatever the origin, one cached row per round;
+    /// overlapping classes take it from [`State::latency_after_move`]'s
+    /// resource merge per pair. Exploration and virtual-agent rounds can
+    /// target empty strategies and scan the class's dense destination
+    /// range instead.
     pub(crate) fn for_each_pair(&self, mut f: impl FnMut(StrategyId, StrategyId, f64, f64)) {
-        let (explore_prob, imit, expl) = match &self.protocol {
-            Protocol::Imitation(p) => (0.0, Some(p), None),
-            Protocol::Exploration(p) => (1.0, None, Some(p)),
-            Protocol::Combined { imitation, exploration, explore_prob } => {
-                (*explore_prob, Some(imitation), Some(exploration))
-            }
-        };
-        let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
-        for (ci, class) in self.game.classes().iter().enumerate() {
-            let n_c = class.players();
-            if n_c == 0 {
+        let (game, state) = (&*self.game, &self.state);
+        let rows = state.latency_rows(game);
+        for (ci, class) in game.classes().iter().enumerate() {
+            let Some(cs) = ClassSampling::new(&self.protocol, &self.params, class) else {
+                continue;
+            };
+            let plus = rows.map(|(_, plus)| plus).filter(|_| class.strategies_disjoint());
+            let l_to = |from: StrategyId, to: StrategyId| match plus {
+                Some(plus) => plus[to.index()],
+                None => state.latency_after_move(game, from, to),
+            };
+            let occ = state.occupied(game, ci);
+            if let (Some(occ), Some((lat, _)), true) = (occ, rows, cs.support_dest) {
+                let counts = state.counts();
+                for &from in occ {
+                    let l_from = lat[from.index()];
+                    for &to in occ {
+                        if to == from {
+                            continue;
+                        }
+                        let gain = l_from - l_to(from, to);
+                        let prob = cs.imitation_prob(counts[to.index()], l_from, gain);
+                        if prob > 0.0 {
+                            f(from, to, prob, gain);
+                        }
+                    }
+                }
                 continue;
             }
-            let s_c = class.num_strategies();
-            // Per-class constants of the imitation sampling weight.
-            let imit_total = match imit.map(ImitationProtocol::self_sampling) {
-                Some(SelfSampling::Exclude) => (n_c - 1) as f64,
-                Some(SelfSampling::Include) => n_c as f64,
-                None => 0.0,
-            } + if virtual_agents { s_c as f64 } else { 0.0 };
-            let imit_scale = if imit.is_some() && explore_prob < 1.0 && imit_total > 0.0 {
-                (1.0 - explore_prob) / imit_total
-            } else {
-                0.0
-            };
-            let explore_scale = if expl.is_some() && explore_prob > 0.0 && s_c > 0 {
-                explore_prob / s_c as f64
-            } else {
-                0.0
-            };
-            if imit_scale == 0.0 && explore_scale == 0.0 {
-                continue;
-            }
-            let occ = self.state.occupied(&self.game, ci);
-            // Only pure-imitation, non-virtual-agent rounds are confined to
-            // the support on the destination side.
-            let support_dest = explore_scale == 0.0 && !virtual_agents;
             let mut visit_origin = |from: StrategyId| {
-                let l_from = self.state.strategy_latency(&self.game, from);
+                let l_from = state.strategy_latency(game, from);
                 let mut visit_dest = |to: StrategyId| {
-                    let x_to = self.state.counts()[to.index()];
                     // Sampling weight of `to` before any latency is looked
                     // at; pairs nobody can sample are skipped outright.
-                    let w = x_to as f64 + if virtual_agents { 1.0 } else { 0.0 };
-                    let imit_w = if w > 0.0 { imit_scale * w } else { 0.0 };
-                    if imit_w == 0.0 && explore_scale == 0.0 {
+                    let imit_w = cs.imit_weight(state.counts()[to.index()]);
+                    if imit_w == 0.0 && cs.explore_scale == 0.0 {
                         return;
                     }
-                    let l_to = self.state.latency_after_move(&self.game, from, to);
-                    let gain = l_from - l_to;
-                    let mut prob = 0.0;
-                    if imit_w > 0.0 {
-                        let p = imit.expect("imit_w > 0 implies imitation component");
-                        prob += imit_w * imitation_mu(p, &self.params, l_from, gain);
-                    }
-                    if explore_scale > 0.0 {
-                        let p = expl.expect("explore_scale > 0 implies exploration component");
-                        prob +=
-                            explore_scale * exploration_mu(p, &self.params, l_from, gain, s_c, n_c);
-                    }
+                    let gain = l_from - l_to(from, to);
+                    let prob = cs.prob(&self.params, imit_w, l_from, gain);
                     if prob > 0.0 {
                         f(from, to, prob, gain);
                     }
                 };
                 match occ {
-                    Some(occ) if support_dest => {
+                    Some(occ) if cs.support_dest => {
                         for &to in occ {
                             if to != from {
                                 visit_dest(to);
@@ -1074,7 +1064,7 @@ impl<'g> Simulation<'g> {
                 None => {
                     for from_raw in class.strategy_range() {
                         let from = StrategyId::new(from_raw);
-                        if self.state.counts()[from.index()] > 0 {
+                        if state.counts()[from.index()] > 0 {
                             visit_origin(from);
                         }
                     }
@@ -1219,13 +1209,9 @@ impl<'g> Simulation<'g> {
         migrations: &mut Vec<Migration>,
     ) -> Result<(), DynamicsError> {
         self.ensure_players()?;
-        let (explore_prob, imit, expl) = match &self.protocol {
-            Protocol::Imitation(p) => (0.0, Some(*p), None),
-            Protocol::Exploration(p) => (1.0, None, Some(*p)),
-            Protocol::Combined { imitation, exploration, explore_prob } => {
-                (*explore_prob, Some(*imitation), Some(*exploration))
-            }
-        };
+        let explore_prob = self.protocol.explore_prob();
+        let (imit, expl) =
+            (self.protocol.imitation().copied(), self.protocol.exploration().copied());
         let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
         // On an addressed stream a player's draws are a pure function of
         // its site, so a player who provably stays can skip them without
@@ -1486,6 +1472,127 @@ impl<'g> Simulation<'g> {
             let stats = self.step(rng)?;
             last_migrations = stats.migrations;
         }
+    }
+}
+
+/// Per-class constants of the aggregate migration probability, shared
+/// by the scalar [`Simulation::for_each_pair`] and the lane kernel's
+/// `build_pairs` so the two compute every pair with the same operations.
+#[derive(Clone, Copy)]
+pub(crate) struct ClassSampling<'p> {
+    imit: Option<&'p ImitationProtocol>,
+    expl: Option<&'p ExplorationProtocol>,
+    /// Every strategy carries one virtual agent (imitation weight `x_Q+1`).
+    virtual_agents: bool,
+    s_c: usize,
+    n_c: u64,
+    /// Imitation weight per sampleable agent: `(1 − p_explore) / pool`.
+    pub(crate) imit_scale: f64,
+    /// Exploration weight per strategy: `p_explore / |P_c|`.
+    pub(crate) explore_scale: f64,
+    /// Pure imitation without virtual agents: only occupied destinations
+    /// can be sampled, and [`ClassSampling::imitation_prob`] applies.
+    pub(crate) support_dest: bool,
+    /// `λ/d`, pre-divided (only set when `support_dest`): the μ of
+    /// [`imitation_mu`] is `((λ/d)·gain)/ℓ_from`, left-associated, so
+    /// hoisting the division is operation-identical.
+    pub(crate) coef: f64,
+    /// The imitation gain threshold (only set when `support_dest`).
+    pub(crate) thr: f64,
+}
+
+impl<'p> ClassSampling<'p> {
+    /// The constants of `class` under `protocol`; `None` for an empty
+    /// class or one no protocol component can move.
+    pub(crate) fn new(
+        protocol: &'p Protocol,
+        params: &GameParams,
+        class: &PlayerClass,
+    ) -> Option<Self> {
+        let (explore_prob, imit, expl) =
+            (protocol.explore_prob(), protocol.imitation(), protocol.exploration());
+        let (n_c, s_c) = (class.players(), class.num_strategies());
+        if n_c == 0 {
+            return None;
+        }
+        let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
+        let imit_total = match imit.map(ImitationProtocol::self_sampling) {
+            Some(SelfSampling::Exclude) => (n_c - 1) as f64,
+            Some(SelfSampling::Include) => n_c as f64,
+            None => 0.0,
+        } + if virtual_agents { s_c as f64 } else { 0.0 };
+        let imit_scale = if imit.is_some() && explore_prob < 1.0 && imit_total > 0.0 {
+            (1.0 - explore_prob) / imit_total
+        } else {
+            0.0
+        };
+        let explore_scale = if expl.is_some() && explore_prob > 0.0 && s_c > 0 {
+            explore_prob / s_c as f64
+        } else {
+            0.0
+        };
+        if imit_scale == 0.0 && explore_scale == 0.0 {
+            return None;
+        }
+        let support_dest = explore_scale == 0.0 && !virtual_agents;
+        let (coef, thr) = match imit {
+            Some(p) if support_dest => {
+                (p.lambda() / p.damping_factor(params), p.gain_threshold(params))
+            }
+            _ => (0.0, 0.0),
+        };
+        Some(ClassSampling {
+            imit,
+            expl,
+            virtual_agents,
+            s_c,
+            n_c,
+            imit_scale,
+            explore_scale,
+            support_dest,
+            coef,
+            thr,
+        })
+    }
+
+    /// Imitation weight of a destination holding `x_to` players; `0.0`
+    /// when nobody on it can be sampled.
+    pub(crate) fn imit_weight(&self, x_to: u64) -> f64 {
+        let w = x_to as f64 + if self.virtual_agents { 1.0 } else { 0.0 };
+        if w > 0.0 {
+            self.imit_scale * w
+        } else {
+            0.0
+        }
+    }
+
+    /// Migration probability of a pair with imitation weight `imit_w`,
+    /// origin latency `l_from` and gain `gain`, over every protocol
+    /// component.
+    pub(crate) fn prob(&self, params: &GameParams, imit_w: f64, l_from: f64, gain: f64) -> f64 {
+        let mut prob = 0.0;
+        if imit_w > 0.0 {
+            let p = self.imit.expect("imit_w > 0 implies imitation component");
+            prob += imit_w * imitation_mu(p, params, l_from, gain);
+        }
+        if self.explore_scale > 0.0 {
+            let p = self.expl.expect("explore_scale > 0 implies exploration component");
+            prob +=
+                self.explore_scale * exploration_mu(p, params, l_from, gain, self.s_c, self.n_c);
+        }
+        prob
+    }
+
+    /// [`ClassSampling::prob`] of a `support_dest` class from the hoisted
+    /// constants: `(imit_scale·x_to)·clamp((λ/d)·gain/ℓ_from, 0, 1)`, and
+    /// `0.0` under the same conditions as [`imitation_mu`]. Positive
+    /// results are bit-identical to `prob`'s.
+    #[inline]
+    pub(crate) fn imitation_prob(&self, x_to: u64, l_from: f64, gain: f64) -> f64 {
+        if l_from <= 0.0 || gain <= self.thr {
+            return 0.0;
+        }
+        (self.imit_scale * x_to as f64) * (self.coef * gain / l_from).clamp(0.0, 1.0)
     }
 }
 
@@ -1857,6 +1964,169 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.reason, StopReason::NashEquilibrium);
+    }
+
+    /// Naive per-pair reference of [`Simulation::for_each_pair`]: dense
+    /// scans over every class's strategies, one `latency_after_move` per
+    /// pair, and the sampling weights spelled out per pair.
+    fn reference_pairs(sim: &Simulation) -> Vec<(u32, u32, u64, u64)> {
+        let (game, state, params) = (&*sim.game, sim.state(), sim.params());
+        let proto = sim.protocol();
+        let (explore_prob, imit, expl) =
+            (proto.explore_prob(), proto.imitation(), proto.exploration());
+        let mut out = Vec::new();
+        for class in game.classes() {
+            let (n_c, s_c) = (class.players(), class.num_strategies());
+            if n_c == 0 {
+                continue;
+            }
+            let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
+            let pool = match imit.map(|p| p.self_sampling()) {
+                Some(SelfSampling::Exclude) => (n_c - 1) as f64,
+                Some(SelfSampling::Include) => n_c as f64,
+                None => 0.0,
+            } + if virtual_agents { s_c as f64 } else { 0.0 };
+            for from in class.strategy_ids().filter(|&s| state.count(s) > 0) {
+                let l_from = state.strategy_latency(game, from);
+                for to in class.strategy_ids().filter(|&s| s != from) {
+                    let gain = l_from - state.latency_after_move(game, from, to);
+                    let mut prob = 0.0;
+                    let w = state.count(to) as f64 + if virtual_agents { 1.0 } else { 0.0 };
+                    if let Some(p) = imit.filter(|_| explore_prob < 1.0 && pool > 0.0 && w > 0.0) {
+                        let imit_w = (1.0 - explore_prob) / pool * w;
+                        prob += imit_w * imitation_mu(p, params, l_from, gain);
+                    }
+                    if let Some(p) = expl.filter(|_| explore_prob > 0.0) {
+                        prob += explore_prob / s_c as f64
+                            * exploration_mu(p, params, l_from, gain, s_c, n_c);
+                    }
+                    if prob > 0.0 {
+                        out.push((from.raw(), to.raw(), prob.to_bits(), gain.to_bits()));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn pair_stream(sim: &Simulation) -> Vec<(u32, u32, u64, u64)> {
+        let mut out = Vec::new();
+        sim.for_each_pair(|from, to, prob, gain| {
+            out.push((from.raw(), to.raw(), prob.to_bits(), gain.to_bits()));
+        });
+        out
+    }
+
+    /// Singleton links of every kind the row branch must reproduce, a
+    /// zero-latency link included.
+    fn mixed_links(n: u64) -> CongestionGame {
+        use congames_model::{Constant, Monomial};
+        CongestionGame::singleton(
+            vec![
+                Affine::new(1.0, 3.0).into(),
+                Constant::new(0.0).into(),
+                Monomial::new(0.5, 2).into(),
+                Affine::linear(2.5).into(),
+                Monomial::new(2.0, 3).into(),
+                Constant::new(40.0).into(),
+            ],
+            n,
+        )
+        .unwrap()
+    }
+
+    /// A disjoint singleton class next to a class whose paths overlap.
+    fn two_class_overlap(n: u64) -> CongestionGame {
+        use congames_model::{Monomial, ResourceId, Strategy};
+        let mut b = CongestionGame::builder();
+        let r: Vec<ResourceId> = (0..5)
+            .map(|i| {
+                if i % 2 == 0 {
+                    b.add_resource(Affine::new(1.0 + i as f64, 1.0).into())
+                } else {
+                    b.add_resource(Monomial::new(0.25, 2).into())
+                }
+            })
+            .collect();
+        let path = |ids: &[usize]| Strategy::new(ids.iter().map(|&i| r[i]).collect()).unwrap();
+        b.add_class("links", n, vec![path(&[0]), path(&[1]), path(&[2])]).unwrap();
+        b.add_class("paths", n, vec![path(&[2, 3]), path(&[3, 4]), path(&[0, 4]), path(&[4])])
+            .unwrap();
+        let game = b.build().unwrap();
+        assert!(game.classes()[0].strategies_disjoint());
+        assert!(!game.classes()[1].strategies_disjoint());
+        game
+    }
+
+    /// Counts for every class of `game` from a small LCG, with some
+    /// strategies left empty.
+    fn lcg_counts(game: &CongestionGame, seed: &mut u64) -> Vec<u64> {
+        let mut counts = vec![0u64; game.num_strategies()];
+        for class in game.classes() {
+            let range = class.strategy_range();
+            for _ in 0..class.players() {
+                *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Skew towards the low ids so the high ones often stay empty.
+                let pick = ((*seed >> 33) % range.len() as u64) * ((*seed >> 20) & 1);
+                counts[(range.start as u64 + pick) as usize] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn pair_stream_matches_the_naive_reference_bitwise() {
+        let imitation = |nu: NuRule, ss: SelfSampling, va: bool| -> Protocol {
+            ImitationProtocol::paper_default()
+                .with_nu_rule(nu)
+                .with_self_sampling(ss)
+                .with_virtual_agents(va)
+                .into()
+        };
+        let mut protocols = Vec::new();
+        for nu in [NuRule::Threshold, NuRule::None] {
+            for ss in [SelfSampling::Include, SelfSampling::Exclude] {
+                for va in [false, true] {
+                    protocols.push(imitation(nu, ss, va));
+                }
+            }
+        }
+        protocols.push(ExplorationProtocol::paper_default().into());
+        protocols.push(Protocol::combined_default());
+        let combined_va = Protocol::combined(
+            ImitationProtocol::paper_default().with_virtual_agents(true),
+            ExplorationProtocol::paper_default(),
+            0.25,
+        )
+        .unwrap();
+        protocols.push(combined_va);
+        let mut seed = 0x5eed_u64;
+        let mut row_pairs = 0usize;
+        // On two unit-slope links ν = 1, so a 5|3 split puts a gain exactly on
+        // the threshold.
+        for game in [mixed_links(40), two_class_overlap(12), two_links(8)] {
+            for &proto in &protocols {
+                let va = proto.imitation().is_some_and(ImitationProtocol::virtual_agents);
+                for rep in 0..6u64 {
+                    let mut start =
+                        State::from_counts(&game, lcg_counts(&game, &mut seed)).unwrap();
+                    if va {
+                        start = start.with_virtual_agents(&game);
+                    }
+                    let mut sim = Simulation::new(&game, proto, start).unwrap();
+                    let mut rng = SmallRng::seed_from_u64(rep);
+                    for _ in 0..4 {
+                        let got = pair_stream(&sim);
+                        assert_eq!(got, reference_pairs(&sim), "{proto:?} at {:?}", sim.state());
+                        if !va && proto.exploration().is_none() {
+                            row_pairs += got.len();
+                        }
+                        sim.step(&mut rng).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(row_pairs > 100, "the row-based support branch was barely exercised");
     }
 
     #[test]

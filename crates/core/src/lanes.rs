@@ -65,10 +65,10 @@ use congames_model::{
 use congames_sampling::{multinomial_with_rest_into, Dispatch, LaneStreams};
 use congames_simd as simd;
 
-use crate::engine::{exploration_mu, imitation_mu, PairBuffer};
+use crate::engine::{ClassSampling, PairBuffer};
 use crate::error::DynamicsError;
 use crate::observe::Observer;
-use crate::protocol::{ImitationProtocol, Protocol, SelfSampling};
+use crate::protocol::Protocol;
 use crate::stopping::{stop_reason, RunSummary, StopSpec};
 use crate::trajectory::{capture_record, RecordConfig};
 
@@ -577,52 +577,15 @@ impl<'g> LaneKernel<'g> {
             }
         }
         self.have_pairs = false;
-        let (explore_prob, imit, expl) = match &self.protocol {
-            Protocol::Imitation(p) => (0.0, Some(p), None),
-            Protocol::Exploration(p) => (1.0, None, Some(p)),
-            Protocol::Combined { imitation, exploration, explore_prob } => {
-                (*explore_prob, Some(imitation), Some(exploration))
-            }
-        };
-        let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
         for class in self.game.classes() {
-            let n_c = class.players();
-            if n_c == 0 {
+            let Some(cs) = ClassSampling::new(&self.protocol, &self.params, class) else {
                 continue;
-            }
-            let s_c = class.num_strategies();
-            let imit_total = match imit.map(ImitationProtocol::self_sampling) {
-                Some(SelfSampling::Exclude) => (n_c - 1) as f64,
-                Some(SelfSampling::Include) => n_c as f64,
-                None => 0.0,
-            } + if virtual_agents { s_c as f64 } else { 0.0 };
-            let imit_scale = if imit.is_some() && explore_prob < 1.0 && imit_total > 0.0 {
-                (1.0 - explore_prob) / imit_total
-            } else {
-                0.0
             };
-            let explore_scale = if expl.is_some() && explore_prob > 0.0 && s_c > 0 {
-                explore_prob / s_c as f64
-            } else {
-                0.0
-            };
-            if imit_scale == 0.0 && explore_scale == 0.0 {
-                continue;
-            }
-            let support_dest = explore_scale == 0.0 && !virtual_agents;
             // Pure imitation without virtual agents is the paper's default
             // protocol and the only shape whose per-lane probability is a
             // single branch-free formula; it runs the across-lane vector
-            // arm. `coef` pre-divides λ/d — the scalar μ is
-            // `((λ/d)·gain)/ℓ_from`, left-associated, so factoring the
-            // division out is operation-identical.
-            let pure_imit = support_dest && imit_scale > 0.0;
-            let (coef, thr) = match imit {
-                Some(p) if pure_imit => {
-                    (p.lambda() / p.damping_factor(&self.params), p.gain_threshold(&self.params))
-                }
-                _ => (0.0, 0.0),
-            };
+            // arm with the hoisted `λ/d` and threshold.
+            let support_dest = cs.support_dest;
             for from_raw in class.strategy_range() {
                 let from = StrategyId::new(from_raw);
                 let fi = from.index();
@@ -643,7 +606,7 @@ impl<'g> LaneKernel<'g> {
                     // pair (the scalar early-out, unioned over lanes).
                     let cf_row = &self.counts[fi * w..(fi + 1) * w];
                     let ct_row = &self.counts[ti * w..(ti + 1) * w];
-                    let need = if explore_scale > 0.0 || virtual_agents {
+                    let need = if !support_dest {
                         simd::any_nonzero(self.simd, cf_row, &self.active_mask)
                     } else {
                         simd::any_pair_nonzero(self.simd, cf_row, ct_row, &self.active_mask)
@@ -668,7 +631,7 @@ impl<'g> LaneKernel<'g> {
                         let row = &table[r.index() * w..(r.index() + 1) * w];
                         simd::add_assign(self.simd, lto, row);
                     }
-                    if pure_imit {
+                    if support_dest {
                         // Across-lane arm: identical per-lane operation
                         // sequence, masked to the lanes the scalar loop
                         // would push (see `congames_simd`'s contract).
@@ -679,9 +642,9 @@ impl<'g> LaneKernel<'g> {
                             &self.active_mask,
                             &self.strat_lat[fi * w..(fi + 1) * w],
                             &self.l_to_buf[..w],
-                            imit_scale,
-                            coef,
-                            thr,
+                            cs.imit_scale,
+                            cs.coef,
+                            cs.thr,
                             &mut self.prob_buf[..w],
                         );
                         if any_pos {
@@ -698,24 +661,13 @@ impl<'g> LaneKernel<'g> {
                         if !self.active[l] || self.counts[fi * w + l] == 0 {
                             continue;
                         }
-                        let x_to = self.counts[ti * w + l];
-                        let weight = x_to as f64 + if virtual_agents { 1.0 } else { 0.0 };
-                        let imit_w = if weight > 0.0 { imit_scale * weight } else { 0.0 };
-                        if imit_w == 0.0 && explore_scale == 0.0 {
+                        let imit_w = cs.imit_weight(self.counts[ti * w + l]);
+                        if imit_w == 0.0 && cs.explore_scale == 0.0 {
                             continue;
                         }
                         let l_from = self.strat_lat[fi * w + l];
                         let gain = l_from - self.l_to_buf[l];
-                        let mut prob = 0.0;
-                        if imit_w > 0.0 {
-                            let p = imit.expect("imit_w > 0 implies imitation component");
-                            prob += imit_w * imitation_mu(p, &self.params, l_from, gain);
-                        }
-                        if explore_scale > 0.0 {
-                            let p = expl.expect("explore_scale > 0 implies exploration component");
-                            prob += explore_scale
-                                * exploration_mu(p, &self.params, l_from, gain, s_c, n_c);
-                        }
+                        let prob = cs.prob(&self.params, imit_w, l_from, gain);
                         if prob > 0.0 {
                             self.have_pairs = true;
                             self.pairs[l].push(from, to, prob);

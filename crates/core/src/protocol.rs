@@ -347,6 +347,16 @@ impl Protocol {
         }
     }
 
+    /// The probability that a player explores in a round: `0` for pure
+    /// imitation, `1` for pure exploration.
+    pub fn explore_prob(&self) -> f64 {
+        match self {
+            Protocol::Imitation(_) => 0.0,
+            Protocol::Exploration(_) => 1.0,
+            Protocol::Combined { explore_prob, .. } => *explore_prob,
+        }
+    }
+
     /// The gain threshold used by the imitation-stability stop condition:
     /// the imitation component's threshold, or 0 for pure exploration.
     pub fn stability_threshold(&self, params: &GameParams) -> f64 {

@@ -79,11 +79,35 @@ pub fn is_nash_equilibrium(game: &CongestionGame, state: &State, tol: f64) -> bo
 /// Per Section 2.3, a state is imitation-stable iff it is `ε`-Nash with
 /// `ε = ν` *with respect to the support*: no player can gain more than `nu`
 /// by adopting the strategy of another (existing) player.
+///
+/// The answer is `best_deviation(game, state, true).map_or(true, |b|
+/// b.gain <= nu)` (so a NaN `nu` makes any improving deviation unstable),
+/// but the scan stops at the first occupied pair that breaks it. With a
+/// fresh latency cache, classes whose strategies share no resource read
+/// `ℓ_Q(x + 1_Q − 1_P)` from [`State::latency_rows`] instead of merging
+/// resource lists per pair.
 pub fn is_imitation_stable(game: &CongestionGame, state: &State, nu: f64) -> bool {
-    match best_deviation(game, state, true) {
-        Some(b) => b.gain <= nu,
-        None => true,
+    let plus_row = state.latency_rows(game).map(|(_, plus)| plus);
+    for (ci, class) in game.classes().iter().enumerate() {
+        let plus = plus_row.filter(|_| class.strategies_disjoint());
+        for from in state.occupied_or_scan(game, ci) {
+            let l_from = state.strategy_latency(game, from);
+            for to in state.occupied_or_scan(game, ci) {
+                if to == from {
+                    continue;
+                }
+                let l_to = match plus {
+                    Some(plus) => plus[to.index()],
+                    None => state.latency_after_move(game, from, to),
+                };
+                let gain = l_from - l_to;
+                if gain > 0.0 && (gain > nu || nu.is_nan()) {
+                    return false;
+                }
+            }
+        }
     }
+    true
 }
 
 /// Classification of a state against Definition 1.
@@ -289,6 +313,62 @@ mod tests {
         let s2 = State::from_counts(&game, vec![5, 2]).unwrap();
         assert!(!is_imitation_stable(&game, &s2, 1.9));
         assert!(is_imitation_stable(&game, &s2, 2.0));
+    }
+
+    #[test]
+    fn early_exit_stability_matches_the_best_deviation_answer() {
+        use crate::latency::Monomial;
+        use crate::resource::{Resource, ResourceId};
+        let links = CongestionGame::singleton(
+            vec![
+                Affine::new(1.0, 2.0).into(),
+                Constant::new(0.0).into(),
+                Monomial::new(0.5, 2).into(),
+                Affine::linear(3.0).into(),
+                Constant::new(9.0).into(),
+            ],
+            30,
+        )
+        .unwrap();
+        let resources =
+            (0..4).map(|i| Resource::new(Affine::linear(1.0 + i as f64).into())).collect();
+        let path = |ids: &[u32]| Strategy::new(ids.iter().map(|&i| ResourceId::new(i)).collect());
+        let paths = CongestionGame::symmetric(
+            resources,
+            vec![path(&[0, 1]).unwrap(), path(&[1, 2]).unwrap(), path(&[3]).unwrap()],
+            9,
+        )
+        .unwrap();
+        let mut seed = 17u64;
+        let mut answers = [0usize; 2];
+        for game in [&links, &paths] {
+            let range = game.classes()[0].strategy_range();
+            for _ in 0..200 {
+                let mut counts = vec![0u64; game.num_strategies()];
+                for _ in 0..game.total_players() {
+                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let pick = ((seed >> 33) % range.len() as u64) * ((seed >> 21) & 1);
+                    counts[pick as usize] += 1;
+                }
+                let mut state = State::from_counts(game, counts).unwrap();
+                for cached in [false, true] {
+                    if cached {
+                        state.ensure_latency_cache(game);
+                        state.ensure_support_index(game);
+                    }
+                    let best = best_deviation(game, &state, true);
+                    let mut nus = vec![0.0, 0.5, f64::NAN];
+                    nus.extend(best.map(|b| b.gain));
+                    nus.extend(best.map(|b| b.gain - 1e-9));
+                    for nu in nus {
+                        let want = best.map_or(true, |b| b.gain <= nu);
+                        assert_eq!(is_imitation_stable(game, &state, nu), want, "ν = {nu}");
+                        answers[usize::from(want)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(answers.iter().all(|&k| k > 50), "both answers must be exercised: {answers:?}");
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub enum GameError {
     },
     /// Adding players would overflow a `u64` player count or load.
     PlayerOverflow {
-        /// Which count overflowed: `"population"`, `"strategy"`, or
-        /// `"resource load"`.
+        /// Which count overflowed: `"population"`, `"strategy"`,
+        /// `"resource load"`, or `"strategy outflow"` (a migration batch
+        /// moving more than `u64::MAX` players off one strategy).
         what: &'static str,
         /// Its value before the addition.
         present: u64,

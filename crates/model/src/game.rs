@@ -18,6 +18,7 @@ pub struct PlayerClass {
     name: String,
     strategies: Range<u32>,
     players: u64,
+    disjoint: bool,
 }
 
 impl PlayerClass {
@@ -44,6 +45,16 @@ impl PlayerClass {
     /// Number of players in this class.
     pub fn players(&self) -> u64 {
         self.players
+    }
+
+    /// Whether no two of the class's strategies share a resource (true of
+    /// every singleton game). Then a player moving from any `P` to `Q`
+    /// adds one player to every resource of `Q`, so
+    /// `ℓ_Q(x + 1_Q − 1_P) = ℓ_Q(x + 1_Q)` for every origin `P`: one row
+    /// per class replaces the per-pair merge walks of
+    /// [`State::latency_after_move`](crate::State::latency_after_move).
+    pub fn strategies_disjoint(&self) -> bool {
+        self.disjoint
     }
 }
 
@@ -127,11 +138,15 @@ impl CongestionGame {
         let mut strategies = Vec::new();
         let mut strategy_class = Vec::new();
         let mut class_list = Vec::new();
+        // Resources used by the current class; reset after each class so
+        // a game with many classes still costs O(m + Σ|P|).
+        let mut used = vec![false; resources.len()];
         for (ci, (name, strats, players)) in classes.into_iter().enumerate() {
             if strats.is_empty() {
                 return Err(GameError::EmptyClass);
             }
             let start = strategies.len() as u32;
+            let mut disjoint = true;
             for s in strats {
                 for &r in s.resources() {
                     if r.index() >= resources.len() {
@@ -140,12 +155,16 @@ impl CongestionGame {
                             resources: resources.len(),
                         });
                     }
+                    disjoint &= !std::mem::replace(&mut used[r.index()], true);
                 }
                 strategies.push(s);
                 strategy_class.push(ci as u32);
             }
             let end = strategies.len() as u32;
-            class_list.push(PlayerClass { name, strategies: start..end, players });
+            for s in &strategies[start as usize..] {
+                s.resources().iter().for_each(|r| used[r.index()] = false);
+            }
+            class_list.push(PlayerClass { name, strategies: start..end, players, disjoint });
         }
         Ok(CongestionGame { resources, strategies, strategy_class, classes: class_list })
     }
@@ -503,6 +522,18 @@ mod tests {
         assert_eq!(game.resource(r1).name(), Some("fast"));
         let ids: Vec<_> = game.classes()[1].strategy_ids().collect();
         assert_eq!(ids, vec![StrategyId::new(1), StrategyId::new(2)]);
+        // Classes may share resources with each other and stay disjoint.
+        assert!(game.classes().iter().all(PlayerClass::strategies_disjoint));
+    }
+
+    #[test]
+    fn overlapping_strategies_are_not_disjoint() {
+        let r: Vec<Resource> = (0..3).map(|_| Resource::new(Affine::linear(1.0).into())).collect();
+        let ids = |v: &[u32]| Strategy::new(v.iter().map(|&i| ResourceId::new(i)).collect());
+        let game =
+            CongestionGame::symmetric(r, vec![ids(&[0, 1]).unwrap(), ids(&[1, 2]).unwrap()], 2)
+                .unwrap();
+        assert!(!game.classes()[0].strategies_disjoint());
     }
 
     #[test]

@@ -82,8 +82,15 @@ struct LatencyCache {
     res_plus: Vec<f64>,
     /// `ℓ_P(x)` per strategy.
     strat: Vec<f64>,
-    /// Scratch: resources touched by the current migration batch.
+    /// `ℓ_P(x + 1_P)` per strategy, summed like
+    /// [`State::latency_after_move`] (`0.0` seed, resource order).
+    strat_plus: Vec<f64>,
+    /// Scratch: resources touched by the current migration batch, each
+    /// listed once.
     touched: Vec<u32>,
+    /// Scratch: per resource, whether it is already in `touched` (all
+    /// `false` between batches).
+    queued: Vec<bool>,
     /// Scratch: per-strategy outflow of the current migration batch.
     outflow: Vec<u64>,
 }
@@ -543,6 +550,8 @@ impl State {
             cache.res_plus.clear();
             cache.res.reserve(game.num_resources());
             cache.res_plus.reserve(game.num_resources());
+            cache.queued.clear();
+            cache.queued.resize(game.num_resources(), false);
             // One batched virtual call per resource fills both cache
             // entries (`ℓ_e(x_e)`, `ℓ_e(x_e+1)`) — bit-identical to the
             // pointwise evaluations, half the dispatch cost.
@@ -558,11 +567,15 @@ impl State {
             cache.strat_stale = true;
         }
         if cache.strat_stale || cache.strat.len() != game.num_strategies() {
-            let (strat, res) = (&mut cache.strat, &cache.res);
+            let (strat, strat_plus) = (&mut cache.strat, &mut cache.strat_plus);
+            let (res, res_plus) = (&cache.res, &cache.res_plus);
             strat.clear();
+            strat_plus.clear();
             strat.reserve(game.num_strategies());
+            strat_plus.reserve(game.num_strategies());
             for s in game.strategies() {
                 strat.push(s.resources().iter().map(|&r| res[r.index()]).sum());
+                strat_plus.push(s.resources().iter().fold(0.0, |t, &r| t + res_plus[r.index()]));
             }
             cache.strat_stale = false;
         }
@@ -589,7 +602,8 @@ impl State {
     }
 
     /// Re-evaluate the cached latencies of every resource in
-    /// `cache.touched` (sorted + deduped first), leaving `strat` stale.
+    /// `cache.touched` and unqueue it, leaving `strat` stale. Resources
+    /// are independent, so the (insertion) order does not matter.
     fn refresh_touched_resources(&mut self, game: &CongestionGame) {
         let cache = &mut self.cache;
         if !cache.valid {
@@ -599,8 +613,6 @@ impl State {
         if cache.touched.is_empty() {
             return;
         }
-        cache.touched.sort_unstable();
-        cache.touched.dedup();
         let mut pair = [0.0_f64; 2];
         for &raw in &cache.touched {
             let i = raw as usize;
@@ -609,9 +621,28 @@ impl State {
             game.resource(r).latency().eval_range_into(eff, 0..2, &mut pair);
             cache.res[i] = pair[0];
             cache.res_plus[i] = pair[1];
+            cache.queued[i] = false;
         }
         cache.touched.clear();
         cache.strat_stale = true;
+    }
+
+    /// The per-strategy latency rows `(ℓ_P(x), ℓ_P(x + 1_P))`, indexed by
+    /// strategy id, while the latency cache is fresh for `game`; `None`
+    /// otherwise (callers fall back to the pointwise accessors).
+    ///
+    /// The first row is what [`State::strategy_latency`] returns. The
+    /// second is summed exactly like [`State::latency_after_move`], so for
+    /// a class whose strategies share no resource
+    /// ([`PlayerClass::strategies_disjoint`](crate::PlayerClass::strategies_disjoint))
+    /// `plus[Q]` is bit-identical to `latency_after_move(P, Q)` for every
+    /// `P ≠ Q` of the class. It is *not* [`State::strategy_latency_plus`],
+    /// whose `Sum` starts at `-0.0`.
+    pub fn latency_rows(&self, game: &CongestionGame) -> Option<(&[f64], &[f64])> {
+        let fresh = self.cache_usable(game)
+            && !self.cache.strat_stale
+            && self.cache.strat.len() == game.num_strategies();
+        fresh.then_some((self.cache.strat.as_slice(), self.cache.strat_plus.as_slice()))
     }
 
     /// Latency of resource `r` in this state.
@@ -749,7 +780,7 @@ impl State {
         let from_s = game.strategy(from);
         let to_s = game.strategy(to);
         let loads = &mut self.loads;
-        let touched = &mut self.cache.touched;
+        let (touched, queued) = (&mut self.cache.touched, &mut self.cache.queued);
         let track = self.cache.valid;
         from_s.diff_signed(to_s, |r, sign| {
             if sign < 0 {
@@ -757,7 +788,7 @@ impl State {
             } else {
                 loads[r.index()] += count;
             }
-            if track {
+            if track && !std::mem::replace(&mut queued[r.index()], true) {
                 touched.push(r.raw());
             }
         });
@@ -774,7 +805,8 @@ impl State {
     /// # Errors
     ///
     /// Fails (leaving the state unchanged) if the batch over-drains a
-    /// strategy, crosses classes, or references unknown ids.
+    /// strategy (including a total outflow past `u64::MAX`), crosses
+    /// classes, or references unknown ids.
     pub fn apply_migrations(
         &mut self,
         game: &CongestionGame,
@@ -809,7 +841,7 @@ impl State {
             let from_s = game.strategy(m.from);
             let to_s = game.strategy(m.to);
             let loads = &mut self.loads;
-            let touched = &mut self.cache.touched;
+            let (touched, queued) = (&mut self.cache.touched, &mut self.cache.queued);
             let track = self.cache.valid;
             from_s.diff_signed(to_s, |r, sign| {
                 if sign < 0 {
@@ -817,7 +849,7 @@ impl State {
                 } else {
                     loads[r.index()] += m.count;
                 }
-                if track {
+                if track && !std::mem::replace(&mut queued[r.index()], true) {
                     touched.push(r.raw());
                 }
             });
@@ -842,7 +874,12 @@ impl State {
                 return Err(GameError::CrossClassMigration { from_class: fc, to_class: tc });
             }
             if m.from != m.to {
-                outflow[m.from.index()] += m.count;
+                let out = &mut outflow[m.from.index()];
+                *out = out.checked_add(m.count).ok_or(GameError::PlayerOverflow {
+                    what: "strategy outflow",
+                    present: *out,
+                    added: m.count,
+                })?;
             }
         }
         for (i, &out) in outflow.iter().enumerate() {
@@ -1131,6 +1168,48 @@ mod tests {
         );
         assert!(matches!(err, Err(GameError::InsufficientPlayers { .. })));
         assert_eq!(s, before, "failed batch must leave the state unchanged");
+    }
+
+    #[test]
+    fn outflow_overflow_is_rejected_atomically() {
+        // The two outflows of strategy 0 add up past u64::MAX; wrapping
+        // would leave 1 ≤ 3 and wrongly accept the batch.
+        let game = two_link_game(4);
+        let mut s = State::from_counts(&game, vec![3, 1]).unwrap();
+        s.ensure_latency_cache(&game);
+        s.ensure_support_index(&game);
+        let before = s.clone();
+        let err = s.apply_migrations(
+            &game,
+            &[Migration::new(sid(0), sid(1), u64::MAX), Migration::new(sid(0), sid(1), 2)],
+        );
+        assert_eq!(
+            err,
+            Err(GameError::PlayerOverflow {
+                what: "strategy outflow",
+                present: u64::MAX,
+                added: 2
+            })
+        );
+        assert_eq!(s, before, "failed batch must leave the state unchanged");
+        assert!(s.latency_cache_valid() && s.support_consistent(&game));
+    }
+
+    #[test]
+    fn latency_rows_match_pointwise_accessors() {
+        let game = two_link_game(5);
+        let mut s = State::from_counts(&game, vec![3, 2]).unwrap();
+        assert!(s.latency_rows(&game).is_none(), "no rows before the cache is built");
+        s.ensure_latency_cache(&game);
+        let (lat, plus) = s.latency_rows(&game).unwrap();
+        assert!(game.classes()[0].strategies_disjoint());
+        for (p, q) in [(0, 1), (1, 0)] {
+            assert_eq!(lat[p].to_bits(), s.strategy_latency(&game, sid(p as u32)).to_bits());
+            let moved = s.latency_after_move(&game, sid(p as u32), sid(q as u32));
+            assert_eq!(plus[q].to_bits(), moved.to_bits());
+        }
+        s.apply_move(&game, sid(0), sid(1)).unwrap();
+        assert!(s.latency_rows(&game).is_none(), "stale rows are never served");
     }
 
     #[test]
