@@ -982,34 +982,34 @@ impl<'g> Simulation<'g> {
     /// Pure-imitation rounds without virtual agents — the paper's default
     /// protocol — are confined to the support on the destination side too
     /// (every unoccupied destination is unsampleable), so they cost
-    /// `O(Σ_c support_c²)`. With a fresh latency cache that branch is one
-    /// loop over two per-class rows of [`State::latency_rows`]: the origin
-    /// row `ℓ_P(x)` and the destination row `ℓ_Q(x + 1_Q − 1_P)`, with
-    /// `λ/d` and the gain threshold hoisted out ([`ClassSampling`]). For a
-    /// class whose strategies share no resource (every singleton game;
+    /// `O(Σ_c support_c²)`. That branch is one loop over two per-class
+    /// rows: the origin row `ℓ_P(x)` (the cached `strat` row) and the
+    /// destination row `ℓ_Q(x + 1_Q − 1_P)`, with `λ/d` and the gain
+    /// threshold hoisted out ([`ClassSampling`]). For a class whose
+    /// strategies share no resource (every singleton game;
     /// [`PlayerClass::strategies_disjoint`]) the destination value is
-    /// `ℓ_Q(x + 1_Q)` whatever the origin, one cached row per round;
-    /// overlapping classes take it from [`State::latency_after_move`]'s
-    /// resource merge per pair. Exploration and virtual-agent rounds can
-    /// target empty strategies and scan the class's dense destination
-    /// range instead.
+    /// `ℓ_Q(x + 1_Q)` whatever the origin, one row of
+    /// [`State::latency_plus_row`] per round; overlapping classes (or a stale
+    /// cache) take it from [`State::latency_after_move`]'s resource merge
+    /// per pair. Exploration and virtual-agent rounds can target empty
+    /// strategies and scan the class's dense destination range instead.
     pub(crate) fn for_each_pair(&self, mut f: impl FnMut(StrategyId, StrategyId, f64, f64)) {
         let (game, state) = (&*self.game, &self.state);
-        let rows = state.latency_rows(game);
+        let plus_row = state.latency_plus_row(game);
         for (ci, class) in game.classes().iter().enumerate() {
             let Some(cs) = ClassSampling::new(&self.protocol, &self.params, class) else {
                 continue;
             };
-            let plus = rows.map(|(_, plus)| plus).filter(|_| class.strategies_disjoint());
+            let plus = plus_row.filter(|_| class.strategies_disjoint());
             let l_to = |from: StrategyId, to: StrategyId| match plus {
                 Some(plus) => plus[to.index()],
                 None => state.latency_after_move(game, from, to),
             };
+            let counts = state.counts();
             let occ = state.occupied(game, ci);
-            if let (Some(occ), Some((lat, _)), true) = (occ, rows, cs.support_dest) {
-                let counts = state.counts();
+            if let (Some(occ), true) = (occ, cs.support_dest) {
                 for &from in occ {
-                    let l_from = lat[from.index()];
+                    let l_from = state.strategy_latency(game, from);
                     for &to in occ {
                         if to == from {
                             continue;
@@ -1025,33 +1025,18 @@ impl<'g> Simulation<'g> {
             }
             let mut visit_origin = |from: StrategyId| {
                 let l_from = state.strategy_latency(game, from);
-                let mut visit_dest = |to: StrategyId| {
+                for to_raw in class.strategy_range() {
+                    let to = StrategyId::new(to_raw);
                     // Sampling weight of `to` before any latency is looked
                     // at; pairs nobody can sample are skipped outright.
-                    let imit_w = cs.imit_weight(state.counts()[to.index()]);
-                    if imit_w == 0.0 && cs.explore_scale == 0.0 {
-                        return;
+                    let imit_w = cs.imit_weight(counts[to.index()]);
+                    if to == from || (imit_w == 0.0 && cs.explore_scale == 0.0) {
+                        continue;
                     }
                     let gain = l_from - l_to(from, to);
                     let prob = cs.prob(&self.params, imit_w, l_from, gain);
                     if prob > 0.0 {
                         f(from, to, prob, gain);
-                    }
-                };
-                match occ {
-                    Some(occ) if cs.support_dest => {
-                        for &to in occ {
-                            if to != from {
-                                visit_dest(to);
-                            }
-                        }
-                    }
-                    _ => {
-                        for to_raw in class.strategy_range() {
-                            if to_raw != from.raw() {
-                                visit_dest(StrategyId::new(to_raw));
-                            }
-                        }
                     }
                 }
             };
@@ -1064,7 +1049,7 @@ impl<'g> Simulation<'g> {
                 None => {
                     for from_raw in class.strategy_range() {
                         let from = StrategyId::new(from_raw);
-                        if state.counts()[from.index()] > 0 {
+                        if counts[from.index()] > 0 {
                             visit_origin(from);
                         }
                     }
@@ -2121,6 +2106,9 @@ mod tests {
                         if !va && proto.exploration().is_none() {
                             row_pairs += got.len();
                         }
+                        // Without a fresh cache every latency is pointwise.
+                        sim.state.invalidate_latency_cache();
+                        assert_eq!(pair_stream(&sim), got, "{proto:?} uncached");
                         sim.step(&mut rng).unwrap();
                     }
                 }

@@ -84,10 +84,10 @@ pub fn is_nash_equilibrium(game: &CongestionGame, state: &State, tol: f64) -> bo
 /// b.gain <= nu)` (so a NaN `nu` makes any improving deviation unstable),
 /// but the scan stops at the first occupied pair that breaks it. With a
 /// fresh latency cache, classes whose strategies share no resource read
-/// `ℓ_Q(x + 1_Q − 1_P)` from [`State::latency_rows`] instead of merging
+/// `ℓ_Q(x + 1_Q − 1_P)` from [`State::latency_plus_row`] instead of merging
 /// resource lists per pair.
 pub fn is_imitation_stable(game: &CongestionGame, state: &State, nu: f64) -> bool {
-    let plus_row = state.latency_rows(game).map(|(_, plus)| plus);
+    let plus_row = state.latency_plus_row(game);
     for (ci, class) in game.classes().iter().enumerate() {
         let plus = plus_row.filter(|_| class.strategies_disjoint());
         for from in state.occupied_or_scan(game, ci) {

@@ -85,12 +85,8 @@ struct LatencyCache {
     /// `ℓ_P(x + 1_P)` per strategy, summed like
     /// [`State::latency_after_move`] (`0.0` seed, resource order).
     strat_plus: Vec<f64>,
-    /// Scratch: resources touched by the current migration batch, each
-    /// listed once.
+    /// Scratch: resources touched by the current migration batch.
     touched: Vec<u32>,
-    /// Scratch: per resource, whether it is already in `touched` (all
-    /// `false` between batches).
-    queued: Vec<bool>,
     /// Scratch: per-strategy outflow of the current migration batch.
     outflow: Vec<u64>,
 }
@@ -550,8 +546,6 @@ impl State {
             cache.res_plus.clear();
             cache.res.reserve(game.num_resources());
             cache.res_plus.reserve(game.num_resources());
-            cache.queued.clear();
-            cache.queued.resize(game.num_resources(), false);
             // One batched virtual call per resource fills both cache
             // entries (`ℓ_e(x_e)`, `ℓ_e(x_e+1)`) — bit-identical to the
             // pointwise evaluations, half the dispatch cost.
@@ -602,8 +596,7 @@ impl State {
     }
 
     /// Re-evaluate the cached latencies of every resource in
-    /// `cache.touched` and unqueue it, leaving `strat` stale. Resources
-    /// are independent, so the (insertion) order does not matter.
+    /// `cache.touched` (sorted + deduped first), leaving `strat` stale.
     fn refresh_touched_resources(&mut self, game: &CongestionGame) {
         let cache = &mut self.cache;
         if !cache.valid {
@@ -613,6 +606,8 @@ impl State {
         if cache.touched.is_empty() {
             return;
         }
+        cache.touched.sort_unstable();
+        cache.touched.dedup();
         let mut pair = [0.0_f64; 2];
         for &raw in &cache.touched {
             let i = raw as usize;
@@ -621,28 +616,26 @@ impl State {
             game.resource(r).latency().eval_range_into(eff, 0..2, &mut pair);
             cache.res[i] = pair[0];
             cache.res_plus[i] = pair[1];
-            cache.queued[i] = false;
         }
         cache.touched.clear();
         cache.strat_stale = true;
     }
 
-    /// The per-strategy latency rows `(ℓ_P(x), ℓ_P(x + 1_P))`, indexed by
-    /// strategy id, while the latency cache is fresh for `game`; `None`
-    /// otherwise (callers fall back to the pointwise accessors).
+    /// The per-strategy row `ℓ_P(x + 1_P)`, indexed by strategy id, while
+    /// the latency cache is fresh for `game`; `None` otherwise (callers
+    /// fall back to [`State::latency_after_move`]).
     ///
-    /// The first row is what [`State::strategy_latency`] returns. The
-    /// second is summed exactly like [`State::latency_after_move`], so for
+    /// The row is summed exactly like [`State::latency_after_move`], so for
     /// a class whose strategies share no resource
     /// ([`PlayerClass::strategies_disjoint`](crate::PlayerClass::strategies_disjoint))
     /// `plus[Q]` is bit-identical to `latency_after_move(P, Q)` for every
     /// `P ≠ Q` of the class. It is *not* [`State::strategy_latency_plus`],
     /// whose `Sum` starts at `-0.0`.
-    pub fn latency_rows(&self, game: &CongestionGame) -> Option<(&[f64], &[f64])> {
+    pub fn latency_plus_row(&self, game: &CongestionGame) -> Option<&[f64]> {
         let fresh = self.cache_usable(game)
             && !self.cache.strat_stale
             && self.cache.strat.len() == game.num_strategies();
-        fresh.then_some((self.cache.strat.as_slice(), self.cache.strat_plus.as_slice()))
+        fresh.then_some(self.cache.strat_plus.as_slice())
     }
 
     /// Latency of resource `r` in this state.
@@ -780,7 +773,7 @@ impl State {
         let from_s = game.strategy(from);
         let to_s = game.strategy(to);
         let loads = &mut self.loads;
-        let (touched, queued) = (&mut self.cache.touched, &mut self.cache.queued);
+        let touched = &mut self.cache.touched;
         let track = self.cache.valid;
         from_s.diff_signed(to_s, |r, sign| {
             if sign < 0 {
@@ -788,7 +781,7 @@ impl State {
             } else {
                 loads[r.index()] += count;
             }
-            if track && !std::mem::replace(&mut queued[r.index()], true) {
+            if track {
                 touched.push(r.raw());
             }
         });
@@ -841,7 +834,7 @@ impl State {
             let from_s = game.strategy(m.from);
             let to_s = game.strategy(m.to);
             let loads = &mut self.loads;
-            let (touched, queued) = (&mut self.cache.touched, &mut self.cache.queued);
+            let touched = &mut self.cache.touched;
             let track = self.cache.valid;
             from_s.diff_signed(to_s, |r, sign| {
                 if sign < 0 {
@@ -849,7 +842,7 @@ impl State {
                 } else {
                     loads[r.index()] += m.count;
                 }
-                if track && !std::mem::replace(&mut queued[r.index()], true) {
+                if track {
                     touched.push(r.raw());
                 }
             });
@@ -1196,20 +1189,19 @@ mod tests {
     }
 
     #[test]
-    fn latency_rows_match_pointwise_accessors() {
+    fn latency_plus_row_matches_latency_after_move() {
         let game = two_link_game(5);
         let mut s = State::from_counts(&game, vec![3, 2]).unwrap();
-        assert!(s.latency_rows(&game).is_none(), "no rows before the cache is built");
+        assert!(s.latency_plus_row(&game).is_none(), "no row before the cache is built");
         s.ensure_latency_cache(&game);
-        let (lat, plus) = s.latency_rows(&game).unwrap();
+        let plus = s.latency_plus_row(&game).unwrap();
         assert!(game.classes()[0].strategies_disjoint());
         for (p, q) in [(0, 1), (1, 0)] {
-            assert_eq!(lat[p].to_bits(), s.strategy_latency(&game, sid(p as u32)).to_bits());
             let moved = s.latency_after_move(&game, sid(p as u32), sid(q as u32));
             assert_eq!(plus[q].to_bits(), moved.to_bits());
         }
         s.apply_move(&game, sid(0), sid(1)).unwrap();
-        assert!(s.latency_rows(&game).is_none(), "stale rows are never served");
+        assert!(s.latency_plus_row(&game).is_none(), "a stale row is never served");
     }
 
     #[test]
