@@ -23,7 +23,7 @@ mod table;
 
 pub use csv::{convergence_csv, per_round_stats_csv, CsvWriter};
 pub use regression::{linear_fit, loglog_fit, Fit};
-pub use runner::{run_trials, run_trials_sequential};
+pub use runner::run_trials;
 pub use shock::{shock_recovery, shock_recovery_csv, ShockSummary};
 pub use stats::Summary;
 pub use table::Table;

@@ -1,7 +1,12 @@
 //! Deterministic multi-seed trial running, optionally in parallel.
 //!
-//! Built on [`congames_dynamics::run_indexed`], the shared panic-transparent
-//! indexed parallel map that also powers `congames_dynamics::Ensemble`.
+//! Built on [`run_indexed`], a panic-transparent indexed parallel map over
+//! std scoped threads. Simulation ensembles schedule through
+//! `congames_dynamics::Ensemble` instead; this runner fans out arbitrary
+//! per-seed work.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use congames_sampling::split_seed;
 
@@ -11,9 +16,8 @@ use congames_sampling::split_seed;
 /// order**, so the output is independent of scheduling.
 ///
 /// Zero trials return an empty `Vec` — the workspace-wide empty-input
-/// contract shared with `congames_dynamics::run_indexed` and
-/// `Ensemble::run_reduced` (whose zero-trial result is the identity
-/// reduction).
+/// contract shared with `Ensemble::run` and `Ensemble::run_reduced` (whose
+/// zero-trial result is the identity reduction).
 ///
 /// # Panics
 ///
@@ -28,14 +32,52 @@ pub fn run_trials<T: Send>(
     threads: usize,
     f: impl Fn(u64) -> T + Sync,
 ) -> Vec<T> {
-    assert!(threads > 0, "need at least one thread");
-    congames_dynamics::run_indexed(trials, threads, |i| f(split_seed(base_seed, i as u64)))
+    run_indexed(trials, threads, |i| f(split_seed(base_seed, i as u64)))
 }
 
-/// Sequential version of [`run_trials`] (same seed derivation, same output
-/// order, same empty-input contract: zero trials → empty `Vec`).
-pub fn run_trials_sequential<T>(trials: usize, base_seed: u64, f: impl Fn(u64) -> T) -> Vec<T> {
-    (0..trials).map(|i| f(split_seed(base_seed, i as u64))).collect()
+/// Run `f(0), f(1), …, f(tasks − 1)` across up to `threads` scoped worker
+/// threads and return the results **in index order**.
+///
+/// Work is claimed dynamically (an atomic counter), so the schedule adapts
+/// to uneven task durations; results are sorted back into index order, so
+/// the output never depends on the schedule.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`. If a task panics, the workers stop claiming
+/// new tasks and the original panic payload is re-raised on the calling
+/// thread. Indices are claimed in order and every claimed task finishes,
+/// so the payload re-raised is the lowest-index one.
+fn run_indexed<T: Send>(tasks: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    assert!(threads > 0, "need at least one thread");
+    if threads == 1 || tasks <= 1 {
+        // Sequential fast path: panics already propagate untouched.
+        return (0..tasks).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                return done;
+            }
+            let out = catch_unwind(AssertUnwindSafe(|| f(i)));
+            if out.is_err() {
+                next.fetch_max(tasks, Ordering::Relaxed);
+            }
+            done.push((i, out));
+        }
+    };
+    let mut results: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(tasks)).map(|_| scope.spawn(worker)).collect();
+        workers.into_iter().flat_map(|w| w.join().expect("task panics are caught")).collect()
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results
+        .into_iter()
+        .map(|(_, out)| out.unwrap_or_else(|payload| resume_unwind(payload)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -43,8 +85,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn run_indexed_orders_results() {
+        let out = run_indexed(16, 4, |i| i * 3);
+        assert_eq!(out, (0..16).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(run_indexed(5, 1, |i| i), vec![0, 1, 2, 3, 4]);
+        assert!(run_indexed(0, 2, |i| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "task 7 says hi")]
+    fn run_indexed_propagates_original_panic() {
+        run_indexed(32, 4, |i| {
+            if i == 7 {
+                panic!("task 7 says hi");
+            }
+            i
+        });
+    }
+
+    #[test]
     fn parallel_matches_sequential() {
-        let seq = run_trials_sequential(37, 99, |seed| seed.wrapping_mul(3));
+        let seq: Vec<u64> = (0..37).map(|i| split_seed(99, i).wrapping_mul(3)).collect();
         let par = run_trials(37, 99, 4, |seed| seed.wrapping_mul(3));
         assert_eq!(seq, par);
     }
@@ -74,14 +135,14 @@ mod tests {
     }
 
     /// The unified empty-input contract: zero trials reduce to the empty
-    /// result instead of panicking, matching `run_indexed(0, ..)` and the
+    /// result instead of panicking, matching `Ensemble::run` and the
     /// identity reduction of `Ensemble::run_reduced`.
     #[test]
     fn zero_trials_yield_empty() {
-        let par: Vec<u64> = run_trials(0, 0, 1, |s| s);
-        assert!(par.is_empty());
-        let seq: Vec<u64> = run_trials_sequential(0, 0, |s| s);
-        assert!(seq.is_empty());
+        for threads in [1, 4] {
+            let out: Vec<u64> = run_trials(0, 0, threads, |s| s);
+            assert!(out.is_empty());
+        }
     }
 
     /// Regression: a panicking trial used to surface as the scope's generic

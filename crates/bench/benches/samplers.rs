@@ -1,7 +1,7 @@
-//! Random-variate substrate costs: binomial (all three internal paths),
-//! multinomial, and alias-table sampling.
+//! Random-variate substrate costs: binomial (all three internal paths) and
+//! multinomial sampling.
 
-use congames_sampling::{binomial, multinomial_with_rest, AliasTable};
+use congames_sampling::{binomial, multinomial_with_rest_into};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -23,15 +23,10 @@ fn bench_samplers(c: &mut Criterion) {
         let probs: Vec<f64> = (0..k).map(|i| 0.5 / k as f64 * (1.0 + i as f64 % 2.0)).collect();
         group.bench_with_input(BenchmarkId::new("multinomial_rest", k), &k, |b, _| {
             let mut rng = SmallRng::seed_from_u64(2);
-            b.iter(|| multinomial_with_rest(&mut rng, 100_000, &probs).expect("valid"));
-        });
-    }
-    for &k in &[16usize, 1024] {
-        let weights: Vec<f64> = (1..=k).map(|i| i as f64).collect();
-        let table = AliasTable::new(&weights).expect("valid weights");
-        group.bench_with_input(BenchmarkId::new("alias_sample", k), &k, |b, _| {
-            let mut rng = SmallRng::seed_from_u64(3);
-            b.iter(|| table.sample(&mut rng));
+            let mut counts = Vec::new();
+            b.iter(|| {
+                multinomial_with_rest_into(&mut rng, 100_000, &probs, &mut counts).expect("valid")
+            });
         });
     }
     group.finish();

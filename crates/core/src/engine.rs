@@ -26,8 +26,8 @@ use crate::expectation::PairFlow;
 use crate::hook::RoundHook;
 use crate::observe::Observer;
 use crate::protocol::{ExplorationProtocol, ImitationProtocol, Protocol, SelfSampling};
-use crate::stopping::{stop_reason, RunOutcome, RunSummary, StopSpec};
-use crate::trajectory::{capture_record, RecordConfig, Trajectory};
+use crate::stopping::{drive_round, Replica, RunOutcome, RunSummary, StopSpec};
+use crate::trajectory::{RecordConfig, Trajectory};
 
 /// Which round engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -664,6 +664,44 @@ impl std::ops::Deref for GameHandle<'_> {
     }
 }
 
+/// The checks every run start makes: `state` belongs to `game` (one count
+/// per strategy, each class's counts summing to its population) and the
+/// protocol's virtual-agent setting matches the state's base loads.
+/// `Simulation::new`, `LaneKernel::new` and `Ensemble::new` call it, and a
+/// hook-mutated game is re-checked with it.
+pub(crate) fn validate_start(
+    game: &CongestionGame,
+    protocol: &Protocol,
+    state: &State,
+) -> Result<(), DynamicsError> {
+    if state.counts().len() != game.num_strategies() {
+        return Err(GameError::WrongLength {
+            expected: game.num_strategies(),
+            found: state.counts().len(),
+        }
+        .into());
+    }
+    for (ci, class) in game.classes().iter().enumerate() {
+        let sum: u64 = class.strategy_range().map(|s| state.counts()[s as usize]).sum();
+        if sum != class.players() {
+            return Err(GameError::CountMismatch {
+                class: ci,
+                expected: class.players(),
+                found: sum,
+            }
+            .into());
+        }
+    }
+    let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
+    if wants_virtual != state.has_virtual_agents() {
+        return Err(DynamicsError::InvalidParameter {
+            name: "state",
+            message: "virtual-agent protocols require State::with_virtual_agents (and vice versa)",
+        });
+    }
+    Ok(())
+}
+
 /// A running simulation: a game, a protocol, and the evolving state.
 ///
 /// Both round kernels are *zero-steady-state-allocation*: all per-round
@@ -724,32 +762,7 @@ impl<'g> Simulation<'g> {
         protocol: Protocol,
         state: State,
     ) -> Result<Self, DynamicsError> {
-        if state.counts().len() != game.num_strategies() {
-            return Err(GameError::WrongLength {
-                expected: game.num_strategies(),
-                found: state.counts().len(),
-            }
-            .into());
-        }
-        for (ci, class) in game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| state.counts()[s as usize]).sum();
-            if sum != class.players() {
-                return Err(GameError::CountMismatch {
-                    class: ci,
-                    expected: class.players(),
-                    found: sum,
-                }
-                .into());
-            }
-        }
-        let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
-        if wants_virtual != state.has_virtual_agents() {
-            return Err(DynamicsError::InvalidParameter {
-                name: "state",
-                message:
-                    "virtual-agent protocols require State::with_virtual_agents (and vice versa)",
-            });
-        }
+        validate_start(game, &protocol, &state)?;
         let params = game.params();
         let mut class_offsets = Vec::with_capacity(game.classes().len() + 1);
         let mut off = 0usize;
@@ -936,17 +949,7 @@ impl<'g> Simulation<'g> {
     /// are rare, and incremental tracking across an arbitrary latency swap
     /// has no valid delta).
     fn after_game_change(&mut self) -> Result<(), DynamicsError> {
-        for (ci, class) in self.game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| self.state.counts()[s as usize]).sum();
-            if sum != class.players() {
-                return Err(GameError::CountMismatch {
-                    class: ci,
-                    expected: class.players(),
-                    found: sum,
-                }
-                .into());
-            }
-        }
+        validate_start(&self.game, &self.protocol, &self.state)?;
         self.params = self.game.params();
         self.class_offsets.clear();
         self.class_offsets.push(0);
@@ -1040,20 +1043,8 @@ impl<'g> Simulation<'g> {
                     }
                 }
             };
-            match occ {
-                Some(occ) => {
-                    for &from in occ {
-                        visit_origin(from);
-                    }
-                }
-                None => {
-                    for from_raw in class.strategy_range() {
-                        let from = StrategyId::new(from_raw);
-                        if counts[from.index()] > 0 {
-                            visit_origin(from);
-                        }
-                    }
-                }
+            for from in state.occupied_or_scan(game, ci) {
+                visit_origin(from);
             }
         }
     }
@@ -1404,9 +1395,6 @@ impl<'g> Simulation<'g> {
         rng: &mut impl DrawRng,
         observer: &mut O,
     ) -> Result<RunSummary, DynamicsError> {
-        // Seed from the simulation's own counter so a resumed run's start
-        // record reports the migrations of the round that produced it.
-        let mut last_migrations = self.last_migrations;
         let start_round = self.round;
         loop {
             // Scheduled events fire before the round's record is captured
@@ -1414,49 +1402,38 @@ impl<'g> Simulation<'g> {
             // shock round already reflects the post-event game/state (the
             // pre-shock reference is the last record strictly before).
             let fired = self.fire_due_events()?;
-            // The starting round is recorded even when a manually-stepped
-            // simulation resumes off the cadence — the documented contract
-            // is "start record, cadence records, stop record".
-            let recording = self.record.every > 0
-                && (self.round == start_round || self.round % self.record.every == 0);
-            if recording {
-                observer.observe(&capture_record(
-                    &self.game,
-                    &self.state,
-                    self.round,
-                    self.potential,
-                    last_migrations,
-                    self.record.approx.as_ref(),
-                    fired,
-                ));
+            let record = self.record;
+            if let Some(summary) = drive_round(self, stop, &record, start_round, fired, observer) {
+                return Ok(summary);
             }
-            let events_pending = self.hook.as_ref().and_then(|h| h.next_fire()).is_some();
-            if let Some(reason) = stop_reason(
-                stop,
-                self.round,
-                self.potential,
-                events_pending,
-                &self.game,
-                &self.state,
-                &self.protocol,
-                &self.params,
-            ) {
-                if self.record.every > 0 && !recording {
-                    observer.observe(&capture_record(
-                        &self.game,
-                        &self.state,
-                        self.round,
-                        self.potential,
-                        last_migrations,
-                        self.record.approx.as_ref(),
-                        fired,
-                    ));
-                }
-                return Ok(RunSummary { reason, rounds: self.round, potential: self.potential });
-            }
-            let stats = self.step(rng)?;
-            last_migrations = stats.migrations;
+            self.step(rng)?;
         }
+    }
+}
+
+impl Replica for Simulation<'_> {
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn potential(&self) -> f64 {
+        self.potential
+    }
+
+    fn last_migrations(&self) -> u64 {
+        self.last_migrations
+    }
+
+    fn events_pending(&self) -> bool {
+        self.hook.as_ref().and_then(|h| h.next_fire()).is_some()
+    }
+
+    fn stability_threshold(&self) -> f64 {
+        self.protocol.stability_threshold(&self.params)
+    }
+
+    fn view(&mut self) -> (&CongestionGame, &State) {
+        (&self.game, &self.state)
     }
 }
 

@@ -17,35 +17,33 @@
 //! bit-identical-across-thread-counts guarantee, via a reduction tree that
 //! is a function of the trial count alone.
 //!
-//! Every reduced sweep — [`Ensemble::run_reduced`] and one shard of a
+//! Every sweep — [`Ensemble::run`]/[`Ensemble::run_with`] (which collect
+//! into the `Vec` reducer), [`Ensemble::run_reduced`] and one shard of a
 //! distributed sweep, [`Ensemble::run_reduced_shard`], scalar or lane
 //! kernel, one thread or many — goes through one block scheduler. It
 //! produces the [`REDUCE_BLOCK`]-trial block partials of a block range and
-//! hands them, in block order, to a *sink*: `run_reduced`'s sink merges
-//! each partial into the accumulator, the shard's sink keeps it as a
-//! leaf. Workers claim *units* of one block (two for a 64-lane group),
-//! and a *unit runner* — a loop of scalar replicas or one lane group at a
-//! time — is the only part that differs between the kernels. On failure
-//! the scheduler keeps the lowest failing trial and skips only the trials
-//! above it, so the error or panic reported is that trial's whatever the
-//! thread count, lane width or shard split.
+//! hands them, in block order, to a *sink*: the materializing paths and
+//! `run_reduced` merge each partial into the accumulator, the shard's sink
+//! keeps it as a leaf. Workers claim *units* of one block (two for a
+//! 64-lane group), and a *unit runner* — a loop of scalar replicas or one
+//! lane group at a time — is the only part that differs between the
+//! entry points. On failure the scheduler keeps the lowest failing trial
+//! and skips only the trials above it, so the error or panic reported is
+//! that trial's whatever the thread count, lane width or shard split.
 //!
-//! The lower-level [`run_indexed`] primitive (a panic-transparent indexed
-//! parallel map) is exported for harnesses that fan out non-simulation
-//! work; `congames-analysis::run_trials` builds on it. All batch entry
-//! points share one empty-input contract: zero tasks/trials yield an empty
-//! result (for the reducer path, the untouched identity reduction) rather
-//! than panicking.
+//! All batch entry points share one empty-input contract: zero trials
+//! yield an empty result (for the reducer path, the untouched identity
+//! reduction) rather than panicking.
 
 use congames_model::{CongestionGame, State};
 use congames_sampling::{split_seed, DrawStream, RngMode};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use crate::engine::{EngineKind, Simulation};
+use crate::engine::{validate_start, EngineKind, Simulation};
 use crate::error::DynamicsError;
 use crate::hook::RoundHook;
 use crate::lanes::{LaneKernel, LANE_WIDTHS};
@@ -62,78 +60,6 @@ use crate::trajectory::RecordConfig;
 /// sharded sweep ([`Ensemble::run_reduced_shard`] + `congames merge`)
 /// replay the same reduction tree and land on the same bits.
 pub const REDUCE_BLOCK: usize = 32;
-
-/// Run `f(0), f(1), …, f(tasks − 1)` across up to `threads` scoped worker
-/// threads and return the results **in index order**.
-///
-/// Work is claimed dynamically (an atomic counter), so the schedule adapts
-/// to uneven task durations — but because results are written to their own
-/// slot, the output never depends on the schedule. Zero tasks return an
-/// empty `Vec` — the workspace-wide empty-input contract shared with
-/// `congames_analysis::run_trials` and [`Ensemble::run_reduced`] (which
-/// returns its identity reduction).
-///
-/// # Panics
-///
-/// Panics if `threads == 0`. If a task panics, the remaining workers stop
-/// claiming new tasks and the **original panic payload** is re-raised on
-/// the calling thread (the lowest-index payload when several tasks panic
-/// concurrently), so the root cause is what the caller sees — not a
-/// secondary "scoped thread panicked" shell.
-pub fn run_indexed<T: Send>(tasks: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    assert!(threads > 0, "need at least one thread");
-    if tasks == 0 {
-        return Vec::new();
-    }
-    if threads == 1 || tasks == 1 {
-        // Sequential fast path: panics already propagate untouched.
-        return (0..tasks).map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    type Panic = Box<dyn std::any::Any + Send + 'static>;
-    let first_panic: Mutex<Option<(usize, Panic)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(tasks) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks || abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                    Ok(out) => {
-                        let mut slot =
-                            slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *slot = Some(out);
-                    }
-                    Err(payload) => {
-                        abort.store(true, Ordering::Relaxed);
-                        let mut first =
-                            first_panic.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if first.as_ref().map_or(true, |(j, _)| i < *j) {
-                            *first = Some((i, payload));
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    if let Some((_, payload)) =
-        first_panic.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
-    {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every task index was claimed exactly once")
-        })
-        .collect()
-}
 
 /// A batch of independent simulation replicas: one game, protocol, and
 /// start state, run `trials` times with per-trial seeds derived from a
@@ -218,8 +144,7 @@ impl<'g> Ensemble<'g> {
         protocol: Protocol,
         start: State,
     ) -> Result<Self, DynamicsError> {
-        // Probe-construct one simulation to validate the configuration.
-        Simulation::new(game, protocol, start.clone())?;
+        validate_start(game, &protocol, &start)?;
         Ok(Ensemble {
             game,
             protocol,
@@ -258,8 +183,8 @@ impl<'g> Ensemble<'g> {
     /// Zero is allowed and uniform across the batch APIs: [`Ensemble::run`]
     /// and [`Ensemble::run_with`] return an empty `Vec`, and
     /// [`Ensemble::run_reduced`] returns the untouched reducer (the
-    /// *identity reduction*) — the same contract as [`run_indexed`] with
-    /// zero tasks and `congames_analysis::run_trials` with zero trials.
+    /// *identity reduction*) — the same contract as
+    /// `congames_analysis::run_trials` with zero trials.
     pub fn trials(mut self, trials: usize) -> Self {
         self.trials = trials;
         self
@@ -356,7 +281,8 @@ impl<'g> Ensemble<'g> {
     /// bit-identical for any chunking — so groups anchor wherever the unit
     /// starts. Groups starting above the lowest failing trial (`failed`)
     /// are skipped; `at` is set to the first trial of the group about to
-    /// run, or to the failing trial on error (see [`Ensemble::run_unit`]).
+    /// run, or to the failing trial on error (see
+    /// [`Ensemble::reduce_observed`]).
     #[allow(clippy::too_many_arguments)]
     fn run_lane_trials<O: Observer>(
         &self,
@@ -366,7 +292,7 @@ impl<'g> Ensemble<'g> {
         observer_factory: &(impl Fn(usize) -> O + Sync),
         failed: &AtomicUsize,
         at: &mut usize,
-        mut absorb: impl FnMut(usize, O::Output),
+        absorb: &mut dyn FnMut(usize, O::Output),
     ) -> Result<(), DynamicsError> {
         // One kernel serves every group in the range: `reset` re-points
         // the stream/state buffers at the next group without reallocating
@@ -379,7 +305,7 @@ impl<'g> Ensemble<'g> {
             let lanes = width.min(trials.end - t);
             let kernel = match kernel.as_mut() {
                 Some(k) => {
-                    k.reset(t as u64, lanes);
+                    k.reset(t as u64, lanes)?;
                     k
                 }
                 None => kernel.insert(
@@ -451,11 +377,19 @@ impl<'g> Ensemble<'g> {
 
     /// Run every replica and map `(finished simulation, outcome)` through
     /// `f` — use this to extract final-state statistics without cloning
-    /// whole trajectories. Results are in trial order.
+    /// whole trajectories. Results are in trial order. Scalar-only: `f`
+    /// reads the finished [`Simulation`], which lane groups do not build.
+    ///
+    /// Replicas run on the block scheduler of [`Ensemble::run_reduced`],
+    /// collected into the `Vec` reducer; the parallel unit is one
+    /// [`REDUCE_BLOCK`]-trial block.
     ///
     /// # Errors
     ///
-    /// Propagates the first (lowest trial index) replica error, if any.
+    /// Fails with [`DynamicsError::InvalidParameter`] when a lane width is
+    /// set. Otherwise propagates the first (lowest trial index) replica
+    /// error, if any; trials above it are skipped. A panicking replica or
+    /// `f` re-raises the lowest failing trial's payload.
     pub fn run_with<T: Send>(
         &self,
         stop: &StopSpec,
@@ -468,13 +402,18 @@ impl<'g> Ensemble<'g> {
                           run/run_with are scalar-only",
             });
         }
-        let results = run_indexed(self.trials, self.threads, |trial| {
-            let mut sim = self.make_sim()?;
-            let mut rng = self.trial_stream(trial);
-            let outcome = sim.run(stop, &mut rng)?;
-            Ok(f(&sim, outcome))
-        });
-        results.into_iter().collect()
+        let mut out = Vec::new();
+        let blocks = 0..self.trials.div_ceil(REDUCE_BLOCK);
+        let run_unit = |trials, failed: &_, at: &mut _, absorb: &mut dyn FnMut(usize, T)| {
+            scalar_unit(trials, failed, at, absorb, |trial| {
+                let mut sim = self.make_sim()?;
+                let mut rng = self.trial_stream(trial);
+                let outcome = sim.run(stop, &mut rng)?;
+                Ok(f(&sim, outcome))
+            })
+        };
+        self.reduce_blocks(blocks, 1, Vec::new, run_unit, |partial| out.merge(partial))?;
+        Ok(out)
     }
 
     /// Run one replica and return its observer's output.
@@ -491,55 +430,14 @@ impl<'g> Ensemble<'g> {
         Ok(observer.finish(&summary))
     }
 
-    /// The unit runner, and the only place scalar and lane sweeps differ:
-    /// run `trials` (one replica at a time, or in lockstep lane groups) and
-    /// hand each output to `absorb` in trial order. Trials above the lowest
-    /// failing trial so far (`failed`) are skipped. `at` is the trial a
-    /// failure is charged to: the running trial, the first trial of the
+    /// The reduced sweeps over `blocks`: validate the lane configuration,
+    /// then schedule units of one block (two for a 64-lane group). The
+    /// unit runner is the only place scalar and lane sweeps differ: it
+    /// runs its trials one replica at a time, or in lockstep lane groups,
+    /// and charges a failure to the running trial, the first trial of the
     /// running lane group (a lockstep panic cannot be pinned to one lane),
     /// or the exact trial of a returned error.
-    fn run_unit<O: Observer>(
-        &self,
-        trials: Range<usize>,
-        stop: &StopSpec,
-        observer_factory: &(impl Fn(usize) -> O + Sync),
-        failed: &AtomicUsize,
-        at: &mut usize,
-        mut absorb: impl FnMut(usize, O::Output),
-    ) -> Result<(), DynamicsError> {
-        if let Some(width) = self.lane_width {
-            return self.run_lane_trials(trials, width, stop, observer_factory, failed, at, absorb);
-        }
-        for trial in trials {
-            if trial > failed.load(Ordering::Relaxed) {
-                break;
-            }
-            *at = trial;
-            absorb(trial, self.reduce_one_trial(trial, stop, observer_factory)?);
-        }
-        Ok(())
-    }
-
-    /// The block scheduler behind every reduced sweep: produce the partial
-    /// of each [`REDUCE_BLOCK`]-trial block in `blocks` and hand the
-    /// partials to `sink` in block order.
-    ///
-    /// Work is claimed in *units* of consecutive blocks — one block, or two
-    /// for a 64-lane group — anchored at `blocks.start`. A unit's partials
-    /// start from `prototype.identity()` and absorb their trials in trial
-    /// order through [`Ensemble::run_unit`]. Workers park finished partials,
-    /// and whichever worker completes the next block in order drains them
-    /// into `sink`. A unit is claimed only within a reorder window of the
-    /// last delivered block, so live partials stay `O(threads)`. With one
-    /// thread the same worker body runs on the calling thread.
-    ///
-    /// Failures: the sweep keeps the lowest failing trial — a replica
-    /// error, or a panic in the observer, the reducer or `sink` (charged to
-    /// its block's first trial) — and workers skip only trials above it.
-    /// The error returned or payload re-raised is therefore the lowest
-    /// failing trial's for every thread count and block range. A failed
-    /// unit never reaches `sink`.
-    fn reduce_blocks<O, R>(
+    fn reduce_observed<O, R>(
         &self,
         blocks: Range<usize>,
         stop: &StopSpec,
@@ -551,10 +449,60 @@ impl<'g> Ensemble<'g> {
         O: Observer,
         R: Reducer<Item = O::Output> + Send + Sync,
     {
+        let mut unit_blocks = 1;
         if let Some(width) = self.lane_width {
             self.validate_lane_config(width)?;
+            unit_blocks = width.div_ceil(REDUCE_BLOCK);
         }
-        let unit_blocks = self.lane_width.map_or(1, |w| w.div_ceil(REDUCE_BLOCK));
+        let run_unit =
+            |trials, failed: &_, at: &mut _, absorb: &mut dyn FnMut(usize, O::Output)| match self
+                .lane_width
+            {
+                Some(width) => {
+                    self.run_lane_trials(trials, width, stop, observer_factory, failed, at, absorb)
+                }
+                None => scalar_unit(trials, failed, at, absorb, |trial| {
+                    self.reduce_one_trial(trial, stop, observer_factory)
+                }),
+            };
+        self.reduce_blocks(blocks, unit_blocks, || prototype.identity(), run_unit, sink)
+    }
+
+    /// The block scheduler behind every sweep: produce the partial of each
+    /// [`REDUCE_BLOCK`]-trial block in `blocks` and hand the partials to
+    /// `sink` in block order.
+    ///
+    /// Work is claimed in *units* of `unit_blocks` consecutive blocks,
+    /// anchored at `blocks.start`. A unit's partials start from
+    /// `identity()` and absorb their trials in trial order through
+    /// `run_unit(trials, failed, at, absorb)`, which must skip trials above
+    /// `failed` and leave in `at` the trial a failure is charged to.
+    /// Workers park finished partials, and whichever worker completes the
+    /// next block in order drains them into `sink`. A unit is claimed only
+    /// within a reorder window of the last delivered block, so live
+    /// partials stay `O(threads)`. With one thread the same worker body
+    /// runs on the calling thread.
+    ///
+    /// Failures: the sweep keeps the lowest failing trial — a replica
+    /// error, or a panic in the unit runner, the reducer or `sink` (charged
+    /// to `at`, or to its block's first trial) — and workers skip only
+    /// trials above it. The error returned or payload re-raised is
+    /// therefore the lowest failing trial's for every thread count and
+    /// block range. A failed unit never reaches `sink`.
+    fn reduce_blocks<R: Reducer + Send>(
+        &self,
+        blocks: Range<usize>,
+        unit_blocks: usize,
+        identity: impl Fn() -> R + Sync,
+        run_unit: impl Fn(
+                Range<usize>,
+                &AtomicUsize,
+                &mut usize,
+                &mut dyn FnMut(usize, R::Item),
+            ) -> Result<(), DynamicsError>
+            + Sync,
+        sink: impl FnMut(R) + Send,
+    ) -> Result<(), DynamicsError> {
         let units = blocks.len().div_ceil(unit_blocks);
         let threads = self.threads.min(units);
         // Reorder window, in blocks: the unit starting at block `b` is
@@ -589,9 +537,9 @@ impl<'g> Ensemble<'g> {
             // Even `identity()` runs under the catch: a worker that dies
             // without reporting would leave window waiters asleep forever.
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut partials: Vec<R> = (b0..b1).map(|_| prototype.identity()).collect();
+                let mut partials: Vec<R> = (b0..b1).map(|_| identity()).collect();
                 let trials = b0 * REDUCE_BLOCK..(b1 * REDUCE_BLOCK).min(self.trials);
-                self.run_unit(trials, stop, observer_factory, &failed, &mut at, |trial, out| {
+                run_unit(trials, &failed, &mut at, &mut |trial, out| {
                     partials[trial / REDUCE_BLOCK - b0].absorb(out);
                 })
                 .map(|()| partials)
@@ -711,7 +659,7 @@ impl<'g> Ensemble<'g> {
         let mut acc = reducer;
         let prototype = acc.identity();
         let blocks = 0..self.trials.div_ceil(REDUCE_BLOCK);
-        self.reduce_blocks(blocks, stop, &observer_factory, &prototype, |p| acc.merge(p))?;
+        self.reduce_observed(blocks, stop, &observer_factory, &prototype, |p| acc.merge(p))?;
         Ok(acc)
     }
 
@@ -785,9 +733,30 @@ impl<'g> Ensemble<'g> {
     {
         let blocks = self.shard_blocks(shard, num_shards);
         let mut leaves = Vec::with_capacity(blocks.len());
-        self.reduce_blocks(blocks, stop, &observer_factory, reducer, |leaf| leaves.push(leaf))?;
+        self.reduce_observed(blocks, stop, &observer_factory, reducer, |leaf| leaves.push(leaf))?;
         Ok(leaves)
     }
+}
+
+/// The scalar unit runner: run `trials` one replica at a time through
+/// `one` and hand each result to `absorb` in trial order, skipping the
+/// trials above the lowest failing trial so far (`failed`); `at` is the
+/// running trial.
+fn scalar_unit<T>(
+    trials: Range<usize>,
+    failed: &AtomicUsize,
+    at: &mut usize,
+    absorb: &mut dyn FnMut(usize, T),
+    one: impl Fn(usize) -> Result<T, DynamicsError>,
+) -> Result<(), DynamicsError> {
+    for trial in trials {
+        if trial > failed.load(Ordering::Relaxed) {
+            break;
+        }
+        *at = trial;
+        absorb(trial, one(trial)?);
+    }
+    Ok(())
 }
 
 /// What stopped a reduced sweep at its lowest failing trial.
@@ -841,25 +810,6 @@ mod tests {
     fn two_links(n: u64) -> CongestionGame {
         CongestionGame::singleton(vec![Affine::linear(1.0).into(), Affine::linear(1.0).into()], n)
             .unwrap()
-    }
-
-    #[test]
-    fn run_indexed_orders_results() {
-        let out = run_indexed(16, 4, |i| i * 3);
-        assert_eq!(out, (0..16).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!(run_indexed(5, 1, |i| i), vec![0, 1, 2, 3, 4]);
-        assert!(run_indexed(0, 2, |i| i).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "task 7 says hi")]
-    fn run_indexed_propagates_original_panic() {
-        run_indexed(32, 4, |i| {
-            if i == 7 {
-                panic!("task 7 says hi");
-            }
-            i
-        });
     }
 
     #[test]

@@ -59,18 +59,18 @@
 //! lane's bits; it only changes how fast they are produced.
 
 use congames_model::{
-    potential, potential_delta_for_load_change, CongestionGame, GameError, GameParams, ResourceId,
-    State, StrategyId,
+    potential, potential_delta_for_load_change, CongestionGame, GameParams, ResourceId, State,
+    StrategyId,
 };
 use congames_sampling::{multinomial_with_rest_into, Dispatch, LaneStreams};
 use congames_simd as simd;
 
-use crate::engine::{ClassSampling, PairBuffer};
+use crate::engine::{validate_start, ClassSampling, PairBuffer};
 use crate::error::DynamicsError;
 use crate::observe::Observer;
 use crate::protocol::Protocol;
-use crate::stopping::{stop_reason, RunSummary, StopSpec};
-use crate::trajectory::{capture_record, RecordConfig};
+use crate::stopping::{drive_round, Replica, StopSpec};
+use crate::trajectory::RecordConfig;
 
 /// Lane widths the ensemble scheduler accepts: the power-of-two block
 /// sizes that divide (8, 16, 32) or pair up (64) the 32-trial reduce
@@ -137,7 +137,8 @@ pub struct LaneKernel<'g> {
     lat1: Vec<f64>,
     /// `[strategies × lanes]` per-strategy latency sums, rebuilt per round.
     strat_lat: Vec<f64>,
-    /// Union-window evaluation buffer (sized once to the worst case).
+    /// Union-window evaluation buffer (capacity reserved once for the worst
+    /// case; the length grows to the widest window seen).
     window: Vec<f64>,
     /// Per-pair `ℓ_Q(x + 1_Q − 1_P)` accumulator, one slot per lane.
     l_to_buf: Vec<f64>,
@@ -189,8 +190,12 @@ impl<'g> LaneKernel<'g> {
     ///
     /// # Errors
     ///
-    /// Fails exactly when [`Simulation`](crate::Simulation)`::new` would:
-    /// mismatched state, or a virtual-agent protocol/state disagreement.
+    /// Fails when [`Simulation`](crate::Simulation)`::new` would
+    /// (mismatched state, or a virtual-agent protocol/state disagreement),
+    /// and with [`DynamicsError::InvalidParameter`] when the population is
+    /// too large for the lane buffers: the latency window spans every
+    /// load a lane can reach, and lane totals sum the population over the
+    /// group.
     ///
     /// # Panics
     ///
@@ -204,34 +209,7 @@ impl<'g> LaneKernel<'g> {
         lanes: usize,
     ) -> Result<Self, DynamicsError> {
         assert!(lanes > 0, "need at least one lane");
-        if start.counts().len() != game.num_strategies() {
-            return Err(GameError::WrongLength {
-                expected: game.num_strategies(),
-                found: start.counts().len(),
-            }
-            .into());
-        }
-        for (ci, class) in game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| start.counts()[s as usize]).sum();
-            if sum != class.players() {
-                return Err(GameError::CountMismatch {
-                    class: ci,
-                    expected: class.players(),
-                    found: sum,
-                }
-                .into());
-            }
-        }
-        let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
-        if wants_virtual != start.has_virtual_agents() {
-            return Err(DynamicsError::InvalidParameter {
-                name: "state",
-                message:
-                    "virtual-agent protocols require State::with_virtual_agents (and vice versa)",
-            });
-        }
-        let params = game.params();
-        let phi = potential(game, start);
+        validate_start(game, &protocol, start)?;
         let s = game.num_strategies();
         let r = game.num_resources();
         let mut counts = vec![0u64; s * lanes];
@@ -248,12 +226,24 @@ impl<'g> LaneKernel<'g> {
                 start.effective_load(rid) - start.load(rid)
             })
             .collect();
-        let lane_totals: Vec<u64> = start.counts().iter().map(|&c| c * lanes as u64).collect();
+        let mut lane_totals = Vec::new();
+        fill_lane_totals(&mut lane_totals, game, start.counts(), lanes)?;
         // Worst-case union window: no lane's effective load can exceed the
-        // total population plus the largest base load, so one fixed buffer
-        // serves every round allocation-free.
+        // total population plus the largest base load, so reserving that
+        // once lets the window grow in place, allocation-free, every round.
         let max_base = base_loads.iter().copied().max().unwrap_or(0);
-        let window = vec![0.0; (game.total_players() + max_base + 2) as usize];
+        let mut window = Vec::new();
+        game.total_players()
+            .checked_add(max_base)
+            .and_then(|n| n.checked_add(2))
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| window.try_reserve_exact(n).ok())
+            .ok_or(DynamicsError::InvalidParameter {
+                name: "players",
+                message: "the lane kernel cannot allocate a latency window over the population",
+            })?;
+        let params = game.params();
+        let phi = potential(game, start);
         let dispatch = Dispatch::global();
         Ok(LaneKernel {
             game,
@@ -327,11 +317,17 @@ impl<'g> LaneKernel<'g> {
     /// first_trial, lanes)` with the same recording and dispatch
     /// configuration.
     ///
+    /// # Errors
+    ///
+    /// Fails with [`DynamicsError::InvalidParameter`] if a strategy's
+    /// count summed over `lanes` overflows `u64`.
+    ///
     /// # Panics
     ///
     /// Panics if `lanes == 0`.
-    pub fn reset(&mut self, first_trial: u64, lanes: usize) {
+    pub fn reset(&mut self, first_trial: u64, lanes: usize) -> Result<(), DynamicsError> {
         assert!(lanes > 0, "need at least one lane");
+        fill_lane_totals(&mut self.lane_totals, self.game, &self.init_counts, lanes)?;
         let s = self.game.num_strategies();
         let r = self.game.num_resources();
         self.lanes = lanes;
@@ -347,8 +343,6 @@ impl<'g> LaneKernel<'g> {
         for (ri, &ld) in self.init_loads.iter().enumerate() {
             self.loads[ri * lanes..(ri + 1) * lanes].fill(ld);
         }
-        self.lane_totals.clear();
-        self.lane_totals.extend(self.init_counts.iter().map(|&c| c * lanes as u64));
         self.potentials.clear();
         self.potentials.resize(lanes, self.init_phi);
         self.last_migrations.clear();
@@ -386,6 +380,7 @@ impl<'g> LaneKernel<'g> {
         self.migs_all.resize_with(lanes, Vec::new);
         self.cursors.clear();
         self.cursors.resize(lanes, 0);
+        Ok(())
     }
 
     /// Configure trajectory recording for [`LaneKernel::run_observed`].
@@ -506,6 +501,9 @@ impl<'g> LaneKernel<'g> {
             // `congames-model::latency`), so the gathered entries match
             // the scalar cache exactly.
             let n = (hi - lo + 2) as usize;
+            if self.window.len() < n {
+                self.window.resize(n, 0.0);
+            }
             let buf = &mut self.window[..n];
             resource.latency().eval_range_into(lo, 0..n as u64, buf);
             let lat0 = &mut self.lat0[ri * w..(ri + 1) * w];
@@ -853,65 +851,17 @@ impl<'g> LaneKernel<'g> {
         let mut observers: Vec<Option<O>> = observers.into_iter().map(Some).collect();
         let mut outputs: Vec<Option<O::Output>> = (0..w).map(|_| None).collect();
         let start_round = self.round;
+        let record = self.record;
         loop {
             for l in 0..w {
                 if !self.active[l] {
                     continue;
                 }
-                let recording = self.record.every > 0
-                    && (self.round == start_round || self.round % self.record.every == 0);
-                let mut gathered = false;
-                if recording {
-                    self.gather(l);
-                    gathered = true;
-                    let record = capture_record(
-                        self.game,
-                        &self.scratch,
-                        self.round,
-                        self.potentials[l],
-                        self.last_migrations[l],
-                        self.record.approx.as_ref(),
-                        false,
-                    );
-                    observers[l].as_mut().expect("active lane has its observer").observe(&record);
-                }
-                // The shared stop check reads the lane's state from
-                // `scratch`, so gather it whenever an expensive condition
-                // is due (lanes carry no hook: nothing is ever deferred).
-                if !gathered && stop.expensive_due(self.round) {
-                    self.gather(l);
-                    gathered = true;
-                }
-                if let Some(reason) = stop_reason(
-                    stop,
-                    self.round,
-                    self.potentials[l],
-                    false,
-                    self.game,
-                    &self.scratch,
-                    &self.protocol,
-                    &self.params,
-                ) {
-                    if self.record.every > 0 && !recording {
-                        if !gathered {
-                            self.gather(l);
-                        }
-                        let record = capture_record(
-                            self.game,
-                            &self.scratch,
-                            self.round,
-                            self.potentials[l],
-                            self.last_migrations[l],
-                            self.record.approx.as_ref(),
-                            false,
-                        );
-                        observers[l]
-                            .as_mut()
-                            .expect("active lane has its observer")
-                            .observe(&record);
-                    }
-                    let summary =
-                        RunSummary { reason, rounds: self.round, potential: self.potentials[l] };
+                let observer = observers[l].as_mut().expect("active lane has its observer");
+                let mut view = LaneView { kernel: self, lane: l, gathered: false };
+                if let Some(summary) =
+                    drive_round(&mut view, stop, &record, start_round, false, observer)
+                {
                     let observer = observers[l].take().expect("active lane has its observer");
                     outputs[l] = Some(observer.finish(&summary));
                     self.retire(l);
@@ -929,6 +879,65 @@ impl<'g> LaneKernel<'g> {
         }
         Ok(outputs.into_iter().map(|o| o.expect("every non-erroring lane finished")).collect())
     }
+}
+
+/// One lane of a [`LaneKernel`] as the shared record/stop driver sees it.
+/// The lane's column is gathered into the kernel's scratch state at most
+/// once per round, and only when the driver reads the state.
+struct LaneView<'k, 'g> {
+    kernel: &'k mut LaneKernel<'g>,
+    lane: usize,
+    gathered: bool,
+}
+
+impl Replica for LaneView<'_, '_> {
+    fn round(&self) -> u64 {
+        self.kernel.round
+    }
+
+    fn potential(&self) -> f64 {
+        self.kernel.potentials[self.lane]
+    }
+
+    fn last_migrations(&self) -> u64 {
+        self.kernel.last_migrations[self.lane]
+    }
+
+    /// Lanes carry no hook: nothing is ever deferred.
+    fn events_pending(&self) -> bool {
+        false
+    }
+
+    fn stability_threshold(&self) -> f64 {
+        self.kernel.protocol.stability_threshold(&self.kernel.params)
+    }
+
+    fn view(&mut self) -> (&CongestionGame, &State) {
+        if !self.gathered {
+            self.kernel.gather(self.lane);
+            self.gathered = true;
+        }
+        (self.kernel.game, &self.kernel.scratch)
+    }
+}
+
+/// Fill `out` with each strategy's count summed over `lanes` copies of
+/// `counts` — the union support of a fresh lane group. Fails if a lane
+/// total could overflow `u64` during the run: a strategy never holds more
+/// than the whole population, in any lane.
+fn fill_lane_totals(
+    out: &mut Vec<u64>,
+    game: &CongestionGame,
+    counts: &[u64],
+    lanes: usize,
+) -> Result<(), DynamicsError> {
+    game.total_players().checked_mul(lanes as u64).ok_or(DynamicsError::InvalidParameter {
+        name: "players",
+        message: "the population summed over the lane group overflows u64",
+    })?;
+    out.clear();
+    out.extend(counts.iter().map(|&c| c * lanes as u64));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@
 //! The statistical experiments run thousands of replicas; [`Ensemble`]
 //! executes them across threads with `split_seed`-derived per-replica
 //! seeds and returns trial-ordered outcomes that are **bit-identical for
-//! any thread count**. The underlying panic-transparent parallel map,
-//! [`run_indexed`], is exported for non-simulation fan-out.
+//! any thread count**. Every ensemble entry point, materializing or
+//! reduced, runs on one block scheduler.
 //!
 //! # Streaming observers and reducers
 //!
@@ -102,7 +102,7 @@ mod trajectory;
 pub mod wire;
 
 pub use engine::{EngineKind, MuMemoStats, RoundStats, Simulation};
-pub use ensemble::{run_indexed, Ensemble, REDUCE_BLOCK};
+pub use ensemble::{Ensemble, REDUCE_BLOCK};
 pub use error::DynamicsError;
 pub use expectation::PairFlow;
 pub use hook::RoundHook;

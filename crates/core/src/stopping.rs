@@ -1,11 +1,11 @@
 //! Stopping conditions for simulation runs.
 
 use congames_model::{
-    is_imitation_stable, is_nash_equilibrium, ApproxEquilibrium, CongestionGame, GameParams, State,
+    is_imitation_stable, is_nash_equilibrium, ApproxEquilibrium, CongestionGame, State,
 };
 
-use crate::protocol::Protocol;
-use crate::trajectory::Trajectory;
+use crate::observe::Observer;
+use crate::trajectory::{capture_record, RecordConfig, Trajectory};
 
 /// A condition that ends a run.
 ///
@@ -109,67 +109,104 @@ impl StopSpec {
     pub fn check_every(&self) -> u64 {
         self.check_every
     }
-
-    /// Whether [`stop_reason`] evaluates an expensive condition at `round`:
-    /// the round is on the cadence and the spec has one to evaluate.
-    pub(crate) fn expensive_due(&self, round: u64) -> bool {
-        round % self.check_every == 0
-            && self.conditions.iter().any(|c| {
-                matches!(
-                    c,
-                    StopCondition::ImitationStable
-                        | StopCondition::ApproxEquilibrium(_)
-                        | StopCondition::NashEquilibrium { .. }
-                )
-            })
-    }
 }
 
-/// The one stop check both drivers (`Simulation` and `LaneKernel`) run:
-/// the first condition of `stop`, in spec order, that holds for a run at
-/// `round` with `potential` and `state`.
+/// One run as the shared driver ([`drive_round`]) sees it: a scalar
+/// `Simulation`, or one lane of a `LaneKernel`.
+pub(crate) trait Replica {
+    /// Rounds executed so far.
+    fn round(&self) -> u64;
+    /// The current Rosenthal potential.
+    fn potential(&self) -> f64;
+    /// Players that migrated in the round that produced the current state.
+    fn last_migrations(&self) -> u64;
+    /// Whether a round hook still has scheduled fires.
+    fn events_pending(&self) -> bool;
+    /// The protocol's imitation-stability gain threshold.
+    fn stability_threshold(&self) -> f64;
+    /// The replica's game and current state, caches fresh. A lane gathers
+    /// its column here, so the driver asks only when it reads the state:
+    /// on a record, or for an expensive stop condition that is due.
+    fn view(&mut self) -> (&CongestionGame, &State);
+}
+
+/// The record/stop rule every run follows, applied at the replica's
+/// current round; `Some` when the run stops there.
+///
+/// With a non-zero recording cadence the observer sees the record of the
+/// round the run started in (`start_round`, possibly off the cadence), one
+/// record per cadence round, and the record of the stop round
+/// (deduplicated when on the cadence). `shock` marks a round whose
+/// scheduled events fired just before it.
+pub(crate) fn drive_round<R: Replica, O: Observer>(
+    replica: &mut R,
+    stop: &StopSpec,
+    record: &RecordConfig,
+    start_round: u64,
+    shock: bool,
+    observer: &mut O,
+) -> Option<RunSummary> {
+    let round = replica.round();
+    let potential = replica.potential();
+    let mut emit = |replica: &mut R| {
+        let migrations = replica.last_migrations();
+        let (game, state) = replica.view();
+        observer.observe(&capture_record(
+            game,
+            state,
+            round,
+            potential,
+            migrations,
+            record.approx.as_ref(),
+            shock,
+        ));
+    };
+    let recording = record.every > 0 && (round == start_round || round % record.every == 0);
+    if recording {
+        emit(replica);
+    }
+    let reason = stop_reason(stop, replica)?;
+    if record.every > 0 && !recording {
+        emit(replica);
+    }
+    Some(RunSummary { reason, rounds: round, potential })
+}
+
+/// The first condition of `stop`, in spec order, that holds for
+/// `replica` at its current round.
 ///
 /// While a round hook still has scheduled fires (`events_pending`), the
 /// run is nonstationary by declaration: equilibrium-type conditions are
 /// deferred until the schedule drains (today's stable state is not an
 /// outcome, it is the pre-shock reference). Only the round budget can stop
-/// a run mid-schedule. `state` is read only when an expensive condition is
-/// due ([`StopSpec::expensive_due`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stop_reason(
-    stop: &StopSpec,
-    round: u64,
-    potential: f64,
-    events_pending: bool,
-    game: &CongestionGame,
-    state: &State,
-    protocol: &Protocol,
-    params: &GameParams,
-) -> Option<StopReason> {
+/// a run mid-schedule. The replica's state is viewed only when an
+/// expensive condition is due.
+fn stop_reason(stop: &StopSpec, replica: &mut impl Replica) -> Option<StopReason> {
+    let round = replica.round();
+    let events_pending = replica.events_pending();
     let expensive_due = round % stop.check_every() == 0 && !events_pending;
     for cond in stop.conditions() {
-        match cond {
-            StopCondition::MaxRounds(r) if round >= *r => return Some(StopReason::MaxRounds),
-            StopCondition::PotentialAtMost(v) if !events_pending && potential <= *v => {
-                return Some(StopReason::PotentialReached);
+        let reason = match *cond {
+            StopCondition::MaxRounds(r) => (round >= r).then_some(StopReason::MaxRounds),
+            StopCondition::PotentialAtMost(v) => (!events_pending && replica.potential() <= v)
+                .then_some(StopReason::PotentialReached),
+            _ if !expensive_due => None,
+            StopCondition::ImitationStable => {
+                let threshold = replica.stability_threshold();
+                let (game, state) = replica.view();
+                is_imitation_stable(game, state, threshold).then_some(StopReason::ImitationStable)
             }
-            StopCondition::ImitationStable
-                if expensive_due
-                    && is_imitation_stable(game, state, protocol.stability_threshold(params)) =>
-            {
-                return Some(StopReason::ImitationStable);
+            StopCondition::ApproxEquilibrium(eq) => {
+                let (game, state) = replica.view();
+                eq.is_satisfied(game, state).then_some(StopReason::ApproxEquilibrium)
             }
-            StopCondition::ApproxEquilibrium(eq)
-                if expensive_due && eq.is_satisfied(game, state) =>
-            {
-                return Some(StopReason::ApproxEquilibrium);
+            StopCondition::NashEquilibrium { tol } => {
+                let (game, state) = replica.view();
+                is_nash_equilibrium(game, state, tol).then_some(StopReason::NashEquilibrium)
             }
-            StopCondition::NashEquilibrium { tol }
-                if expensive_due && is_nash_equilibrium(game, state, *tol) =>
-            {
-                return Some(StopReason::NashEquilibrium);
-            }
-            _ => {}
+        };
+        if reason.is_some() {
+            return reason;
         }
     }
     None

@@ -145,7 +145,7 @@ fn philox4x64(mut key: [u64; 2], mut ctr: [u64; 4]) -> [u64; 4] {
 /// A counter-mode random stream addressed by `(trial, round, site, index)`.
 ///
 /// Implements [`RngCore`], so every sampler in this crate (binomial,
-/// multinomial, alias) works on it unchanged; the engines position it with
+/// multinomial) works on it unchanged; the engines position it with
 /// [`begin_round`](CounterRng::begin_round) /
 /// [`begin_site`](CounterRng::begin_site) and then draw sequentially within
 /// the site. See the [module docs](self) for the key schedule.

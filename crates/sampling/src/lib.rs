@@ -2,7 +2,7 @@
 //!
 //! Random-variate substrate for the `congames` project.
 //!
-//! The concurrent round engines need three primitives that `rand` itself
+//! The concurrent round engines need two primitives that `rand` itself
 //! does not provide (and `rand_distr` is not on the approved dependency
 //! list, so they are implemented and validated here):
 //!
@@ -11,12 +11,10 @@
 //!   use the BTPE rejection algorithm of Kachitvichyanukul & Schmeiser
 //!   (1988). This is what lets the aggregate engine simulate a round among
 //!   millions of players in microseconds without changing the distribution.
-//! * [`multinomial`] — one round of per-player independent choices grouped
-//!   by origin strategy is exactly a multinomial draw; it is sampled by
-//!   conditional binomials.
-//! * [`AliasTable`] — Walker–Vose alias method for O(1) categorical
-//!   sampling, used by the player-level engine to sample strategies
-//!   proportionally to their player counts.
+//! * [`multinomial_with_rest_into`] — one round of per-player independent
+//!   choices grouped by origin strategy is exactly a multinomial draw (the
+//!   "rest" category is "stay put"); it is sampled by conditional
+//!   binomials into a reused counts buffer.
 //!
 //! Reproducibility helpers ([`split_seed`], [`seeded_rng`]) derive
 //! independent, deterministic RNG streams for parallel experiments, and the
@@ -28,7 +26,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod alias;
 mod binomial;
 pub mod counter;
 mod error;
@@ -36,13 +33,12 @@ mod multinomial;
 mod seeds;
 mod stream;
 
-pub use alias::AliasTable;
 pub use binomial::binomial;
 pub use counter::{counter_blocks, counter_site_blocks, lane_streams, CounterRng, LaneStreams};
 // Re-exported so downstream crates pick dispatch arms without depending on
 // `congames-simd` directly.
 pub use congames_simd::Dispatch;
 pub use error::SamplingError;
-pub use multinomial::{multinomial, multinomial_with_rest, multinomial_with_rest_into};
-pub use seeds::{seeded_rng, split_seed, SeedSequence};
+pub use multinomial::multinomial_with_rest_into;
+pub use seeds::{seeded_rng, split_seed};
 pub use stream::{DrawRng, DrawStream, RngMode};

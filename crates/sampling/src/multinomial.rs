@@ -5,92 +5,37 @@ use rand::Rng;
 use crate::binomial::binomial;
 use crate::error::SamplingError;
 
-/// Sample counts `(k_1, …, k_c)` from `Multinomial(n, probs)` where `probs`
-/// must sum to (approximately) one.
+/// Sample counts from the *sub*-probability vector `probs`
+/// (`Σ probs ≤ 1`) into the caller-provided `counts` buffer; the remaining
+/// mass is the implicit "rest" category (e.g. players who do not migrate).
+/// Clears and fills `counts` (growing it only if its capacity is
+/// insufficient) and returns the rest count, so `Σ counts + rest = n`.
 ///
 /// Uses the standard conditional-binomial decomposition:
 /// `k_1 ~ Bin(n, p_1)`, `k_2 ~ Bin(n − k_1, p_2/(1 − p_1))`, ….
 ///
+/// This is the primitive the aggregate round engines call once per origin
+/// strategy per round: `probs[j]` is the per-player probability of
+/// migrating to destination `j` and the rest category is "stay put".
+/// Reusing `counts` across calls keeps the round loop free of
+/// steady-state heap allocations.
+///
 /// # Errors
 ///
 /// Returns [`SamplingError::InvalidWeights`] if `probs` is empty, contains
-/// negatives/NaNs, or sums to something not within `1e-9` of one.
+/// negatives/NaNs, or sums to more than `1 + 1e-9`.
 ///
 /// # Example
 ///
 /// ```
 /// use rand::SeedableRng;
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
-/// let counts = congames_sampling::multinomial(&mut rng, 100, &[0.2, 0.3, 0.5])?;
-/// assert_eq!(counts.iter().sum::<u64>(), 100);
+/// let mut counts = Vec::new();
+/// let rest =
+///     congames_sampling::multinomial_with_rest_into(&mut rng, 100, &[0.2, 0.3], &mut counts)?;
+/// assert_eq!(counts.iter().sum::<u64>() + rest, 100);
 /// # Ok::<(), congames_sampling::SamplingError>(())
 /// ```
-pub fn multinomial(rng: &mut impl Rng, n: u64, probs: &[f64]) -> Result<Vec<u64>, SamplingError> {
-    validate_probs(probs)?;
-    let total: f64 = probs.iter().sum();
-    if (total - 1.0).abs() > 1e-9 {
-        return Err(SamplingError::InvalidWeights { message: "probabilities must sum to 1" });
-    }
-    let mut counts = vec![0u64; probs.len()];
-    let rest = conditional_binomials(rng, n, probs, total, &mut counts)?;
-    // Numerical slack can leave a handful of trials unassigned. Assign them
-    // to the *largest*-probability category: dumping them into whatever
-    // category happens to be last would hand trials to a zero-probability
-    // destination whenever `probs` ends in 0.
-    if rest > 0 {
-        counts[slack_index(probs)] += rest;
-    }
-    Ok(counts)
-}
-
-/// The category that absorbs numerical slack: the index of the largest
-/// probability (ties break to the first). Routing slack here keeps the
-/// relative distortion minimal and — the important invariant — never
-/// assigns trials to a zero-probability category.
-fn slack_index(probs: &[f64]) -> usize {
-    let mut best = 0usize;
-    for (i, &p) in probs.iter().enumerate().skip(1) {
-        if p > probs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Sample counts from the *sub*-probability vector `probs`
-/// (`Σ probs ≤ 1`); the remaining mass is the implicit "rest" category
-/// (e.g. players who do not migrate). Returns `(counts, rest)` with
-/// `Σ counts + rest = n`.
-///
-/// This is the primitive the aggregate round engine uses: `probs[j]` is the
-/// per-player probability of migrating to destination `j` and the rest
-/// category is "stay put".
-///
-/// # Errors
-///
-/// Returns [`SamplingError::InvalidWeights`] if `probs` contains
-/// negatives/NaNs or sums to more than `1 + 1e-9`.
-pub fn multinomial_with_rest(
-    rng: &mut impl Rng,
-    n: u64,
-    probs: &[f64],
-) -> Result<(Vec<u64>, u64), SamplingError> {
-    let mut counts = Vec::new();
-    let rest = multinomial_with_rest_into(rng, n, probs, &mut counts)?;
-    Ok((counts, rest))
-}
-
-/// Allocation-free variant of [`multinomial_with_rest`]: clears and fills
-/// the caller-provided `counts` buffer (growing it only if its capacity is
-/// insufficient) and returns the rest count.
-///
-/// This is the primitive the aggregate round engine calls once per origin
-/// strategy per round; reusing `counts` across calls keeps the round loop
-/// free of steady-state heap allocations.
-///
-/// # Errors
-///
-/// Same contract as [`multinomial_with_rest`].
 pub fn multinomial_with_rest_into(
     rng: &mut impl Rng,
     n: u64,
@@ -106,32 +51,9 @@ pub fn multinomial_with_rest_into(
     }
     counts.clear();
     counts.resize(probs.len(), 0);
-    conditional_binomials(rng, n, probs, 1.0, counts)
-}
-
-fn validate_probs(probs: &[f64]) -> Result<(), SamplingError> {
-    if probs.is_empty() {
-        return Err(SamplingError::InvalidWeights { message: "empty probability vector" });
-    }
-    if probs.iter().any(|p| !p.is_finite() || *p < 0.0) {
-        return Err(SamplingError::InvalidWeights {
-            message: "probabilities must be finite and non-negative",
-        });
-    }
-    Ok(())
-}
-
-/// Shared inner loop: sequentially draw `Bin(remaining, p_i / mass_left)`
-/// into the pre-zeroed `counts` slice; returns the unassigned remainder.
-fn conditional_binomials(
-    rng: &mut impl Rng,
-    n: u64,
-    probs: &[f64],
-    total_mass: f64,
-    counts: &mut [u64],
-) -> Result<u64, SamplingError> {
+    // Sequentially draw `Bin(remaining, p_i / mass_left)`.
     let mut remaining = n;
-    let mut mass_left = total_mass;
+    let mut mass_left = 1.0;
     for (i, &p) in probs.iter().enumerate() {
         if remaining == 0 {
             break;
@@ -151,26 +73,35 @@ fn conditional_binomials(
     Ok(remaining)
 }
 
+fn validate_probs(probs: &[f64]) -> Result<(), SamplingError> {
+    if probs.is_empty() {
+        return Err(SamplingError::InvalidWeights { message: "empty probability vector" });
+    }
+    if probs.iter().any(|p| !p.is_finite() || *p < 0.0) {
+        return Err(SamplingError::InvalidWeights {
+            message: "probabilities must be finite and non-negative",
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn counts_sum_to_n() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let c = multinomial(&mut rng, 1000, &[0.1, 0.2, 0.3, 0.4]).unwrap();
-            assert_eq!(c.iter().sum::<u64>(), 1000);
-        }
+    fn draw(rng: &mut SmallRng, n: u64, probs: &[f64]) -> (Vec<u64>, u64) {
+        let mut counts = Vec::new();
+        let rest = multinomial_with_rest_into(rng, n, probs, &mut counts).unwrap();
+        (counts, rest)
     }
 
     #[test]
     fn with_rest_conserves_players() {
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..100 {
-            let (c, rest) = multinomial_with_rest(&mut rng, 500, &[0.05, 0.1]).unwrap();
+            let (c, rest) = draw(&mut rng, 500, &[0.05, 0.1]);
             assert_eq!(c.iter().sum::<u64>() + rest, 500);
         }
     }
@@ -183,7 +114,7 @@ mod tests {
         let draws = 3000;
         let mut sums = [0.0f64; 3];
         for _ in 0..draws {
-            let c = multinomial(&mut rng, n, &probs).unwrap();
+            let (c, _) = draw(&mut rng, n, &probs);
             for i in 0..3 {
                 sums[i] += c[i] as f64;
             }
@@ -203,7 +134,7 @@ mod tests {
         let draws = 5000;
         let mut rest_sum = 0.0;
         for _ in 0..draws {
-            let (_, rest) = multinomial_with_rest(&mut rng, n, &[0.2, 0.1]).unwrap();
+            let (_, rest) = draw(&mut rng, n, &[0.2, 0.1]);
             rest_sum += rest as f64;
         }
         let mean = rest_sum / draws as f64;
@@ -213,61 +144,33 @@ mod tests {
     #[test]
     fn zero_probability_categories_get_zero() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let c = multinomial(&mut rng, 100, &[0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(c, vec![0, 100, 0]);
-    }
-
-    /// Regression: numerical slack (`rest > 0` after the conditional
-    /// binomials) used to be dumped into the *last* category even when its
-    /// probability is exactly zero, so a zero-probability destination could
-    /// receive trials. The slack must go to the largest-probability
-    /// category instead.
-    #[test]
-    fn slack_never_lands_on_zero_probability_category() {
-        // The routing rule itself, including a trailing zero and ties.
-        assert_eq!(slack_index(&[0.2, 0.5, 0.3, 0.0]), 1);
-        assert_eq!(slack_index(&[0.0, 1.0]), 1);
-        assert_eq!(slack_index(&[0.5, 0.5]), 0, "ties break to the first index");
-        // End-to-end invariant over a perturbed vector whose total is only
-        // 1 within the 1e-9 tolerance: zero-probability categories must
-        // stay empty for every draw, slack or not.
-        let probs = [0.2, 0.0, 0.3, 0.49999999995, 0.0];
-        let mut rng = SmallRng::seed_from_u64(8);
-        for _ in 0..2000 {
-            let c = multinomial(&mut rng, 10_000, &probs).unwrap();
-            assert_eq!(c.iter().sum::<u64>(), 10_000);
-            assert_eq!(c[1], 0, "zero-probability category received trials: {c:?}");
-            assert_eq!(c[4], 0, "zero-probability category received trials: {c:?}");
-        }
+        assert_eq!(draw(&mut rng, 100, &[0.0, 1.0, 0.0]), (vec![0, 100, 0], 0));
     }
 
     #[test]
-    fn into_variant_reuses_buffer_and_matches() {
-        let mut a = SmallRng::seed_from_u64(9);
-        let mut b = SmallRng::seed_from_u64(9);
-        let mut buf = Vec::new();
-        for _ in 0..50 {
-            let (c, rest) = multinomial_with_rest(&mut a, 300, &[0.1, 0.25]).unwrap();
-            let rest2 = multinomial_with_rest_into(&mut b, 300, &[0.1, 0.25], &mut buf).unwrap();
-            assert_eq!(c, buf);
-            assert_eq!(rest, rest2);
-        }
+    fn buffer_is_cleared_and_reused() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut buf = vec![7; 5];
+        let rest = multinomial_with_rest_into(&mut rng, 300, &[0.1, 0.25], &mut buf).unwrap();
+        assert_eq!(buf.len(), 2);
+        assert_eq!(buf.iter().sum::<u64>() + rest, 300);
     }
 
     #[test]
     fn invalid_inputs_rejected() {
         let mut rng = SmallRng::seed_from_u64(6);
-        assert!(multinomial(&mut rng, 10, &[]).is_err());
-        assert!(multinomial(&mut rng, 10, &[0.5, 0.6]).is_err());
-        assert!(multinomial(&mut rng, 10, &[-0.1, 1.1]).is_err());
-        assert!(multinomial_with_rest(&mut rng, 10, &[0.9, 0.2]).is_err());
-        assert!(multinomial_with_rest(&mut rng, 10, &[f64::NAN]).is_err());
+        let mut buf = Vec::new();
+        for probs in [&[][..], &[0.9, 0.2], &[-0.1, 1.1], &[f64::NAN]] {
+            assert!(
+                multinomial_with_rest_into(&mut rng, 10, probs, &mut buf).is_err(),
+                "{probs:?}"
+            );
+        }
     }
 
     #[test]
     fn n_zero_gives_zeros() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let c = multinomial(&mut rng, 0, &[0.5, 0.5]).unwrap();
-        assert_eq!(c, vec![0, 0]);
+        assert_eq!(draw(&mut rng, 0, &[0.5, 0.5]), (vec![0, 0], 0));
     }
 }

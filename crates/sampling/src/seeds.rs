@@ -2,8 +2,8 @@
 //!
 //! This module is the **single root of derived randomness** in the
 //! workspace. Every per-trial stream — an ensemble replica's xoshiro
-//! generator, a counter-mode Philox key, a [`SeedSequence`] fan-out —
-//! passes through [`split_seed`] exactly once:
+//! generator, a counter-mode Philox key, an analysis trial seed — passes
+//! through [`split_seed`] exactly once:
 //!
 //! * xoshiro trials: [`seeded_rng`]`(base, trial)` =
 //!   `SmallRng::seed_from_u64(split_seed(base, trial))`. `Ensemble` and
@@ -38,39 +38,6 @@ pub fn seeded_rng(base: u64, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(split_seed(base, stream))
 }
 
-/// An iterator over derived seeds: `split_seed(base, 0), split_seed(base, 1), …`.
-///
-/// # Example
-///
-/// ```
-/// use congames_sampling::SeedSequence;
-/// let seeds: Vec<u64> = SeedSequence::new(42).take(3).collect();
-/// assert_eq!(seeds.len(), 3);
-/// assert_ne!(seeds[0], seeds[1]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SeedSequence {
-    base: u64,
-    next: u64,
-}
-
-impl SeedSequence {
-    /// Start a sequence derived from `base`.
-    pub fn new(base: u64) -> Self {
-        SeedSequence { base, next: 0 }
-    }
-}
-
-impl Iterator for SeedSequence {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let s = split_seed(self.base, self.next);
-        self.next = self.next.wrapping_add(1);
-        Some(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,14 +68,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.gen::<u64>(), b.gen::<u64>());
         }
-    }
-
-    #[test]
-    fn sequence_matches_split_seed() {
-        let seq: Vec<u64> = SeedSequence::new(5).take(4).collect();
-        assert_eq!(
-            seq,
-            vec![split_seed(5, 0), split_seed(5, 1), split_seed(5, 2), split_seed(5, 3)]
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Distributional correctness of the hot-path samplers: χ² goodness-of-fit
-//! against exact probabilities for `binomial` (all three internal paths),
-//! `multinomial_with_rest`, and the Walker–Vose alias table.
+//! against exact probabilities for `binomial` (all three internal paths)
+//! and `multinomial_with_rest_into`.
 //!
 //! The per-round engine correctness of the whole project reduces to these
 //! samplers being *exact* (not just right in mean and variance), so this
@@ -8,9 +8,17 @@
 //! `congames_testutil::stats` at z = 4.5 (≈ 7e-6 false-failure rate per
 //! assertion); all seeds are pinned through `fixture_rng`.
 
-use congames_sampling::{binomial, multinomial, multinomial_with_rest, AliasTable};
+use congames_sampling::{binomial, multinomial_with_rest_into};
 use congames_testutil::rng::fixture_rng;
 use congames_testutil::stats::{assert_chi_square_fits, assert_close};
+
+/// One `multinomial_with_rest_into` draw as `(counts, rest)`.
+fn multinomial_with_rest(rng: &mut impl rand::Rng, n: u64, probs: &[f64]) -> (Vec<u64>, u64) {
+    let mut counts = Vec::new();
+    let rest =
+        multinomial_with_rest_into(rng, n, probs, &mut counts).expect("valid sub-probabilities");
+    (counts, rest)
+}
 
 /// Exact Binomial(n, p) pmf by the stable multiplicative recurrence.
 fn binomial_pmf(n: u64, p: f64) -> Vec<f64> {
@@ -76,8 +84,7 @@ fn multinomial_with_rest_marginals_are_exact() {
     let mut rng = fixture_rng("chi2/multinomial-rest", 0);
     let mut totals = vec![0u64; probs.len() + 1];
     for _ in 0..draws {
-        let (counts, rest) =
-            multinomial_with_rest(&mut rng, n, &probs).expect("valid sub-probabilities");
+        let (counts, rest) = multinomial_with_rest(&mut rng, n, &probs);
         assert_eq!(counts.iter().sum::<u64>() + rest, n, "counts + rest must equal n");
         for (t, c) in totals.iter_mut().zip(counts.iter().chain(std::iter::once(&rest))) {
             *t += c;
@@ -92,14 +99,16 @@ fn multinomial_with_rest_marginals_are_exact() {
 
 #[test]
 fn multinomial_full_vector_is_exact() {
-    let probs = [0.2, 0.3, 0.5];
+    // Dyadic probabilities summing to exactly one: the conditional
+    // binomials leave no mass for the rest category.
+    let probs = [0.25, 0.25, 0.5];
     let n = 64u64;
     let draws = 20_000u64;
     let mut rng = fixture_rng("chi2/multinomial-full", 0);
     let mut totals = vec![0u64; probs.len()];
     for _ in 0..draws {
-        let counts = multinomial(&mut rng, n, &probs).expect("valid probabilities");
-        assert_eq!(counts.iter().sum::<u64>(), n, "multinomial must assign every trial");
+        let (counts, rest) = multinomial_with_rest(&mut rng, n, &probs);
+        assert_eq!(rest, 0, "a full probability vector must assign every trial");
         for (t, c) in totals.iter_mut().zip(&counts) {
             *t += c;
         }
@@ -130,7 +139,7 @@ fn multinomial_with_rest_joint_distribution_small_case() {
     let probs: Vec<f64> = outcomes.iter().map(|&(a, b)| multi(a, b)).collect();
     let mut counts = vec![0u64; outcomes.len()];
     for _ in 0..draws {
-        let (ks, rest) = multinomial_with_rest(&mut rng, n, &[p, q]).expect("valid");
+        let (ks, rest) = multinomial_with_rest(&mut rng, n, &[p, q]);
         assert_eq!(ks[0] + ks[1] + rest, n);
         let idx = outcomes
             .iter()
@@ -139,50 +148,6 @@ fn multinomial_with_rest_joint_distribution_small_case() {
         counts[idx] += 1;
     }
     assert_chi_square_fits(&counts, &probs, 4.5, "multinomial joint (n=2)");
-}
-
-#[test]
-fn alias_table_matches_weights() {
-    let weights = [1.0f64, 4.0, 2.0, 0.5, 2.5];
-    let total: f64 = weights.iter().sum();
-    let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
-    let table = AliasTable::new(&weights).expect("valid weights");
-    let mut rng = fixture_rng("chi2/alias", 0);
-    let mut counts = vec![0u64; weights.len()];
-    for _ in 0..100_000 {
-        counts[table.sample(&mut rng)] += 1;
-    }
-    assert_chi_square_fits(&counts, &probs, 4.5, "alias table draws");
-}
-
-#[test]
-fn alias_table_skewed_weights_match() {
-    // Heavy skew exercises the alias construction's small/large worklists.
-    let weights = [1000.0f64, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-    let total: f64 = weights.iter().sum();
-    let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
-    let table = AliasTable::new(&weights).expect("valid weights");
-    let mut rng = fixture_rng("chi2/alias-skew", 0);
-    let mut counts = vec![0u64; weights.len()];
-    for _ in 0..200_000 {
-        counts[table.sample(&mut rng)] += 1;
-    }
-    assert_chi_square_fits(&counts, &probs, 4.5, "skewed alias draws");
-}
-
-#[test]
-fn alias_table_zero_weight_categories_never_drawn() {
-    let weights = [2.0f64, 0.0, 3.0, 0.0];
-    let table = AliasTable::new(&weights).expect("valid weights");
-    let mut rng = fixture_rng("chi2/alias-zero", 0);
-    let mut counts = vec![0u64; weights.len()];
-    for _ in 0..50_000 {
-        counts[table.sample(&mut rng)] += 1;
-    }
-    assert_eq!(counts[1], 0, "zero-weight category was drawn");
-    assert_eq!(counts[3], 0, "zero-weight category was drawn");
-    let probs = [0.4, 0.0, 0.6, 0.0];
-    assert_chi_square_fits(&counts, &probs, 4.5, "alias with zero weights");
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! | [`network`] | `congames-network` | graphs, path enumeration, convex min-cost flow (`Φ*`), builders |
 //! | [`dynamics`] | `congames-dynamics` | the IMITATION / EXPLORATION protocols and round engines |
 //! | [`lowerbounds`] | `congames-lowerbounds` | threshold games, the Theorem 6 construction, counter-examples |
-//! | [`sampling`] | `congames-sampling` | binomial/multinomial/alias-table samplers, seed derivation |
+//! | [`sampling`] | `congames-sampling` | binomial/multinomial samplers, seed derivation |
 //! | [`wardrop`] | `congames-wardrop` | the continuous (non-atomic) limit: Wardrop equilibria, mean-field imitation flow |
 //! | [`analysis`] | `congames-analysis` | statistics, regression, tables, trial runner |
 //! | [`scenario`] | `congames-scenario` | nonstationary, trace-driven scenarios: scheduled shocks with deterministic replay |

@@ -9,10 +9,11 @@
 //! byte-identical for every lane width × thread count combination.
 
 use congames::dynamics::{
-    EngineKind, Ensemble, FinalSummary, ImitationProtocol, LaneKernel, MapItem, Protocol,
-    RunSummary, ScalarStats, Simulation, StopCondition, StopSpec, LANE_WIDTHS,
+    DynamicsError, EngineKind, Ensemble, FinalSummary, ImitationProtocol, LaneKernel, MapItem,
+    Observer, Protocol, RecordConfig, RoundRecord, RunSummary, ScalarStats, Simulation,
+    StopCondition, StopReason, StopSpec, LANE_WIDTHS,
 };
-use congames::model::{CongestionGame, State};
+use congames::model::{ApproxEquilibrium, CongestionGame, State};
 use congames::sampling::{DrawStream, RngMode};
 use congames_testutil::games;
 use congames_testutil::rng::fixture_seed;
@@ -175,4 +176,114 @@ fn lane_quantile_reductions_match_scalar_bits() {
     for width in LANE_WIDTHS {
         assert_eq!(scalar, run(Some(width)), "lanes={width} changed the quantile sketch");
     }
+}
+
+/// Collects every record a run streams plus its summary.
+#[derive(Default)]
+struct Collect(Vec<RoundRecord>);
+
+impl Observer for Collect {
+    type Output = (Vec<RoundRecord>, RunSummary);
+
+    fn observe(&mut self, record: &RoundRecord) {
+        self.0.push(*record);
+    }
+
+    fn finish(self, summary: &RunSummary) -> Self::Output {
+        (self.0, *summary)
+    }
+}
+
+/// A record as comparable bits (float fields by `to_bits`).
+fn record_bits(r: &RoundRecord) -> (u64, [u64; 4], u64, usize, Option<u64>, bool) {
+    (
+        r.round,
+        [r.potential.to_bits(), r.l_av.to_bits(), r.l_av_plus.to_bits(), r.max_latency.to_bits()],
+        r.migrations,
+        r.support,
+        r.unsatisfied_fraction.map(f64::to_bits),
+        r.shock,
+    )
+}
+
+/// The record contract — start record, cadence records, deduplicated stop
+/// record — is the same for a lane as for the scalar run of its trial, bit
+/// for bit: with an unsatisfied-fraction test configured, a run resumed off
+/// the record cadence, and stops that fire off the cadence.
+#[test]
+fn lane_records_equal_scalar_records_bitwise() {
+    let game = games::two_class_overlap(60, 40);
+    let start = games::geometric_state(&game);
+    let protocol: Protocol = ImitationProtocol::paper_default().into();
+    let approx = ApproxEquilibrium::new(0.1, 0.1, game.params().nu).expect("valid test");
+    let record = RecordConfig { every: 3, approx: Some(approx) };
+    let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(40)])
+        .with_check_every(2);
+    let base_seed = fixture_seed("lanes/records", 0);
+    let width = 8;
+    let mut kernel = LaneKernel::new(&game, protocol, &start, base_seed, 0, width)
+        .expect("valid lane kernel")
+        .with_recording(record);
+    // Two manual rounds put the run's start off the record cadence.
+    kernel.step();
+    kernel.step();
+    let lanes = kernel.run_observed(&stop, (0..width).map(|_| Collect::default()).collect());
+    let lanes = lanes.expect("no lane fails");
+    let mut off_cadence_stops = 0;
+    for (lane, (records, summary)) in lanes.iter().enumerate() {
+        let mut sim = Simulation::new(&game, protocol, start.clone())
+            .expect("valid simulation")
+            .with_recording(record);
+        let mut rng = DrawStream::for_trial(RngMode::Counter, base_seed, lane as u64);
+        sim.step(&mut rng).expect("scalar step");
+        sim.step(&mut rng).expect("scalar step");
+        let mut observer = Collect::default();
+        let scalar = sim.run_observed(&stop, &mut rng, &mut observer).expect("scalar run");
+        let (scalar_records, _) = observer.finish(&scalar);
+        assert_eq!(records[0].round, 2, "lane {lane}: the start record is missing");
+        assert_eq!(
+            records.iter().map(record_bits).collect::<Vec<_>>(),
+            scalar_records.iter().map(record_bits).collect::<Vec<_>>(),
+            "lane {lane}: records differ from the scalar run"
+        );
+        assert_eq!(
+            (summary.reason, summary.rounds, summary.potential.to_bits()),
+            (scalar.reason, scalar.rounds, scalar.potential.to_bits()),
+            "lane {lane}: summary differs from the scalar run"
+        );
+        if summary.rounds % 3 != 0 {
+            off_cadence_stops += 1;
+        }
+    }
+    assert!(off_cadence_stops > 0, "no lane stopped off the record cadence");
+    assert!(
+        lanes.iter().any(|(_, s)| s.reason == StopReason::ImitationStable),
+        "no lane reached imitation stability"
+    );
+}
+
+/// A population whose lane buffers cannot be sized is a precise error from
+/// `LaneKernel::new` (and from a lane sweep), not a wrapped window, an
+/// out-of-range slice, or an allocation abort.
+#[test]
+fn lane_kernel_rejects_a_population_it_cannot_hold() {
+    let n = u64::MAX;
+    let game = CongestionGame::singleton(
+        vec![congames::Affine::linear(1.0).into(), congames::Affine::linear(2.0).into()],
+        n,
+    )
+    .expect("valid game");
+    let start = State::from_counts(&game, vec![n, 0]).expect("valid state");
+    let protocol: Protocol = ImitationProtocol::paper_default().into();
+    let err = LaneKernel::new(&game, protocol, &start, 1, 0, 8).unwrap_err();
+    assert!(matches!(err, DynamicsError::InvalidParameter { .. }), "{err:?}");
+    let err = Ensemble::new(&game, protocol, start)
+        .expect("valid ensemble")
+        .rng_mode(RngMode::Counter)
+        .trials(8)
+        .threads(1)
+        .lane_width(8)
+        .run_reduced(&StopSpec::max_rounds(3), |_trial| FinalSummary, Vec::new())
+        .unwrap_err();
+    assert!(matches!(err, DynamicsError::InvalidParameter { .. }), "{err:?}");
 }

@@ -209,3 +209,43 @@ fn wrapping_arrival_trace_fails_the_run() {
         assert_eq!(sim.state().counts().iter().sum::<u64>(), 2000);
     }
 }
+
+/// `run_with` stops at the lowest failing trial instead of running every
+/// remaining trial: with one thread, a hook that never advances fails
+/// trial 0, and no later trial builds its hook.
+#[test]
+fn run_with_stops_at_the_lowest_failing_trial() {
+    use congames::dynamics::DynamicsError;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    #[derive(Debug)]
+    struct Wedged;
+    impl RoundHook for Wedged {
+        fn next_fire(&self) -> Option<u64> {
+            Some(0)
+        }
+        fn fire(
+            &mut self,
+            _round: u64,
+            _game: &mut congames::CongestionGame,
+            _state: &mut congames::State,
+        ) -> Result<bool, DynamicsError> {
+            Ok(false)
+        }
+    }
+    let game = games::linear_singleton(3, 60);
+    let start = games::geometric_state(&game);
+    let built = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&built);
+    let err = Ensemble::new(&game, ImitationProtocol::paper_default().into(), start)
+        .expect("valid ensemble")
+        .trials(64)
+        .threads(1)
+        .with_round_hook(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Box::new(Wedged) as Box<dyn RoundHook>
+        })
+        .run_with(&StopSpec::max_rounds(10), |_, outcome| outcome.rounds)
+        .unwrap_err();
+    assert!(matches!(err, DynamicsError::Hook { .. }), "{err:?}");
+    assert_eq!(built.load(Ordering::Relaxed), 1, "trials after the failing one still ran");
+}
