@@ -319,8 +319,8 @@ impl<'g> LaneKernel<'g> {
     ///
     /// # Errors
     ///
-    /// Fails with [`DynamicsError::InvalidParameter`] if a strategy's
-    /// count summed over `lanes` overflows `u64`.
+    /// Fails with [`DynamicsError::InvalidParameter`] if the population
+    /// summed over `lanes` overflows `u64`; the kernel is then unchanged.
     ///
     /// # Panics
     ///

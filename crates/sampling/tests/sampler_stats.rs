@@ -13,7 +13,7 @@ use congames_testutil::rng::fixture_rng;
 use congames_testutil::stats::{assert_chi_square_fits, assert_close};
 
 /// One `multinomial_with_rest_into` draw as `(counts, rest)`.
-fn multinomial_with_rest(rng: &mut impl rand::Rng, n: u64, probs: &[f64]) -> (Vec<u64>, u64) {
+fn draw_with_rest(rng: &mut impl rand::Rng, n: u64, probs: &[f64]) -> (Vec<u64>, u64) {
     let mut counts = Vec::new();
     let rest =
         multinomial_with_rest_into(rng, n, probs, &mut counts).expect("valid sub-probabilities");
@@ -84,7 +84,7 @@ fn multinomial_with_rest_marginals_are_exact() {
     let mut rng = fixture_rng("chi2/multinomial-rest", 0);
     let mut totals = vec![0u64; probs.len() + 1];
     for _ in 0..draws {
-        let (counts, rest) = multinomial_with_rest(&mut rng, n, &probs);
+        let (counts, rest) = draw_with_rest(&mut rng, n, &probs);
         assert_eq!(counts.iter().sum::<u64>() + rest, n, "counts + rest must equal n");
         for (t, c) in totals.iter_mut().zip(counts.iter().chain(std::iter::once(&rest))) {
             *t += c;
@@ -107,7 +107,7 @@ fn multinomial_full_vector_is_exact() {
     let mut rng = fixture_rng("chi2/multinomial-full", 0);
     let mut totals = vec![0u64; probs.len()];
     for _ in 0..draws {
-        let (counts, rest) = multinomial_with_rest(&mut rng, n, &probs);
+        let (counts, rest) = draw_with_rest(&mut rng, n, &probs);
         assert_eq!(rest, 0, "a full probability vector must assign every trial");
         for (t, c) in totals.iter_mut().zip(&counts) {
             *t += c;
@@ -139,7 +139,7 @@ fn multinomial_with_rest_joint_distribution_small_case() {
     let probs: Vec<f64> = outcomes.iter().map(|&(a, b)| multi(a, b)).collect();
     let mut counts = vec![0u64; outcomes.len()];
     for _ in 0..draws {
-        let (ks, rest) = multinomial_with_rest(&mut rng, n, &[p, q]);
+        let (ks, rest) = draw_with_rest(&mut rng, n, &[p, q]);
         assert_eq!(ks[0] + ks[1] + rest, n);
         let idx = outcomes
             .iter()
