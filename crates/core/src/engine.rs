@@ -665,8 +665,10 @@ impl std::ops::Deref for GameHandle<'_> {
 }
 
 /// The checks every run start makes: `state` belongs to `game` (one count
-/// per strategy, each class's counts summing to its population) and the
-/// protocol's virtual-agent setting matches the state's base loads.
+/// per strategy, each class's counts summing to its population), the total
+/// population plus the largest base load plus one fits in `u64` (the
+/// latency cache evaluates `ℓ_e(x_e + x⁰_e + 1)`), and the protocol's
+/// virtual-agent setting matches the state's base loads.
 /// `Simulation::new`, `LaneKernel::new` and `Ensemble::new` call it, and a
 /// hook-mutated game is re-checked with it.
 pub(crate) fn validate_start(
@@ -691,6 +693,24 @@ pub(crate) fn validate_start(
             }
             .into());
         }
+    }
+    // No load exceeds the total population, and the latency cache reads
+    // `ℓ_e(x_e + x⁰_e + 1)` on every resource, so that sum must fit in `u64`.
+    let max_base = (0..game.num_resources() as u32)
+        .map(|i| state.base_load(ResourceId::new(i)))
+        .max()
+        .unwrap_or(0);
+    let fits = game
+        .classes()
+        .iter()
+        .try_fold(max_base, |t, c| t.checked_add(c.players()))
+        .and_then(|t| t.checked_add(1))
+        .is_some();
+    if !fits {
+        return Err(DynamicsError::InvalidParameter {
+            name: "players",
+            message: "the total population plus the largest base load plus one overflows u64",
+        });
     }
     let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
     if wants_virtual != state.has_virtual_agents() {
@@ -734,7 +754,6 @@ pub struct Simulation<'g> {
     last_migrations: u64,
     /// Scratch buffers reused across rounds.
     migrations_buf: Vec<Migration>,
-    old_loads_buf: Vec<u64>,
     pairs_buf: PairBuffer,
     counts_buf: Vec<u64>,
     mu_table: MuTable,
@@ -789,7 +808,6 @@ impl<'g> Simulation<'g> {
             round: 0,
             last_migrations: 0,
             migrations_buf: Vec::new(),
-            old_loads_buf: Vec::new(),
             pairs_buf: PairBuffer::default(),
             counts_buf: Vec::new(),
             mu_table: MuTable::default(),
@@ -1087,38 +1105,32 @@ impl<'g> Simulation<'g> {
             EngineKind::Aggregate => self.aggregate_round(rng, &mut migrations)?,
             EngineKind::PlayerLevel => self.player_round(rng, &mut migrations)?,
         }
-        // Apply simultaneously and update the potential incrementally:
-        // each changed resource contributes one batched `Latency::sum_range`
-        // walk over its intermediate loads (big-flow rounds walk thousands
-        // of loads per resource behind a single virtual call). The default
-        // summation order is pinned to the pre-batching scalar loops;
-        // constant/affine resources use exact closed forms that may differ
-        // from those loops by ulps (see the `congames-model::latency`
-        // exactness notes).
-        let mut old_loads = std::mem::take(&mut self.old_loads_buf);
-        old_loads.clear();
-        old_loads.extend_from_slice(self.state.loads());
-        self.state.apply_migrations(&self.game, &migrations)?;
+        // Apply simultaneously and update the potential incrementally: the
+        // apply's one pass over the resources whose load changed refreshes
+        // their latency-cache entries and reports each `(r, base, old,
+        // new)`, which contributes one batched `Latency::sum_range` walk
+        // over its intermediate loads (big-flow rounds walk thousands of
+        // loads per resource behind a single virtual call), summed in
+        // ascending resource order. The default summation order is pinned
+        // to the pre-batching scalar loops; constant/affine resources use
+        // exact closed forms that may differ from those loops by ulps (see
+        // the `congames-model::latency` exactness notes).
+        let game = &*self.game;
         let mut delta = 0.0;
-        for (i, (&o, &n)) in old_loads.iter().zip(self.state.loads()).enumerate() {
-            if o != n {
-                let r = ResourceId::new(i as u32);
-                let base = self.state.effective_load(r) - self.state.load(r);
-                delta += potential_delta_for_load_change(&self.game, r, base, o, n);
-            }
-        }
+        self.state.apply_migrations_with(game, &migrations, |r, base, old, new| {
+            delta += potential_delta_for_load_change(game, r, base, old, new);
+        })?;
         self.potential += delta;
         self.round += 1;
-        // Re-validate the per-strategy latency sums (the apply above kept
-        // the per-resource entries fresh for only the touched resources);
-        // the support index was maintained in-place by the apply, so its
+        // Re-validate the per-strategy latency sums (the apply refreshed
+        // the per-resource entries of the changed resources only); the
+        // support index was maintained in-place by the apply, so its
         // ensure is an O(1) validity check.
         self.state.ensure_latency_cache(&self.game);
         self.state.ensure_support_index(&self.game);
         let moved: u64 = migrations.iter().map(|m| m.count).sum();
         self.last_migrations = moved;
         self.migrations_buf = migrations;
-        self.old_loads_buf = old_loads;
         Ok(RoundStats { migrations: moved, delta_potential: delta })
     }
 

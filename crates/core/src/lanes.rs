@@ -220,12 +220,8 @@ impl<'g> LaneKernel<'g> {
         for (ri, &ld) in start.loads().iter().enumerate() {
             loads[ri * lanes..(ri + 1) * lanes].fill(ld);
         }
-        let base_loads: Vec<u64> = (0..r)
-            .map(|i| {
-                let rid = ResourceId::new(i as u32);
-                start.effective_load(rid) - start.load(rid)
-            })
-            .collect();
+        let base_loads: Vec<u64> =
+            (0..r).map(|i| start.base_load(ResourceId::new(i as u32))).collect();
         let mut lane_totals = Vec::new();
         fill_lane_totals(&mut lane_totals, game, start.counts(), lanes)?;
         // Worst-case union window: no lane's effective load can exceed the

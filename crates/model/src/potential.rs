@@ -22,9 +22,7 @@ pub fn potential(game: &CongestionGame, state: &State) -> f64 {
     let mut phi = 0.0;
     for (idx, r) in game.resources().iter().enumerate() {
         let rid = crate::resource::ResourceId::new(idx as u32);
-        let base = state.effective_load(rid) - state.load(rid);
-        let x = state.load(rid);
-        phi += r.latency().sum_range(base, 1..x + 1);
+        phi += r.latency().sum_range(state.base_load(rid), 1..state.load(rid) + 1);
     }
     phi
 }

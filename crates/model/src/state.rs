@@ -31,8 +31,9 @@
 //! call [`State::invalidate_latency_cache`] when moving a state between
 //! same-shape games with different latencies. The support index depends
 //! only on the counts, so it survives such swaps. Diagnostics:
-//! [`State::loads_consistent`] and [`State::support_consistent`] compare
-//! the incremental structures against a from-scratch recomputation.
+//! [`State::loads_consistent`], [`State::latency_cache_consistent`] and
+//! [`State::support_consistent`] compare the incremental structures against
+//! a from-scratch recomputation.
 
 use crate::error::GameError;
 use crate::game::CongestionGame;
@@ -65,11 +66,14 @@ impl Migration {
 /// The cache is *opt-in*: it stays invalid (and costs nothing) until
 /// [`State::ensure_latency_cache`] is called. Once built, the latency
 /// accessors read from it in `O(1)` per resource, and the `apply_*` mutators
-/// keep the per-resource entries fresh incrementally (only resources whose
-/// load changed are re-evaluated), marking the per-strategy sums stale until
-/// the next `ensure_latency_cache` call. Simulation engines call `ensure`
-/// once per round, so steady-state rounds never re-walk resource lists or
-/// re-evaluate unchanged latency functions.
+/// keep the per-resource entries fresh incrementally, marking the
+/// per-strategy sums stale until the next `ensure_latency_cache` call: a
+/// single move re-evaluates the resources of its symmetric difference as it
+/// updates their loads, and a batch makes one ascending pass over the
+/// resources whose load differs from the pre-batch snapshot in `prev_loads`
+/// (resources whose moves cancel out are not re-evaluated). Simulation
+/// engines call `ensure` once per round, so steady-state rounds never
+/// re-walk resource lists or re-evaluate unchanged latency functions.
 #[derive(Debug, Clone, Default)]
 struct LatencyCache {
     /// Whether `res`/`res_plus` match the current loads.
@@ -85,10 +89,24 @@ struct LatencyCache {
     /// `ℓ_P(x + 1_P)` per strategy, summed like
     /// [`State::latency_after_move`] (`0.0` seed, resource order).
     strat_plus: Vec<f64>,
-    /// Scratch: resources touched by the current migration batch.
-    touched: Vec<u32>,
+    /// Scratch: the loads before the current migration batch.
+    prev_loads: Vec<u64>,
     /// Scratch: per-strategy outflow of the current migration batch.
     outflow: Vec<u64>,
+}
+
+impl LatencyCache {
+    /// Re-evaluate resource `i`'s entries `ℓ_e(eff)` and `ℓ_e(eff + 1)` at
+    /// effective load `eff` (one batched call for both), leaving `strat`
+    /// stale.
+    #[inline]
+    fn refresh(&mut self, game: &CongestionGame, i: usize, eff: u64) {
+        let mut pair = [0.0_f64; 2];
+        game.resources()[i].latency().eval_range_into(eff, 0..2, &mut pair);
+        self.res[i] = pair[0];
+        self.res_plus[i] = pair[1];
+        self.strat_stale = true;
+    }
 }
 
 /// Sentinel for "strategy is not in its class's occupied list".
@@ -276,7 +294,13 @@ impl State {
 
     /// Effective congestion of resource `r` (player load plus base load).
     pub fn effective_load(&self, r: ResourceId) -> u64 {
-        self.loads[r.index()] + self.base_loads.as_ref().map_or(0, |b| b[r.index()])
+        self.loads[r.index()] + self.base_load(r)
+    }
+
+    /// Virtual-agent base load `x⁰_e` of resource `r` (`0` without virtual
+    /// agents).
+    pub fn base_load(&self, r: ResourceId) -> u64 {
+        self.base_loads.as_ref().map_or(0, |b| b[r.index()])
     }
 
     /// Player-induced loads of all resources.
@@ -542,20 +566,17 @@ impl State {
     pub fn ensure_latency_cache(&mut self, game: &CongestionGame) {
         let cache = &mut self.cache;
         if !cache.valid || cache.res.len() != game.num_resources() {
+            let n = game.num_resources();
             cache.res.clear();
             cache.res_plus.clear();
-            cache.res.reserve(game.num_resources());
-            cache.res_plus.reserve(game.num_resources());
+            cache.res.resize(n, 0.0);
+            cache.res_plus.resize(n, 0.0);
             // One batched virtual call per resource fills both cache
             // entries (`ℓ_e(x_e)`, `ℓ_e(x_e+1)`) — bit-identical to the
             // pointwise evaluations, half the dispatch cost.
             let base_loads = self.base_loads.as_deref();
-            let mut pair = [0.0_f64; 2];
-            for (i, res) in game.resources().iter().enumerate() {
-                let eff = self.loads[i] + base_loads.map_or(0, |b| b[i]);
-                res.latency().eval_range_into(eff, 0..2, &mut pair);
-                cache.res.push(pair[0]);
-                cache.res_plus.push(pair[1]);
+            for i in 0..n {
+                cache.refresh(game, i, self.loads[i] + base_loads.map_or(0, |b| b[i]));
             }
             cache.valid = true;
             cache.strat_stale = true;
@@ -593,32 +614,6 @@ impl State {
     #[inline]
     fn cache_usable(&self, game: &CongestionGame) -> bool {
         self.cache.valid && self.cache.res.len() == game.num_resources()
-    }
-
-    /// Re-evaluate the cached latencies of every resource in
-    /// `cache.touched` (sorted + deduped first), leaving `strat` stale.
-    fn refresh_touched_resources(&mut self, game: &CongestionGame) {
-        let cache = &mut self.cache;
-        if !cache.valid {
-            cache.touched.clear();
-            return;
-        }
-        if cache.touched.is_empty() {
-            return;
-        }
-        cache.touched.sort_unstable();
-        cache.touched.dedup();
-        let mut pair = [0.0_f64; 2];
-        for &raw in &cache.touched {
-            let i = raw as usize;
-            let eff = self.loads[i] + self.base_loads.as_ref().map_or(0, |b| b[i]);
-            let r = ResourceId::new(raw);
-            game.resource(r).latency().eval_range_into(eff, 0..2, &mut pair);
-            cache.res[i] = pair[0];
-            cache.res_plus[i] = pair[1];
-        }
-        cache.touched.clear();
-        cache.strat_stale = true;
     }
 
     /// The per-strategy row `ℓ_P(x + 1_P)`, indexed by strategy id, while
@@ -756,9 +751,7 @@ impl State {
                 requested: count,
             });
         }
-        if self.support.valid && !self.support_usable(game) {
-            self.support.valid = false;
-        }
+        self.drop_caches_of_other_shapes(game);
         let to_was_empty = self.counts[to.index()] == 0;
         self.counts[from.index()] -= count;
         self.counts[to.index()] += count;
@@ -770,22 +763,21 @@ impl State {
                 self.support_insert(game, to);
             }
         }
-        let from_s = game.strategy(from);
-        let to_s = game.strategy(to);
-        let loads = &mut self.loads;
-        let touched = &mut self.cache.touched;
-        let track = self.cache.valid;
-        from_s.diff_signed(to_s, |r, sign| {
+        // `diff_signed` visits each changed resource once, so its cache
+        // entries are refreshed as its load is updated.
+        let (loads, cache) = (&mut self.loads, &mut self.cache);
+        let base_loads = self.base_loads.as_deref();
+        game.strategy(from).diff_signed(game.strategy(to), |r, sign| {
+            let i = r.index();
             if sign < 0 {
-                loads[r.index()] -= count;
+                loads[i] -= count;
             } else {
-                loads[r.index()] += count;
+                loads[i] += count;
             }
-            if track {
-                touched.push(r.raw());
+            if cache.valid {
+                cache.refresh(game, i, loads[i] + base_loads.map_or(0, |b| b[i]));
             }
         });
-        self.refresh_touched_resources(game);
         Ok(())
     }
 
@@ -805,6 +797,30 @@ impl State {
         game: &CongestionGame,
         migrations: &[Migration],
     ) -> Result<(), GameError> {
+        self.apply_migrations_with(game, migrations, |_, _, _, _| {})
+    }
+
+    /// [`State::apply_migrations`], reporting each resource whose load the
+    /// batch changed.
+    ///
+    /// After the loads are updated, one ascending pass compares them with
+    /// a pre-batch snapshot. For each resource `r` whose player-induced
+    /// load moved from `old` to `new != old`, it re-evaluates `r`'s
+    /// latency-cache entries (when the cache is built) and calls
+    /// `on_change(r, base, old, new)` with `r`'s base load `base`.
+    /// Resources whose moves cancel out are skipped. Summing
+    /// [`potential_delta_for_load_change`](crate::potential_delta_for_load_change)
+    /// over the reports gives the batch's `ΔΦ`.
+    ///
+    /// # Errors
+    ///
+    /// As [`State::apply_migrations`]; on failure nothing is reported.
+    pub fn apply_migrations_with(
+        &mut self,
+        game: &CongestionGame,
+        migrations: &[Migration],
+        mut on_change: impl FnMut(ResourceId, u64, u64, u64),
+    ) -> Result<(), GameError> {
         // Validate jointly first. `outflow` is reusable scratch so steady
         // rounds of a simulation stay allocation-free.
         let mut outflow = std::mem::take(&mut self.cache.outflow);
@@ -813,9 +829,10 @@ impl State {
         let validated = self.validate_batch(game, migrations, &mut outflow);
         self.cache.outflow = outflow;
         validated?;
-        if self.support.valid && !self.support_usable(game) {
-            self.support.valid = false;
-        }
+        self.drop_caches_of_other_shapes(game);
+        let mut prev = std::mem::take(&mut self.cache.prev_loads);
+        prev.clear();
+        prev.extend_from_slice(&self.loads);
         for m in migrations {
             if m.from == m.to || m.count == 0 {
                 continue;
@@ -831,24 +848,38 @@ impl State {
                     self.support_insert(game, m.to);
                 }
             }
-            let from_s = game.strategy(m.from);
-            let to_s = game.strategy(m.to);
             let loads = &mut self.loads;
-            let touched = &mut self.cache.touched;
-            let track = self.cache.valid;
-            from_s.diff_signed(to_s, |r, sign| {
+            game.strategy(m.from).diff_signed(game.strategy(m.to), |r, sign| {
                 if sign < 0 {
                     loads[r.index()] -= m.count;
                 } else {
                     loads[r.index()] += m.count;
                 }
-                if track {
-                    touched.push(r.raw());
-                }
             });
         }
-        self.refresh_touched_resources(game);
+        let (cache, base_loads) = (&mut self.cache, self.base_loads.as_deref());
+        for (i, (&old, &new)) in prev.iter().zip(&self.loads).enumerate() {
+            if old != new {
+                let base = base_loads.map_or(0, |b| b[i]);
+                if cache.valid {
+                    cache.refresh(game, i, new + base);
+                }
+                on_change(ResourceId::new(i as u32), base, old, new);
+            }
+        }
+        self.cache.prev_loads = prev;
         Ok(())
+    }
+
+    /// Invalidate each cache that was built for a differently-shaped game,
+    /// so a mutator never writes into it.
+    fn drop_caches_of_other_shapes(&mut self, game: &CongestionGame) {
+        if self.support.valid && !self.support_usable(game) {
+            self.support.valid = false;
+        }
+        if self.cache.valid && !self.cache_usable(game) {
+            self.invalidate_latency_cache();
+        }
     }
 
     /// Check a migration batch for unknown ids, cross-class moves, and joint
@@ -885,6 +916,27 @@ impl State {
             }
         }
         Ok(())
+    }
+
+    /// Diagnostic (`debug_assert`-style check): whether the latency cache
+    /// matches a from-scratch [`State::ensure_latency_cache`] rebuild bit
+    /// for bit — the per-resource entries always, the per-strategy rows
+    /// while they are not stale.
+    ///
+    /// Returns `true` when the cache is not built (nothing to disagree
+    /// with).
+    pub fn latency_cache_consistent(&self, game: &CongestionGame) -> bool {
+        let mut fresh = self.clone();
+        fresh.invalidate_latency_cache();
+        fresh.ensure_latency_cache(game);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (c, f) = (&self.cache, &fresh.cache);
+        !c.valid
+            || bits(&c.res) == bits(&f.res)
+                && bits(&c.res_plus) == bits(&f.res_plus)
+                && (c.strat_stale
+                    || bits(&c.strat) == bits(&f.strat)
+                        && bits(&c.strat_plus) == bits(&f.strat_plus))
     }
 
     /// Recompute loads from counts (diagnostic; `debug_assert`-style check).

@@ -124,7 +124,7 @@ fn swap_latency(
 ) -> Result<(), ScenarioError> {
     let previous = game.resources().get(r.index()).map(|res| res.latency().clone());
     mutate(game)?;
-    let base = state.effective_load(r) - state.load(r);
+    let base = state.base_load(r);
     let top = game.total_players().saturating_add(base).saturating_add(1);
     for load in [0, top] {
         let value = game.latency(r, load);

@@ -46,6 +46,62 @@ fn player_engine_rejects_a_population_it_cannot_hold() {
     assert_eq!(sim.round(), 0, "a failed round must not advance the simulation");
 }
 
+/// The latency cache evaluates `ℓ_e(x_e + x⁰_e + 1)` on every resource, so
+/// a start whose total population plus largest base load plus one
+/// overflows `u64` is a precise error from every entry point (and from the
+/// re-check after a hook grows the population), not a wrapped load or a
+/// silently wrong potential.
+#[test]
+fn a_start_whose_cached_loads_overflow_is_rejected() {
+    use congames::dynamics::{DynamicsError, Ensemble, LaneKernel, RoundHook};
+    let is_players = |err: &DynamicsError| {
+        matches!(err, DynamicsError::InvalidParameter { name: "players", .. })
+    };
+    let proto: Protocol = ImitationProtocol::paper_default().into();
+    let lat = || vec![Affine::linear(1.0).into(), Affine::linear(2.0).into()];
+    let game = links(lat(), u64::MAX);
+    let state = State::from_counts(&game, vec![u64::MAX, 0]).unwrap();
+    let err = Simulation::new(&game, proto, state.clone()).unwrap_err();
+    assert!(is_players(&err), "{err:?}");
+    let err = Ensemble::new(&game, proto, state.clone()).unwrap_err();
+    assert!(is_players(&err), "{err:?}");
+    let err = LaneKernel::new(&game, proto, &state, 1, 0, 8).unwrap_err();
+    assert!(is_players(&err), "{err:?}");
+
+    // One base load is one player too many; without it the start fits.
+    let game = links(lat(), u64::MAX - 1);
+    let state = State::from_counts(&game, vec![u64::MAX - 1, 0]).unwrap();
+    let virt: Protocol = ImitationProtocol::paper_default().with_virtual_agents(true).into();
+    let err = Simulation::new(&game, virt, state.clone().with_virtual_agents(&game)).unwrap_err();
+    assert!(is_players(&err), "{err:?}");
+    let sim = Simulation::new(&game, proto, state).expect("the largest start that fits");
+
+    // A hook that grows the population past the bound fails its re-check.
+    #[derive(Debug)]
+    struct Arrival {
+        fired: bool,
+    }
+    impl RoundHook for Arrival {
+        fn next_fire(&self) -> Option<u64> {
+            (!self.fired).then_some(0)
+        }
+        fn fire(
+            &mut self,
+            _round: u64,
+            game: &mut CongestionGame,
+            state: &mut State,
+        ) -> Result<bool, DynamicsError> {
+            state.add_players(game, StrategyId::new(1), 1)?;
+            game.set_class_players(0, u64::MAX)?;
+            self.fired = true;
+            Ok(true)
+        }
+    }
+    let mut sim = sim.with_hook(Box::new(Arrival { fired: false }));
+    let err = sim.run(&StopSpec::max_rounds(1), &mut seeded_rng(3, 0)).unwrap_err();
+    assert!(is_players(&err), "{err:?}");
+}
+
 #[test]
 fn zero_player_game_runs_without_panic() {
     let game = links(vec![Affine::linear(1.0).into()], 0);

@@ -264,10 +264,11 @@ fn lane_records_equal_scalar_records_bitwise() {
 
 /// A population whose lane buffers cannot be sized is a precise error from
 /// `LaneKernel::new` (and from a lane sweep), not a wrapped window, an
-/// out-of-range slice, or an allocation abort.
+/// out-of-range slice, or an allocation abort. (At `u64::MAX` players the
+/// start itself is rejected, before any lane buffer is sized.)
 #[test]
 fn lane_kernel_rejects_a_population_it_cannot_hold() {
-    let n = u64::MAX;
+    let n = u64::MAX / 2;
     let game = CongestionGame::singleton(
         vec![congames::Affine::linear(1.0).into(), congames::Affine::linear(2.0).into()],
         n,

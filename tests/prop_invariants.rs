@@ -115,6 +115,81 @@ proptest! {
         }
     }
 
+    /// A batch's changed-resource pass reports exactly the resources whose
+    /// load moved (ascending, with their base load and old/new loads, and
+    /// none whose moves cancel out) and leaves the latency cache bitwise
+    /// equal to a rebuild — with and without virtual agents, with the cache
+    /// built or invalidated; single moves keep the cache exact too.
+    #[test]
+    fn changed_resource_pass_reports_and_refreshes_exactly(
+        (game, counts) in arb_game_and_counts(),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u32..5, 0u32..5, 1u64..8, any::<bool>()), 1..8),
+            1..4,
+        ),
+        virtual_agents in any::<bool>(),
+        cached in any::<bool>(),
+    ) {
+        let mut state = State::from_counts(&game, counts).unwrap();
+        if virtual_agents {
+            state = state.with_virtual_agents(&game);
+        }
+        state.ensure_latency_cache(&game);
+        if !cached {
+            state.invalidate_latency_cache();
+        }
+        let s = game.num_strategies() as u32;
+        for batch in batches {
+            // A jointly feasible batch; a flagged move is followed by its
+            // exact opposite when the destination can supply it, so the
+            // resources the two strategies do not share net to zero.
+            let mut left = state.counts().to_vec();
+            let mut migrations = Vec::new();
+            for (f, t, c, back) in batch {
+                let (f, t) = (StrategyId::new(f % s), StrategyId::new(t % s));
+                let c = c.min(left[f.index()]);
+                if c == 0 {
+                    continue;
+                }
+                left[f.index()] -= c;
+                migrations.push(Migration::new(f, t, c));
+                if back && f != t && left[t.index()] >= c {
+                    left[t.index()] -= c;
+                    migrations.push(Migration::new(t, f, c));
+                }
+            }
+            let old_loads = state.loads().to_vec();
+            let mut reported = Vec::new();
+            state
+                .apply_migrations_with(&game, &migrations, |r, base, old, new| {
+                    reported.push((r, base, old, new));
+                })
+                .unwrap();
+            let expected: Vec<_> = old_loads
+                .iter()
+                .zip(state.loads())
+                .enumerate()
+                .filter(|(_, (o, n))| o != n)
+                .map(|(i, (&o, &n))| {
+                    let r = ResourceId::new(i as u32);
+                    (r, state.base_load(r), o, n)
+                })
+                .collect();
+            prop_assert_eq!(reported, expected);
+            prop_assert!(state.loads_consistent(&game));
+            prop_assert!(state.latency_cache_consistent(&game));
+            if let Some(m) = migrations.first().filter(|m| state.count(m.to) > 0) {
+                state.apply_move(&game, m.to, m.from).unwrap();
+                prop_assert!(state.latency_cache_consistent(&game));
+            }
+            state.ensure_latency_cache(&game);
+            prop_assert!(state.latency_cache_consistent(&game));
+            if !cached {
+                state.invalidate_latency_cache();
+            }
+        }
+    }
+
     /// `latency_after_move` agrees with actually applying the move.
     #[test]
     fn hypothetical_latency_matches_applied_move(
