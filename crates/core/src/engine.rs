@@ -20,6 +20,7 @@ use congames_model::{
 };
 use congames_sampling::{multinomial_with_rest_into, DrawRng};
 use rand::{Rng, RngCore};
+use std::borrow::Cow;
 
 use crate::error::DynamicsError;
 use crate::expectation::PairFlow;
@@ -644,26 +645,6 @@ impl PlayerDecider<'_> {
     }
 }
 
-/// The simulation's game: borrowed for the common stationary case, owned
-/// (a private clone) once a [`RoundHook`] needs mutable access. All reads
-/// go through `Deref`, so the two cases share every code path.
-#[derive(Debug)]
-enum GameHandle<'g> {
-    Borrowed(&'g CongestionGame),
-    Owned(Box<CongestionGame>),
-}
-
-impl std::ops::Deref for GameHandle<'_> {
-    type Target = CongestionGame;
-
-    fn deref(&self) -> &CongestionGame {
-        match self {
-            GameHandle::Borrowed(g) => g,
-            GameHandle::Owned(g) => g,
-        }
-    }
-}
-
 /// The checks every run start makes: `state` belongs to `game` (one count
 /// per strategy, each class's counts summing to its population), the total
 /// population plus the largest base load plus one fits in `u64` (the
@@ -728,12 +709,22 @@ pub(crate) fn validate_start(
 /// working memory (the CSR pair buffer, multinomial counts, the μ memo,
 /// move/commit buffers, and the state's latency cache) lives in reusable
 /// scratch owned by the simulation, so `step` touches the heap only while
-/// buffers warm up to their high-water marks.
+/// buffers warm up to their high-water marks. [`Simulation::reset`]
+/// extends the contract to trial turnover: a replica rewound to its start
+/// keeps every buffer, so an ensemble worker runs trial after trial on one
+/// replica without allocating.
 ///
 /// See the crate-level example for typical usage.
 #[derive(Debug)]
 pub struct Simulation<'g> {
-    game: GameHandle<'g>,
+    /// The game the simulation was built on; [`Simulation::reset`]
+    /// restores it after a hook swapped in a mutated copy.
+    origin: &'g CongestionGame,
+    /// The game the rounds run on: `origin` itself in the common
+    /// stationary case, a private clone once a [`RoundHook`] fires and
+    /// needs mutable access. All reads go through `Deref`, so the two
+    /// cases share every code path.
+    game: Cow<'g, CongestionGame>,
     protocol: Protocol,
     /// Between-rounds mutation hook (nonstationary scenarios); `None` for
     /// the stationary fast path.
@@ -744,7 +735,10 @@ pub struct Simulation<'g> {
     record: RecordConfig,
     /// Explicit player array (player-level engine only), grouped by class:
     /// `players[class_offsets[c] .. class_offsets[c+1]]` are class `c`.
-    players: Option<Vec<StrategyId>>,
+    /// Built from the counts by the first player round after a start or a
+    /// game change (`players_built`); its capacity outlives resets.
+    players: Vec<StrategyId>,
+    players_built: bool,
     class_offsets: Vec<usize>,
     potential: f64,
     round: u64,
@@ -784,25 +778,22 @@ impl<'g> Simulation<'g> {
         validate_start(game, &protocol, &state)?;
         let params = game.params();
         let mut class_offsets = Vec::with_capacity(game.classes().len() + 1);
-        let mut off = 0usize;
-        class_offsets.push(0);
-        for c in game.classes() {
-            off += c.players() as usize;
-            class_offsets.push(off);
-        }
+        fill_class_offsets(&mut class_offsets, game);
         let potential = potential(game, &state);
         let mut state = state;
         state.ensure_latency_cache(game);
         state.ensure_support_index(game);
         Ok(Simulation {
-            game: GameHandle::Borrowed(game),
+            origin: game,
+            game: Cow::Borrowed(game),
             protocol,
             hook: None,
             params,
             state,
             engine: EngineKind::Aggregate,
             record: RecordConfig::disabled(),
-            players: None,
+            players: Vec::new(),
+            players_built: false,
             class_offsets,
             potential,
             round: 0,
@@ -836,11 +827,12 @@ impl<'g> Simulation<'g> {
 
     /// Attach a between-rounds mutation hook (see [`RoundHook`]).
     ///
-    /// The game is cloned into the simulation so the hook can mutate it;
-    /// the borrowed original is never touched. [`Simulation::run_observed`]
-    /// polls the hook before every round and fires it when an event is
-    /// due; manual [`Simulation::step`] calls never fire the hook (drive
-    /// the schedule through a run, or fire it by hand).
+    /// The hook's first firing clones the game into the simulation and
+    /// mutates that copy; the borrowed original is never touched.
+    /// [`Simulation::run_observed`] polls the hook before every round and
+    /// fires it when an event is due; manual [`Simulation::step`] calls
+    /// never fire the hook (drive the schedule through a run, or fire it
+    /// by hand).
     ///
     /// While the hook still reports a pending fire, equilibrium-type stop
     /// conditions (stability, approximate/Nash equilibrium, potential
@@ -850,11 +842,66 @@ impl<'g> Simulation<'g> {
     /// end the run. Once the schedule drains, all conditions rearm, so a
     /// shocked run naturally ends at its first post-schedule stable state.
     pub fn with_hook(mut self, hook: Box<dyn RoundHook>) -> Self {
-        if let GameHandle::Borrowed(g) = self.game {
-            self.game = GameHandle::Owned(Box::new(g.clone()));
-        }
-        self.hook = Some(hook);
+        self.attach_hook(hook);
         self
+    }
+
+    /// [`Simulation::with_hook`] in place: re-arm a replica after
+    /// [`Simulation::reset`], which drops the previous trial's hook.
+    pub fn attach_hook(&mut self, hook: Box<dyn RoundHook>) {
+        self.hook = Some(hook);
+    }
+
+    /// Rewind this replica in place to round 0 of a new trial from
+    /// `start`, as if it were `Simulation::new(game, protocol,
+    /// start.clone())` with the same engine, recording and μ-memo budget.
+    ///
+    /// Restored: the borrowed game the simulation was built on (a hook's
+    /// mutated copy is dropped, and the protocol parameters and class
+    /// offsets are rebuilt from the original), the counts and loads
+    /// (copied into the existing storage), the start's latency cache and
+    /// support index (copied when `start` has them built, rebuilt
+    /// otherwise), the potential, the round counter, the last round's
+    /// migrations, and the [`MuMemoStats`] counters. The attached hook is
+    /// dropped: hooks are one-trial cursors, so re-arm the next trial's
+    /// with [`Simulation::attach_hook`].
+    ///
+    /// Kept: every scratch buffer — the CSR pairs, multinomial counts,
+    /// migrations, the μ table (its stamps make old entries stale), the
+    /// move/commit/site buffers, and the player array's capacity (the
+    /// array itself is rebuilt from the new counts by the next player
+    /// round). A trial run after a reset is bit-identical to the same trial
+    /// on a fresh simulation, even when the previous trial failed; once the
+    /// buffers have reached the start's sizes, a reset allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails, leaving the simulation unchanged, when
+    /// [`Simulation::new`] would reject `start` for the original game.
+    pub fn reset(&mut self, start: &State) -> Result<(), DynamicsError> {
+        validate_start(self.origin, &self.protocol, start)?;
+        self.rewind(start, potential(self.origin, start));
+        Ok(())
+    }
+
+    /// [`Simulation::reset`] to a validated `start` whose potential is
+    /// `potential`: the ensemble computes both once per sweep (with the
+    /// start's caches built), so a rewind is a copy.
+    pub(crate) fn rewind(&mut self, start: &State, potential: f64) {
+        if let Cow::Owned(_) = self.game {
+            self.game = Cow::Borrowed(self.origin);
+            self.params = self.origin.params();
+            fill_class_offsets(&mut self.class_offsets, self.origin);
+        }
+        self.hook = None;
+        self.state.clone_from(start);
+        self.state.ensure_latency_cache(self.origin);
+        self.state.ensure_support_index(self.origin);
+        self.potential = potential;
+        self.round = 0;
+        self.last_migrations = 0;
+        self.players_built = false;
+        self.mu_table.stats = MuMemoStats::default();
     }
 
     /// Bound the player-level kernel's μ memo to `slots` `(stamp, μ)`
@@ -900,13 +947,14 @@ impl<'g> Simulation<'g> {
     }
 
     /// Build the explicit player array from the per-strategy counts
-    /// unless it is current. A population that cannot be given one slot
-    /// per player is an error, not an allocation abort.
+    /// unless it is current, reusing its storage. A population that cannot
+    /// be given one slot per player is an error, not an allocation abort.
     fn ensure_players(&mut self) -> Result<(), DynamicsError> {
-        if self.players.is_some() {
+        if self.players_built {
             return Ok(());
         }
-        let mut players = Vec::new();
+        let players = &mut self.players;
+        players.clear();
         usize::try_from(self.game.total_players())
             .ok()
             .and_then(|n| players.try_reserve_exact(n).ok())
@@ -921,7 +969,7 @@ impl<'g> Simulation<'g> {
                 }
             }
         }
-        self.players = Some(players);
+        self.players_built = true;
         Ok(())
     }
 
@@ -939,16 +987,7 @@ impl<'g> Simulation<'g> {
         }
         let round = self.round;
         let hook = self.hook.as_mut().expect("due implies a hook");
-        let game = match &mut self.game {
-            GameHandle::Owned(g) => g.as_mut(),
-            GameHandle::Borrowed(_) => {
-                return Err(DynamicsError::Hook {
-                    message: "round hook attached to a borrowed game (attach via with_hook)"
-                        .to_string(),
-                });
-            }
-        };
-        let changed = hook.fire(round, game, &mut self.state)?;
+        let changed = hook.fire(round, self.game.to_mut(), &mut self.state)?;
         if hook.next_fire().is_some_and(|next| next <= round) {
             return Err(DynamicsError::Hook {
                 message: format!("hook did not advance past round {round} after firing"),
@@ -969,18 +1008,12 @@ impl<'g> Simulation<'g> {
     fn after_game_change(&mut self) -> Result<(), DynamicsError> {
         validate_start(&self.game, &self.protocol, &self.state)?;
         self.params = self.game.params();
-        self.class_offsets.clear();
-        self.class_offsets.push(0);
-        let mut off = 0usize;
-        for c in self.game.classes() {
-            off += c.players() as usize;
-            self.class_offsets.push(off);
-        }
+        fill_class_offsets(&mut self.class_offsets, &self.game);
         self.state.invalidate_caches_for_game_change();
         self.state.ensure_latency_cache(&self.game);
         self.state.ensure_support_index(&self.game);
         self.potential = potential(&self.game, &self.state);
-        if self.players.take().is_some() {
+        if std::mem::take(&mut self.players_built) {
             // Arrivals/departures invalidate the explicit player array;
             // rebuild it from the (deterministic) per-strategy counts.
             self.ensure_players()?;
@@ -1227,8 +1260,7 @@ impl<'g> Simulation<'g> {
             let memoize = mu_table.begin(s_c);
             let mut moved = 0;
             {
-                let players = self.players.as_ref().expect("ensure_players ran");
-                let class_players = &players[start..start + n_c as usize];
+                let class_players = &self.players[start..start + n_c as usize];
                 // Per-class sampling-pool constants.
                 let self_exclude = imit.is_some_and(|p| p.self_sampling() == SelfSampling::Exclude);
                 let real_pool = if self_exclude { n_c - 1 } else { n_c };
@@ -1330,7 +1362,7 @@ impl<'g> Simulation<'g> {
             // Commit the class: update the player array, then aggregate the
             // realized (from, to) pairs by sorting the reusable buffer —
             // deterministic order, no per-round allocation.
-            let players = self.players.as_mut().expect("ensure_players ran");
+            let players = &mut self.players;
             commit.clear();
             for &(idx, to) in &moves[..moved] {
                 let from = players[idx];
@@ -1446,6 +1478,18 @@ impl Replica for Simulation<'_> {
 
     fn view(&mut self) -> (&CongestionGame, &State) {
         (&self.game, &self.state)
+    }
+}
+
+/// Fill `out` with each class's first player slot in the explicit player
+/// array, plus the total: `out[c]..out[c + 1]` are class `c`'s players.
+fn fill_class_offsets(out: &mut Vec<usize>, game: &CongestionGame) {
+    out.clear();
+    out.push(0);
+    let mut off = 0usize;
+    for c in game.classes() {
+        off += c.players() as usize;
+        out.push(off);
     }
 }
 

@@ -27,15 +27,19 @@
 //! keeps it as a leaf. Workers claim *units* of one block (two for a
 //! 64-lane group), and a *unit runner* — a loop of scalar replicas or one
 //! lane group at a time — is the only part that differs between the
-//! entry points. On failure the scheduler keeps the lowest failing trial
-//! and skips only the trials above it, so the error or panic reported is
-//! that trial's whatever the thread count, lane width or shard split.
+//! entry points. Each worker keeps one replica for its lifetime (a
+//! [`Simulation`], or a [`LaneKernel`] for lane sweeps) and rewinds it to
+//! the start for every trial or lane group it runs, so trial turnover
+//! copies the start instead of rebuilding it and allocates nothing. On
+//! failure the scheduler keeps the lowest failing trial and skips only the
+//! trials above it, so the error or panic reported is that trial's
+//! whatever the thread count, lane width or shard split.
 //!
 //! All batch entry points share one empty-input contract: zero trials
 //! yield an empty result (for the reducer path, the untouched identity
 //! reduction) rather than panicking.
 
-use congames_model::{CongestionGame, State};
+use congames_model::{potential, CongestionGame, State};
 use congames_sampling::{split_seed, DrawStream, RngMode};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -95,7 +99,10 @@ pub const REDUCE_BLOCK: usize = 32;
 pub struct Ensemble<'g> {
     game: &'g CongestionGame,
     protocol: Protocol,
+    /// The validated start, with its latency cache and support index
+    /// built once, and its potential: every replica rewinds to these.
     start: State,
+    start_potential: f64,
     engine: EngineKind,
     record: RecordConfig,
     trials: usize,
@@ -117,6 +124,7 @@ impl std::fmt::Debug for Ensemble<'_> {
             .field("game", &self.game)
             .field("protocol", &self.protocol)
             .field("start", &self.start)
+            .field("start_potential", &self.start_potential)
             .field("engine", &self.engine)
             .field("record", &self.record)
             .field("trials", &self.trials)
@@ -138,17 +146,23 @@ impl<'g> Ensemble<'g> {
     ///
     /// Fails exactly when [`Simulation::new`] would: mismatched state, or a
     /// virtual-agent protocol/state disagreement. Validation happens here,
-    /// once, instead of surfacing from every replica.
+    /// once, instead of surfacing from every replica — as do the start's
+    /// latency cache, support index and potential, which every replica
+    /// copies when it rewinds.
     pub fn new(
         game: &'g CongestionGame,
         protocol: Protocol,
-        start: State,
+        mut start: State,
     ) -> Result<Self, DynamicsError> {
         validate_start(game, &protocol, &start)?;
+        start.ensure_latency_cache(game);
+        start.ensure_support_index(game);
+        let start_potential = potential(game, &start);
         Ok(Ensemble {
             game,
             protocol,
             start,
+            start_potential,
             engine: EngineKind::default(),
             record: RecordConfig::disabled(),
             trials: 1,
@@ -276,16 +290,17 @@ impl<'g> Ensemble<'g> {
     }
 
     /// The lane unit runner: run `trials` through lockstep lane groups of
-    /// at most `width`, feeding each finished trial's output to `absorb` in
-    /// trial order. Grouping is pure scheduling — per-trial outputs are
-    /// bit-identical for any chunking — so groups anchor wherever the unit
-    /// starts. Groups starting above the lowest failing trial (`failed`)
-    /// are skipped; `at` is set to the first trial of the group about to
-    /// run, or to the failing trial on error (see
-    /// [`Ensemble::reduce_observed`]).
+    /// at most `width` on the worker's kernel, feeding each finished
+    /// trial's output to `absorb` in trial order. Grouping is pure
+    /// scheduling — per-trial outputs are bit-identical for any chunking —
+    /// so groups anchor wherever the unit starts. Groups starting above the
+    /// lowest failing trial (`failed`) are skipped; `at` is set to the
+    /// first trial of the group about to run, or to the failing trial on
+    /// error (see [`Ensemble::reduce_observed`]).
     #[allow(clippy::too_many_arguments)]
     fn run_lane_trials<O: Observer>(
         &self,
+        kernel: &mut Option<LaneKernel<'g>>,
         trials: Range<usize>,
         width: usize,
         stop: &StopSpec,
@@ -294,11 +309,10 @@ impl<'g> Ensemble<'g> {
         at: &mut usize,
         absorb: &mut dyn FnMut(usize, O::Output),
     ) -> Result<(), DynamicsError> {
-        // One kernel serves every group in the range: `reset` re-points
-        // the stream/state buffers at the next group without reallocating
-        // (tails reset to a narrower lane count), so a sweep's steady
-        // state allocates lane storage once, not once per group.
-        let mut kernel: Option<LaneKernel<'_>> = None;
+        // The worker's kernel serves every group it runs: `reset`
+        // re-points the stream/state buffers at the next group without
+        // reallocating (tails reset to a narrower lane count), so a sweep
+        // allocates lane storage once per worker, not once per group.
         let mut t = trials.start;
         while t < trials.end && t <= failed.load(Ordering::Relaxed) {
             *at = t;
@@ -333,16 +347,46 @@ impl<'g> Ensemble<'g> {
         Ok(())
     }
 
-    /// One replica simulation, with the engine, recording, and (if any)
-    /// scenario hook attached — the single constructor all run paths use.
-    fn make_sim(&self) -> Result<Simulation<'g>, DynamicsError> {
-        let mut sim = Simulation::new(self.game, self.protocol, self.start.clone())?
-            .with_engine(self.engine)
-            .with_recording(self.record);
-        if let Some(factory) = &self.round_hook {
-            sim = sim.with_hook(factory());
+    /// The scalar unit runner: run `trials` one at a time on the worker's
+    /// replica `sim` through `one`, and hand each result to `absorb` in
+    /// trial order, skipping the trials above the lowest failing trial so
+    /// far (`failed`); `at` is the running trial.
+    ///
+    /// Before every trial the replica is rewound to the start (built with
+    /// the engine and recording on the worker's first trial) and armed
+    /// with a fresh hook from the factory, if any — the only place a
+    /// scalar replica is built or reset.
+    fn run_scalar_trials<T>(
+        &self,
+        sim: &mut Option<Simulation<'g>>,
+        trials: Range<usize>,
+        failed: &AtomicUsize,
+        at: &mut usize,
+        absorb: &mut dyn FnMut(usize, T),
+        one: impl Fn(&mut Simulation<'g>, usize) -> Result<T, DynamicsError>,
+    ) -> Result<(), DynamicsError> {
+        for trial in trials {
+            if trial > failed.load(Ordering::Relaxed) {
+                break;
+            }
+            *at = trial;
+            let sim = match sim {
+                Some(sim) => {
+                    sim.rewind(&self.start, self.start_potential);
+                    sim
+                }
+                None => sim.insert(
+                    Simulation::new(self.game, self.protocol, self.start.clone())?
+                        .with_engine(self.engine)
+                        .with_recording(self.record),
+                ),
+            };
+            if let Some(factory) = &self.round_hook {
+                sim.attach_hook(factory());
+            }
+            absorb(trial, one(sim, trial)?);
         }
-        Ok(sim)
+        Ok(())
     }
 
     /// Set the worker-thread budget (clamped to at least 1). The results
@@ -404,30 +448,18 @@ impl<'g> Ensemble<'g> {
         }
         let mut out = Vec::new();
         let blocks = 0..self.trials.div_ceil(REDUCE_BLOCK);
-        let run_unit = |trials, failed: &_, at: &mut _, absorb: &mut dyn FnMut(usize, T)| {
-            scalar_unit(trials, failed, at, absorb, |trial| {
-                let mut sim = self.make_sim()?;
-                let mut rng = self.trial_stream(trial);
-                let outcome = sim.run(stop, &mut rng)?;
-                Ok(f(&sim, outcome))
+        let run_unit = |replica: &mut WorkerReplica<'g>,
+                        trials,
+                        failed: &_,
+                        at: &mut _,
+                        absorb: &mut dyn FnMut(usize, T)| {
+            self.run_scalar_trials(&mut replica.sim, trials, failed, at, absorb, |sim, trial| {
+                let outcome = sim.run(stop, &mut self.trial_stream(trial))?;
+                Ok(f(sim, outcome))
             })
         };
         self.reduce_blocks(blocks, 1, Vec::new, run_unit, |partial| out.merge(partial))?;
         Ok(out)
-    }
-
-    /// Run one replica and return its observer's output.
-    fn reduce_one_trial<O: Observer>(
-        &self,
-        trial: usize,
-        stop: &StopSpec,
-        observer_factory: &(impl Fn(usize) -> O + Sync),
-    ) -> Result<O::Output, DynamicsError> {
-        let mut sim = self.make_sim()?;
-        let mut rng = self.trial_stream(trial);
-        let mut observer = observer_factory(trial);
-        let summary = sim.run_observed(stop, &mut rng, &mut observer)?;
-        Ok(observer.finish(&summary))
     }
 
     /// The reduced sweeps over `blocks`: validate the lane configuration,
@@ -455,15 +487,34 @@ impl<'g> Ensemble<'g> {
             unit_blocks = width.div_ceil(REDUCE_BLOCK);
         }
         let run_unit =
-            |trials, failed: &_, at: &mut _, absorb: &mut dyn FnMut(usize, O::Output)| match self
-                .lane_width
-            {
-                Some(width) => {
-                    self.run_lane_trials(trials, width, stop, observer_factory, failed, at, absorb)
-                }
-                None => scalar_unit(trials, failed, at, absorb, |trial| {
-                    self.reduce_one_trial(trial, stop, observer_factory)
-                }),
+            |replica: &mut WorkerReplica<'g>,
+             trials,
+             failed: &_,
+             at: &mut _,
+             absorb: &mut dyn FnMut(usize, O::Output)| match self.lane_width {
+                Some(width) => self.run_lane_trials(
+                    &mut replica.lanes,
+                    trials,
+                    width,
+                    stop,
+                    observer_factory,
+                    failed,
+                    at,
+                    absorb,
+                ),
+                None => self.run_scalar_trials(
+                    &mut replica.sim,
+                    trials,
+                    failed,
+                    at,
+                    absorb,
+                    |sim, trial| {
+                        let mut observer = observer_factory(trial);
+                        let summary =
+                            sim.run_observed(stop, &mut self.trial_stream(trial), &mut observer)?;
+                        Ok(observer.finish(&summary))
+                    },
+                ),
             };
         self.reduce_blocks(blocks, unit_blocks, || prototype.identity(), run_unit, sink)
     }
@@ -475,8 +526,12 @@ impl<'g> Ensemble<'g> {
     /// Work is claimed in *units* of `unit_blocks` consecutive blocks,
     /// anchored at `blocks.start`. A unit's partials start from
     /// `identity()` and absorb their trials in trial order through
-    /// `run_unit(trials, failed, at, absorb)`, which must skip trials above
-    /// `failed` and leave in `at` the trial a failure is charged to.
+    /// `run_unit(replica, trials, failed, at, absorb)`, which must skip
+    /// trials above `failed` and leave in `at` the trial a failure is
+    /// charged to. `replica` is the worker's own [`WorkerReplica`], kept
+    /// across its units and dropped when a unit panics (a replica
+    /// unwound mid-trial may hold taken buffers), so the next unit
+    /// rebuilds it.
     /// Workers park finished partials, and whichever worker completes the
     /// next block in order drains them into `sink`. A unit is claimed only
     /// within a reorder window of the last delivered block, so live
@@ -495,6 +550,7 @@ impl<'g> Ensemble<'g> {
         unit_blocks: usize,
         identity: impl Fn() -> R + Sync,
         run_unit: impl Fn(
+                &mut WorkerReplica<'g>,
                 Range<usize>,
                 &AtomicUsize,
                 &mut usize,
@@ -517,46 +573,53 @@ impl<'g> Ensemble<'g> {
             failure: None,
         });
         let cv = Condvar::new();
-        let worker = || loop {
-            let b0 = {
+        let worker = || {
+            let mut replica = WorkerReplica::default();
+            loop {
+                let b0 = {
+                    let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
+                    loop {
+                        let b0 = blocks.start + p.claimed * unit_blocks;
+                        if p.claimed == units || b0 * REDUCE_BLOCK > failed.load(Ordering::Relaxed)
+                        {
+                            return;
+                        }
+                        if b0 - p.delivered < window {
+                            p.claimed += 1;
+                            break b0;
+                        }
+                        p = cv.wait(p).unwrap_or_else(PoisonError::into_inner);
+                    }
+                };
+                let b1 = (b0 + unit_blocks).min(blocks.end);
+                let mut at = b0 * REDUCE_BLOCK;
+                // Even `identity()` runs under the catch: a worker that dies
+                // without reporting would leave window waiters asleep forever.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    let mut partials: Vec<R> = (b0..b1).map(|_| identity()).collect();
+                    let trials = b0 * REDUCE_BLOCK..(b1 * REDUCE_BLOCK).min(self.trials);
+                    run_unit(&mut replica, trials, &failed, &mut at, &mut |trial, out| {
+                        partials[trial / REDUCE_BLOCK - b0].absorb(out);
+                    })
+                    .map(|()| partials)
+                }));
                 let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    let b0 = blocks.start + p.claimed * unit_blocks;
-                    if p.claimed == units || b0 * REDUCE_BLOCK > failed.load(Ordering::Relaxed) {
-                        return;
+                match result {
+                    Ok(Ok(partials)) => {
+                        p.pending.extend((b0..).zip(partials));
+                        p.drain(&failed);
                     }
-                    if b0 - p.delivered < window {
-                        p.claimed += 1;
-                        break b0;
+                    Ok(Err(e)) => p.fail(&failed, at, Failure::Error(e)),
+                    Err(payload) => {
+                        replica = WorkerReplica::default();
+                        p.fail(&failed, at, Failure::Panic(payload));
                     }
-                    p = cv.wait(p).unwrap_or_else(PoisonError::into_inner);
                 }
-            };
-            let b1 = (b0 + unit_blocks).min(blocks.end);
-            let mut at = b0 * REDUCE_BLOCK;
-            // Even `identity()` runs under the catch: a worker that dies
-            // without reporting would leave window waiters asleep forever.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let mut partials: Vec<R> = (b0..b1).map(|_| identity()).collect();
-                let trials = b0 * REDUCE_BLOCK..(b1 * REDUCE_BLOCK).min(self.trials);
-                run_unit(trials, &failed, &mut at, &mut |trial, out| {
-                    partials[trial / REDUCE_BLOCK - b0].absorb(out);
-                })
-                .map(|()| partials)
-            }));
-            let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
-            match result {
-                Ok(Ok(partials)) => {
-                    p.pending.extend((b0..).zip(partials));
-                    p.drain(&failed);
-                }
-                Ok(Err(e)) => p.fail(&failed, at, Failure::Error(e)),
-                Err(payload) => p.fail(&failed, at, Failure::Panic(payload)),
+                drop(p);
+                // Delivery progress unblocks window waiters; a failure must
+                // wake them too so they can exit.
+                cv.notify_all();
             }
-            drop(p);
-            // Delivery progress unblocks window waiters; a failure must
-            // wake them too so they can exit.
-            cv.notify_all();
         };
         if threads <= 1 {
             worker();
@@ -738,25 +801,13 @@ impl<'g> Ensemble<'g> {
     }
 }
 
-/// The scalar unit runner: run `trials` one replica at a time through
-/// `one` and hand each result to `absorb` in trial order, skipping the
-/// trials above the lowest failing trial so far (`failed`); `at` is the
-/// running trial.
-fn scalar_unit<T>(
-    trials: Range<usize>,
-    failed: &AtomicUsize,
-    at: &mut usize,
-    absorb: &mut dyn FnMut(usize, T),
-    one: impl Fn(usize) -> Result<T, DynamicsError>,
-) -> Result<(), DynamicsError> {
-    for trial in trials {
-        if trial > failed.load(Ordering::Relaxed) {
-            break;
-        }
-        *at = trial;
-        absorb(trial, one(trial)?);
-    }
-    Ok(())
+/// The replica one worker of [`Ensemble::reduce_blocks`] keeps for its
+/// lifetime: built by the first trial (scalar) or lane group it runs, and
+/// rewound in place for every later one.
+#[derive(Default)]
+struct WorkerReplica<'g> {
+    sim: Option<Simulation<'g>>,
+    lanes: Option<LaneKernel<'g>>,
 }
 
 /// What stopped a reduced sweep at its lowest failing trial.

@@ -26,9 +26,9 @@ use crate::error::DynamicsError;
 
 /// A between-rounds mutation hook (see the module docs above).
 ///
-/// Attached via `Simulation::with_hook` (which clones the game into the
-/// simulation so the hook can mutate it) or, for ensembles, via
-/// `Ensemble::with_round_hook` (one fresh hook per trial). An attached
+/// Attached via `Simulation::with_hook` (the first firing clones the game
+/// into the simulation, so the hook mutates a private copy) or, for
+/// ensembles, via `Ensemble::with_round_hook` (one fresh hook per trial). An attached
 /// hook with no due event costs one `Option` compare per round, so the
 /// no-schedule fast path keeps its historical performance — and its
 /// fixed-seed stream pins — unchanged.

@@ -130,7 +130,9 @@ pub struct LaneKernel<'g> {
     /// the (already-empty) clears.
     have_pairs: bool,
     /// Scalar scratch state for observation/stop checks: one lane's
-    /// column gathered via [`State::assign_lane_column`].
+    /// column gathered via [`State::assign_lane_column`], which keeps the
+    /// caches when the scratch already holds that column (every lane of a
+    /// group at round 0).
     scratch: State,
     /// `[resources × lanes]` cached `ℓ(x)` / `ℓ(x+1)`, rebuilt per round.
     lat0: Vec<f64>,
@@ -161,12 +163,11 @@ pub struct LaneKernel<'g> {
     /// Per-strategy flags marking the union of the lanes' origin sites
     /// this round (scratch for the origin-major draw sweep).
     site_flags: Vec<bool>,
-    /// The starting per-strategy counts / per-resource loads / potential,
-    /// kept so [`LaneKernel::reset`] can re-point the kernel at a new
-    /// lane group without reallocating.
-    init_counts: Vec<u64>,
-    init_loads: Vec<u64>,
-    init_phi: f64,
+    /// The start state (latency cache and support index built) and its
+    /// potential, kept so [`LaneKernel::reset`] can re-point the kernel at
+    /// a new lane group without reallocating or rebuilding a cache.
+    start: State,
+    start_phi: f64,
 }
 
 impl std::fmt::Debug for LaneKernel<'_> {
@@ -240,6 +241,9 @@ impl<'g> LaneKernel<'g> {
             })?;
         let params = game.params();
         let phi = potential(game, start);
+        let mut start = start.clone();
+        start.ensure_latency_cache(game);
+        start.ensure_support_index(game);
         let dispatch = Dispatch::global();
         Ok(LaneKernel {
             game,
@@ -285,9 +289,8 @@ impl<'g> LaneKernel<'g> {
             cursors: vec![0; lanes],
             site_lanes: Vec::with_capacity(lanes),
             site_flags: vec![false; s],
-            init_counts: start.counts().to_vec(),
-            init_loads: start.loads().to_vec(),
-            init_phi: phi,
+            start,
+            start_phi: phi,
         })
     }
 
@@ -323,7 +326,7 @@ impl<'g> LaneKernel<'g> {
     /// Panics if `lanes == 0`.
     pub fn reset(&mut self, first_trial: u64, lanes: usize) -> Result<(), DynamicsError> {
         assert!(lanes > 0, "need at least one lane");
-        fill_lane_totals(&mut self.lane_totals, self.game, &self.init_counts, lanes)?;
+        fill_lane_totals(&mut self.lane_totals, self.game, self.start.counts(), lanes)?;
         let s = self.game.num_strategies();
         let r = self.game.num_resources();
         self.lanes = lanes;
@@ -331,16 +334,19 @@ impl<'g> LaneKernel<'g> {
         self.round = 0;
         self.counts.truncate(s * lanes);
         self.counts.resize(s * lanes, 0);
-        for (si, &c) in self.init_counts.iter().enumerate() {
+        for (si, &c) in self.start.counts().iter().enumerate() {
             self.counts[si * lanes..(si + 1) * lanes].fill(c);
         }
         self.loads.truncate(r * lanes);
         self.loads.resize(r * lanes, 0);
-        for (ri, &ld) in self.init_loads.iter().enumerate() {
+        for (ri, &ld) in self.start.loads().iter().enumerate() {
             self.loads[ri * lanes..(ri + 1) * lanes].fill(ld);
         }
+        // Every lane starts on the start column, so a scratch holding it
+        // (caches included) serves each lane's round-0 view as is.
+        self.scratch.clone_from(&self.start);
         self.potentials.clear();
-        self.potentials.resize(lanes, self.init_phi);
+        self.potentials.resize(lanes, self.start_phi);
         self.last_migrations.clear();
         self.last_migrations.resize(lanes, 0);
         self.active.clear();
@@ -423,7 +429,9 @@ impl<'g> LaneKernel<'g> {
     }
 
     /// Gather lane `l` into the scratch scalar state and refresh its
-    /// caches (used by observation and expensive stop checks).
+    /// caches (used by observation and expensive stop checks). When the
+    /// scratch already holds the lane's column with built caches — every
+    /// lane at round 0 — this costs one column compare.
     fn gather(&mut self, l: usize) {
         self.scratch.assign_lane_column(&self.counts, &self.loads, self.lanes, l);
         self.scratch.ensure_latency_cache(self.game);

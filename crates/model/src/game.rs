@@ -141,10 +141,12 @@ impl CongestionGame {
         // Resources used by the current class; reset after each class so
         // a game with many classes still costs O(m + Σ|P|).
         let mut used = vec![false; resources.len()];
+        let mut total = 0u64;
         for (ci, (name, strats, players)) in classes.into_iter().enumerate() {
             if strats.is_empty() {
                 return Err(GameError::EmptyClass);
             }
+            total = add_population(total, players)?;
             let start = strategies.len() as u32;
             let mut disjoint = true;
             for s in strats {
@@ -317,17 +319,32 @@ impl CongestionGame {
     ///
     /// # Errors
     ///
-    /// Returns [`GameError::InvalidParameter`] if `class` is out of range.
+    /// Returns [`GameError::InvalidParameter`] if `class` is out of range,
+    /// and [`GameError::PlayerOverflow`] if the total population would
+    /// overflow `u64`; the game is then unchanged.
     pub fn set_class_players(&mut self, class: usize, players: u64) -> Result<(), GameError> {
-        self.classes
-            .get_mut(class)
-            .ok_or(GameError::InvalidParameter {
+        if class >= self.classes.len() {
+            return Err(GameError::InvalidParameter {
                 name: "class",
                 message: "class index out of range",
-            })?
-            .players = players;
+            });
+        }
+        let others = self.total_players() - self.classes[class].players;
+        add_population(others, players)?;
+        self.classes[class].players = players;
         Ok(())
     }
+}
+
+/// `total + players`, or [`GameError::PlayerOverflow`] if the population
+/// no longer fits in `u64`. Every constructor and population mutator
+/// checks through it, so [`CongestionGame::total_players`] never wraps.
+fn add_population(total: u64, players: u64) -> Result<u64, GameError> {
+    total.checked_add(players).ok_or(GameError::PlayerOverflow {
+        what: "population",
+        present: total,
+        added: players,
+    })
 }
 
 /// Protocol-relevant analytic parameters of a game (Section 2.2 and 6).
@@ -456,8 +473,9 @@ impl SymmetricBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if no resources / classes were added or if a strategy references
-    /// an unknown resource.
+    /// Fails if no resources / classes were added, if a strategy references
+    /// an unknown resource, or with [`GameError::PlayerOverflow`] if the
+    /// classes' total population overflows `u64`.
     pub fn build(self) -> Result<CongestionGame, GameError> {
         CongestionGame::from_parts(self.resources, self.classes)
     }

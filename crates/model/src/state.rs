@@ -74,7 +74,7 @@ impl Migration {
 /// (resources whose moves cancel out are not re-evaluated). Simulation
 /// engines call `ensure` once per round, so steady-state rounds never
 /// re-walk resource lists or re-evaluate unchanged latency functions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct LatencyCache {
     /// Whether `res`/`res_plus` match the current loads.
     valid: bool,
@@ -93,6 +93,32 @@ struct LatencyCache {
     prev_loads: Vec<u64>,
     /// Scratch: per-strategy outflow of the current migration batch.
     outflow: Vec<u64>,
+}
+
+impl Clone for LatencyCache {
+    fn clone(&self) -> Self {
+        let mut cache = LatencyCache::default();
+        cache.clone_from(self);
+        cache
+    }
+
+    /// Copy the tables that are fresh in `source` into the existing
+    /// storage; stale tables are rebuilt before they are read, so they
+    /// keep this cache's storage for that rebuild. The batch scratch
+    /// (`prev_loads`, `outflow`) is rewritten before every use and is not
+    /// copied either.
+    fn clone_from(&mut self, source: &Self) {
+        self.valid = source.valid;
+        self.strat_stale = source.strat_stale;
+        if source.valid {
+            self.res.clone_from(&source.res);
+            self.res_plus.clone_from(&source.res_plus);
+        }
+        if !source.strat_stale {
+            self.strat.clone_from(&source.strat);
+            self.strat_plus.clone_from(&source.strat_plus);
+        }
+    }
 }
 
 impl LatencyCache {
@@ -122,7 +148,7 @@ const NO_POS: u32 = u32::MAX;
 /// these lists in place of dense strategy ranges, and ascending-id order
 /// keeps pair visitation (and hence RNG consumption and float summation
 /// order) bit-identical to the dense scans they replace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SupportIndex {
     /// Whether the lists mirror the current counts.
     valid: bool,
@@ -141,6 +167,36 @@ struct SupportIndex {
     class_starts: Vec<u32>,
     /// Total occupied strategies over all classes (`Σ_c support_c`).
     total: usize,
+}
+
+impl Clone for SupportIndex {
+    fn clone(&self) -> Self {
+        let mut index = SupportIndex::default();
+        index.clone_from(self);
+        index
+    }
+
+    /// Copy a built index into the existing storage. Every occupied list
+    /// keeps at least the source list's capacity (the full class size once
+    /// built), so a copy maintains its support without allocating. An
+    /// unbuilt index is rebuilt before it is read, so only its flag is
+    /// copied and the storage is kept for that rebuild.
+    fn clone_from(&mut self, source: &Self) {
+        self.valid = source.valid;
+        if !source.valid {
+            return;
+        }
+        self.occupied.truncate(source.occupied.len());
+        self.occupied.resize_with(source.occupied.len(), Vec::new);
+        for (list, from) in self.occupied.iter_mut().zip(&source.occupied) {
+            list.clear();
+            list.reserve(from.capacity());
+            list.extend_from_slice(from);
+        }
+        self.pos.clone_from(&source.pos);
+        self.class_starts.clone_from(&source.class_starts);
+        self.total = source.total;
+    }
 }
 
 /// A state `x` of a congestion game: the number of players on every strategy
@@ -167,7 +223,6 @@ struct SupportIndex {
 /// assert_eq!(state.count(StrategyId::new(1)), 1);
 /// # Ok::<(), congames_model::GameError>(())
 /// ```
-#[derive(Clone)]
 pub struct State {
     counts: Vec<u64>,
     loads: Vec<u64>,
@@ -176,6 +231,31 @@ pub struct State {
     base_loads: Option<Vec<u64>>,
     cache: LatencyCache,
     support: SupportIndex,
+}
+
+impl Clone for State {
+    fn clone(&self) -> Self {
+        State {
+            counts: self.counts.clone(),
+            loads: self.loads.clone(),
+            base_loads: self.base_loads.clone(),
+            cache: self.cache.clone(),
+            support: self.support.clone(),
+        }
+    }
+
+    /// Overwrite this state with `source` in place: counts, loads, base
+    /// loads, and whichever derived caches `source` has built, copied into
+    /// the existing storage. A simulation replica rewinds to its start this
+    /// way, so once its buffers have the start's sizes a rewind allocates
+    /// nothing and rebuilds no cache.
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+        self.loads.clone_from(&source.loads);
+        self.base_loads.clone_from(&source.base_loads);
+        self.cache.clone_from(&source.cache);
+        self.support.clone_from(&source.support);
+    }
 }
 
 impl PartialEq for State {
@@ -205,8 +285,9 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails if the vector length does not match the number of strategies or
-    /// a class's counts do not sum to its player count.
+    /// Fails if the vector length does not match the number of strategies,
+    /// a class's counts do not sum to its player count, or that sum
+    /// overflows `u64` ([`GameError::PlayerOverflow`]).
     pub fn from_counts(game: &CongestionGame, counts: Vec<u64>) -> Result<Self, GameError> {
         if counts.len() != game.num_strategies() {
             return Err(GameError::WrongLength {
@@ -215,7 +296,14 @@ impl State {
             });
         }
         for (ci, class) in game.classes().iter().enumerate() {
-            let sum: u64 = class.strategy_range().map(|s| counts[s as usize]).sum();
+            let sum = class.strategy_range().try_fold(0u64, |sum, s| {
+                let count = counts[s as usize];
+                sum.checked_add(count).ok_or(GameError::PlayerOverflow {
+                    what: "population",
+                    present: sum,
+                    added: count,
+                })
+            })?;
             if sum != class.players() {
                 return Err(GameError::CountMismatch {
                     class: ci,
@@ -967,15 +1055,19 @@ impl State {
 
     /// Overwrite this state's counts and loads from one lane of
     /// replica-major SoA columns (element `k` of lane `lane` lives at
-    /// `column[k * width + lane]`), invalidating both derived caches.
+    /// `column[k * width + lane]`), invalidating both derived caches unless
+    /// the state already held exactly that column (then the caches, which
+    /// depend only on counts, loads and base loads, stay as they were).
     ///
     /// This is the *gather* half of the replica-lane kernel: a lane block
     /// evolves `width` replicas through strategy-major count columns and
     /// resource-major load columns, and materializes a single lane into a
     /// scratch `State` (typically a clone of the start state, so
     /// `base_loads` carries over) only when a record or an expensive stop
-    /// check needs one. Allocation-free: the destination vectors are
-    /// already sized by the state this scratch was cloned from.
+    /// check needs one. Every lane of a fresh group holds the start
+    /// column, so gathering them one after another rebuilds no cache.
+    /// Allocation-free: the destination vectors are already sized by the
+    /// state this scratch was cloned from.
     ///
     /// # Panics
     ///
@@ -991,13 +1083,20 @@ impl State {
         assert!(lane < width, "lane {lane} out of range for width {width}");
         assert_eq!(lane_counts.len(), self.counts.len() * width, "counts column shape");
         assert_eq!(lane_loads.len(), self.loads.len() * width, "loads column shape");
+        let mut changed = false;
         for (k, c) in self.counts.iter_mut().enumerate() {
-            *c = lane_counts[k * width + lane];
+            let v = lane_counts[k * width + lane];
+            changed |= *c != v;
+            *c = v;
         }
         for (k, l) in self.loads.iter_mut().enumerate() {
-            *l = lane_loads[k * width + lane];
+            let v = lane_loads[k * width + lane];
+            changed |= *l != v;
+            *l = v;
         }
-        self.invalidate_caches_for_game_change();
+        if changed {
+            self.invalidate_caches_for_game_change();
+        }
     }
 
     /// Add `count` players to strategy `s` (a scenario *arrival*): bumps
@@ -1628,5 +1727,40 @@ mod tests {
         s.ensure_latency_cache(&game);
         s.ensure_support_index(&game);
         assert_eq!(s.support_size(), 3);
+        // Gathering the column the state already holds keeps both caches.
+        s.assign_lane_column(&counts, &loads, 2, 1);
+        assert!(s.latency_cache_valid() && s.support_index_valid());
+        assert!(s.latency_cache_consistent(&game) && s.support_consistent(&game));
+    }
+
+    #[test]
+    fn clone_from_copies_caches_into_existing_storage() {
+        let game = overlap_game(6);
+        let mut start = State::from_counts(&game, vec![6, 0, 0]).unwrap();
+        start.ensure_latency_cache(&game);
+        start.ensure_support_index(&game);
+        let mut s = start.clone();
+        s.apply_migrations(&game, &[Migration::new(sid(0), sid(1), 4)]).unwrap();
+        s.ensure_latency_cache(&game);
+        s.clone_from(&start);
+        assert_eq!(s, start);
+        assert!(s.latency_cache_valid() && s.support_index_valid());
+        assert!(s.latency_cache_consistent(&game) && s.support_consistent(&game));
+        // The copied occupied lists keep full class capacity, so the
+        // rewound state enters every strategy without reallocating.
+        assert!(s.support.occupied[0].capacity() >= game.classes()[0].num_strategies());
+        s.apply_migrations(
+            &game,
+            &[Migration::new(sid(0), sid(1), 1), Migration::new(sid(0), sid(2), 1)],
+        )
+        .unwrap();
+        assert!(s.support_consistent(&game));
+    }
+
+    #[test]
+    fn from_counts_rejects_a_class_sum_past_u64() {
+        let game = two_link_game(0);
+        let err = State::from_counts(&game, vec![u64::MAX, 1]).unwrap_err();
+        assert!(matches!(err, GameError::PlayerOverflow { what: "population", .. }), "{err}");
     }
 }

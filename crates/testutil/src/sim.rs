@@ -1,10 +1,27 @@
 //! Multi-trial simulation helpers for comparing round engines.
 
-use congames_dynamics::{EngineKind, Protocol, Simulation};
+use congames_dynamics::{EngineKind, Protocol, RoundRecord, Simulation};
 use congames_model::{CongestionGame, State};
 use congames_sampling::RngMode;
 
 use crate::rng::fixture_stream;
+
+/// A [`RoundRecord`] as comparable bits: round, `[potential, l_av,
+/// l_av_plus, max_latency]` bits, migrations, support, the unsatisfied
+/// fraction's bits, and the shock flag.
+pub type RecordBits = (u64, [u64; 4], u64, usize, Option<u64>, bool);
+
+/// A record as comparable bits (float fields by `to_bits`).
+pub fn record_bits(r: &RoundRecord) -> RecordBits {
+    (
+        r.round,
+        [r.potential.to_bits(), r.l_av.to_bits(), r.l_av_plus.to_bits(), r.max_latency.to_bits()],
+        r.migrations,
+        r.support,
+        r.unsatisfied_fraction.map(f64::to_bits),
+        r.shock,
+    )
+}
 
 /// A per-trial scalar summary of a finished (short) run.
 pub type StateStat = fn(&CongestionGame, &State) -> f64;

@@ -102,6 +102,48 @@ fn a_start_whose_cached_loads_overflow_is_rejected() {
     assert!(is_players(&err), "{err:?}");
 }
 
+/// Player counts never wrap silently: a class whose counts sum past `u64`
+/// is rejected by `State::from_counts` (a wrapped sum could otherwise
+/// match a small population), and no game can hold a total population
+/// past `u64` — not at construction, not after a population mutation.
+#[test]
+fn populations_past_u64_are_rejected() {
+    use congames::model::{GameError, Strategy};
+    let is_population =
+        |err: &GameError| matches!(err, GameError::PlayerOverflow { what: "population", .. });
+    let lat = || vec![Affine::linear(1.0).into(), Affine::linear(2.0).into()];
+
+    // [u64::MAX, 1] wraps to 0 players under a plain sum.
+    let game = links(lat(), 0);
+    let err = State::from_counts(&game, vec![u64::MAX, 1]).unwrap_err();
+    assert!(is_population(&err), "{err:?}");
+
+    // Two classes of 2⁶³ players: `total_players()` would wrap to 0.
+    let half = 1u64 << 63;
+    let mut b = CongestionGame::builder();
+    let r = b.add_resource(Affine::linear(1.0).into());
+    let s = || vec![Strategy::singleton(r)];
+    b.add_class("a", half, s()).unwrap();
+    b.add_class("b", half, s()).unwrap();
+    let err = b.build().unwrap_err();
+    assert!(is_population(&err), "{err:?}");
+
+    // The same total reached by a population mutation fails and leaves
+    // the game unchanged.
+    let mut b = CongestionGame::builder();
+    let r = b.add_resource(Affine::linear(1.0).into());
+    b.add_class("a", half, vec![Strategy::singleton(r)]).unwrap();
+    b.add_class("b", half - 1, vec![Strategy::singleton(r)]).unwrap();
+    let mut game = b.build().unwrap();
+    assert_eq!(game.total_players(), u64::MAX);
+    let err = game.set_class_players(1, half).unwrap_err();
+    assert!(is_population(&err), "{err:?}");
+    assert_eq!(game.classes()[1].players(), half - 1);
+    assert_eq!(game.total_players(), u64::MAX);
+    game.set_class_players(1, 0).unwrap();
+    assert_eq!(game.total_players(), half);
+}
+
 #[test]
 fn zero_player_game_runs_without_panic() {
     let game = links(vec![Affine::linear(1.0).into()], 0);

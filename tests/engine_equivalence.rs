@@ -20,15 +20,20 @@
 //! Every trial seed derives from `congames_testutil::rng::fixture_rng`, so
 //! failures replay exactly.
 
+use std::sync::Arc;
+
 use congames::dynamics::{
-    EngineKind, Ensemble, ExplorationProtocol, ImitationProtocol, Protocol, Simulation, StopSpec,
+    DynamicsError, EngineKind, Ensemble, ExplorationProtocol, ImitationProtocol, Protocol,
+    RecordConfig, RoundHook, Simulation, StopCondition, StopReason, StopSpec,
 };
-use congames::model::{average_latency, potential, CongestionGame, State};
-use congames::sampling::{DrawRng, RngMode};
+use congames::model::{average_latency, potential, CongestionGame, ResourceId, State, StrategyId};
+use congames::sampling::{DrawRng, DrawStream, RngMode};
+use congames::scenario::{generate::step_shock, ScheduleCursor};
 use congames_testutil::games;
-use congames_testutil::rng::{fixture_rng, fixture_stream};
+use congames_testutil::rng::{fixture_rng, fixture_seed, fixture_stream};
 use congames_testutil::sim::{
-    occupancy_histogram, occupancy_histogram_mode, trial_stats, trial_stats_mode,
+    occupancy_histogram, occupancy_histogram_mode, record_bits, trial_stats, trial_stats_mode,
+    RecordBits,
 };
 use congames_testutil::stats::{assert_means_equal, ks_distance, ks_threshold};
 
@@ -1072,6 +1077,117 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
                     default_blocks.sites,
                     full.sites
                 );
+            }
+        }
+    }
+}
+
+/// One trial's output as bits: every record, the final potential, the
+/// rounds and the stop reason — or the error the trial failed with.
+type TrialBits = Result<(Vec<RecordBits>, u64, u64, StopReason), String>;
+
+fn trial_bits(sim: &mut Simulation<'_>, stop: &StopSpec, mut rng: impl DrawRng) -> TrialBits {
+    let out = sim.run(stop, &mut rng).map_err(|e| e.to_string())?;
+    let records = out.trajectory.records().iter().map(record_bits).collect();
+    Ok((records, out.potential.to_bits(), out.rounds, out.reason))
+}
+
+/// A hook that adds players to strategy 0 at round `at` without growing
+/// the class: the firing leaves an owned, mutated game and a state that
+/// fails the re-check, so the trial returns an error mid-run.
+#[derive(Debug)]
+struct Corrupt {
+    at: Option<u64>,
+}
+
+impl RoundHook for Corrupt {
+    fn next_fire(&self) -> Option<u64> {
+        self.at
+    }
+
+    fn fire(
+        &mut self,
+        _round: u64,
+        game: &mut CongestionGame,
+        state: &mut State,
+    ) -> Result<bool, DynamicsError> {
+        self.at = None;
+        game.scale_latency(ResourceId::new(0), 5.0)?;
+        state.add_players(game, StrategyId::new(0), 7)?;
+        Ok(true)
+    }
+}
+
+/// A replica reused across trials through [`Simulation::reset`] gives
+/// every trial the bits a fresh `Simulation::new` gives it: the records,
+/// the final potential, the rounds, the stop reason and the μ-memo
+/// counters. Covered: both engines and both RNG backends, with and
+/// without virtual agents, with a `step_shock` hook (whose firing swaps
+/// in an owned, rescaled game the reset must drop), and a reset after a
+/// trial that returned an error mid-run.
+#[test]
+fn reset_replica_matches_fresh_simulations_bitwise() {
+    use congames::dynamics::MuMemoStats;
+    let game = games::two_class_overlap(150, 90);
+    let shock = Arc::new(step_shock(6, 1, 3.0).expect("valid schedule"));
+    let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(60)])
+        .with_check_every(2);
+    let record = RecordConfig::every(3);
+    let seed = fixture_seed("eq/reset", 0);
+    for engine in [EngineKind::Aggregate, EngineKind::PlayerLevel] {
+        for va in [false, true] {
+            for hooked in [false, true] {
+                for mode in [RngMode::Xoshiro, RngMode::Counter] {
+                    let label = format!("{engine:?}/va={va}/hooked={hooked}/{mode:?}");
+                    let protocol: Protocol =
+                        ImitationProtocol::paper_default().with_virtual_agents(va).into();
+                    let mut start = games::geometric_state(&game);
+                    if va {
+                        start = start.with_virtual_agents(&game);
+                    }
+                    let hook = || -> Option<Box<dyn RoundHook>> {
+                        hooked.then(|| Box::new(ScheduleCursor::new(Arc::clone(&shock))) as _)
+                    };
+                    let build = || {
+                        Simulation::new(&game, protocol, start.clone())
+                            .expect("valid simulation")
+                            .with_engine(engine)
+                            .with_recording(record)
+                    };
+                    let fresh = |trial: u64| -> (TrialBits, MuMemoStats) {
+                        let mut sim = build();
+                        if let Some(h) = hook() {
+                            sim = sim.with_hook(h);
+                        }
+                        let rng = DrawStream::for_trial(mode, seed, trial);
+                        (trial_bits(&mut sim, &stop, rng), sim.mu_memo_stats())
+                    };
+                    let mut replica = build();
+                    // Trial 0 fails mid-run, leaving a mutated owned game
+                    // and an inconsistent state behind.
+                    replica.attach_hook(Box::new(Corrupt { at: Some(3) }));
+                    let rng = DrawStream::for_trial(mode, seed, 0);
+                    trial_bits(&mut replica, &stop, rng).expect_err("the corrupting hook fails");
+                    for trial in 0..4 {
+                        replica.reset(&start).expect("the start is valid");
+                        if let Some(h) = hook() {
+                            replica.attach_hook(h);
+                        }
+                        let rng = DrawStream::for_trial(mode, seed, trial);
+                        let reused =
+                            (trial_bits(&mut replica, &stop, rng), replica.mu_memo_stats());
+                        let want = fresh(trial);
+                        assert!(want.0.is_ok(), "{label} trial {trial}: {:?}", want.0);
+                        assert_eq!(reused, want, "{label} trial {trial}");
+                        if hooked {
+                            let (records, ..) = want.0.as_ref().unwrap();
+                            assert!(records.iter().any(|r| r.5), "{label}: the shock never fired");
+                        }
+                    }
+                    // A start of another game is rejected.
+                    let other = games::two_class_overlap(10, 10);
+                    assert!(replica.reset(&games::geometric_state(&other)).is_err(), "{label}");
+                }
             }
         }
     }

@@ -17,6 +17,7 @@ use congames::model::{ApproxEquilibrium, CongestionGame, State};
 use congames::sampling::{DrawStream, RngMode};
 use congames_testutil::games;
 use congames_testutil::rng::fixture_seed;
+use congames_testutil::sim::record_bits;
 
 /// Rounds per lockstep comparison: enough mixing that a drifting lane
 /// diverges visibly, short enough to keep the width sweep fast.
@@ -194,18 +195,6 @@ impl Observer for Collect {
     }
 }
 
-/// A record as comparable bits (float fields by `to_bits`).
-fn record_bits(r: &RoundRecord) -> (u64, [u64; 4], u64, usize, Option<u64>, bool) {
-    (
-        r.round,
-        [r.potential.to_bits(), r.l_av.to_bits(), r.l_av_plus.to_bits(), r.max_latency.to_bits()],
-        r.migrations,
-        r.support,
-        r.unsatisfied_fraction.map(f64::to_bits),
-        r.shock,
-    )
-}
-
 /// The record contract — start record, cadence records, deduplicated stop
 /// record — is the same for a lane as for the scalar run of its trial, bit
 /// for bit: with an unsatisfied-fraction test configured, a run resumed off
@@ -260,6 +249,48 @@ fn lane_records_equal_scalar_records_bitwise() {
         lanes.iter().any(|(_, s)| s.reason == StopReason::ImitationStable),
         "no lane reached imitation stability"
     );
+}
+
+/// One kernel reset across three lane groups — a full group, a narrower
+/// tail, and a full group again, as an ensemble worker runs them — gives
+/// every lane the records and summary a fresh kernel for its group gives
+/// it, bit for bit.
+#[test]
+fn a_reset_kernel_matches_fresh_kernels_bitwise() {
+    let game = games::two_class_overlap(60, 40);
+    let start = games::geometric_state(&game);
+    let protocol: Protocol = ImitationProtocol::paper_default().into();
+    let record = RecordConfig::every(3);
+    let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(40)])
+        .with_check_every(2);
+    let base_seed = fixture_seed("lanes/reset", 0);
+    let bits = |lanes: Vec<(Vec<RoundRecord>, RunSummary)>| {
+        lanes
+            .iter()
+            .map(|(records, s)| {
+                let records: Vec<_> = records.iter().map(record_bits).collect();
+                (records, s.reason, s.rounds, s.potential.to_bits())
+            })
+            .collect::<Vec<_>>()
+    };
+    let run = |kernel: &mut LaneKernel<'_>, lanes: usize| {
+        let observers = (0..lanes).map(|_| Collect::default()).collect();
+        bits(kernel.run_observed(&stop, observers).expect("no lane fails"))
+    };
+    let mut kernel = LaneKernel::new(&game, protocol, &start, base_seed, 0, 8)
+        .expect("valid lane kernel")
+        .with_recording(record);
+    for (first, lanes) in [(0u64, 8usize), (8, 5), (13, 8)] {
+        if first > 0 {
+            kernel.reset(first, lanes).expect("the group fits");
+        }
+        let reused = run(&mut kernel, lanes);
+        let mut fresh = LaneKernel::new(&game, protocol, &start, base_seed, first, lanes)
+            .expect("valid lane kernel")
+            .with_recording(record);
+        assert_eq!(reused, run(&mut fresh, lanes), "group at trial {first}");
+        assert!(reused.iter().any(|l| l.1 == StopReason::ImitationStable), "group at {first}");
+    }
 }
 
 /// A population whose lane buffers cannot be sized is a precise error from

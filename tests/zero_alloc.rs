@@ -6,7 +6,9 @@
 //! the state's latency cache, migration scratch) is owned by the
 //! [`Simulation`] and reused. This test installs a counting global
 //! allocator, warms a simulation past its buffer high-water marks, and then
-//! asserts that further rounds perform no allocation at all.
+//! asserts that further rounds perform no allocation at all — and that a
+//! replica rewound with `Simulation::reset` runs whole further trials
+//! without allocating.
 //!
 //! Everything runs inside a single `#[test]` so no concurrent test can
 //! perturb the global counter.
@@ -240,6 +242,44 @@ fn assert_support_index_maintenance_alloc_free() {
     );
 }
 
+/// Trial turnover on one replica: once a warm-up trial has sized every
+/// buffer, `Simulation::reset` to the start (copying counts, loads and
+/// caches into the replica's storage) followed by a whole aggregate trial
+/// run to imitation stability — pair builds, draws, applies, stop checks —
+/// touches the heap not once. This is how an ensemble worker runs trial
+/// after trial.
+fn assert_trial_turnover_alloc_free() {
+    use congames::dynamics::{StopCondition, StopReason, StopSpec};
+    let game = game();
+    let start = skewed_start(&game);
+    let protocol: Protocol = ImitationProtocol::paper_default().into();
+    let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(5_000)]);
+    let mut sim = Simulation::new(&game, protocol, start.clone()).expect("valid simulation");
+    let mut streams: Vec<DrawStream> =
+        (0..6).map(|t| DrawStream::for_trial(RngMode::Counter, 4321, t)).collect();
+    let (warm_up, measured) = streams.split_at_mut(3);
+    for rng in warm_up {
+        sim.reset(&start).expect("valid start");
+        sim.run_observed(&stop, rng, &mut ()).expect("warm-up trial");
+    }
+    let before = allocations();
+    let mut rounds = 0;
+    for rng in measured {
+        sim.reset(&start).expect("valid start");
+        let summary = sim.run_observed(&stop, rng, &mut ()).expect("measured trial");
+        assert_eq!(summary.reason, StopReason::ImitationStable);
+        rounds += summary.rounds;
+    }
+    let after = allocations();
+    assert!(rounds > 10, "the measured trials must run the dynamics (got {rounds} rounds)");
+    assert_eq!(
+        after - before,
+        0,
+        "trial turnover: {} heap allocations in 3 reset + run trials",
+        after - before
+    );
+}
+
 /// Steady-state replica-major lane rounds: once the kernel's SoA blocks,
 /// union latency window, per-lane CSR pair buffers, and draw scratch have
 /// hit their high-water marks, stepping 16 lockstep replicas must not
@@ -328,6 +368,9 @@ fn round_kernels_do_not_allocate_in_steady_state() {
     // Incremental support-index maintenance (inserts/removes as counts
     // cross zero) is likewise allocation-free once built.
     assert_support_index_maintenance_alloc_free();
+    // A replica rewound between trials keeps that discipline across trial
+    // turnover.
+    assert_trial_turnover_alloc_free();
     // Replica-major lane rounds reuse the same scratch discipline, in
     // both the scalar and the vector dispatch arms.
     use congames::sampling::Dispatch;
