@@ -19,6 +19,9 @@ use congames_model::{
     PlayerClass, ResourceId, State, StrategyId,
 };
 use congames_sampling::{multinomial_with_rest_into, DrawRng};
+use congames_simd::{
+    compact_sites, imitation_decide, imitation_decide_with, unit_f64, Dispatch, ImitationClass,
+};
 use rand::{Rng, RngCore};
 use std::borrow::Cow;
 
@@ -118,9 +121,11 @@ pub struct MuMemoStats {
 /// Two-tier μ memo for the player-level kernel.
 ///
 /// * **Dense tier** — classes whose full table (`2·S_c²` slots, indexed
-///   `(from_local·S_c + to_local)·2 + is_explore`) fits the slot budget:
+///   `is_explore·S_c² + from_local·S_c + to_local`) fits the slot budget:
 ///   one stamp compare per lookup, no bookkeeping. This is the common
-///   case and costs exactly what the pre-LRU dense memo did.
+///   case and costs exactly what the pre-LRU dense memo did. Its first
+///   `S_c²` values are the imitation μ matrix, which the pure-imitation
+///   decide kernel reads as a plain `f64` table.
 /// * **LRU row tier** — classes above the budget (network games with
 ///   thousands of paths) get one *row* per origin strategy actually
 ///   visited, holding that origin's `2·S_c` destination slots. Origins
@@ -139,10 +144,12 @@ pub struct MuMemoStats {
 /// bit of the trajectory.
 #[derive(Debug)]
 struct MuTable {
-    /// `(stamp, μ)` per slot — fused so a hit costs one cache line. Grown
-    /// lazily (full table for dense classes, row by row for LRU classes),
-    /// so small supports in huge classes never touch the full budget.
-    slots: Vec<(u64, f64)>,
+    /// Stamp and μ per slot, in two parallel arrays so a kernel can read
+    /// the μ values as one `f64` slice. Grown lazily (full table for
+    /// dense classes, row by row for LRU classes), so small supports in
+    /// huge classes never touch the full budget.
+    stamps: Vec<u64>,
+    mu: Vec<f64>,
     /// Monotone stamp source shared by class visits and row assignments.
     next_stamp: u64,
     /// Stamp of the current class visit.
@@ -176,13 +183,14 @@ struct MuTable {
 /// Sentinel for "no row" in the LRU links.
 const NO_ROW: u32 = u32::MAX;
 
-/// Default μ-memo slot budget: 2²¹ slots ≈ 32 MiB of `(stamp, μ)` pairs.
+/// Default μ-memo slot budget: 2²¹ slots ≈ 32 MiB of stamps and μ values.
 const MU_TABLE_MAX: usize = 1 << 21;
 
 impl Default for MuTable {
     fn default() -> Self {
         MuTable {
-            slots: Vec::new(),
+            stamps: Vec::new(),
+            mu: Vec::new(),
             next_stamp: 0,
             current: 0,
             dense: false,
@@ -213,9 +221,7 @@ impl MuTable {
         let dense_slots = s_c.saturating_mul(s_c).saturating_mul(2);
         if dense_slots <= self.capacity {
             self.dense = true;
-            if self.slots.len() < dense_slots {
-                self.slots.resize(dense_slots, (0, 0.0));
-            }
+            self.grow(dense_slots);
             return true;
         }
         self.dense = false;
@@ -251,9 +257,7 @@ impl MuTable {
             let r = self.rows_in_use;
             self.rows_in_use += 1;
             let ri = r as usize;
-            if self.slots.len() < (ri + 1) * self.row_len {
-                self.slots.resize((ri + 1) * self.row_len, (0, 0.0));
-            }
+            self.grow((ri + 1) * self.row_len);
             if self.row_origin.len() <= ri {
                 self.row_origin.resize(ri + 1, 0);
                 self.row_tag.resize(ri + 1, 0);
@@ -294,15 +298,31 @@ impl MuTable {
         let row = self.row_for(from_local);
         let slot = row * self.row_len + to_local * 2 + is_explore as usize;
         let tag = self.row_tag[row];
-        if self.slots[slot].0 == tag {
+        if self.stamps[slot] == tag {
             self.stats.slot_hits += 1;
-            self.slots[slot].1
+            self.mu[slot]
         } else {
             self.stats.slot_misses += 1;
             let mu = compute();
-            self.slots[slot] = (tag, mu);
+            self.set(slot, tag, mu);
             mu
         }
+    }
+
+    /// Grow the slot arrays to at least `slots` entries. Stamp 0 never
+    /// matches (stamps start at 1), so new slots are stale.
+    fn grow(&mut self, slots: usize) {
+        if self.stamps.len() < slots {
+            self.stamps.resize(slots, 0);
+            self.mu.resize(slots, 0.0);
+        }
+    }
+
+    /// Stamp slot `slot` with `stamp` and store its μ.
+    #[inline(always)]
+    fn set(&mut self, slot: usize, stamp: u64, mu: f64) {
+        self.stamps[slot] = stamp;
+        self.mu[slot] = mu;
     }
 
     fn unlink(&mut self, r: u32) {
@@ -332,16 +352,9 @@ impl MuTable {
     }
 }
 
-/// Movable players whose first Philox blocks the counter-mode player walk
+/// Movable players whose first Philox words the counter-mode player walk
 /// fetches and decides per batch.
 const SITE_CHUNK: usize = 256;
-
-/// The uniform `[0, 1)` variate of a word: its top 53 bits, exactly as
-/// `Rng::gen::<f64>` maps the same word.
-#[inline(always)]
-fn unit_f64(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// One class's per-player decision under the pre-round state: the
 /// sampling-pool constants, and the one μ definition that the
@@ -350,13 +363,17 @@ fn unit_f64(word: u64) -> f64 {
 ///
 /// Two decision paths share it. On an addressed (counter-mode) stream,
 /// [`PlayerDecider::fill_rows`] evaluates μ once per class visit into the
-/// dense tier's rows and reads the movable mask off them, and
-/// [`PlayerDecider::decide_chunk`] decides a whole chunk of movable
-/// players from their first Philox blocks in one pass: the decisions are
-/// branch-free, and only the migrations are written out.
-/// [`PlayerDecider::decide`] is the sequential path — one player at a
-/// time from the stream, as a xoshiro stream requires — and the full-draw
-/// reference the batch pass must match bit for bit.
+/// dense tier's rows and reads the movable mask off them. A
+/// pure-imitation class then decides its movable players from word 0 of
+/// their Philox blocks with `congames_simd::imitation_decide` (the
+/// vector kernel over the dense μ matrix) or `imitation_decide_with` (μ
+/// from the LRU or no-memo tier), and a class with an exploration
+/// component decides each chunk from its blocks with
+/// [`PlayerDecider::decide_chunk`]: the decisions are branch-free, and
+/// only the migrations are written out. [`PlayerDecider::decide`] is the
+/// sequential path — one player at a time from the stream, as a xoshiro
+/// stream requires — and the full-draw reference the batch passes must
+/// match bit for bit.
 struct PlayerDecider<'a> {
     state: &'a State,
     game: &'a CongestionGame,
@@ -364,7 +381,10 @@ struct PlayerDecider<'a> {
     imit: Option<ImitationProtocol>,
     expl: Option<ExplorationProtocol>,
     explore_prob: f64,
-    class_players: &'a [StrategyId],
+    /// Global strategy id of every player of the class, in site order.
+    class_players: &'a [u32],
+    /// Site (global player index) of the class's first player.
+    start: usize,
     /// Global id of the class's first strategy.
     first: u32,
     s_c: usize,
@@ -404,11 +424,24 @@ impl PlayerDecider<'_> {
     }
 
     /// The dense tier's slot of `(from_local, to_local, is_explore)`, as a
-    /// closure that owns its row length so a hot loop keeps it in a
-    /// register.
+    /// closure that owns the class size so a hot loop keeps it in a
+    /// register: the imitation matrix first, the exploration one after it.
     fn dense_index(&self) -> impl Fn(usize, usize, bool) -> usize + Copy {
-        let row = 2 * self.s_c;
-        move |from, to, is_explore| from * row + to * 2 + is_explore as usize
+        let s = self.s_c;
+        move |from, to, is_explore| is_explore as usize * s * s + from * s + to
+    }
+
+    /// The class as the imitation decide kernel reads it.
+    fn imitation_class(&self) -> ImitationClass<'_> {
+        ImitationClass {
+            players: self.class_players,
+            start: self.start as u64,
+            first: self.first,
+            strategies: self.s_c,
+            real_pool: self.real_pool,
+            pool: self.pool,
+            self_exclude: self.self_exclude,
+        }
     }
 
     /// Movable-origin mask of class `class`, and, for a dense-tier class,
@@ -419,11 +452,11 @@ impl PlayerDecider<'_> {
     ///
     /// A dense-tier class evaluates μ once for every occupied origin ×
     /// every such destination and stamps it into the current visit's
-    /// slots, so [`PlayerDecider::decide_chunk`] reads every μ it needs
-    /// without a freshness check and none is evaluated twice. Other tiers
-    /// stop at an origin's first positive μ and leave the memo untouched,
-    /// so their counters see only the decisions' lookups. Returns whether
-    /// any origin is movable.
+    /// slots, so the decisions read every μ they need without a freshness
+    /// check and none is evaluated twice. Other tiers stop at an origin's
+    /// first positive μ and leave the memo untouched, so their counters
+    /// see only the decisions' lookups. Returns whether any origin is
+    /// movable.
     fn fill_rows(&self, class: usize, mu_table: &mut MuTable, movable: &mut Vec<bool>) -> bool {
         let (state, game) = (self.state, self.game);
         let all = || (self.first..self.first + self.s_c as u32).map(StrategyId::new);
@@ -441,8 +474,7 @@ impl PlayerDecider<'_> {
             let mut visit = |to: StrategyId, is_explore: bool| {
                 let mu = self.mu(from, to, is_explore);
                 if dense {
-                    let slot = index(local(from), local(to), is_explore);
-                    mu_table.slots[slot] = (stamp, mu);
+                    mu_table.set(index(local(from), local(to), is_explore), stamp, mu);
                 }
                 can_move |= mu > 0.0;
                 can_move && !dense
@@ -462,71 +494,57 @@ impl PlayerDecider<'_> {
         any_movable
     }
 
-    /// Decide one chunk of movable players straight from their first
-    /// Philox blocks (`blocks[i]` belongs to global player `sites[i]`),
-    /// writing the migrations to `moves` from `moved` on and returning the
-    /// new count.
+    /// Decide one chunk of movable players of a class with an exploration
+    /// component straight from their first Philox blocks (`blocks[i]`
+    /// belongs to global player `sites[i]`), writing the migrations to
+    /// `moves` from `moved` on and returning the new count.
     ///
-    /// The words sit at fixed indices: with an exploration component the
-    /// coin is word 0, the pick word 1 and the explore test word 2;
-    /// without one the pick is word 0. The imitation test is the pick's
-    /// remainder, as in [`PlayerDecider::decide`]. Virtual agents and
-    /// self-exclusion are selects, and `mu_of(from_local, to_local,
+    /// The words sit at fixed indices: the coin is word 0, the pick word 1
+    /// and the explore test word 2. An imitating player's test is the
+    /// pick's remainder, as in [`PlayerDecider::decide`]. Virtual agents
+    /// and self-exclusion are selects, and `mu_of(from_local, to_local,
     /// is_explore)` is called exactly when `decide` would look μ up, in
     /// player order.
     #[inline(always)]
     fn decide_chunk(
         &self,
-        start: usize,
         sites: &[u64],
         blocks: &[[u64; 4]],
         mu_of: impl FnMut(usize, usize, bool) -> f64,
-        moves: &mut [(usize, StrategyId)],
+        moves: &mut [(u64, u32)],
         moved: usize,
     ) -> usize {
-        // Compile the loop-invariant protocol shape in: without
-        // exploration word 0 is the pick and every movable player
-        // imitates; without virtual agents every draw names a real agent.
-        match (self.explore_prob > 0.0, self.virtual_agents()) {
-            (false, false) => {
-                self.decide_chunk_in::<false, false>(start, sites, blocks, mu_of, moves, moved)
-            }
-            (false, true) => {
-                self.decide_chunk_in::<false, true>(start, sites, blocks, mu_of, moves, moved)
-            }
-            (true, false) => {
-                self.decide_chunk_in::<true, false>(start, sites, blocks, mu_of, moves, moved)
-            }
-            (true, true) => {
-                self.decide_chunk_in::<true, true>(start, sites, blocks, mu_of, moves, moved)
-            }
+        // Compile the loop-invariant pool shape in: without virtual agents
+        // every draw names a real agent.
+        if self.virtual_agents() {
+            self.decide_chunk_in::<true>(sites, blocks, mu_of, moves, moved)
+        } else {
+            self.decide_chunk_in::<false>(sites, blocks, mu_of, moves, moved)
         }
     }
 
-    /// The body of [`PlayerDecider::decide_chunk`] for one protocol shape:
-    /// `EXPLORES` is `explore_prob > 0`, `VIRTUAL` is `virtual_agents()`.
-    /// Out of line, so the loop keeps its own registers.
+    /// The body of [`PlayerDecider::decide_chunk`] for one pool shape:
+    /// `VIRTUAL` is `virtual_agents()`. Out of line, so the loop keeps its
+    /// own registers.
     ///
     /// Each group of 64 players is decided into a destination array and a
     /// migration bitmask, and only then are the set bits written out: a
     /// store whose address waits on the previous player's decision would
     /// hold every later player's loads back.
     #[inline(never)]
-    fn decide_chunk_in<const EXPLORES: bool, const VIRTUAL: bool>(
+    fn decide_chunk_in<const VIRTUAL: bool>(
         &self,
-        start: usize,
         sites: &[u64],
         blocks: &[[u64; 4]],
         mut mu_of: impl FnMut(usize, usize, bool) -> f64,
-        moves: &mut [(usize, StrategyId)],
+        moves: &mut [(u64, u32)],
         mut moved: usize,
     ) -> usize {
         let (explore_prob, pool, real_pool, s_c) =
             (self.explore_prob, self.pool, self.real_pool, self.s_c as u64);
-        // A class without exploration reaches this pass only if some
-        // player can imitate (the mask is empty otherwise).
-        let can_imitate = !EXPLORES || (self.imit.is_some() && pool > 0);
-        let (players, first, self_exclude) = (self.class_players, self.first, self.self_exclude);
+        let can_imitate = self.imit.is_some() && pool > 0;
+        let (players, first, self_exclude, start) =
+            (self.class_players, self.first, self.self_exclude, self.start);
         let last = players.len() - 1;
         let mut dest = [0u32; 64];
         for (sites, blocks) in sites.chunks(64).zip(blocks.chunks(64)) {
@@ -534,9 +552,9 @@ impl PlayerDecider<'_> {
             for (bit, ((&site, block), dest)) in sites.iter().zip(blocks).zip(&mut dest).enumerate()
             {
                 let local = site as usize - start;
-                let from = (players[local].raw() - first) as usize;
-                let explore = EXPLORES && unit_f64(block[0]) < explore_prob;
-                let pick = block[EXPLORES as usize];
+                let from = (players[local] - first) as usize;
+                let explore = unit_f64(block[0]) < explore_prob;
+                let pick = block[1];
                 // Imitation: the multiply-shift quotient samples the
                 // agent, the remainder is the test variate.
                 let wide = pick as u128 * pool as u128;
@@ -545,7 +563,7 @@ impl PlayerDecider<'_> {
                 // real agent, so its unused index stays in bounds.
                 let real = can_imitate && (!VIRTUAL || draw < real_pool);
                 let j = draw as usize + ((draw as usize >= local) & self_exclude) as usize;
-                let agent = (players[if real { j } else { last }].raw() - first) as usize;
+                let agent = (players[if real { j } else { last }] - first) as usize;
                 let imitated = if real { agent } else { draw.wrapping_sub(real_pool) as usize };
                 let explored = ((pick as u128 * s_c as u128) >> 64) as usize;
                 let to = if explore { explored } else { imitated };
@@ -557,7 +575,7 @@ impl PlayerDecider<'_> {
             }
             while migrating != 0 {
                 let bit = migrating.trailing_zeros() as usize;
-                moves[moved] = (sites[bit] as usize, StrategyId::new(dest[bit]));
+                moves[moved] = (sites[bit], dest[bit]);
                 moved += 1;
                 migrating &= migrating - 1;
             }
@@ -565,20 +583,20 @@ impl PlayerDecider<'_> {
         moved
     }
 
-    /// Decide player `local` (on `from`), drawing its words from the
-    /// stream `words`: the destination it migrates to, or `None` if it
-    /// stays. The sequential path, which draws only the words it needs,
-    /// and the reference [`PlayerDecider::decide_chunk`] reproduces.
+    /// Decide player `local` (on global strategy `from`), drawing its
+    /// words from the stream `words`: the strategy it migrates to, or
+    /// `None` if it stays. The sequential path, which draws only the words
+    /// it needs, and the reference the batch passes reproduce.
     #[inline(always)]
     fn decide<W: RngCore>(
         &self,
         mu_table: &mut MuTable,
         local: usize,
-        from: StrategyId,
+        from: u32,
         words: &mut W,
-    ) -> Option<StrategyId> {
+    ) -> Option<u32> {
         let explore = self.explore_prob > 0.0 && words.gen::<f64>() < self.explore_prob;
-        let to: StrategyId;
+        let to: u32;
         let is_explore: bool;
         // The migration test's uniform variate: the imitation path derives
         // it from the *same* 64-bit draw that picks the sampled agent (the
@@ -586,8 +604,7 @@ impl PlayerDecider<'_> {
         // on it), halving the per-player RNG cost.
         let mut test_u: Option<f64> = None;
         if explore {
-            let pick = words.gen_range(0..self.s_c) as u32 + self.first;
-            to = StrategyId::new(pick);
+            to = words.gen_range(0..self.s_c) as u32 + self.first;
             is_explore = true;
         } else {
             if self.imit.is_none() || self.pool == 0 {
@@ -605,25 +622,25 @@ impl PlayerDecider<'_> {
                 let j = draw as usize + ((draw as usize >= local) & self.self_exclude) as usize;
                 to = self.class_players[j];
             } else {
-                to = StrategyId::new(self.first + (draw - self.real_pool) as u32);
+                to = self.first + (draw - self.real_pool) as u32;
             }
             is_explore = false;
         }
         // `to == from` flows through: its μ is 0 by definition (zero gain),
         // so it never migrates — and keeping it on the straight-line path
         // avoids an unpredictable branch on a freshly gathered value.
-        let from_local = (from.raw() - self.first) as usize;
-        let to_local = (to.raw() - self.first) as usize;
-        let compute_mu = || self.mu(from, to, is_explore);
+        let from_local = (from - self.first) as usize;
+        let to_local = (to - self.first) as usize;
+        let compute_mu = || self.mu(StrategyId::new(from), StrategyId::new(to), is_explore);
         let mu = if self.dense_memo {
             // Dense tier: one stamp compare, no bookkeeping — the exact
             // pre-LRU hot path.
             let slot = self.dense_index()(from_local, to_local, is_explore);
-            if mu_table.slots[slot].0 == mu_table.current {
-                mu_table.slots[slot].1
+            if mu_table.stamps[slot] == mu_table.current {
+                mu_table.mu[slot]
             } else {
                 let mu = compute_mu();
-                mu_table.slots[slot] = (mu_table.current, mu);
+                mu_table.set(slot, mu_table.current, mu);
                 mu
             }
         } else if self.memoize {
@@ -648,8 +665,11 @@ impl PlayerDecider<'_> {
 /// The checks every run start makes: `state` belongs to `game` (one count
 /// per strategy, each class's counts summing to its population), the total
 /// population plus the largest base load plus one fits in `u64` (the
-/// latency cache evaluates `ℓ_e(x_e + x⁰_e + 1)`), and the protocol's
-/// virtual-agent setting matches the state's base loads.
+/// latency cache evaluates `ℓ_e(x_e + x⁰_e + 1)`), every latency is finite
+/// and non-negative over the loads a run reaches
+/// ([`CongestionGame::check_latency_domain`], the check a latency swap
+/// makes), and the protocol's virtual-agent setting matches the state's
+/// base loads.
 /// `Simulation::new`, `LaneKernel::new` and `Ensemble::new` call it, and a
 /// hook-mutated game is re-checked with it.
 pub(crate) fn validate_start(
@@ -693,6 +713,9 @@ pub(crate) fn validate_start(
             message: "the total population plus the largest base load plus one overflows u64",
         });
     }
+    for r in (0..game.num_resources() as u32).map(ResourceId::new) {
+        game.check_latency_domain(r, state.base_load(r))?;
+    }
     let wants_virtual = protocol.imitation().is_some_and(|p| p.virtual_agents());
     if wants_virtual != state.has_virtual_agents() {
         return Err(DynamicsError::InvalidParameter {
@@ -733,11 +756,12 @@ pub struct Simulation<'g> {
     state: State,
     engine: EngineKind,
     record: RecordConfig,
-    /// Explicit player array (player-level engine only), grouped by class:
-    /// `players[class_offsets[c] .. class_offsets[c+1]]` are class `c`.
+    /// Explicit player array (player-level engine only) of raw global
+    /// strategy ids, grouped by class: `players[class_offsets[c] ..
+    /// class_offsets[c+1]]` are class `c`.
     /// Built from the counts by the first player round after a start or a
     /// game change (`players_built`); its capacity outlives resets.
-    players: Vec<StrategyId>,
+    players: Vec<u32>,
     players_built: bool,
     class_offsets: Vec<usize>,
     potential: f64,
@@ -751,14 +775,16 @@ pub struct Simulation<'g> {
     pairs_buf: PairBuffer,
     counts_buf: Vec<u64>,
     mu_table: MuTable,
-    moves_buf: Vec<(usize, StrategyId)>,
+    moves_buf: Vec<(u64, u32)>,
     commit_buf: Vec<(u32, u32)>,
     /// Per-class movable-origin mask of the player-level kernel (indexed by
     /// class-local strategy id; addressed streams only).
     movable_buf: Vec<bool>,
     /// The class's movable players' sites, compacted, and one chunk of
-    /// their first Philox blocks (addressed streams only).
+    /// their first Philox words (pure imitation) or blocks (with
+    /// exploration); addressed streams only.
     sites_buf: Vec<u64>,
+    words_buf: Vec<u64>,
     blocks_buf: Vec<[u64; 4]>,
 }
 
@@ -806,6 +832,7 @@ impl<'g> Simulation<'g> {
             commit_buf: Vec::new(),
             movable_buf: Vec::new(),
             sites_buf: Vec::new(),
+            words_buf: Vec::new(),
             blocks_buf: Vec::new(),
         })
     }
@@ -965,7 +992,7 @@ impl<'g> Simulation<'g> {
         for class in self.game.classes() {
             for sid in class.strategy_ids() {
                 for _ in 0..self.state.counts()[sid.index()] {
-                    players.push(sid);
+                    players.push(sid.raw());
                 }
             }
         }
@@ -1216,14 +1243,18 @@ impl<'g> Simulation<'g> {
     ///
     /// On an addressed (counter-mode) stream a class visit is one batch
     /// pass. [`PlayerDecider::fill_rows`] fills the dense-tier μ rows and
-    /// reads the movable-origin mask off them; the movable players' sites
-    /// are compacted; and each [`SITE_CHUNK`] of them gets its first
-    /// Philox blocks from one [`DrawRng::site_blocks`] call and is decided
-    /// by [`PlayerDecider::decide_chunk`] straight from those words.
-    /// Players on immovable origins draw nothing. A sequential stream
-    /// instead decides every player in turn with
-    /// [`PlayerDecider::decide`], which is also the full-draw reference
-    /// the batch pass matches bit for bit.
+    /// reads the movable-origin mask off them, and the movable players'
+    /// sites are compacted (for a class of at most 64 strategies by
+    /// `congames_simd::compact_sites` against the mask as a bitmask).
+    /// Each [`SITE_CHUNK`] of them is then decided in one pass: a
+    /// pure-imitation class fetches word 0 of each player's Philox block
+    /// with one [`DrawRng::site_words`] call and decides the chunk with
+    /// the imitation decide kernel; a class with an exploration component
+    /// fetches whole blocks with [`DrawRng::site_blocks`] and decides them
+    /// with [`PlayerDecider::decide_chunk`]. Players on immovable origins
+    /// draw nothing. A sequential stream instead decides every player in
+    /// turn with [`PlayerDecider::decide`], which is also the full-draw
+    /// reference the batch passes match bit for bit.
     fn player_round(
         &mut self,
         rng: &mut impl DrawRng,
@@ -1236,9 +1267,10 @@ impl<'g> Simulation<'g> {
         let virtual_agents = imit.is_some_and(|p| p.virtual_agents());
         // On an addressed stream a player's draws are a pure function of
         // its site, so a player who provably stays can skip them without
-        // shifting anyone else's words, and the movable players' blocks can
+        // shifting anyone else's words, and the movable players' words can
         // be computed in site batches; sequential streams draw for all.
         let addressed = rng.addressed();
+        let dispatch = Dispatch::global();
         // Decisions all use the pre-round state; μ values repeat across
         // players of one class, so memoize them in the dense epoch table.
         // Classes modify disjoint player/strategy ranges, so each class can
@@ -1248,6 +1280,7 @@ impl<'g> Simulation<'g> {
         let mut commit = std::mem::take(&mut self.commit_buf);
         let mut movable = std::mem::take(&mut self.movable_buf);
         let mut sites = std::mem::take(&mut self.sites_buf);
+        let mut words = std::mem::take(&mut self.words_buf);
         let mut blocks = std::mem::take(&mut self.blocks_buf);
         for (ci, class) in self.game.classes().iter().enumerate() {
             let n_c = class.players();
@@ -1256,7 +1289,7 @@ impl<'g> Simulation<'g> {
             }
             let s_c = class.num_strategies();
             let start = self.class_offsets[ci];
-            let my_range = class.strategy_range();
+            let first = class.strategy_range().start;
             let memoize = mu_table.begin(s_c);
             let mut moved = 0;
             {
@@ -1272,7 +1305,8 @@ impl<'g> Simulation<'g> {
                     expl,
                     explore_prob,
                     class_players,
-                    first: my_range.start,
+                    start,
+                    first,
                     s_c,
                     n_c,
                     self_exclude,
@@ -1285,7 +1319,7 @@ impl<'g> Simulation<'g> {
                 };
                 // Room for every player of the class to migrate.
                 if moves.len() < class_players.len() {
-                    moves.resize(class_players.len(), (0, StrategyId::new(0)));
+                    moves.resize(class_players.len(), (0, 0));
                 }
                 if !addressed {
                     // Sequential streams ignore the site; a counter stream
@@ -1294,9 +1328,10 @@ impl<'g> Simulation<'g> {
                     // writes a move slot; only movers advance past it, so
                     // the accept test never branches.
                     for (local, &from) in class_players.iter().enumerate() {
-                        rng.begin_site((start + local) as u64);
+                        let site = (start + local) as u64;
+                        rng.begin_site(site);
                         let to = decider.decide(&mut mu_table, local, from, rng);
-                        moves[moved] = (start + local, to.unwrap_or(from));
+                        moves[moved] = (site, to.unwrap_or(from));
                         moved += to.is_some() as usize;
                     }
                 } else {
@@ -1309,53 +1344,71 @@ impl<'g> Simulation<'g> {
                     if sites.len() < class_players.len() {
                         sites.resize(class_players.len(), 0);
                     }
-                    let mut k = 0;
-                    for (local, &from) in class_players.iter().enumerate() {
-                        sites[k] = (start + local) as u64;
-                        k += movable[(from.raw() - my_range.start) as usize] as usize;
-                    }
-                    // Fetch each chunk's first Philox blocks in one call and
-                    // decide the chunk from them in one pass, reading μ
-                    // from the class's tier.
-                    let first = my_range.start;
+                    let k = if s_c <= 64 {
+                        let mask = movable.iter().rev().fold(0u64, |m, &b| m << 1 | b as u64);
+                        compact_sites(
+                            dispatch,
+                            class_players,
+                            first,
+                            mask,
+                            start as u64,
+                            &mut sites,
+                        )
+                    } else {
+                        let mut k = 0;
+                        for (local, &from) in class_players.iter().enumerate() {
+                            sites[k] = (start + local) as u64;
+                            k += movable[(from - first) as usize] as usize;
+                        }
+                        k
+                    };
                     let id = |local: usize| StrategyId::new(first + local as u32);
-                    blocks.resize(SITE_CHUNK, [0; 4]);
-                    for chunk in sites[..k].chunks(SITE_CHUNK) {
-                        let chunk_blocks = &mut blocks[..chunk.len()];
-                        rng.site_blocks(chunk, chunk_blocks);
-                        moved = if decider.dense_memo {
-                            let (slots, index) = (&mu_table.slots[..], decider.dense_index());
-                            let mu_of = move |f, t, e| slots[index(f, t, e)].1;
-                            decider.decide_chunk(
-                                start,
-                                chunk,
-                                chunk_blocks,
-                                mu_of,
-                                &mut moves,
-                                moved,
-                            )
-                        } else if decider.memoize {
-                            let mu_of =
-                                |f, t, e| mu_table.row_mu(f, t, e, || decider.mu(id(f), id(t), e));
-                            decider.decide_chunk(
-                                start,
-                                chunk,
-                                chunk_blocks,
-                                mu_of,
-                                &mut moves,
-                                moved,
-                            )
-                        } else {
-                            let mu_of = |f, t, e| decider.mu(id(f), id(t), e);
-                            decider.decide_chunk(
-                                start,
-                                chunk,
-                                chunk_blocks,
-                                mu_of,
-                                &mut moves,
-                                moved,
-                            )
-                        };
+                    if explore_prob > 0.0 {
+                        // Fetch each chunk's first Philox blocks in one call
+                        // and decide the chunk from them in one pass,
+                        // reading μ from the class's tier.
+                        blocks.resize(SITE_CHUNK, [0; 4]);
+                        for chunk in sites[..k].chunks(SITE_CHUNK) {
+                            let chunk_blocks = &mut blocks[..chunk.len()];
+                            rng.site_blocks(chunk, chunk_blocks);
+                            moved = if decider.dense_memo {
+                                let (mu, index) = (&mu_table.mu[..], decider.dense_index());
+                                let mu_of = move |f, t, e| mu[index(f, t, e)];
+                                decider.decide_chunk(chunk, chunk_blocks, mu_of, &mut moves, moved)
+                            } else if decider.memoize {
+                                let mu_of = |f, t, e| {
+                                    mu_table.row_mu(f, t, e, || decider.mu(id(f), id(t), e))
+                                };
+                                decider.decide_chunk(chunk, chunk_blocks, mu_of, &mut moves, moved)
+                            } else {
+                                let mu_of = |f, t, e| decider.mu(id(f), id(t), e);
+                                decider.decide_chunk(chunk, chunk_blocks, mu_of, &mut moves, moved)
+                            };
+                        }
+                    } else {
+                        // Pure imitation reads word 0 alone: fetch each
+                        // chunk's words in one call and decide the chunk in
+                        // one kernel pass, over the dense tier's imitation
+                        // μ matrix or through the class's other tier.
+                        let class = decider.imitation_class();
+                        words.resize(SITE_CHUNK, 0);
+                        for chunk in sites[..k].chunks(SITE_CHUNK) {
+                            let chunk_words = &mut words[..chunk.len()];
+                            rng.site_words(chunk, chunk_words);
+                            let out = &mut moves[moved..];
+                            moved += if decider.dense_memo {
+                                let mu = &mu_table.mu[..s_c * s_c];
+                                imitation_decide(dispatch, &class, chunk, chunk_words, mu, out)
+                            } else if decider.memoize {
+                                let mu_of = |f, t| {
+                                    mu_table.row_mu(f, t, false, || decider.mu(id(f), id(t), false))
+                                };
+                                imitation_decide_with(&class, chunk, chunk_words, mu_of, out)
+                            } else {
+                                let mu_of = |f, t| decider.mu(id(f), id(t), false);
+                                imitation_decide_with(&class, chunk, chunk_words, mu_of, out)
+                            };
+                        }
                     }
                 }
             }
@@ -1364,10 +1417,9 @@ impl<'g> Simulation<'g> {
             // deterministic order, no per-round allocation.
             let players = &mut self.players;
             commit.clear();
-            for &(idx, to) in &moves[..moved] {
-                let from = players[idx];
-                players[idx] = to;
-                commit.push((from.raw(), to.raw()));
+            for &(site, to) in &moves[..moved] {
+                let from = std::mem::replace(&mut players[site as usize], to);
+                commit.push((from, to));
             }
             commit.sort_unstable();
             let mut i = 0usize;
@@ -1386,6 +1438,7 @@ impl<'g> Simulation<'g> {
         self.commit_buf = commit;
         self.movable_buf = movable;
         self.sites_buf = sites;
+        self.words_buf = words;
         self.blocks_buf = blocks;
         Ok(())
     }

@@ -72,6 +72,19 @@ pub enum GameError {
         /// Players being added.
         added: u64,
     },
+    /// A resource's latency is non-finite or negative at a load a run can
+    /// reach (see [`CongestionGame::check_latency_domain`]).
+    ///
+    /// [`CongestionGame::check_latency_domain`]: crate::CongestionGame::check_latency_domain
+    InvalidLatency {
+        /// The offending resource.
+        resource: u32,
+        /// The load at which the latency was evaluated.
+        load: u64,
+        /// The latency's value there, as `f64::to_bits` (bits keep this
+        /// error `Eq`; a NaN compares equal to itself).
+        value_bits: u64,
+    },
     /// A numeric parameter was invalid (negative, NaN, out of range, ...).
     InvalidParameter {
         /// Name of the offending parameter.
@@ -114,6 +127,12 @@ impl fmt::Display for GameError {
             GameError::PlayerOverflow { what, present, added } => write!(
                 f,
                 "adding {added} players to a {what} count of {present} overflows u64"
+            ),
+            GameError::InvalidLatency { resource, load, value_bits } => write!(
+                f,
+                "resource {resource} latency at load {load} would be {} \
+                 (latencies must be finite and non-negative)",
+                f64::from_bits(*value_bits)
             ),
             GameError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")

@@ -246,6 +246,36 @@ impl CongestionGame {
         self.resources[r.index()].latency_at(load)
     }
 
+    /// Require resource `r`'s latency to be finite and non-negative at
+    /// load 0 and one past the largest load a player could face: every
+    /// player plus the resource's `base` (virtual-agent) load, plus one
+    /// for a move's `ℓ(x+1)` (saturating at `u64::MAX`). Latencies are
+    /// non-decreasing, so these two loads bound every value a run reads;
+    /// every run start and every latency swap checks them, so Φ and the
+    /// latency cache never hold a non-finite or negative value.
+    ///
+    /// # Errors
+    ///
+    /// [`GameError::InvalidLatency`] names the first failing load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is not a resource of the game.
+    pub fn check_latency_domain(&self, r: ResourceId, base: u64) -> Result<(), GameError> {
+        let top = self.total_players().saturating_add(base).saturating_add(1);
+        for load in [0, top] {
+            let value = self.latency(r, load);
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(GameError::InvalidLatency {
+                    resource: r.raw(),
+                    load,
+                    value_bits: value.to_bits(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Maximum number of resources in any strategy (`k = max_P |P|`).
     pub fn max_strategy_len(&self) -> usize {
         self.strategies.iter().map(Strategy::len).max().unwrap_or(0)

@@ -71,9 +71,14 @@
 //! * kernels call it only when `addressed()` is `true`: on a sequential
 //!   stream a site's words depend on every earlier draw.
 //!
-//! The player-level engine compacts each class's movable players, fetches
-//! their blocks 256 sites per call, and decides each player from its
-//! block: a decision reads at most three words, so one block suffices.
+//! [`DrawRng::site_words`](crate::DrawRng::site_words) is the same sweep
+//! cut to word 0: the last round computes only the product word 0 reads,
+//! and nothing is transposed. It has the same contract.
+//!
+//! The player-level engine compacts each class's movable players and
+//! fetches their words 256 sites per call. A pure-imitation decision reads
+//! word 0 alone, so those classes fetch `site_words`; with exploration a
+//! decision reads up to three words, so those fetch `site_blocks`.
 //!
 //! # Lane addressing
 //!
@@ -89,7 +94,7 @@
 //! ([`CounterRng::at`] is the random-access form) are the whole mechanism.
 
 use crate::seeds::split_seed;
-use congames_simd::{philox4x64_batch, Dispatch, PhiloxSpec};
+use congames_simd::{philox4x64_batch, philox4x64_word0_batch, Dispatch, PhiloxSpec};
 use rand::RngCore;
 
 /// Stream indices reserved for deriving the two Philox key words from a
@@ -209,6 +214,23 @@ impl CounterRng {
     #[inline]
     pub(crate) fn site_blocks(&self, sites: &[u64], out: &mut [[u64; 4]]) {
         philox4x64_batch(
+            Dispatch::global(),
+            SPEC,
+            self.key,
+            [0, 0, self.round, self.trial],
+            1,
+            sites,
+            out,
+        );
+    }
+
+    /// Word 0 of the first block of each of `sites` in the current
+    /// `(trial, round)`: `out[i] == site_blocks(..)[i][0]`, from one
+    /// across-site sweep that computes only that word. Leaves the stream's
+    /// own position untouched.
+    #[inline]
+    pub(crate) fn site_words(&self, sites: &[u64], out: &mut [u64]) {
+        philox4x64_word0_batch(
             Dispatch::global(),
             SPEC,
             self.key,

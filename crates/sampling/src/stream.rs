@@ -9,13 +9,14 @@
 //! `(trial, round, site, index)` — see [`crate::counter`] for the key
 //! schedule. A third hook, [`addressed`], tells a kernel which of the two
 //! it is drawing from: only an addressed stream lets it leave a site
-//! nobody observes undrawn, or fetch many sites' first blocks at once
-//! through [`site_blocks`].
+//! nobody observes undrawn, or fetch many sites' first blocks (or just
+//! their first words) at once through [`site_blocks`] and [`site_words`].
 //!
 //! [`begin_round`]: DrawRng::begin_round
 //! [`begin_site`]: DrawRng::begin_site
 //! [`addressed`]: DrawRng::addressed
 //! [`site_blocks`]: DrawRng::site_blocks
+//! [`site_words`]: DrawRng::site_words
 
 use crate::counter::CounterRng;
 use crate::seeds::seeded_rng;
@@ -136,6 +137,31 @@ pub trait DrawRng: Rng {
             *block = [self.next_u64(), self.next_u64(), self.next_u64(), self.next_u64()];
         }
     }
+
+    /// The first word of each of `sites` in the current round: `out[i]` is
+    /// what `begin_site(sites[i])` followed by one `next_u64` call would
+    /// return, word 0 of the block [`site_blocks`](DrawRng::site_blocks)
+    /// returns. A kernel whose decision reads one word per site (the pure
+    /// imitation player round) fetches only that word. Afterwards the
+    /// stream's position is unspecified, as after `site_blocks`.
+    ///
+    /// Kernels call this only when [`addressed`](DrawRng::addressed) is
+    /// `true`, for the reason `site_blocks` gives. The default body is the
+    /// per-site walk; [`CounterRng`] overrides it with one batched
+    /// across-site Philox sweep that runs the last round only as far as
+    /// word 0 needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != sites.len()`.
+    #[inline]
+    fn site_words(&mut self, sites: &[u64], out: &mut [u64]) {
+        assert_eq!(out.len(), sites.len(), "one output word per site");
+        for (word, &site) in out.iter_mut().zip(sites) {
+            self.begin_site(site);
+            *word = self.next_u64();
+        }
+    }
 }
 
 /// Sequential backend: the hooks are no-ops, the stream is untouched.
@@ -161,6 +187,11 @@ impl DrawRng for CounterRng {
     fn site_blocks(&mut self, sites: &[u64], out: &mut [[u64; 4]]) {
         CounterRng::site_blocks(self, sites, out);
     }
+
+    #[inline]
+    fn site_words(&mut self, sites: &[u64], out: &mut [u64]) {
+        CounterRng::site_words(self, sites, out);
+    }
 }
 
 impl<R: DrawRng + ?Sized> DrawRng for &mut R {
@@ -182,6 +213,11 @@ impl<R: DrawRng + ?Sized> DrawRng for &mut R {
     #[inline]
     fn site_blocks(&mut self, sites: &[u64], out: &mut [[u64; 4]]) {
         (**self).site_blocks(sites, out);
+    }
+
+    #[inline]
+    fn site_words(&mut self, sites: &[u64], out: &mut [u64]) {
+        (**self).site_words(sites, out);
     }
 }
 
@@ -272,6 +308,14 @@ impl DrawRng for DrawStream {
             DrawStream::Counter(r) => DrawRng::site_blocks(r, sites, out),
         }
     }
+
+    #[inline]
+    fn site_words(&mut self, sites: &[u64], out: &mut [u64]) {
+        match self {
+            DrawStream::Xoshiro(r) => r.site_words(sites, out),
+            DrawStream::Counter(r) => DrawRng::site_words(r, sites, out),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -348,6 +392,17 @@ mod tests {
         through(&mut stream, &sites, &mut batched);
         assert_eq!(walked, batched);
         assert_eq!(batched[2][3], CounterRng::at(11, 4, 6, 4, 3));
+        // Word 0 alone, walked and batched (through `&mut R` too), is word
+        // 0 of those blocks.
+        let (mut walked_words, mut batched_words) = ([0u64; 11], [0u64; 11]);
+        plain.site_words(&sites, &mut walked_words);
+        fn words_through<R: DrawRng>(mut r: R, sites: &[u64], out: &mut [u64]) {
+            r.site_words(sites, out);
+        }
+        words_through(&mut stream, &sites, &mut batched_words);
+        let word0: Vec<u64> = batched.iter().map(|block| block[0]).collect();
+        assert_eq!(walked_words[..], word0[..]);
+        assert_eq!(batched_words[..], word0[..]);
     }
 
     #[test]

@@ -112,9 +112,9 @@ pub fn apply_event(
 }
 
 /// Replace resource `r`'s latency through `mutate`, then require the new
-/// function to be finite and non-negative at load 0 and one past the
-/// largest load a player could face (every player plus the resource's
-/// base load, plus one for a move's `ℓ(x+1)`). A function that fails is
+/// function to pass [`CongestionGame::check_latency_domain`] (finite and
+/// non-negative at load 0 and one past the largest load a player could
+/// face), the check every run start makes too. A function that fails is
 /// swapped back out, so the game and state are left unchanged.
 fn swap_latency(
     game: &mut CongestionGame,
@@ -124,21 +124,9 @@ fn swap_latency(
 ) -> Result<(), ScenarioError> {
     let previous = game.resources().get(r.index()).map(|res| res.latency().clone());
     mutate(game)?;
-    let base = state.base_load(r);
-    let top = game.total_players().saturating_add(base).saturating_add(1);
-    for load in [0, top] {
-        let value = game.latency(r, load);
-        if !(value.is_finite() && value >= 0.0) {
-            game.set_latency(r, previous.expect("the mutation validated the resource"))?;
-            return Err(ScenarioError::Apply {
-                round: 0,
-                message: format!(
-                    "resource {} latency at load {load} would be {value} \
-                     (latencies must be finite and non-negative)",
-                    r.raw()
-                ),
-            });
-        }
+    if let Err(e) = game.check_latency_domain(r, state.base_load(r)) {
+        game.set_latency(r, previous.expect("the mutation validated the resource"))?;
+        return Err(ScenarioError::Apply { round: 0, message: e.to_string() });
     }
     state.invalidate_caches_for_game_change();
     Ok(())

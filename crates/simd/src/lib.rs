@@ -4,11 +4,17 @@
 //! lockstep through structure-of-arrays blocks, so its inner loops are
 //! element-wise over lane rows: batched Philox keystream blocks, per-lane
 //! migration probabilities, per-strategy latency accumulation, load-window
-//! bounds. This crate provides those loops in multiple arms behind one
-//! [`Dispatch`] value: a portable scalar arm, an AVX2 `std::arch` arm, and
-//! an AVX-512 arm (which widens the Philox keystream to eight lanes per
-//! vector and shares the AVX2 float kernels), selected by runtime feature
-//! detection.
+//! bounds. The player-level round's batch pass runs here too: the
+//! across-site Philox sweep ([`philox4x64_batch`], and
+//! [`philox4x64_word0_batch`] when a decision reads only word 0), the
+//! movable-site compaction ([`compact_sites`]) and the pure-imitation
+//! decision ([`imitation_decide`]). This crate provides those loops in
+//! multiple arms behind one [`Dispatch`] value: a portable scalar arm, an
+//! AVX2 `std::arch` arm, and an AVX-512 arm (which widens the Philox
+//! keystream to eight lanes per vector, runs the gather/compress kernels,
+//! and shares the AVX2 float kernels), selected by runtime feature
+//! detection. All `unsafe` code of the workspace's library crates lives in
+//! this crate's arm modules.
 //!
 //! # Bit-identity contract
 //!
@@ -18,6 +24,10 @@
 //!   64×64→128 multiply is decomposed into 32-bit partial products with
 //!   full carry propagation, so the batched Philox blocks equal the scalar
 //!   blocks word for word, and `u64` min/max/compares are value-exact.
+//! * **Gathers and compress-stores move values**, and every index they
+//!   use is checked against its slice (or bounded by a check the public
+//!   wrapper made) before it is used, so the arms agree on every input,
+//!   including the ones they reject with a panic.
 //! * **Float ops vectorize *across* lanes only.** Each lane's own
 //!   operation sequence is unchanged — no reassociation, no FMA
 //!   contraction (IEEE-754 `vmulpd`/`vaddpd`/`vsubpd`/`vdivpd` round
@@ -155,9 +165,16 @@ pub struct PhiloxSpec {
     pub rounds: u32,
 }
 
+/// `rounds` full Philox rounds of `ctr` under `key`; returns the counter
+/// words and the key the next round would use.
 #[inline]
-fn philox_scalar(spec: PhiloxSpec, mut key: [u64; 2], mut ctr: [u64; 4]) -> [u64; 4] {
-    for _ in 0..spec.rounds {
+fn philox_rounds(
+    spec: PhiloxSpec,
+    mut key: [u64; 2],
+    mut ctr: [u64; 4],
+    rounds: u32,
+) -> ([u64; 4], [u64; 2]) {
+    for _ in 0..rounds {
         let wide0 = spec.m0 as u128 * ctr[0] as u128;
         let wide1 = spec.m1 as u128 * ctr[2] as u128;
         let (hi0, lo0) = ((wide0 >> 64) as u64, wide0 as u64);
@@ -166,7 +183,81 @@ fn philox_scalar(spec: PhiloxSpec, mut key: [u64; 2], mut ctr: [u64; 4]) -> [u64
         key[0] = key[0].wrapping_add(spec.w0);
         key[1] = key[1].wrapping_add(spec.w1);
     }
-    ctr
+    (ctr, key)
+}
+
+#[inline]
+fn philox_scalar(spec: PhiloxSpec, key: [u64; 2], ctr: [u64; 4]) -> [u64; 4] {
+    philox_rounds(spec, key, ctr, spec.rounds).0
+}
+
+/// Word 0 of [`philox_scalar`]: every round but the last in full, then
+/// only the last round's `M1·c2` high half, which is all word 0 reads.
+#[inline]
+fn philox_word0_scalar(spec: PhiloxSpec, key: [u64; 2], ctr: [u64; 4]) -> u64 {
+    let Some(full) = spec.rounds.checked_sub(1) else {
+        return ctr[0];
+    };
+    let (c, k) = philox_rounds(spec, key, ctr, full);
+    (((spec.m1 as u128 * c[2] as u128) >> 64) as u64) ^ c[1] ^ k[0]
+}
+
+/// Rounds at whose start a multiplied counter word can still be the same
+/// in every lane of a batch: one lane word reaches both multiplied words
+/// (0 and 2) within three rounds.
+const SHARED_ROUNDS: usize = 3;
+
+/// The `(hi, lo)` halves of a 64×64→128 product.
+type Wide = (u64, u64);
+
+/// The Philox products that are the same in every lane of a batch. Only
+/// the lane word differs between lanes, and a round's output word depends
+/// on the lane word only if one of its inputs does, so at the start of
+/// round `r < SHARED_ROUNDS` the products `M0·c0` and `M1·c2` may still be
+/// lane-independent: `m0[r]` and `m1[r]` hold their `(hi, lo)` then. The
+/// vector arms broadcast these instead of multiplying every lane (four of
+/// the first six products of an across-site or across-trial sweep), with
+/// the same bits by construction.
+#[derive(Debug, Clone, Copy)]
+struct SharedProducts {
+    m0: [Option<Wide>; SHARED_ROUNDS],
+    m1: [Option<Wide>; SHARED_ROUNDS],
+}
+
+impl SharedProducts {
+    /// Run the first rounds on the base counter, tracking which words are
+    /// still lane-independent. The lane word's own value never reaches a
+    /// lane-independent word, so the base counter's value there is
+    /// irrelevant.
+    fn new(spec: PhiloxSpec, key: [u64; 2], ctr: [u64; 4], lane_word: usize) -> Self {
+        let wide = |m: u64, x: u64| -> Wide {
+            let w = m as u128 * x as u128;
+            ((w >> 64) as u64, w as u64)
+        };
+        let mut shared = SharedProducts { m0: [None; SHARED_ROUNDS], m1: [None; SHARED_ROUNDS] };
+        let mut uniform = [true; 4];
+        uniform[lane_word] = false;
+        let (mut c, mut k) = (ctr, key);
+        for r in 0..SHARED_ROUNDS.min(spec.rounds as usize) {
+            shared.m0[r] = uniform[0].then(|| wide(spec.m0, c[0]));
+            shared.m1[r] = uniform[2].then(|| wide(spec.m1, c[2]));
+            let [u0, u1, u2, u3] = uniform;
+            uniform = [u1 && u2, u2, u0 && u3, u0];
+            (c, k) = philox_rounds(spec, k, c, 1);
+        }
+        shared
+    }
+
+    /// The lane-independent `(M0·c0, M1·c2)` products at the start of
+    /// round `r`, where there are any.
+    #[inline(always)]
+    fn at(&self, r: usize) -> (Option<Wide>, Option<Wide>) {
+        if r < SHARED_ROUNDS {
+            (self.m0[r], self.m1[r])
+        } else {
+            (None, None)
+        }
+    }
 }
 
 /// Batched keyed Philox 4×64: `out[i]` is the output block of counter
@@ -220,6 +311,292 @@ pub fn philox4x64_batch(
             unreachable!("resolved() degrades vector arms off x86_64")
         }
     }
+}
+
+/// Word 0 of each lane's block: `out[i] == philox4x64_batch(..)[i][0]`
+/// for the same arguments. Every round but the last runs in full; the
+/// last computes only its `M1·c2` high half, the one product word 0
+/// reads, and the vector arms store each vector's word 0 directly, with
+/// no transpose. A consumer that reads one word per lane (the pure
+/// imitation player decision) pays for one word. Bit-identical across
+/// arms (integer construction).
+///
+/// # Panics
+///
+/// Panics if `out.len() != lanes.len()` or `lane_word > 3`.
+#[inline]
+pub fn philox4x64_word0_batch(
+    d: Dispatch,
+    spec: PhiloxSpec,
+    key: [u64; 2],
+    ctr: [u64; 4],
+    lane_word: usize,
+    lanes: &[u64],
+    out: &mut [u64],
+) {
+    assert_eq!(out.len(), lanes.len(), "one output word per lane");
+    assert!(lane_word < 4, "counter word {lane_word} out of range");
+    let scalar_tail = |out: &mut [u64], lanes: &[u64]| {
+        for (o, &v) in out.iter_mut().zip(lanes) {
+            let mut c = ctr;
+            c[lane_word] = v;
+            *o = philox_word0_scalar(spec, key, c);
+        }
+    };
+    match resolved(d) {
+        Dispatch::Scalar => scalar_tail(out, lanes),
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx2 => {
+            let n4 = lanes.len() & !3;
+            avx2::philox4x64_word0_batch(spec, key, ctr, lane_word, &lanes[..n4], &mut out[..n4]);
+            scalar_tail(&mut out[n4..], &lanes[n4..]);
+        }
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx512 => {
+            let n8 = lanes.len() & !7;
+            avx512::philox4x64_word0_batch(spec, key, ctr, lane_word, &lanes[..n8], &mut out[..n8]);
+            let (tail_l, tail_o) = (&lanes[n8..], &mut out[n8..]);
+            let n4 = tail_l.len() & !3;
+            avx2::philox4x64_word0_batch(
+                spec,
+                key,
+                ctr,
+                lane_word,
+                &tail_l[..n4],
+                &mut tail_o[..n4],
+            );
+            scalar_tail(&mut tail_o[n4..], &tail_l[n4..]);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Dispatch::Avx2 | Dispatch::Avx512 => {
+            unreachable!("resolved() degrades vector arms off x86_64")
+        }
+    }
+}
+
+/// One class of a pure-imitation player round, as
+/// [`imitation_decide`] reads it.
+///
+/// Player `i` of the class has site `start + i` and sits on global
+/// strategy `players[i]`; the class's strategies are
+/// `first .. first + strategies`. A player samples one of `pool` agents
+/// by multiply-shift: draws below `real_pool` name a real player (with
+/// `self_exclude`, draw `j ≥ i` names player `j + 1`, so nobody samples
+/// themself), and the `pool − real_pool` draws above it name the virtual
+/// agents of strategies `0, 1, …` in class-local order.
+#[derive(Debug, Clone, Copy)]
+pub struct ImitationClass<'a> {
+    /// Every player's global strategy id, in site order.
+    pub players: &'a [u32],
+    /// Site of the class's first player.
+    pub start: u64,
+    /// Global id of the class's first strategy.
+    pub first: u32,
+    /// Strategies in the class.
+    pub strategies: usize,
+    /// Real agents a player samples from: the class size, less one under
+    /// self-exclusion.
+    pub real_pool: u64,
+    /// `real_pool` plus one virtual agent per strategy when they are on.
+    pub pool: u64,
+    /// Whether a player's own draw is shifted past themself.
+    pub self_exclude: bool,
+}
+
+impl ImitationClass<'_> {
+    /// The checks both arms make before deciding anything, so that every
+    /// index the decision computes stays in bounds: a sampled real agent
+    /// `j ≤ real_pool − 1 + self_exclude` is a player, and a virtual
+    /// agent `draw − real_pool < pool − real_pool` is a strategy.
+    fn check(&self, sites: &[u64], words: &[u64], moves: &[(u64, u32)]) {
+        assert_eq!(sites.len(), words.len(), "one word per site");
+        assert!(moves.len() >= sites.len(), "room for every player to move");
+        assert!(self.pool > 0, "an imitating player needs an agent to sample");
+        assert!(
+            self.real_pool <= self.pool
+                && self.pool - self.real_pool <= self.strategies as u64
+                && self
+                    .real_pool
+                    .checked_add(self.self_exclude as u64)
+                    .is_some_and(|n| n <= self.players.len() as u64),
+            "the sampling pool does not fit the class"
+        );
+        assert!(
+            u32::try_from(self.strategies).is_ok_and(|s| self.first.checked_add(s).is_some()),
+            "strategy ids must fit u32"
+        );
+    }
+}
+
+/// The uniform `[0, 1)` variate of a word: its top 53 bits, exactly as
+/// `rand`'s `Rng::gen::<f64>` maps the same word.
+#[inline(always)]
+pub fn unit_f64(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Decide a chunk of a pure-imitation class's players from word 0 of
+/// their Philox blocks: `words[i]` belongs to the player at `sites[i]`.
+/// Each player's draw `pick · pool` (128-bit) samples an agent with its
+/// high half and tests the migration with its low half's
+/// [`unit_f64`]; the player moves to the agent's strategy iff that
+/// variate is below `μ(from, to) = mu[from · strategies + to]` (class-local
+/// ids). The movers are written to `moves` as `(site, global destination)`
+/// in player order, and their count is returned.
+///
+/// The scalar arm is [`imitation_decide_with`] over the `mu` table; the
+/// AVX-512 arm decides eight players per step: it gathers both strategies,
+/// emulates the 64×64→128 product, applies self-exclusion and the
+/// virtual-agent select as masks, gathers μ and compares it with the
+/// exactly converted variate. AVX2 runs the scalar arm. Bit-identical
+/// across arms.
+///
+/// # Panics
+///
+/// Panics if `words` and `sites` differ in length, `moves` is shorter than
+/// `sites`, the pool is empty or does not fit the class,
+/// `mu.len() < strategies²`, a site lies outside the class, or a player's
+/// strategy lies outside it.
+#[inline]
+pub fn imitation_decide(
+    d: Dispatch,
+    class: &ImitationClass<'_>,
+    sites: &[u64],
+    words: &[u64],
+    mu: &[f64],
+    moves: &mut [(u64, u32)],
+) -> usize {
+    let s = class.strategies;
+    assert!(s.checked_mul(s).is_some_and(|n| mu.len() >= n), "one μ per strategy pair");
+    match resolved(d) {
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx512 => avx512::imitation_decide(class, sites, words, mu, moves),
+        _ => imitation_decide_with(class, sites, words, mu_in(mu, s), moves),
+    }
+}
+
+/// `μ(from, to)` read from a dense `strategies × strategies` table, with
+/// both ids checked against the class as the vector arm checks them.
+#[inline(always)]
+fn mu_in(mu: &[f64], strategies: usize) -> impl FnMut(usize, usize) -> f64 + '_ {
+    move |from, to| {
+        assert!(from < strategies && to < strategies, "a strategy lies outside the class");
+        mu[from * strategies + to]
+    }
+}
+
+/// The scalar arm of [`imitation_decide`] with μ from `mu_of(from, to)`
+/// (class-local ids), called once per player in player order — so a
+/// memo behind `mu_of` sees exactly the lookups a player-by-player walk
+/// makes. Same panics, less the `mu` table's.
+pub fn imitation_decide_with(
+    class: &ImitationClass<'_>,
+    sites: &[u64],
+    words: &[u64],
+    mu_of: impl FnMut(usize, usize) -> f64,
+    moves: &mut [(u64, u32)],
+) -> usize {
+    class.check(sites, words, moves);
+    if class.pool != class.real_pool {
+        decide_scalar::<true>(class, sites, words, mu_of, moves)
+    } else {
+        decide_scalar::<false>(class, sites, words, mu_of, moves)
+    }
+}
+
+/// The body of [`imitation_decide_with`] for one pool shape: `VIRTUAL`
+/// is whether the pool holds virtual agents. Out of line, so the loop
+/// keeps its own registers.
+///
+/// Each group of 64 players is decided into a destination array and a
+/// migration bitmask, and only then are the set bits written out: a
+/// store whose address waits on the previous player's decision would
+/// hold every later player's loads back.
+#[inline(never)]
+fn decide_scalar<const VIRTUAL: bool>(
+    class: &ImitationClass<'_>,
+    sites: &[u64],
+    words: &[u64],
+    mut mu_of: impl FnMut(usize, usize) -> f64,
+    moves: &mut [(u64, u32)],
+) -> usize {
+    let ImitationClass { players, start, first, real_pool, pool, self_exclude, .. } = *class;
+    let last = players.len().saturating_sub(1);
+    let mut moved = 0;
+    let mut dest = [0u32; 64];
+    for (sites, words) in sites.chunks(64).zip(words.chunks(64)) {
+        let mut migrating = 0u64;
+        for (bit, ((&site, &pick), dest)) in sites.iter().zip(words).zip(&mut dest).enumerate() {
+            let local = site.wrapping_sub(start) as usize;
+            let player = players.get(local).expect("a site lies outside the class");
+            let from = player.wrapping_sub(first) as usize;
+            // The multiply-shift quotient samples the agent, the
+            // remainder is the test variate.
+            let wide = pick as u128 * pool as u128;
+            let draw = (wide >> 64) as u64;
+            let real = !VIRTUAL || draw < real_pool;
+            let j = draw as usize + ((draw as usize >= local) & self_exclude) as usize;
+            // A virtual draw names no player; its unused index stays in
+            // bounds.
+            let agent = players[if real { j } else { last }].wrapping_sub(first) as usize;
+            let to = if real { agent } else { draw.wrapping_sub(real_pool) as usize };
+            let mu = mu_of(from, to);
+            *dest = first.wrapping_add(to as u32);
+            migrating |= ((unit_f64(wide as u64) < mu) as u64) << bit;
+        }
+        while migrating != 0 {
+            let bit = migrating.trailing_zeros() as usize;
+            moves[moved] = (sites[bit], dest[bit]);
+            moved += 1;
+            migrating &= migrating - 1;
+        }
+    }
+    moved
+}
+
+/// Compact the sites of the movable players of a class with at most 64
+/// strategies: `out[..k]` receives `start + i`, in order, for every player
+/// `i` whose class-local strategy `players[i] − first` has its bit set in
+/// `movable`, and `k` is returned. The contents of `out[k..]` are
+/// unspecified. The scalar arm writes every player's slot and advances
+/// past the movable ones (no branch); the AVX-512 arm tests sixteen
+/// players per step against the bitmask and compress-stores their sites.
+/// AVX2 runs the scalar arm.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than `players`.
+#[inline]
+pub fn compact_sites(
+    d: Dispatch,
+    players: &[u32],
+    first: u32,
+    movable: u64,
+    start: u64,
+    out: &mut [u64],
+) -> usize {
+    assert!(out.len() >= players.len(), "one slot per player");
+    match resolved(d) {
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx512 => avx512::compact_sites(players, first, movable, start, out),
+        _ => compact_sites_scalar(players, first, movable, start, out),
+    }
+}
+
+#[inline]
+fn compact_sites_scalar(
+    players: &[u32],
+    first: u32,
+    movable: u64,
+    start: u64,
+    out: &mut [u64],
+) -> usize {
+    let mut k = 0;
+    for (i, &p) in players.iter().enumerate() {
+        out[k] = start + i as u64;
+        k += (movable.checked_shr(p.wrapping_sub(first)).unwrap_or(0) & 1) as usize;
+    }
+    k
 }
 
 /// `out[l] += src[l]` — the vertical lane-row accumulation of the
@@ -524,7 +901,7 @@ pub fn monomial_fill(d: Dispatch, a: f64, k: u32, start: u64, out: &mut [f64]) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::PhiloxSpec;
+    use super::{PhiloxSpec, SharedProducts, Wide};
     use core::arch::x86_64::*;
 
     const LO32: u64 = 0xFFFF_FFFF;
@@ -584,12 +961,13 @@ mod avx2 {
         lanes: &[u64],
         out: &mut [[u64; 4]],
     ) {
+        let products = SharedProducts::new(spec, key, ctr, lane_word);
         let n8 = lanes.len() & !7;
         for (chunk, blocks) in lanes[..n8].chunks_exact(8).zip(out[..n8].chunks_exact_mut(8)) {
-            sweep::<2>(spec, key, ctr, lane_word, chunk, blocks);
+            sweep::<2>(spec, key, ctr, lane_word, &products, chunk, blocks);
         }
         for (chunk, blocks) in lanes[n8..].chunks_exact(4).zip(out[n8..].chunks_exact_mut(4)) {
-            sweep::<1>(spec, key, ctr, lane_word, chunk, blocks);
+            sweep::<1>(spec, key, ctr, lane_word, &products, chunk, blocks);
         }
     }
 
@@ -607,10 +985,118 @@ mod avx2 {
         key: [u64; 2],
         ctr: [u64; 4],
         lane_word: usize,
+        products: &SharedProducts,
         chunk: &[u64],
         blocks: &mut [[u64; 4]],
     ) {
         debug_assert!(chunk.len() == 4 * N && blocks.len() == 4 * N);
+        let (c, _) = rounds::<N>(spec, key, ctr, lane_word, products, chunk, spec.rounds);
+        // Transpose each vector's four word-vectors into per-lane blocks.
+        for (&[c0, c1, c2, c3], out) in c.iter().zip(blocks.chunks_exact_mut(4)) {
+            let t0 = _mm256_unpacklo_epi64(c0, c1);
+            let t1 = _mm256_unpackhi_epi64(c0, c1);
+            let t2 = _mm256_unpacklo_epi64(c2, c3);
+            let t3 = _mm256_unpackhi_epi64(c2, c3);
+            let base = out.as_mut_ptr() as *mut __m256i;
+            _mm256_storeu_si256(base, _mm256_permute2x128_si256::<0x20>(t0, t2));
+            _mm256_storeu_si256(base.add(1), _mm256_permute2x128_si256::<0x20>(t1, t3));
+            _mm256_storeu_si256(base.add(2), _mm256_permute2x128_si256::<0x31>(t0, t2));
+            _mm256_storeu_si256(base.add(3), _mm256_permute2x128_si256::<0x31>(t1, t3));
+        }
+    }
+
+    #[inline]
+    pub fn philox4x64_word0_batch(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
+        out: &mut [u64],
+    ) {
+        debug_assert_eq!(lanes.len() % 4, 0);
+        debug_assert_eq!(out.len(), lanes.len());
+        // SAFETY: the public wrapper verified AVX2 availability.
+        unsafe { philox4x64_word0_batch_impl(spec, key, ctr, lane_word, lanes, out) }
+    }
+
+    /// Eight lanes per sweep while they last, then four, as in
+    /// [`philox4x64_batch_impl`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn philox4x64_word0_batch_impl(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
+        out: &mut [u64],
+    ) {
+        let products = SharedProducts::new(spec, key, ctr, lane_word);
+        let n8 = lanes.len() & !7;
+        for (chunk, words) in lanes[..n8].chunks_exact(8).zip(out[..n8].chunks_exact_mut(8)) {
+            sweep_word0::<2>(spec, key, ctr, lane_word, &products, chunk, words);
+        }
+        for (chunk, words) in lanes[n8..].chunks_exact(4).zip(out[n8..].chunks_exact_mut(4)) {
+            sweep_word0::<1>(spec, key, ctr, lane_word, &products, chunk, words);
+        }
+    }
+
+    /// Word 0 of the blocks of `N` vectors of four lanes: every round but
+    /// the last in full, then the last round's `M1·c2` high half, stored
+    /// straight from the word-0 vector.
+    ///
+    /// # Safety
+    ///
+    /// As [`sweep`]: AVX2, and 4-lane `chunks_exact` pieces throughout.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sweep_word0<const N: usize>(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        products: &SharedProducts,
+        chunk: &[u64],
+        words: &mut [u64],
+    ) {
+        debug_assert!(chunk.len() == 4 * N && words.len() == 4 * N);
+        let full = spec.rounds.saturating_sub(1);
+        let (mut c, k0) = rounds::<N>(spec, key, ctr, lane_word, products, chunk, full);
+        if spec.rounds > 0 {
+            let lo32 = _mm256_set1_epi64x(LO32 as i64);
+            let m1_lo = _mm256_set1_epi64x((spec.m1 & LO32) as i64);
+            let m1_hi = _mm256_set1_epi64x((spec.m1 >> 32) as i64);
+            for w in c.iter_mut() {
+                let (hi1, _) = mulhilo(m1_lo, m1_hi, w[2], lo32);
+                w[0] = _mm256_xor_si256(_mm256_xor_si256(hi1, w[1]), k0);
+            }
+        }
+        for (w, out) in c.iter().zip(words.chunks_exact_mut(4)) {
+            _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, w[0]);
+        }
+    }
+
+    /// The counter words of `N` vectors of four lanes after `count` full
+    /// rounds, and the first key word the next round would use.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `chunk` holds `4·N` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rounds<const N: usize>(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        products: &SharedProducts,
+        chunk: &[u64],
+        count: u32,
+    ) -> ([[__m256i; 4]; N], __m256i) {
         let lo32 = _mm256_set1_epi64x(LO32 as i64);
         let m0_lo = _mm256_set1_epi64x((spec.m0 & LO32) as i64);
         let m0_hi = _mm256_set1_epi64x((spec.m0 >> 32) as i64);
@@ -624,17 +1110,27 @@ mod avx2 {
             _mm256_set1_epi64x(ctr[2] as i64),
             _mm256_set1_epi64x(ctr[3] as i64),
         ];
+        // Select the loaded lane word by value, not by a runtime index
+        // into the state, which would keep the state in memory across
+        // every round.
         let mut c = [shared; N];
         for (words, lanes) in c.iter_mut().zip(chunk.chunks_exact(4)) {
-            words[lane_word] = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
+            let loaded = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
+            for (w, word) in words.iter_mut().enumerate() {
+                if w == lane_word {
+                    *word = loaded;
+                }
+            }
         }
         let mut k0 = _mm256_set1_epi64x(key[0] as i64);
         let mut k1 = _mm256_set1_epi64x(key[1] as i64);
-        for _ in 0..spec.rounds {
+        let splat = |(hi, lo): Wide| (_mm256_set1_epi64x(hi as i64), _mm256_set1_epi64x(lo as i64));
+        for r in 0..count as usize {
+            let (shared0, shared1) = products.at(r);
             for words in c.iter_mut() {
                 let [c0, c1, c2, c3] = *words;
-                let (hi0, lo0) = mulhilo(m0_lo, m0_hi, c0, lo32);
-                let (hi1, lo1) = mulhilo(m1_lo, m1_hi, c2, lo32);
+                let (hi0, lo0) = shared0.map_or_else(|| mulhilo(m0_lo, m0_hi, c0, lo32), splat);
+                let (hi1, lo1) = shared1.map_or_else(|| mulhilo(m1_lo, m1_hi, c2, lo32), splat);
                 *words = [
                     _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0),
                     lo1,
@@ -645,18 +1141,7 @@ mod avx2 {
             k0 = _mm256_add_epi64(k0, w0);
             k1 = _mm256_add_epi64(k1, w1);
         }
-        // Transpose each vector's four word-vectors into per-lane blocks.
-        for (&[c0, c1, c2, c3], out) in c.iter().zip(blocks.chunks_exact_mut(4)) {
-            let t0 = _mm256_unpacklo_epi64(c0, c1);
-            let t1 = _mm256_unpackhi_epi64(c0, c1);
-            let t2 = _mm256_unpacklo_epi64(c2, c3);
-            let t3 = _mm256_unpackhi_epi64(c2, c3);
-            let base = out.as_mut_ptr() as *mut __m256i;
-            _mm256_storeu_si256(base, _mm256_permute2x128_si256::<0x20>(t0, t2));
-            _mm256_storeu_si256(base.add(1), _mm256_permute2x128_si256::<0x20>(t1, t3));
-            _mm256_storeu_si256(base.add(2), _mm256_permute2x128_si256::<0x31>(t0, t2));
-            _mm256_storeu_si256(base.add(3), _mm256_permute2x128_si256::<0x31>(t1, t3));
-        }
+        (c, k0)
     }
 
     #[inline]
@@ -1014,7 +1499,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::PhiloxSpec;
+    use super::{decide_scalar, mu_in, ImitationClass, PhiloxSpec, SharedProducts, Wide};
     use core::arch::x86_64::*;
 
     const LO32: u64 = 0xFFFF_FFFF;
@@ -1075,12 +1560,13 @@ mod avx512 {
         lanes: &[u64],
         out: &mut [[u64; 4]],
     ) {
+        let products = SharedProducts::new(spec, key, ctr, lane_word);
         let n16 = lanes.len() & !15;
         for (chunk, blocks) in lanes[..n16].chunks_exact(16).zip(out[..n16].chunks_exact_mut(16)) {
-            sweep::<2>(spec, key, ctr, lane_word, chunk, blocks);
+            sweep::<2>(spec, key, ctr, lane_word, &products, chunk, blocks);
         }
         for (chunk, blocks) in lanes[n16..].chunks_exact(8).zip(out[n16..].chunks_exact_mut(8)) {
-            sweep::<1>(spec, key, ctr, lane_word, chunk, blocks);
+            sweep::<1>(spec, key, ctr, lane_word, &products, chunk, blocks);
         }
     }
 
@@ -1098,44 +1584,12 @@ mod avx512 {
         key: [u64; 2],
         ctr: [u64; 4],
         lane_word: usize,
+        products: &SharedProducts,
         chunk: &[u64],
         blocks: &mut [[u64; 4]],
     ) {
         debug_assert!(chunk.len() == 8 * N && blocks.len() == 8 * N);
-        let lo32 = _mm512_set1_epi64(LO32 as i64);
-        let m0_lo = _mm512_set1_epi64((spec.m0 & LO32) as i64);
-        let m0_hi = _mm512_set1_epi64((spec.m0 >> 32) as i64);
-        let m1_lo = _mm512_set1_epi64((spec.m1 & LO32) as i64);
-        let m1_hi = _mm512_set1_epi64((spec.m1 >> 32) as i64);
-        let w0 = _mm512_set1_epi64(spec.w0 as i64);
-        let w1 = _mm512_set1_epi64(spec.w1 as i64);
-        let shared = [
-            _mm512_set1_epi64(ctr[0] as i64),
-            _mm512_set1_epi64(ctr[1] as i64),
-            _mm512_set1_epi64(ctr[2] as i64),
-            _mm512_set1_epi64(ctr[3] as i64),
-        ];
-        let mut c = [shared; N];
-        for (words, lanes) in c.iter_mut().zip(chunk.chunks_exact(8)) {
-            words[lane_word] = _mm512_loadu_si512(lanes.as_ptr() as *const __m512i);
-        }
-        let mut k0 = _mm512_set1_epi64(key[0] as i64);
-        let mut k1 = _mm512_set1_epi64(key[1] as i64);
-        for _ in 0..spec.rounds {
-            for words in c.iter_mut() {
-                let [c0, c1, c2, c3] = *words;
-                let (hi0, lo0) = mulhilo(m0_lo, m0_hi, c0, lo32);
-                let (hi1, lo1) = mulhilo(m1_lo, m1_hi, c2, lo32);
-                *words = [
-                    _mm512_xor_si512(_mm512_xor_si512(hi1, c1), k0),
-                    lo1,
-                    _mm512_xor_si512(_mm512_xor_si512(hi0, c3), k1),
-                    lo0,
-                ];
-            }
-            k0 = _mm512_add_epi64(k0, w0);
-            k1 = _mm512_add_epi64(k1, w1);
-        }
+        let (c, _) = rounds::<N>(spec, key, ctr, lane_word, products, chunk, spec.rounds);
         // Transpose each vector's four word-vectors into eight per-lane
         // blocks: qword interleave within 128-bit lanes, then two rounds of
         // 128-bit-lane shuffles.
@@ -1155,6 +1609,145 @@ mod avx512 {
             _mm512_storeu_si512(base.add(2), _mm512_shuffle_i64x2::<0x88>(p02_hi, p13_hi));
             _mm512_storeu_si512(base.add(3), _mm512_shuffle_i64x2::<0xDD>(p02_hi, p13_hi));
         }
+    }
+
+    #[inline]
+    pub fn philox4x64_word0_batch(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
+        out: &mut [u64],
+    ) {
+        debug_assert_eq!(lanes.len() % 8, 0);
+        debug_assert_eq!(out.len(), lanes.len());
+        // SAFETY: the public wrapper verified AVX-512 availability.
+        unsafe { philox4x64_word0_batch_impl(spec, key, ctr, lane_word, lanes, out) }
+    }
+
+    /// Sixteen lanes per sweep while they last, then eight, as in
+    /// [`philox4x64_batch_impl`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn philox4x64_word0_batch_impl(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        lanes: &[u64],
+        out: &mut [u64],
+    ) {
+        let products = SharedProducts::new(spec, key, ctr, lane_word);
+        let n16 = lanes.len() & !15;
+        for (chunk, words) in lanes[..n16].chunks_exact(16).zip(out[..n16].chunks_exact_mut(16)) {
+            sweep_word0::<2>(spec, key, ctr, lane_word, &products, chunk, words);
+        }
+        for (chunk, words) in lanes[n16..].chunks_exact(8).zip(out[n16..].chunks_exact_mut(8)) {
+            sweep_word0::<1>(spec, key, ctr, lane_word, &products, chunk, words);
+        }
+    }
+
+    /// Word 0 of the blocks of `N` vectors of eight lanes: every round but
+    /// the last in full, then the last round's `M1·c2` high half, stored
+    /// straight from the word-0 vector (one store per eight lanes).
+    ///
+    /// # Safety
+    ///
+    /// As [`sweep`]: AVX-512F, and 8-lane `chunks_exact` pieces throughout.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sweep_word0<const N: usize>(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        products: &SharedProducts,
+        chunk: &[u64],
+        words: &mut [u64],
+    ) {
+        debug_assert!(chunk.len() == 8 * N && words.len() == 8 * N);
+        let full = spec.rounds.saturating_sub(1);
+        let (mut c, k0) = rounds::<N>(spec, key, ctr, lane_word, products, chunk, full);
+        if spec.rounds > 0 {
+            let lo32 = _mm512_set1_epi64(LO32 as i64);
+            let m1_lo = _mm512_set1_epi64((spec.m1 & LO32) as i64);
+            let m1_hi = _mm512_set1_epi64((spec.m1 >> 32) as i64);
+            for w in c.iter_mut() {
+                let (hi1, _) = mulhilo(m1_lo, m1_hi, w[2], lo32);
+                w[0] = _mm512_xor_si512(_mm512_xor_si512(hi1, w[1]), k0);
+            }
+        }
+        for (w, out) in c.iter().zip(words.chunks_exact_mut(8)) {
+            _mm512_storeu_si512(out.as_mut_ptr() as *mut __m512i, w[0]);
+        }
+    }
+
+    /// The counter words of `N` vectors of eight lanes after `count` full
+    /// rounds, and the first key word the next round would use.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F; `chunk` holds `8·N` lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rounds<const N: usize>(
+        spec: PhiloxSpec,
+        key: [u64; 2],
+        ctr: [u64; 4],
+        lane_word: usize,
+        products: &SharedProducts,
+        chunk: &[u64],
+        count: u32,
+    ) -> ([[__m512i; 4]; N], __m512i) {
+        let lo32 = _mm512_set1_epi64(LO32 as i64);
+        let m0_lo = _mm512_set1_epi64((spec.m0 & LO32) as i64);
+        let m0_hi = _mm512_set1_epi64((spec.m0 >> 32) as i64);
+        let m1_lo = _mm512_set1_epi64((spec.m1 & LO32) as i64);
+        let m1_hi = _mm512_set1_epi64((spec.m1 >> 32) as i64);
+        let w0 = _mm512_set1_epi64(spec.w0 as i64);
+        let w1 = _mm512_set1_epi64(spec.w1 as i64);
+        let shared = [
+            _mm512_set1_epi64(ctr[0] as i64),
+            _mm512_set1_epi64(ctr[1] as i64),
+            _mm512_set1_epi64(ctr[2] as i64),
+            _mm512_set1_epi64(ctr[3] as i64),
+        ];
+        // Select the loaded lane word by value, not by a runtime index
+        // into the state, which would keep the state in memory across
+        // every round.
+        let mut c = [shared; N];
+        for (words, lanes) in c.iter_mut().zip(chunk.chunks_exact(8)) {
+            let loaded = _mm512_loadu_si512(lanes.as_ptr() as *const __m512i);
+            for (w, word) in words.iter_mut().enumerate() {
+                if w == lane_word {
+                    *word = loaded;
+                }
+            }
+        }
+        let mut k0 = _mm512_set1_epi64(key[0] as i64);
+        let mut k1 = _mm512_set1_epi64(key[1] as i64);
+        let splat = |(hi, lo): Wide| (_mm512_set1_epi64(hi as i64), _mm512_set1_epi64(lo as i64));
+        for r in 0..count as usize {
+            let (shared0, shared1) = products.at(r);
+            for words in c.iter_mut() {
+                let [c0, c1, c2, c3] = *words;
+                let (hi0, lo0) = shared0.map_or_else(|| mulhilo(m0_lo, m0_hi, c0, lo32), splat);
+                let (hi1, lo1) = shared1.map_or_else(|| mulhilo(m1_lo, m1_hi, c2, lo32), splat);
+                *words = [
+                    _mm512_xor_si512(_mm512_xor_si512(hi1, c1), k0),
+                    lo1,
+                    _mm512_xor_si512(_mm512_xor_si512(hi0, c3), k1),
+                    lo0,
+                ];
+            }
+            k0 = _mm512_add_epi64(k0, w0);
+            k1 = _mm512_add_epi64(k1, w1);
+        }
+        (c, k0)
     }
 
     #[inline]
@@ -1189,6 +1782,200 @@ mod avx512 {
             hi = hi.max(v);
         }
         (lo, hi)
+    }
+
+    #[inline]
+    pub fn imitation_decide(
+        class: &ImitationClass<'_>,
+        sites: &[u64],
+        words: &[u64],
+        mu: &[f64],
+        moves: &mut [(u64, u32)],
+    ) -> usize {
+        class.check(sites, words, moves);
+        let s = class.strategies;
+        assert!(s.checked_mul(s).is_some_and(|n| mu.len() >= n), "one μ per strategy pair");
+        // SAFETY: the public wrapper verified AVX-512 availability; the
+        // class passed its check and `mu` holds `strategies²` values.
+        unsafe {
+            if class.pool != class.real_pool {
+                imitation_decide_impl::<true>(class, sites, words, mu, moves)
+            } else {
+                imitation_decide_impl::<false>(class, sites, words, mu, moves)
+            }
+        }
+    }
+
+    /// Eight players per step, then the scalar arm for a ragged tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, the class must have passed
+    /// `ImitationClass::check` against `sites`, `words` and `moves`, and
+    /// `mu` must hold `strategies²` values. Every gather is then in
+    /// bounds: each site's player index is checked against the class,
+    /// a real agent's index is below `real_pool + self_exclude ≤ players`
+    /// by the pool check, and a μ index `from · s + to` is below `s²`
+    /// once both strategies are checked below `s`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn imitation_decide_impl<const VIRTUAL: bool>(
+        class: &ImitationClass<'_>,
+        sites: &[u64],
+        words: &[u64],
+        mu: &[f64],
+        moves: &mut [(u64, u32)],
+    ) -> usize {
+        let ImitationClass { players, start, first, strategies, real_pool, pool, self_exclude } =
+            *class;
+        let lo32 = _mm512_set1_epi64(LO32 as i64);
+        let pool_lo = _mm512_set1_epi64((pool & LO32) as i64);
+        let pool_hi = _mm512_set1_epi64((pool >> 32) as i64);
+        let start_v = _mm512_set1_epi64(start as i64);
+        let n_v = _mm512_set1_epi64(players.len() as i64);
+        let s_v = _mm512_set1_epi64(strategies as i64);
+        let real_v = _mm512_set1_epi64(real_pool as i64);
+        let first32 = _mm256_set1_epi32(first as i32);
+        let first_v = _mm512_set1_epi64(first as i64);
+        let one = _mm512_set1_epi64(1);
+        let exclude: __mmask8 = if self_exclude { 0xFF } else { 0 };
+        // 2⁵², whose bit pattern ORed onto an integer below 2⁵² is that
+        // integer plus 2⁵² as an f64.
+        let magic = _mm512_set1_epi64(0x4330_0000_0000_0000);
+        let magic_pd = _mm512_castsi512_pd(magic);
+        let scale = _mm512_set1_pd(1.0 / (1u64 << 53) as f64);
+        let base = players.as_ptr() as *const i32;
+        let n8 = sites.len() & !7;
+        let mut dest = [0u64; 8];
+        let mut moved = 0;
+        for i in (0..n8).step_by(8) {
+            let site = _mm512_loadu_si512(sites.as_ptr().add(i) as *const __m512i);
+            let local = _mm512_sub_epi64(site, start_v);
+            assert!(_mm512_cmplt_epu64_mask(local, n_v) == 0xFF, "a site lies outside the class");
+            let from = _mm512_cvtepu32_epi64(_mm256_sub_epi32(
+                _mm512_i64gather_epi32::<4>(local, base),
+                first32,
+            ));
+            // The multiply-shift quotient samples the agent, the
+            // remainder is the test variate.
+            let pick = _mm512_loadu_si512(words.as_ptr().add(i) as *const __m512i);
+            let (draw, rest) = mulhilo(pool_lo, pool_hi, pick, lo32);
+            let real = if VIRTUAL { _mm512_cmplt_epu64_mask(draw, real_v) } else { 0xFF };
+            let shift = _mm512_cmpge_epu64_mask(draw, local) & exclude;
+            let j = _mm512_mask_add_epi64(draw, shift, draw, one);
+            // Only real draws name a player; the others load nothing.
+            let agent = _mm512_cvtepu32_epi64(_mm256_sub_epi32(
+                _mm512_mask_i64gather_epi32::<4>(_mm256_setzero_si256(), real, j, base),
+                first32,
+            ));
+            let to = _mm512_mask_blend_epi64(real, _mm512_sub_epi64(draw, real_v), agent);
+            assert!(
+                _mm512_cmplt_epu64_mask(from, s_v) & _mm512_cmplt_epu64_mask(to, s_v) == 0xFF,
+                "a strategy lies outside the class"
+            );
+            let idx = _mm512_add_epi64(_mm512_mul_epu32(from, s_v), to);
+            let mu_v = _mm512_i64gather_pd::<8>(idx, mu.as_ptr());
+            // u = (rest >> 11)·2⁻⁵³, converted exactly: k = rest >> 11 is
+            // below 2⁵³, so ⌊k/2⌋ converts through the 2⁵² bias, and
+            // 2⌊k/2⌋ (+1 when k is odd) is exact, as is the power-of-two
+            // scale; `(k as f64) * 2⁻⁵³` rounds nowhere either.
+            let k = _mm512_srli_epi64::<11>(rest);
+            let half = _mm512_sub_pd(
+                _mm512_castsi512_pd(_mm512_or_si512(_mm512_srli_epi64::<1>(k), magic)),
+                magic_pd,
+            );
+            let even = _mm512_add_pd(half, half);
+            let odd = _mm512_test_epi64_mask(k, one);
+            let kf = _mm512_mask_add_pd(even, odd, even, _mm512_set1_pd(1.0));
+            let u = _mm512_mul_pd(kf, scale);
+            let mut migrating = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(u, mu_v);
+            if migrating != 0 {
+                _mm512_storeu_si512(
+                    dest.as_mut_ptr() as *mut __m512i,
+                    _mm512_add_epi64(to, first_v),
+                );
+                while migrating != 0 {
+                    let bit = migrating.trailing_zeros() as usize;
+                    moves[moved] = (sites[i + bit], dest[bit] as u32);
+                    moved += 1;
+                    migrating &= migrating - 1;
+                }
+            }
+        }
+        moved
+            + decide_scalar::<VIRTUAL>(
+                class,
+                &sites[n8..],
+                &words[n8..],
+                mu_in(mu, strategies),
+                &mut moves[moved..],
+            )
+    }
+
+    #[inline]
+    pub fn compact_sites(
+        players: &[u32],
+        first: u32,
+        movable: u64,
+        start: u64,
+        out: &mut [u64],
+    ) -> usize {
+        assert!(out.len() >= players.len(), "one slot per player");
+        // SAFETY: the public wrapper verified AVX-512 availability, and
+        // `out` has a slot per player.
+        unsafe { compact_sites_impl(players, first, movable, start, out) }
+    }
+
+    /// Sixteen players per step: shift the bitmask's low and high words
+    /// right by each player's class-local strategy (a count of 32 or more
+    /// shifts everything out, so each player's bit comes from exactly one
+    /// word, and a strategy past 63 from neither), then compress-store the
+    /// selected sites eight at a time. A ragged tail runs the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and `out.len() ≥ players.len()`: after
+    /// `i` players at most `i` sites are stored, so each compress-store of
+    /// at most eight sites ends within `out`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn compact_sites_impl(
+        players: &[u32],
+        first: u32,
+        movable: u64,
+        start: u64,
+        out: &mut [u64],
+    ) -> usize {
+        let first_v = _mm512_set1_epi32(first as i32);
+        let mask_lo = _mm512_set1_epi32(movable as u32 as i32);
+        let mask_hi = _mm512_set1_epi32((movable >> 32) as u32 as i32);
+        let thirty_two = _mm512_set1_epi32(32);
+        let one = _mm512_set1_epi32(1);
+        let iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+        let eight = _mm512_set1_epi64(8);
+        let n16 = players.len() & !15;
+        let mut k = 0;
+        for i in (0..n16).step_by(16) {
+            let p = _mm512_loadu_si512(players.as_ptr().add(i) as *const __m512i);
+            let s = _mm512_sub_epi32(p, first_v);
+            let bits = _mm512_or_si512(
+                _mm512_srlv_epi32(mask_lo, s),
+                _mm512_srlv_epi32(mask_hi, _mm512_sub_epi32(s, thirty_two)),
+            );
+            let selected = _mm512_test_epi32_mask(bits, one);
+            let lo = _mm512_add_epi64(_mm512_set1_epi64((start + i as u64) as i64), iota);
+            let (m_lo, m_hi) = (selected as u8, (selected >> 8) as u8);
+            _mm512_mask_compressstoreu_epi64(out.as_mut_ptr().add(k) as *mut i64, m_lo, lo);
+            k += m_lo.count_ones() as usize;
+            let hi = _mm512_add_epi64(lo, eight);
+            _mm512_mask_compressstoreu_epi64(out.as_mut_ptr().add(k) as *mut i64, m_hi, hi);
+            k += m_hi.count_ones() as usize;
+        }
+        k + super::compact_sites_scalar(
+            &players[n16..],
+            first,
+            movable,
+            start + n16 as u64,
+            &mut out[k..],
+        )
     }
 }
 
@@ -1259,6 +2046,206 @@ mod tests {
                             "{d:?} seed {seed} word {lane_word} width {width}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn philox_word0_matches_block_word0() {
+        for seed in 0..4u64 {
+            let key = [mix(seed + 1), mix(seed + 101)];
+            let ctr = [mix(seed + 201), mix(seed + 301), mix(seed + 401), mix(seed + 501)];
+            for lane_word in 0..4 {
+                for width in 0..=40usize {
+                    let lanes: Vec<u64> = (0..width as u64).map(|t| mix(seed * 64 + t)).collect();
+                    let mut blocks = vec![[0u64; 4]; width];
+                    philox4x64_batch(
+                        Dispatch::Scalar,
+                        SPEC,
+                        key,
+                        ctr,
+                        lane_word,
+                        &lanes,
+                        &mut blocks,
+                    );
+                    for d in both_arms() {
+                        let mut words = vec![0u64; width];
+                        philox4x64_word0_batch(d, SPEC, key, ctr, lane_word, &lanes, &mut words);
+                        for (i, (w, b)) in words.iter().zip(&blocks).enumerate() {
+                            assert_eq!(*w, b[0], "{d:?} seed {seed} word {lane_word} lane {i}");
+                        }
+                    }
+                }
+            }
+        }
+        // A zero-round spec returns the counter itself.
+        let zero = PhiloxSpec { rounds: 0, ..SPEC };
+        let mut word = [0u64; 1];
+        philox4x64_word0_batch(Dispatch::Scalar, zero, [1, 2], [3, 4, 5, 6], 0, &[9], &mut word);
+        assert_eq!(word, [9]);
+    }
+
+    /// An independent, player-by-player statement of the imitation
+    /// decision the kernel makes.
+    fn decide_reference(
+        class: &ImitationClass<'_>,
+        sites: &[u64],
+        words: &[u64],
+        mu: &[f64],
+    ) -> Vec<(u64, u32)> {
+        let s = class.strategies;
+        let mut movers = Vec::new();
+        for (&site, &pick) in sites.iter().zip(words) {
+            let local = (site - class.start) as usize;
+            let from = (class.players[local] - class.first) as usize;
+            let wide = pick as u128 * class.pool as u128;
+            let draw = (wide >> 64) as u64;
+            let to = if draw < class.real_pool {
+                let j = draw as usize + (class.self_exclude && draw as usize >= local) as usize;
+                (class.players[j] - class.first) as usize
+            } else {
+                (draw - class.real_pool) as usize
+            };
+            let u = ((wide as u64) >> 11) as f64 / 2f64.powi(53);
+            if u < mu[from * s + to] {
+                movers.push((site, class.first + to as u32));
+            }
+        }
+        movers
+    }
+
+    #[test]
+    fn imitation_decide_arms_agree_bitwise() {
+        let s = 5usize;
+        let first = 40u32;
+        // μ ∈ {0, the smallest subnormal, a subnormal, 1} and some in between.
+        let levels = [0.0, f64::from_bits(1), f64::MIN_POSITIVE / 3.0, 1.0, 0.25, 0.5, 1e-3];
+        let mu: Vec<f64> = (0..s * s).map(|i| levels[mix(i as u64 + 9) as usize % 7]).collect();
+        let mut checked = 0usize;
+        for n in [1usize, 2, 7, 9, 64, 131] {
+            let players: Vec<u32> =
+                (0..n as u64).map(|i| first + (mix(i + n as u64) % s as u64) as u32).collect();
+            let start = 1_000 + n as u64;
+            for self_exclude in [false, true] {
+                for virtual_agents in [false, true] {
+                    let real_pool = n as u64 - self_exclude as u64;
+                    let pool = real_pool + if virtual_agents { s as u64 } else { 0 };
+                    if pool == 0 {
+                        continue;
+                    }
+                    let class = ImitationClass {
+                        players: &players,
+                        start,
+                        first,
+                        strategies: s,
+                        real_pool,
+                        pool,
+                        self_exclude,
+                    };
+                    // Every player, and a sparse subset, as the sites; the
+                    // chunk lengths cover ragged vector tails.
+                    let all: Vec<u64> = (start..start + n as u64).collect();
+                    let some: Vec<u64> =
+                        all.iter().copied().filter(|&t| !mix(t).is_multiple_of(3)).collect();
+                    for sites in [&all, &some] {
+                        for len in [0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, sites.len()] {
+                            let sites = &sites[..len.min(sites.len())];
+                            // Extreme words: pick 0 (u = 0, so a subnormal μ
+                            // still moves) and pick u64::MAX.
+                            let words: Vec<u64> = sites
+                                .iter()
+                                .map(|&t| match mix(t + 77) % 8 {
+                                    0 => 0,
+                                    1 => u64::MAX,
+                                    _ => mix(t * 31 + pool),
+                                })
+                                .collect();
+                            let expect = decide_reference(&class, sites, &words, &mu);
+                            let mut calls = 0;
+                            let mut moves = vec![(0u64, 0u32); sites.len()];
+                            let k = imitation_decide_with(
+                                &class,
+                                sites,
+                                &words,
+                                |f, t| {
+                                    calls += 1;
+                                    mu[f * s + t]
+                                },
+                                &mut moves,
+                            );
+                            assert_eq!(calls, sites.len(), "one μ lookup per player");
+                            assert_eq!(moves[..k], expect[..], "with n={n} len={len}");
+                            for d in both_arms() {
+                                let mut moves = vec![(0u64, 0u32); sites.len()];
+                                let k = imitation_decide(d, &class, sites, &words, &mu, &mut moves);
+                                assert_eq!(
+                                    moves[..k],
+                                    expect[..],
+                                    "{d:?} n={n} len={len} excl={self_exclude} va={virtual_agents}"
+                                );
+                            }
+                            checked += expect.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "too few movers ({checked}) to compare");
+    }
+
+    #[test]
+    fn imitation_decide_rejects_sites_and_strategies_outside_the_class() {
+        let players = [0u32; 16];
+        let class = ImitationClass {
+            players: &players,
+            start: 4,
+            first: 0,
+            strategies: 1,
+            real_pool: 16,
+            pool: 16,
+            self_exclude: false,
+        };
+        let outside: Vec<u64> = (4..19).chain([3]).collect();
+        let inside: Vec<u64> = (4..20).collect();
+        let stranger = ImitationClass { first: 1, ..class };
+        for d in both_arms() {
+            for (class, sites, expect) in [
+                (class, &outside, "a site lies outside the class"),
+                (stranger, &inside, "a strategy lies outside the class"),
+            ] {
+                let panicked = std::panic::catch_unwind(|| {
+                    let mut moves = [(0, 0); 16];
+                    imitation_decide(d, &class, sites, &[7; 16], &[1.0], &mut moves);
+                })
+                .expect_err("an out-of-class input must panic");
+                let message = match panicked.downcast::<String>() {
+                    Ok(text) => *text,
+                    Err(other) => other.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+                };
+                assert_eq!(message, expect, "{d:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_sites_arms_agree() {
+        for n in [0usize, 1, 15, 16, 17, 40, 100] {
+            // Strategies past the 64-bit mask (and below `first`) never
+            // select.
+            let players: Vec<u32> = (0..n as u64).map(|i| 10 + (mix(i) % 70) as u32).collect();
+            for movable in [0u64, u64::MAX, 1, 1 << 63, mix(n as u64), 0xFFFF_0000_0000_FFFF] {
+                let expect: Vec<u64> = (0..n)
+                    .filter(|&i| {
+                        let s = players[i].wrapping_sub(12);
+                        s < 64 && movable >> s & 1 == 1
+                    })
+                    .map(|i| 500 + i as u64)
+                    .collect();
+                for d in both_arms() {
+                    let mut out = vec![0u64; n];
+                    let k = compact_sites(d, &players, 12, movable, 500, &mut out);
+                    assert_eq!(out[..k], expect[..], "{d:?} n={n} mask {movable:#x}");
                 }
             }
         }

@@ -26,7 +26,7 @@ use congames::dynamics::{
     ImitationProtocol, MapItem, NuRule, PerRoundStats, Protocol, ReasonStats, RecordSeries,
     RoundRecord, RunSummary, ScalarStats, Simulation, StopCondition, StopSpec,
 };
-use congames::model::{average_latency, potential, LinearSingleton};
+use congames::model::{average_latency, potential, LinearSingleton, ResourceId};
 use congames::sampling::{DrawStream, RngMode};
 use congames::scenario::{trace::parse_trace, Schedule, ScheduleCursor};
 use congames::RecordConfig;
@@ -369,11 +369,17 @@ impl Options {
         if self.links.iter().any(|a| !a.is_finite() || *a <= 0.0) {
             return Err("link coefficients must be positive".into());
         }
-        CongestionGame::singleton(
+        let game = CongestionGame::singleton(
             self.links.iter().map(|&a| Affine::linear(a).into()).collect(),
             self.players,
         )
-        .map_err(|e| e.to_string())
+        .map_err(|e| e.to_string())?;
+        // The check every run start makes (the CLI attaches no base
+        // loads), here so a run fails before it prints anything.
+        for r in (0..game.num_resources() as u32).map(ResourceId::new) {
+            game.check_latency_domain(r, 0).map_err(|e| e.to_string())?;
+        }
+        Ok(game)
     }
 
     fn protocol(&self) -> Result<Protocol, String> {

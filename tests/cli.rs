@@ -73,6 +73,36 @@ fn run_rejects_bad_flags_before_any_output() {
     assert!(!std::path::Path::new(csv).exists(), "a rejected run must not create its files");
 }
 
+/// A game whose latencies overflow at a load the run reaches (here
+/// `ℓ(x) = 10³⁰⁸·x` with 1000 players) is rejected by `run` and `shard`
+/// before anything is printed, instead of reporting `Φ = inf` and NaN
+/// statistics.
+#[test]
+fn run_rejects_latencies_that_overflow_before_any_output() {
+    let out_path = scratch("overflow.bin");
+    let out_file = out_path.to_str().expect("utf-8 scratch path");
+    let game = ["--links", "1e308,1e308", "--players", "1000", "--trials", "2"];
+    for (cmd, extra) in [
+        ("run", vec!["--reduce", "quantiles"]),
+        ("run", vec!["--engine", "player", "--rng", "counter"]),
+        ("shard", vec!["--reduce", "mean", "--shard", "0", "--num-shards", "1", "--out", out_file]),
+    ] {
+        let mut argv = vec![cmd];
+        argv.extend(game);
+        argv.extend(&extra);
+        let out = Command::new(env!("CARGO_BIN_EXE_congames"))
+            .args(&argv)
+            .output()
+            .expect("the binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{argv:?} must fail");
+        assert!(stderr.contains("latency at load 1001"), "{argv:?}: {stderr}");
+        assert!(stdout.is_empty(), "{argv:?}: nothing may be printed:\n{stdout}");
+    }
+    assert!(!out_path.exists(), "a rejected shard must not create its file");
+}
+
 /// The flags of a small fixed-seed sweep `shard` and `run` agree on.
 const SWEEP: [&str; 10] =
     ["--links", "1,2,4", "--players", "2000", "--trials", "40", "--rounds", "400", "--seed", "7"];

@@ -102,6 +102,42 @@ fn a_start_whose_cached_loads_overflow_is_rejected() {
     assert!(is_players(&err), "{err:?}");
 }
 
+/// Every run start requires each latency to be finite and non-negative at
+/// load 0 and at the total population plus the resource's base load plus
+/// one — the loads the potential and the latency cache read — as a
+/// latency swap does. A start that fails is a precise error from every
+/// entry point, not an infinite potential and NaN statistics.
+#[test]
+fn a_start_with_non_finite_latencies_is_rejected() {
+    use congames::dynamics::{DynamicsError, Ensemble, LaneKernel};
+    use congames::model::GameError;
+    let is_latency = |err: &DynamicsError, at: u64| match err {
+        DynamicsError::Game(GameError::InvalidLatency { load, .. }) => *load == at,
+        _ => false,
+    };
+    let proto: Protocol = ImitationProtocol::paper_default().into();
+    // ℓ(x) = 10³⁰⁸·x is finite at 0 and infinite at 1001.
+    let game = links(vec![Affine::linear(1e308).into(), Affine::linear(1e308).into()], 1000);
+    let state = State::from_counts(&game, vec![500, 500]).unwrap();
+    let err = Simulation::new(&game, proto, state.clone()).unwrap_err();
+    assert!(is_latency(&err, 1001), "{err:?}");
+    assert!(err.to_string().contains("finite and non-negative"), "{err}");
+    let err = Ensemble::new(&game, proto, state.clone()).unwrap_err();
+    assert!(is_latency(&err, 1001), "{err:?}");
+    let err = LaneKernel::new(&game, proto, &state, 1, 0, 8).unwrap_err();
+    assert!(is_latency(&err, 1001), "{err:?}");
+
+    // The base load counts: 2 players reach load 3 only with virtual
+    // agents, where ℓ(3) = 1.2·f64::MAX overflows and ℓ(2) does not.
+    let a = f64::MAX / 2.5;
+    let game = links(vec![Affine::linear(a).into(), Affine::linear(a).into()], 1);
+    let state = State::from_counts(&game, vec![1, 0]).unwrap();
+    Simulation::new(&game, proto, state.clone()).expect("ℓ(2) is finite");
+    let virt: Protocol = ImitationProtocol::paper_default().with_virtual_agents(true).into();
+    let err = Simulation::new(&game, virt, state.with_virtual_agents(&game)).unwrap_err();
+    assert!(is_latency(&err, 3), "{err:?}");
+}
+
 /// Player counts never wrap silently: a class whose counts sum past `u64`
 /// is rejected by `State::from_counts` (a wrapped sum could otherwise
 /// match a small population), and no game can hold a total population

@@ -860,9 +860,9 @@ fn counter_and_xoshiro_modes_statistically_equivalent() {
 }
 
 /// A stream wrapper that forwards every draw and positioning hook and
-/// counts the sites begun. It does not override [`DrawRng::site_blocks`],
-/// so an addressed kernel fetches its blocks through the trait's default
-/// per-site walk. With `forward_addressed == false` it also hides
+/// counts the sites begun. It overrides neither [`DrawRng::site_blocks`]
+/// nor [`DrawRng::site_words`], so an addressed kernel fetches its blocks
+/// and words through the trait's default per-site walks. With `forward_addressed == false` it also hides
 /// [`DrawRng::addressed`], so the player-level kernel takes its full-draw
 /// path: every player begins its site and draws, as on a sequential
 /// stream.
@@ -935,14 +935,17 @@ fn counter_player_trajectory(
 }
 
 /// The counter-mode player kernel skips the draws of players on origins
-/// with no positive-μ destination, fetches the movable players' first
-/// Philox blocks in site batches, and decides each batch in one pass over
+/// with no positive-μ destination, compacts the movable players' sites
+/// (against a strategy bitmask for classes of at most 64 strategies),
+/// fetches their first Philox words (pure imitation) or blocks (with
+/// exploration) in site batches, and decides each batch in one pass over
 /// μ rows prefilled per class visit. All of it must be invisible. Three
 /// streams run every case:
 ///
-/// * the bare counter stream (the batched across-site `site_blocks`);
-/// * a wrapper that forwards `addressed()` but not `site_blocks` (the
-///   trait's default per-site walk);
+/// * the bare counter stream (the batched across-site `site_words` and
+///   `site_blocks`);
+/// * a wrapper that forwards `addressed()` but neither `site_words` nor
+///   `site_blocks` (the trait's default per-site walks);
 /// * a wrapper that hides `addressed()` (the full-draw path, which
 ///   decides player by player).
 ///
@@ -952,8 +955,11 @@ fn counter_player_trajectory(
 /// modes, 1- and 2-class games, a class larger than one site chunk whose
 /// size is not a multiple of the vector width, a 1-player class (an empty
 /// sampling pool) that is movable from round 0, supported and piled
-/// starts, a shocked run, and every μ source: the dense tier, the LRU row
-/// tier (a 32-slot memo on 8 strategies) and no memo. The two addressed streams also agree on the
+/// starts, a shocked run, classes of 33 and 65 strategies (either side of
+/// the 32-bit halves of the movable bitmask, and past its 64-bit width),
+/// the 8-link, 10 000-player shape of the `player_shock` benchmark under
+/// pure imitation, and every μ source: the dense tier, the LRU row tier
+/// (a 32-slot memo on 8 strategies) and no memo. The two addressed streams also agree on the
 /// memo counters. Every supported-start case must also really skip some
 /// sites, or it would not test the skip.
 #[test]
@@ -989,28 +995,40 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
     let shock = std::sync::Arc::new(
         congames::scenario::generate::step_shock(40, 0, 3.0).expect("valid schedule"),
     );
-    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 6] = [
+    // Strategy 32 sits in the bitmask's high half; 65 strategies take the
+    // scalar compaction.
+    let links_33 = games::linear_singleton(33, 700);
+    let links_65 = games::linear_singleton(65, 700);
+    // The shape `player_shock` times, under pure imitation only.
+    let shock_shape = games::linear_singleton(8, 10_000);
+    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 9] = [
         ("1-class", &one_class, None),
         ("2-class", &two_class, None),
         ("1-class/523", &wide_class, None),
         ("2-class/1-player", &lone_player, None),
         ("1-class/8-links", &eight_links, None),
         ("1-class/step_shock", &one_class, Some(&shock)),
+        ("1-class/33-links", &links_33, None),
+        ("1-class/65-links", &links_65, None),
+        ("1-class/8-links/10000", &shock_shape, None),
     ];
     // The piled start leaves strategies empty, which only virtual agents
     // and exploration can reach: the mask must count them as destinations.
     // The stranded start puts class a on {r1,r2} and the lone player of
     // class b on r2, so the lone player is movable from round 0.
     let fixture_starts = fixtures.into_iter().flat_map(|f| {
-        let starts: &[&str] = if f.0 == "2-class/1-player" {
-            &["geometric", "piled", "stranded"]
-        } else {
-            &["geometric", "piled"]
+        let starts: &[&str] = match f.0 {
+            "2-class/1-player" => &["geometric", "piled", "stranded"],
+            "1-class/8-links/10000" => &["geometric"],
+            _ => &["geometric", "piled"],
         };
         starts.iter().map(move |&s| (f, s))
     });
     for ((fixture, game, schedule), start_name) in fixture_starts {
         for (name, protocol) in &protocols {
+            if fixture == "1-class/8-links/10000" && protocol.exploration().is_some() {
+                continue;
+            }
             // A 32-slot memo is the dense tier on the 2- and 4-strategy
             // classes, so only the 8-link class runs it.
             let memos: &[Option<usize>] = if fixture == "1-class/8-links" {

@@ -82,15 +82,14 @@ fn skewed_start(game: &CongestionGame) -> State {
 }
 
 fn assert_steady_state_alloc_free(
-    players: u64,
+    game: &CongestionGame,
     engine: EngineKind,
     protocol: Protocol,
     label: &str,
     require_steady_migrations: bool,
     mut rng: impl DrawRng,
 ) {
-    let game = sized_game(players);
-    let mut sim = Simulation::new(&game, protocol, skewed_start(&game))
+    let mut sim = Simulation::new(game, protocol, skewed_start(game))
         .expect("valid simulation")
         .with_engine(engine);
     // Warm-up: the first rounds carry the largest flows, so 50 rounds
@@ -244,17 +243,19 @@ fn assert_support_index_maintenance_alloc_free() {
 
 /// Trial turnover on one replica: once a warm-up trial has sized every
 /// buffer, `Simulation::reset` to the start (copying counts, loads and
-/// caches into the replica's storage) followed by a whole aggregate trial
-/// run to imitation stability — pair builds, draws, applies, stop checks —
-/// touches the heap not once. This is how an ensemble worker runs trial
-/// after trial.
-fn assert_trial_turnover_alloc_free() {
+/// caches into the replica's storage) followed by a whole trial run to
+/// imitation stability — pair builds, draws, applies, stop checks for the
+/// aggregate engine; the player array rebuild, compaction, word fetches
+/// and decisions for the player-level one — touches the heap not once.
+/// This is how an ensemble worker runs trial after trial.
+fn assert_trial_turnover_alloc_free(game: &CongestionGame, engine: EngineKind, label: &str) {
     use congames::dynamics::{StopCondition, StopReason, StopSpec};
-    let game = game();
-    let start = skewed_start(&game);
+    let start = skewed_start(game);
     let protocol: Protocol = ImitationProtocol::paper_default().into();
     let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(5_000)]);
-    let mut sim = Simulation::new(&game, protocol, start.clone()).expect("valid simulation");
+    let mut sim = Simulation::new(game, protocol, start.clone())
+        .expect("valid simulation")
+        .with_engine(engine);
     let mut streams: Vec<DrawStream> =
         (0..6).map(|t| DrawStream::for_trial(RngMode::Counter, 4321, t)).collect();
     let (warm_up, measured) = streams.split_at_mut(3);
@@ -271,11 +272,14 @@ fn assert_trial_turnover_alloc_free() {
         rounds += summary.rounds;
     }
     let after = allocations();
-    assert!(rounds > 10, "the measured trials must run the dynamics (got {rounds} rounds)");
+    assert!(
+        rounds > 10,
+        "{label}: the measured trials must run the dynamics (got {rounds} rounds)"
+    );
     assert_eq!(
         after - before,
         0,
-        "trial turnover: {} heap allocations in 3 reset + run trials",
+        "{label} trial turnover: {} heap allocations in 3 reset + run trials",
         after - before
     );
 }
@@ -329,7 +333,7 @@ fn round_kernels_do_not_allocate_in_steady_state() {
             .expect("valid combined protocol");
     for (protocol, name, steady) in [(imitation, "imitation", true), (combined, "combined", true)] {
         assert_steady_state_alloc_free(
-            4096,
+            &game(),
             EngineKind::Aggregate,
             protocol,
             &format!("aggregate/{name}"),
@@ -337,7 +341,7 @@ fn round_kernels_do_not_allocate_in_steady_state() {
             SmallRng::seed_from_u64(1234),
         );
         assert_steady_state_alloc_free(
-            4096,
+            &game(),
             EngineKind::PlayerLevel,
             protocol,
             &format!("player-level/{name}"),
@@ -352,7 +356,7 @@ fn round_kernels_do_not_allocate_in_steady_state() {
         // (unlike a few hundred players) still migrate in the window.
         for players in [4096, 4099] {
             assert_steady_state_alloc_free(
-                players,
+                &sized_game(players),
                 EngineKind::PlayerLevel,
                 protocol,
                 &format!("player-level/counter/{players}/{name}"),
@@ -370,7 +374,31 @@ fn round_kernels_do_not_allocate_in_steady_state() {
     assert_support_index_maintenance_alloc_free();
     // A replica rewound between trials keeps that discipline across trial
     // turnover.
-    assert_trial_turnover_alloc_free();
+    assert_trial_turnover_alloc_free(&game(), EngineKind::Aggregate, "aggregate");
+    // The shape the `player_shock` benchmark times (ℓ_i(x) = i·x on 8
+    // links, 10 000 players) under pure imitation on the counter stream:
+    // every class visit compacts the movable sites against the strategy
+    // bitmask, fetches their Philox words in site batches and decides them
+    // with the imitation kernel. Its rounds and its trial turnover reuse
+    // the site, word and move buffers.
+    let shock_shape = CongestionGame::singleton(
+        (1..=8).map(|a| Affine::linear(a as f64).into()).collect(),
+        10_000,
+    )
+    .expect("valid game");
+    assert_steady_state_alloc_free(
+        &shock_shape,
+        EngineKind::PlayerLevel,
+        ImitationProtocol::paper_default().into(),
+        "player-level/counter/8-links/10000/imitation",
+        false,
+        DrawStream::for_trial(RngMode::Counter, 1234, 0),
+    );
+    assert_trial_turnover_alloc_free(
+        &shock_shape,
+        EngineKind::PlayerLevel,
+        "player-level/counter/8-links/10000/imitation",
+    );
     // Replica-major lane rounds reuse the same scratch discipline, in
     // both the scalar and the vector dispatch arms.
     use congames::sampling::Dispatch;
