@@ -9,9 +9,7 @@
 //! perf trajectory is tracked commit over commit.
 
 use congames_bench::games::{poly_links, skewed_two_hot, sparse_support};
-use congames_dynamics::{
-    EngineKind, Ensemble, ImitationProtocol, LaneKernel, NuRule, Simulation, StopSpec,
-};
+use congames_dynamics::{EngineKind, Ensemble, ImitationProtocol, NuRule, Simulation, StopSpec};
 use congames_model::{potential_delta_for_load_change, ResourceId};
 use congames_sampling::{counter_blocks, seeded_rng, CounterRng, Dispatch, DrawStream, RngMode};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -185,9 +183,9 @@ fn bench_rng_throughput(c: &mut Criterion) {
             black_box(rng.next_u64())
         });
     });
-    // Batched across-lane keystream: one iteration produces 32 lanes' first
-    // blocks (128 words) for a shared `(round, site)` address — the lane
-    // kernel's per-site draw pattern. Compare ns/iter ÷ 128 against
+    // Batched keystream: one iteration produces 32 trials' first blocks
+    // (128 words) for a shared `(round, site)` address in one vector
+    // sweep. Compare ns/iter ÷ 128 against
     // `raw/counter`'s ns/word (which pays a full Philox block per word
     // measured); the id is pinned in `tools/bench_diff`.
     group.bench_function(BenchmarkId::new("raw", "counter_batched"), |b| {
@@ -212,43 +210,6 @@ fn bench_rng_throughput(c: &mut Criterion) {
             .expect("valid simulation");
             let mut rng = DrawStream::for_trial(mode, 1, 0);
             b.iter(|| sim.step(&mut rng).expect("step succeeds"));
-        });
-    }
-    group.finish();
-}
-
-/// Replica-major lane kernel vs scalar counter-mode rounds. One
-/// `lanes/aggregate/wW` iteration = one lockstep round across `W`
-/// replicas (so `W` trial-rounds); the `lanes/scalar/wW` comparator steps
-/// `W` independent counter-mode simulations one round each — identical
-/// work, identical bits, but every latency evaluation and CSR pair walk
-/// repeated per replica instead of amortized across the lane block. The
-/// two `aggregate` ids are pinned in `tools/bench_diff`; compare against
-/// the scalar twin in the archived JSON for the amortization factor.
-fn bench_lanes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lanes");
-    let n = 10_000u64;
-    let game = poly_links(8, 2, n);
-    let start = skewed_two_hot(&game);
-    let protocol: congames_dynamics::Protocol =
-        ImitationProtocol::paper_default().with_nu_rule(NuRule::None).into();
-    for &w in &[8usize, 32] {
-        group.bench_with_input(BenchmarkId::new("aggregate", format!("w{w}")), &w, |b, &w| {
-            let mut kernel =
-                LaneKernel::new(&game, protocol, &start, 1, 0, w).expect("valid lane kernel");
-            b.iter(|| kernel.step());
-        });
-        group.bench_with_input(BenchmarkId::new("scalar", format!("w{w}")), &w, |b, &w| {
-            let mut sims: Vec<Simulation> = (0..w)
-                .map(|_| Simulation::new(&game, protocol, start.clone()).expect("valid simulation"))
-                .collect();
-            let mut rngs: Vec<DrawStream> =
-                (0..w).map(|t| DrawStream::for_trial(RngMode::Counter, 1, t as u64)).collect();
-            b.iter(|| {
-                for (sim, rng) in sims.iter_mut().zip(rngs.iter_mut()) {
-                    sim.step(rng).expect("step succeeds");
-                }
-            });
         });
     }
     group.finish();
@@ -303,7 +264,6 @@ criterion_group!(
     bench_ensemble,
     bench_batched_latency,
     bench_rng_throughput,
-    bench_lanes,
     bench_scenario
 );
 criterion_main!(benches);

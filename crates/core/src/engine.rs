@@ -30,7 +30,7 @@ use crate::expectation::PairFlow;
 use crate::hook::RoundHook;
 use crate::observe::Observer;
 use crate::protocol::{ExplorationProtocol, ImitationProtocol, Protocol, SelfSampling};
-use crate::stopping::{drive_round, Replica, RunOutcome, RunSummary, StopSpec};
+use crate::stopping::{drive_round, RunOutcome, RunSummary, StopSpec};
 use crate::trajectory::{RecordConfig, Trajectory};
 
 /// Which round engine to use.
@@ -63,16 +63,16 @@ pub struct RoundStats {
 /// does **not** yet satisfy the CSR invariant; call [`PairBuffer::clear`]
 /// once before the first `push`.
 #[derive(Debug, Default)]
-pub(crate) struct PairBuffer {
-    pub(crate) origins: Vec<StrategyId>,
+struct PairBuffer {
+    origins: Vec<StrategyId>,
     /// `origins.len() + 1` offsets into `pair_to`/`pair_prob`.
-    pub(crate) offsets: Vec<usize>,
-    pub(crate) pair_to: Vec<StrategyId>,
-    pub(crate) pair_prob: Vec<f64>,
+    offsets: Vec<usize>,
+    pair_to: Vec<StrategyId>,
+    pair_prob: Vec<f64>,
 }
 
 impl PairBuffer {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.origins.clear();
         self.offsets.clear();
         self.offsets.push(0);
@@ -82,7 +82,7 @@ impl PairBuffer {
 
     /// Append one pair; `for_each_pair` visits origins contiguously, so a
     /// new origin group starts exactly when `from` changes.
-    pub(crate) fn push(&mut self, from: StrategyId, to: StrategyId, prob: f64) {
+    fn push(&mut self, from: StrategyId, to: StrategyId, prob: f64) {
         if self.origins.last() != Some(&from) {
             self.offsets.push(self.pair_to.len());
             self.origins.push(from);
@@ -451,9 +451,12 @@ impl PlayerDecider<'_> {
     /// Every outcome for a player on an immovable origin is "stay".
     ///
     /// A dense-tier class evaluates μ once for every occupied origin ×
-    /// every such destination and stamps it into the current visit's
-    /// slots, so the decisions read every μ they need without a freshness
-    /// check and none is evaluated twice. Other tiers stop at an origin's
+    /// every such destination and writes it into the dense slots, so the
+    /// batch decisions that follow read every μ they need without a
+    /// freshness check and none is evaluated twice. Only μ is written: the
+    /// slots keep their older stamps, so the sequential
+    /// [`PlayerDecider::decide`] still treats them as misses and recomputes
+    /// the same value. Other tiers stop at an origin's
     /// first positive μ and leave the memo untouched, so their counters
     /// see only the decisions' lookups. Returns whether any origin is
     /// movable.
@@ -462,7 +465,7 @@ impl PlayerDecider<'_> {
         let all = || (self.first..self.first + self.s_c as u32).map(StrategyId::new);
         let imitates = self.imit.is_some() && self.pool > 0;
         let explores = self.explore_prob > 0.0;
-        let (dense, stamp, index) = (self.dense_memo, mu_table.current, self.dense_index());
+        let (dense, index) = (self.dense_memo, self.dense_index());
         let local = |s: StrategyId| (s.raw() - self.first) as usize;
         movable.clear();
         movable.resize(self.s_c, false);
@@ -474,7 +477,7 @@ impl PlayerDecider<'_> {
             let mut visit = |to: StrategyId, is_explore: bool| {
                 let mu = self.mu(from, to, is_explore);
                 if dense {
-                    mu_table.set(index(local(from), local(to), is_explore), stamp, mu);
+                    mu_table.mu[index(local(from), local(to), is_explore)] = mu;
                 }
                 can_move |= mu > 0.0;
                 can_move && !dense
@@ -670,8 +673,8 @@ impl PlayerDecider<'_> {
 /// ([`CongestionGame::check_latency_domain`], the check a latency swap
 /// makes), and the protocol's virtual-agent setting matches the state's
 /// base loads.
-/// `Simulation::new`, `LaneKernel::new` and `Ensemble::new` call it, and a
-/// hook-mutated game is re-checked with it.
+/// `Simulation::new` and `Ensemble::new` call it, and a hook-mutated game
+/// is re-checked with it.
 pub(crate) fn validate_start(
     game: &CongestionGame,
     protocol: &Protocol,
@@ -973,6 +976,22 @@ impl<'g> Simulation<'g> {
         self.potential
     }
 
+    /// The game the simulation runs on: the borrowed one, or a hook's
+    /// mutated copy.
+    pub(crate) fn game(&self) -> &CongestionGame {
+        &self.game
+    }
+
+    /// Players that migrated in the round that produced the current state.
+    pub(crate) fn last_migrations(&self) -> u64 {
+        self.last_migrations
+    }
+
+    /// Whether the attached round hook still has scheduled fires.
+    pub(crate) fn events_pending(&self) -> bool {
+        self.hook.as_ref().and_then(|h| h.next_fire()).is_some()
+    }
+
     /// Build the explicit player array from the per-strategy counts
     /// unless it is current, reusing its storage. A population that cannot
     /// be given one slot per player is an error, not an allocation abort.
@@ -1074,7 +1093,7 @@ impl<'g> Simulation<'g> {
     /// cache) take it from [`State::latency_after_move`]'s resource merge
     /// per pair. Exploration and virtual-agent rounds can target empty
     /// strategies and scan the class's dense destination range instead.
-    pub(crate) fn for_each_pair(&self, mut f: impl FnMut(StrategyId, StrategyId, f64, f64)) {
+    fn for_each_pair(&self, mut f: impl FnMut(StrategyId, StrategyId, f64, f64)) {
         let (game, state) = (&*self.game, &self.state);
         let plus_row = state.latency_plus_row(game);
         for (ci, class) in game.classes().iter().enumerate() {
@@ -1499,38 +1518,13 @@ impl<'g> Simulation<'g> {
             // shock round already reflects the post-event game/state (the
             // pre-shock reference is the last record strictly before).
             let fired = self.fire_due_events()?;
-            let record = self.record;
-            if let Some(summary) = drive_round(self, stop, &record, start_round, fired, observer) {
+            if let Some(summary) =
+                drive_round(self, stop, &self.record, start_round, fired, observer)
+            {
                 return Ok(summary);
             }
             self.step(rng)?;
         }
-    }
-}
-
-impl Replica for Simulation<'_> {
-    fn round(&self) -> u64 {
-        self.round
-    }
-
-    fn potential(&self) -> f64 {
-        self.potential
-    }
-
-    fn last_migrations(&self) -> u64 {
-        self.last_migrations
-    }
-
-    fn events_pending(&self) -> bool {
-        self.hook.as_ref().and_then(|h| h.next_fire()).is_some()
-    }
-
-    fn stability_threshold(&self) -> f64 {
-        self.protocol.stability_threshold(&self.params)
-    }
-
-    fn view(&mut self) -> (&CongestionGame, &State) {
-        (&self.game, &self.state)
     }
 }
 
@@ -1546,11 +1540,10 @@ fn fill_class_offsets(out: &mut Vec<usize>, game: &CongestionGame) {
     }
 }
 
-/// Per-class constants of the aggregate migration probability, shared
-/// by the scalar [`Simulation::for_each_pair`] and the lane kernel's
-/// `build_pairs` so the two compute every pair with the same operations.
+/// Per-class constants of the aggregate migration probability, read by
+/// [`Simulation::for_each_pair`].
 #[derive(Clone, Copy)]
-pub(crate) struct ClassSampling<'p> {
+struct ClassSampling<'p> {
     imit: Option<&'p ImitationProtocol>,
     expl: Option<&'p ExplorationProtocol>,
     /// Every strategy carries one virtual agent (imitation weight `x_Q+1`).
@@ -1558,28 +1551,24 @@ pub(crate) struct ClassSampling<'p> {
     s_c: usize,
     n_c: u64,
     /// Imitation weight per sampleable agent: `(1 − p_explore) / pool`.
-    pub(crate) imit_scale: f64,
+    imit_scale: f64,
     /// Exploration weight per strategy: `p_explore / |P_c|`.
-    pub(crate) explore_scale: f64,
+    explore_scale: f64,
     /// Pure imitation without virtual agents: only occupied destinations
     /// can be sampled, and [`ClassSampling::imitation_prob`] applies.
-    pub(crate) support_dest: bool,
+    support_dest: bool,
     /// `λ/d`, pre-divided (only set when `support_dest`): the μ of
     /// [`imitation_mu`] is `((λ/d)·gain)/ℓ_from`, left-associated, so
     /// hoisting the division is operation-identical.
-    pub(crate) coef: f64,
+    coef: f64,
     /// The imitation gain threshold (only set when `support_dest`).
-    pub(crate) thr: f64,
+    thr: f64,
 }
 
 impl<'p> ClassSampling<'p> {
     /// The constants of `class` under `protocol`; `None` for an empty
     /// class or one no protocol component can move.
-    pub(crate) fn new(
-        protocol: &'p Protocol,
-        params: &GameParams,
-        class: &PlayerClass,
-    ) -> Option<Self> {
+    fn new(protocol: &'p Protocol, params: &GameParams, class: &PlayerClass) -> Option<Self> {
         let (explore_prob, imit, expl) =
             (protocol.explore_prob(), protocol.imitation(), protocol.exploration());
         let (n_c, s_c) = (class.players(), class.num_strategies());
@@ -1628,7 +1617,7 @@ impl<'p> ClassSampling<'p> {
 
     /// Imitation weight of a destination holding `x_to` players; `0.0`
     /// when nobody on it can be sampled.
-    pub(crate) fn imit_weight(&self, x_to: u64) -> f64 {
+    fn imit_weight(&self, x_to: u64) -> f64 {
         let w = x_to as f64 + if self.virtual_agents { 1.0 } else { 0.0 };
         if w > 0.0 {
             self.imit_scale * w
@@ -1640,7 +1629,7 @@ impl<'p> ClassSampling<'p> {
     /// Migration probability of a pair with imitation weight `imit_w`,
     /// origin latency `l_from` and gain `gain`, over every protocol
     /// component.
-    pub(crate) fn prob(&self, params: &GameParams, imit_w: f64, l_from: f64, gain: f64) -> f64 {
+    fn prob(&self, params: &GameParams, imit_w: f64, l_from: f64, gain: f64) -> f64 {
         let mut prob = 0.0;
         if imit_w > 0.0 {
             let p = self.imit.expect("imit_w > 0 implies imitation component");
@@ -1659,7 +1648,7 @@ impl<'p> ClassSampling<'p> {
     /// `0.0` under the same conditions as [`imitation_mu`]. Positive
     /// results are bit-identical to `prob`'s.
     #[inline]
-    pub(crate) fn imitation_prob(&self, x_to: u64, l_from: f64, gain: f64) -> f64 {
+    fn imitation_prob(&self, x_to: u64, l_from: f64, gain: f64) -> f64 {
         if l_from <= 0.0 || gain <= self.thr {
             return 0.0;
         }
@@ -1667,7 +1656,7 @@ impl<'p> ClassSampling<'p> {
     }
 }
 
-pub(crate) fn imitation_mu(
+fn imitation_mu(
     p: &crate::protocol::ImitationProtocol,
     params: &GameParams,
     l_from: f64,
@@ -1679,7 +1668,7 @@ pub(crate) fn imitation_mu(
     (p.lambda() / p.damping_factor(params) * gain / l_from).clamp(0.0, 1.0)
 }
 
-pub(crate) fn exploration_mu(
+fn exploration_mu(
     p: &crate::protocol::ExplorationProtocol,
     params: &GameParams,
     l_from: f64,

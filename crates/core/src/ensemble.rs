@@ -19,21 +19,19 @@
 //!
 //! Every sweep — [`Ensemble::run`]/[`Ensemble::run_with`] (which collect
 //! into the `Vec` reducer), [`Ensemble::run_reduced`] and one shard of a
-//! distributed sweep, [`Ensemble::run_reduced_shard`], scalar or lane
-//! kernel, one thread or many — goes through one block scheduler. It
-//! produces the [`REDUCE_BLOCK`]-trial block partials of a block range and
-//! hands them, in block order, to a *sink*: the materializing paths and
-//! `run_reduced` merge each partial into the accumulator, the shard's sink
-//! keeps it as a leaf. Workers claim *units* of one block (two for a
-//! 64-lane group), and a *unit runner* — a loop of scalar replicas or one
-//! lane group at a time — is the only part that differs between the
-//! entry points. Each worker keeps one replica for its lifetime (a
-//! [`Simulation`], or a [`LaneKernel`] for lane sweeps) and rewinds it to
-//! the start for every trial or lane group it runs, so trial turnover
-//! copies the start instead of rebuilding it and allocates nothing. On
-//! failure the scheduler keeps the lowest failing trial and skips only the
-//! trials above it, so the error or panic reported is that trial's
-//! whatever the thread count, lane width or shard split.
+//! distributed sweep, [`Ensemble::run_reduced_shard`], one thread or many
+//! — goes through one block scheduler. It produces the
+//! [`REDUCE_BLOCK`]-trial block partials of a block range and hands them,
+//! in block order, to a *sink*: the materializing paths and `run_reduced`
+//! merge each partial into the accumulator, the shard's sink keeps it as a
+//! leaf. Workers claim one block at a time, and what each trial returns is
+//! the only part that differs between the entry points. Each worker keeps
+//! one [`Simulation`] for its lifetime and rewinds it to the start for
+//! every trial it runs, so trial turnover copies the start instead of
+//! rebuilding it and allocates nothing. On failure the scheduler keeps the
+//! lowest failing trial and skips only the trials above it, so the error
+//! or panic reported is that trial's whatever the thread count or shard
+//! split.
 //!
 //! All batch entry points share one empty-input contract: zero trials
 //! yield an empty result (for the reducer path, the untouched identity
@@ -50,7 +48,6 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use crate::engine::{validate_start, EngineKind, Simulation};
 use crate::error::DynamicsError;
 use crate::hook::RoundHook;
-use crate::lanes::{LaneKernel, LANE_WIDTHS};
 use crate::observe::Observer;
 use crate::protocol::Protocol;
 use crate::reduce::Reducer;
@@ -113,9 +110,6 @@ pub struct Ensemble<'g> {
     /// the same event schedule against its own simulation. `None` for
     /// stationary ensembles.
     round_hook: Option<std::sync::Arc<dyn Fn() -> Box<dyn RoundHook> + Send + Sync>>,
-    /// When set, the reduced paths run trials through the replica-major
-    /// [`LaneKernel`] in lockstep groups of at most this width.
-    lane_width: Option<usize>,
 }
 
 impl std::fmt::Debug for Ensemble<'_> {
@@ -132,7 +126,6 @@ impl std::fmt::Debug for Ensemble<'_> {
             .field("threads", &self.threads)
             .field("rng_mode", &self.rng_mode)
             .field("round_hook", &self.round_hook.as_ref().map(|_| "<factory>"))
-            .field("lane_width", &self.lane_width)
             .finish()
     }
 }
@@ -170,7 +163,6 @@ impl<'g> Ensemble<'g> {
             threads: Self::default_threads(),
             rng_mode: RngMode::Xoshiro,
             round_hook: None,
-            lane_width: None,
         })
     }
 
@@ -236,134 +228,31 @@ impl<'g> Ensemble<'g> {
         self
     }
 
-    /// Run the reduced paths through the replica-major [`LaneKernel`]:
-    /// trials are grouped into lockstep lane blocks of at most `width`
-    /// replicas (one of [`LANE_WIDTHS`]), aligned with the
-    /// [`REDUCE_BLOCK`]-trial reduction blocks (widths ≤ 32 slice a block,
-    /// width 64 pairs two). Counter mode only: each lane's trajectory is
-    /// bit-identical to the scalar counter-mode run of its trial, so
-    /// reduced results — and the thread-count and shard/merge identities —
-    /// are **byte-identical with the lane kernel on or off**; only
-    /// wall-clock changes. Validated when a run starts (see
-    /// [`Ensemble::run_reduced`] for the accepted configurations).
-    pub fn lane_width(mut self, width: usize) -> Self {
-        self.lane_width = Some(width);
+    /// A no-op, kept only so existing callers still build: every sweep
+    /// runs on [`Simulation`], which the removed replica-lane kernel
+    /// matched byte for byte, so results are the same with or without it.
+    /// `_width` is ignored.
+    pub fn lane_width(self, _width: usize) -> Self {
         self
     }
 
-    /// The configured lane width, if any.
-    pub fn get_lane_width(&self) -> Option<usize> {
-        self.lane_width
-    }
-
-    /// Check a [`Ensemble::lane_width`] configuration: the width must be
-    /// one of [`LANE_WIDTHS`], the RNG backend must be counter mode (lane
-    /// bit-identity is a property of addressed draws), the engine must be
-    /// the aggregate kernel, and no round hook may be attached (scenario
-    /// schedules mutate the game, which lanes share).
-    fn validate_lane_config(&self, width: usize) -> Result<(), DynamicsError> {
-        if !LANE_WIDTHS.contains(&width) {
-            return Err(DynamicsError::InvalidParameter {
-                name: "lane_width",
-                message: "lane width must be one of 8, 16, 32, 64",
-            });
-        }
-        if self.rng_mode != RngMode::Counter {
-            return Err(DynamicsError::InvalidParameter {
-                name: "lane_width",
-                message: "the lane kernel requires counter-mode RNG (rng_mode(RngMode::Counter))",
-            });
-        }
-        if self.engine != EngineKind::Aggregate {
-            return Err(DynamicsError::InvalidParameter {
-                name: "lane_width",
-                message: "the lane kernel supports only the aggregate engine",
-            });
-        }
-        if self.round_hook.is_some() {
-            return Err(DynamicsError::InvalidParameter {
-                name: "lane_width",
-                message: "the lane kernel does not support round hooks (nonstationary scenarios)",
-            });
-        }
-        Ok(())
-    }
-
-    /// The lane unit runner: run `trials` through lockstep lane groups of
-    /// at most `width` on the worker's kernel, feeding each finished
-    /// trial's output to `absorb` in trial order. Grouping is pure
-    /// scheduling — per-trial outputs are bit-identical for any chunking —
-    /// so groups anchor wherever the unit starts. Groups starting above the
-    /// lowest failing trial (`failed`) are skipped; `at` is set to the
-    /// first trial of the group about to run, or to the failing trial on
-    /// error (see [`Ensemble::reduce_observed`]).
-    #[allow(clippy::too_many_arguments)]
-    fn run_lane_trials<O: Observer>(
-        &self,
-        kernel: &mut Option<LaneKernel<'g>>,
-        trials: Range<usize>,
-        width: usize,
-        stop: &StopSpec,
-        observer_factory: &(impl Fn(usize) -> O + Sync),
-        failed: &AtomicUsize,
-        at: &mut usize,
-        absorb: &mut dyn FnMut(usize, O::Output),
-    ) -> Result<(), DynamicsError> {
-        // The worker's kernel serves every group it runs: `reset`
-        // re-points the stream/state buffers at the next group without
-        // reallocating (tails reset to a narrower lane count), so a sweep
-        // allocates lane storage once per worker, not once per group.
-        let mut t = trials.start;
-        while t < trials.end && t <= failed.load(Ordering::Relaxed) {
-            *at = t;
-            let lanes = width.min(trials.end - t);
-            let kernel = match kernel.as_mut() {
-                Some(k) => {
-                    k.reset(t as u64, lanes)?;
-                    k
-                }
-                None => kernel.insert(
-                    LaneKernel::new(
-                        self.game,
-                        self.protocol,
-                        &self.start,
-                        self.base_seed,
-                        t as u64,
-                        lanes,
-                    )?
-                    .with_recording(self.record),
-                ),
-            };
-            let observers: Vec<O> = (0..lanes).map(|l| observer_factory(t + l)).collect();
-            let outputs = kernel.run_observed(stop, observers).map_err(|(lane, e)| {
-                *at = t + lane;
-                e
-            })?;
-            for (l, out) in outputs.into_iter().enumerate() {
-                absorb(t + l, out);
-            }
-            t += lanes;
-        }
-        Ok(())
-    }
-
-    /// The scalar unit runner: run `trials` one at a time on the worker's
-    /// replica `sim` through `one`, and hand each result to `absorb` in
-    /// trial order, skipping the trials above the lowest failing trial so
-    /// far (`failed`); `at` is the running trial.
+    /// Run `trials` one at a time on the worker's replica `sim` through
+    /// `one`, and fold each result into `partial` in trial order, skipping
+    /// the trials above the lowest failing trial so far (`failed`); `at` is
+    /// the running trial.
     ///
     /// Before every trial the replica is rewound to the start (built with
     /// the engine and recording on the worker's first trial) and armed
     /// with a fresh hook from the factory, if any — the only place a
-    /// scalar replica is built or reset.
-    fn run_scalar_trials<T>(
+    /// replica is built or reset.
+    fn run_trials<R: Reducer>(
         &self,
         sim: &mut Option<Simulation<'g>>,
         trials: Range<usize>,
         failed: &AtomicUsize,
         at: &mut usize,
-        absorb: &mut dyn FnMut(usize, T),
-        one: impl Fn(&mut Simulation<'g>, usize) -> Result<T, DynamicsError>,
+        partial: &mut R,
+        one: &impl Fn(&mut Simulation<'g>, usize) -> Result<R::Item, DynamicsError>,
     ) -> Result<(), DynamicsError> {
         for trial in trials {
             if trial > failed.load(Ordering::Relaxed) {
@@ -384,7 +273,7 @@ impl<'g> Ensemble<'g> {
             if let Some(factory) = &self.round_hook {
                 sim.attach_hook(factory());
             }
-            absorb(trial, one(sim, trial)?);
+            partial.absorb(one(sim, trial)?);
         }
         Ok(())
     }
@@ -421,8 +310,7 @@ impl<'g> Ensemble<'g> {
 
     /// Run every replica and map `(finished simulation, outcome)` through
     /// `f` — use this to extract final-state statistics without cloning
-    /// whole trajectories. Results are in trial order. Scalar-only: `f`
-    /// reads the finished [`Simulation`], which lane groups do not build.
+    /// whole trajectories. Results are in trial order.
     ///
     /// Replicas run on the block scheduler of [`Ensemble::run_reduced`],
     /// collected into the `Vec` reducer; the parallel unit is one
@@ -430,45 +318,26 @@ impl<'g> Ensemble<'g> {
     ///
     /// # Errors
     ///
-    /// Fails with [`DynamicsError::InvalidParameter`] when a lane width is
-    /// set. Otherwise propagates the first (lowest trial index) replica
-    /// error, if any; trials above it are skipped. A panicking replica or
-    /// `f` re-raises the lowest failing trial's payload.
+    /// Propagates the first (lowest trial index) replica error, if any;
+    /// trials above it are skipped. A panicking replica or `f` re-raises
+    /// the lowest failing trial's payload.
     pub fn run_with<T: Send>(
         &self,
         stop: &StopSpec,
         f: impl Fn(&Simulation<'_>, RunOutcome) -> T + Sync,
     ) -> Result<Vec<T>, DynamicsError> {
-        if self.lane_width.is_some() {
-            return Err(DynamicsError::InvalidParameter {
-                name: "lane_width",
-                message: "lane groups stream through run_reduced/run_reduced_shard; \
-                          run/run_with are scalar-only",
-            });
-        }
         let mut out = Vec::new();
         let blocks = 0..self.trials.div_ceil(REDUCE_BLOCK);
-        let run_unit = |replica: &mut WorkerReplica<'g>,
-                        trials,
-                        failed: &_,
-                        at: &mut _,
-                        absorb: &mut dyn FnMut(usize, T)| {
-            self.run_scalar_trials(&mut replica.sim, trials, failed, at, absorb, |sim, trial| {
-                let outcome = sim.run(stop, &mut self.trial_stream(trial))?;
-                Ok(f(sim, outcome))
-            })
+        let one = |sim: &mut Simulation<'_>, trial: usize| {
+            let outcome = sim.run(stop, &mut self.trial_stream(trial))?;
+            Ok(f(sim, outcome))
         };
-        self.reduce_blocks(blocks, 1, Vec::new, run_unit, |partial| out.merge(partial))?;
+        self.reduce_blocks(blocks, Vec::new, one, |partial| out.merge(partial))?;
         Ok(out)
     }
 
-    /// The reduced sweeps over `blocks`: validate the lane configuration,
-    /// then schedule units of one block (two for a 64-lane group). The
-    /// unit runner is the only place scalar and lane sweeps differ: it
-    /// runs its trials one replica at a time, or in lockstep lane groups,
-    /// and charges a failure to the running trial, the first trial of the
-    /// running lane group (a lockstep panic cannot be pinned to one lane),
-    /// or the exact trial of a returned error.
+    /// The reduced sweeps over `blocks`: each trial streams its run into
+    /// the observer `observer_factory` builds for it.
     fn reduce_observed<O, R>(
         &self,
         blocks: Range<usize>,
@@ -481,92 +350,50 @@ impl<'g> Ensemble<'g> {
         O: Observer,
         R: Reducer<Item = O::Output> + Send + Sync,
     {
-        let mut unit_blocks = 1;
-        if let Some(width) = self.lane_width {
-            self.validate_lane_config(width)?;
-            unit_blocks = width.div_ceil(REDUCE_BLOCK);
-        }
-        let run_unit =
-            |replica: &mut WorkerReplica<'g>,
-             trials,
-             failed: &_,
-             at: &mut _,
-             absorb: &mut dyn FnMut(usize, O::Output)| match self.lane_width {
-                Some(width) => self.run_lane_trials(
-                    &mut replica.lanes,
-                    trials,
-                    width,
-                    stop,
-                    observer_factory,
-                    failed,
-                    at,
-                    absorb,
-                ),
-                None => self.run_scalar_trials(
-                    &mut replica.sim,
-                    trials,
-                    failed,
-                    at,
-                    absorb,
-                    |sim, trial| {
-                        let mut observer = observer_factory(trial);
-                        let summary =
-                            sim.run_observed(stop, &mut self.trial_stream(trial), &mut observer)?;
-                        Ok(observer.finish(&summary))
-                    },
-                ),
-            };
-        self.reduce_blocks(blocks, unit_blocks, || prototype.identity(), run_unit, sink)
+        let one = |sim: &mut Simulation<'_>, trial: usize| {
+            let mut observer = observer_factory(trial);
+            let summary = sim.run_observed(stop, &mut self.trial_stream(trial), &mut observer)?;
+            Ok(observer.finish(&summary))
+        };
+        self.reduce_blocks(blocks, || prototype.identity(), one, sink)
     }
 
     /// The block scheduler behind every sweep: produce the partial of each
     /// [`REDUCE_BLOCK`]-trial block in `blocks` and hand the partials to
     /// `sink` in block order.
     ///
-    /// Work is claimed in *units* of `unit_blocks` consecutive blocks,
-    /// anchored at `blocks.start`. A unit's partials start from
-    /// `identity()` and absorb their trials in trial order through
-    /// `run_unit(replica, trials, failed, at, absorb)`, which must skip
-    /// trials above `failed` and leave in `at` the trial a failure is
-    /// charged to. `replica` is the worker's own [`WorkerReplica`], kept
-    /// across its units and dropped when a unit panics (a replica
-    /// unwound mid-trial may hold taken buffers), so the next unit
-    /// rebuilds it.
+    /// Workers claim one block at a time. A block's partial starts from
+    /// `identity()` and absorbs, in trial order, what `one(sim, trial)`
+    /// returns for each of its trials (see [`Ensemble::run_trials`]).
+    /// `sim` is the worker's own replica, kept across its blocks and
+    /// dropped when a block panics (a replica unwound mid-trial may hold
+    /// taken buffers), so the next block rebuilds it.
     /// Workers park finished partials, and whichever worker completes the
-    /// next block in order drains them into `sink`. A unit is claimed only
-    /// within a reorder window of the last delivered block, so live
+    /// next block in order drains them into `sink`. A block is claimed
+    /// only within a reorder window of the last delivered block, so live
     /// partials stay `O(threads)`. With one thread the same worker body
     /// runs on the calling thread.
     ///
     /// Failures: the sweep keeps the lowest failing trial — a replica
-    /// error, or a panic in the unit runner, the reducer or `sink` (charged
-    /// to `at`, or to its block's first trial) — and workers skip only
-    /// trials above it. The error returned or payload re-raised is
+    /// error, or a panic in a trial, the reducer or `sink` (charged to the
+    /// running trial, or to its block's first trial) — and workers skip
+    /// only trials above it. The error returned or payload re-raised is
     /// therefore the lowest failing trial's for every thread count and
-    /// block range. A failed unit never reaches `sink`.
+    /// block range. A failed block never reaches `sink`.
     fn reduce_blocks<R: Reducer + Send>(
         &self,
         blocks: Range<usize>,
-        unit_blocks: usize,
         identity: impl Fn() -> R + Sync,
-        run_unit: impl Fn(
-                &mut WorkerReplica<'g>,
-                Range<usize>,
-                &AtomicUsize,
-                &mut usize,
-                &mut dyn FnMut(usize, R::Item),
-            ) -> Result<(), DynamicsError>
-            + Sync,
+        one: impl Fn(&mut Simulation<'g>, usize) -> Result<R::Item, DynamicsError> + Sync,
         sink: impl FnMut(R) + Send,
     ) -> Result<(), DynamicsError> {
-        let units = blocks.len().div_ceil(unit_blocks);
-        let threads = self.threads.min(units);
-        // Reorder window, in blocks: the unit starting at block `b` is
-        // claimed only once block `b − window` has been delivered.
-        let window = threads * 2 * unit_blocks;
+        let threads = self.threads.min(blocks.len());
+        // Reorder window, in blocks: block `b` is claimed only once block
+        // `b − window` has been delivered.
+        let window = threads * 2;
         let failed = AtomicUsize::new(usize::MAX);
         let pipeline = Mutex::new(Pipeline {
-            claimed: 0,
+            claimed: blocks.start,
             delivered: blocks.start,
             pending: BTreeMap::new(),
             sink,
@@ -574,44 +401,40 @@ impl<'g> Ensemble<'g> {
         });
         let cv = Condvar::new();
         let worker = || {
-            let mut replica = WorkerReplica::default();
+            let mut sim = None;
             loop {
-                let b0 = {
+                let b = {
                     let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
                     loop {
-                        let b0 = blocks.start + p.claimed * unit_blocks;
-                        if p.claimed == units || b0 * REDUCE_BLOCK > failed.load(Ordering::Relaxed)
-                        {
+                        let b = p.claimed;
+                        if b == blocks.end || b * REDUCE_BLOCK > failed.load(Ordering::Relaxed) {
                             return;
                         }
-                        if b0 - p.delivered < window {
+                        if b - p.delivered < window {
                             p.claimed += 1;
-                            break b0;
+                            break b;
                         }
                         p = cv.wait(p).unwrap_or_else(PoisonError::into_inner);
                     }
                 };
-                let b1 = (b0 + unit_blocks).min(blocks.end);
-                let mut at = b0 * REDUCE_BLOCK;
+                let mut at = b * REDUCE_BLOCK;
                 // Even `identity()` runs under the catch: a worker that dies
                 // without reporting would leave window waiters asleep forever.
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    let mut partials: Vec<R> = (b0..b1).map(|_| identity()).collect();
-                    let trials = b0 * REDUCE_BLOCK..(b1 * REDUCE_BLOCK).min(self.trials);
-                    run_unit(&mut replica, trials, &failed, &mut at, &mut |trial, out| {
-                        partials[trial / REDUCE_BLOCK - b0].absorb(out);
-                    })
-                    .map(|()| partials)
+                    let mut partial = identity();
+                    let trials = b * REDUCE_BLOCK..((b + 1) * REDUCE_BLOCK).min(self.trials);
+                    self.run_trials(&mut sim, trials, &failed, &mut at, &mut partial, &one)
+                        .map(|()| partial)
                 }));
                 let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
                 match result {
-                    Ok(Ok(partials)) => {
-                        p.pending.extend((b0..).zip(partials));
+                    Ok(Ok(partial)) => {
+                        p.pending.insert(b, partial);
                         p.drain(&failed);
                     }
                     Ok(Err(e)) => p.fail(&failed, at, Failure::Error(e)),
                     Err(payload) => {
-                        replica = WorkerReplica::default();
+                        sim = None;
                         p.fail(&failed, at, Failure::Panic(payload));
                     }
                 }
@@ -658,32 +481,25 @@ impl<'g> Ensemble<'g> {
     /// `reducer.identity()`, absorbs its trials in trial order, and the
     /// partials are merged into the accumulator **in block order**. The
     /// reduction tree therefore depends only on the trial count, so the
-    /// returned reducer is **bit-identical for every thread count** and
-    /// with the lane kernel on or off. Workers claim *units* (one block, or
-    /// the two blocks of a 64-lane group) dynamically and park finished
-    /// partials; the partials are merged as their block's turn comes up,
+    /// returned reducer is **bit-identical for every thread count**.
+    /// Workers claim blocks dynamically and park finished partials; the
+    /// partials are merged as their block's turn comes up,
     /// and a bounded reorder window (a small multiple of the thread count)
     /// keeps pending partials — and hence memory — bounded even when early
     /// blocks run long. [`Ensemble::run_reduced_shard`] runs the same
     /// scheduler over one shard's blocks.
     ///
     /// With zero trials the reducer is returned untouched (the identity
-    /// reduction; see [`Ensemble::trials`]) — once the lane configuration
-    /// has been validated.
+    /// reduction; see [`Ensemble::trials`]).
     ///
     /// # Errors
-    ///
-    /// Fails with [`DynamicsError::InvalidParameter`] for a lane
-    /// configuration [`Ensemble::lane_width`] does not accept: a width
-    /// outside [`LANE_WIDTHS`], xoshiro RNG, the player engine, or a round
-    /// hook.
     ///
     /// A failing replica stops the sweep early: workers skip every trial
     /// above the lowest failing trial seen so far, and that trial's error
     /// is returned. A panicking replica, observer or reducer is handled the
     /// same way, and the original payload of the lowest failing trial is
-    /// re-raised. The reported failure is the same for every thread count,
-    /// lane width and shard split.
+    /// re-raised. The reported failure is the same for every thread count
+    /// and shard split.
     ///
     /// # Example
     ///
@@ -759,7 +575,7 @@ impl<'g> Ensemble<'g> {
     /// **leaves**: one partial per [`REDUCE_BLOCK`]-trial block, in block
     /// order — exactly the partials [`Ensemble::run_reduced`] would have
     /// produced for those blocks in a single-process sweep, from the same
-    /// block scheduler (lane groups anchor at the shard's first block).
+    /// block scheduler.
     ///
     /// Per-trial seeds still derive from `split_seed(base_seed, trial)`
     /// with **global** trial indices, so the shard split cannot change any
@@ -774,8 +590,7 @@ impl<'g> Ensemble<'g> {
     ///
     /// # Errors
     ///
-    /// As [`Ensemble::run_reduced`]: an invalid lane configuration (even
-    /// for an empty shard), or the lowest failing trial's error.
+    /// As [`Ensemble::run_reduced`]: the lowest failing trial's error.
     ///
     /// # Panics
     ///
@@ -801,15 +616,6 @@ impl<'g> Ensemble<'g> {
     }
 }
 
-/// The replica one worker of [`Ensemble::reduce_blocks`] keeps for its
-/// lifetime: built by the first trial (scalar) or lane group it runs, and
-/// rewound in place for every later one.
-#[derive(Default)]
-struct WorkerReplica<'g> {
-    sim: Option<Simulation<'g>>,
-    lanes: Option<LaneKernel<'g>>,
-}
-
 /// What stopped a reduced sweep at its lowest failing trial.
 enum Failure {
     Error(DynamicsError),
@@ -818,7 +624,7 @@ enum Failure {
 
 /// The in-order delivery state [`Ensemble::reduce_blocks`] workers share.
 struct Pipeline<R, S> {
-    /// Units handed out so far.
+    /// The block the next claim takes.
     claimed: usize,
     /// The block `sink` receives next.
     delivered: usize,
@@ -971,9 +777,9 @@ mod tests {
     }
 
     /// Two trials panic in the observer factory; the payload re-raised is
-    /// always the lower trial's — for every thread count, with and without
-    /// lanes, and through the sharded entry point — even when a worker
-    /// reaches the higher trial first.
+    /// always the lower trial's — for every thread count and RNG backend,
+    /// and through the sharded entry point — even when a worker reaches the
+    /// higher trial first.
     #[test]
     fn run_reduced_propagates_original_panic() {
         use crate::observe::FinalSummary;
@@ -993,19 +799,14 @@ mod tests {
             Ok(s) => s.to_string(),
             Err(payload) => *payload.downcast::<String>().expect("a string payload"),
         };
-        for (mode, lanes) in
-            [(RngMode::Xoshiro, None), (RngMode::Counter, None), (RngMode::Counter, Some(32))]
-        {
+        for mode in [RngMode::Xoshiro, RngMode::Counter] {
             for threads in [1, 2, 8] {
-                let mut e =
+                let e =
                     Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
                         .unwrap()
                         .trials(80)
                         .threads(threads)
                         .rng_mode(mode);
-                if let Some(w) = lanes {
-                    e = e.lane_width(w);
-                }
                 let reduced = catch_unwind(AssertUnwindSafe(|| {
                     e.run_reduced(&stop, factory, ConvergenceHistogram::new())
                 }))
@@ -1018,7 +819,7 @@ mod tests {
                     assert_eq!(
                         message(payload),
                         "observer factory exploded at trial 7",
-                        "{mode:?} lanes={lanes:?} threads={threads}"
+                        "{mode:?} threads={threads}"
                     );
                 }
             }
@@ -1063,40 +864,51 @@ mod tests {
         let game = two_links(120);
         let start = State::from_counts(&game, vec![90, 30]).unwrap();
         let stop = StopSpec::max_rounds(20);
-        let ensemble = |threads: usize| {
-            Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
-                .unwrap()
-                .trials(70)
-                .base_seed(5)
-                .threads(threads)
-        };
         let reducer = || MapItem::new(|s: RunSummary| s.potential, ScalarStats::new());
-        let single =
-            ensemble(2).run_reduced(&stop, |_trial| FinalSummary, reducer()).unwrap().into_inner();
-        // 70 trials = 3 blocks; split them over every shard count that
-        // exercises empty shards, one-block shards, and multi-block shards.
-        for num_shards in [1usize, 2, 3, 5] {
-            let mut leaves = Vec::new();
-            let mut covered = 0;
-            for shard in 0..num_shards {
-                let e = ensemble(2);
-                let range = e.shard_trials(shard, num_shards);
-                assert_eq!(range.start, covered, "shard ranges must be contiguous");
-                covered = range.end;
-                leaves.extend(
-                    e.run_reduced_shard(
-                        shard,
-                        num_shards,
-                        &stop,
-                        |_trial| FinalSummary,
-                        &reducer(),
-                    )
-                    .unwrap(),
-                );
+        for mode in [RngMode::Xoshiro, RngMode::Counter] {
+            let ensemble = |threads: usize| {
+                Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
+                    .unwrap()
+                    .trials(70)
+                    .base_seed(5)
+                    .threads(threads)
+                    .rng_mode(mode)
+            };
+            let single = ensemble(1)
+                .run_reduced(&stop, |_trial| FinalSummary, reducer())
+                .unwrap()
+                .into_inner();
+            // 70 trials = 3 blocks; split them over every shard count that
+            // exercises empty shards, one-block shards, and multi-block
+            // shards, at every thread count.
+            for threads in [1, 2, 8] {
+                for num_shards in [1usize, 2, 3, 5] {
+                    let mut leaves = Vec::new();
+                    let mut covered = 0;
+                    for shard in 0..num_shards {
+                        let e = ensemble(threads);
+                        let range = e.shard_trials(shard, num_shards);
+                        assert_eq!(range.start, covered, "shard ranges must be contiguous");
+                        covered = range.end;
+                        leaves.extend(
+                            e.run_reduced_shard(
+                                shard,
+                                num_shards,
+                                &stop,
+                                |_trial| FinalSummary,
+                                &reducer(),
+                            )
+                            .unwrap(),
+                        );
+                    }
+                    assert_eq!(covered, 70);
+                    let merged = merge_partials(reducer(), leaves).into_inner();
+                    assert_eq!(
+                        merged, single,
+                        "{mode:?}: {num_shards} shards at {threads} threads changed the bits"
+                    );
+                }
             }
-            assert_eq!(covered, 70);
-            let merged = merge_partials(reducer(), leaves).into_inner();
-            assert_eq!(merged, single, "{num_shards} shards changed the reduction bits");
         }
     }
 
@@ -1124,149 +936,6 @@ mod tests {
             .unwrap()
             .into_inner();
         assert_eq!(stats.count() + stats.non_finite(), 40);
-    }
-
-    #[test]
-    fn lane_reduced_is_bit_identical_to_scalar_for_every_width_and_thread_count() {
-        use crate::observe::FinalSummary;
-        use crate::reduce::{MapItem, ScalarStats};
-        use crate::stopping::RunSummary;
-        let game = two_links(120);
-        let start = State::from_counts(&game, vec![90, 30]).unwrap();
-        let stop = StopSpec::max_rounds(20);
-        // 70 trials = 3 blocks: W=64 exercises a two-block unit plus a
-        // narrow tail group, W=8..32 exercise sub-block groups.
-        let run = |lanes: Option<usize>, threads: usize| {
-            let mut e =
-                Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
-                    .unwrap()
-                    .trials(70)
-                    .base_seed(5)
-                    .threads(threads)
-                    .rng_mode(RngMode::Counter);
-            if let Some(w) = lanes {
-                e = e.lane_width(w);
-            }
-            e.run_reduced(
-                &stop,
-                |_trial| FinalSummary,
-                MapItem::new(|s: RunSummary| s.potential, ScalarStats::new()),
-            )
-            .unwrap()
-            .into_inner()
-        };
-        let scalar = run(None, 1);
-        for width in LANE_WIDTHS {
-            for threads in [1, 2, 8] {
-                assert_eq!(
-                    scalar,
-                    run(Some(width), threads),
-                    "lanes={width} threads={threads} changed the reduction bits"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_sharded_leaves_merge_bit_identical_to_scalar_run_reduced() {
-        use crate::observe::FinalSummary;
-        use crate::reduce::{merge_partials, MapItem, ScalarStats};
-        use crate::stopping::RunSummary;
-        let game = two_links(120);
-        let start = State::from_counts(&game, vec![90, 30]).unwrap();
-        let stop = StopSpec::max_rounds(20);
-        let ensemble = |lanes: Option<usize>, threads: usize| {
-            let mut e =
-                Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
-                    .unwrap()
-                    .trials(70)
-                    .base_seed(5)
-                    .threads(threads)
-                    .rng_mode(RngMode::Counter);
-            if let Some(w) = lanes {
-                e = e.lane_width(w);
-            }
-            e
-        };
-        let reducer = || MapItem::new(|s: RunSummary| s.potential, ScalarStats::new());
-        let single = ensemble(None, 1)
-            .run_reduced(&stop, |_trial| FinalSummary, reducer())
-            .unwrap()
-            .into_inner();
-        // Lane groups re-anchor at each shard's first block (W=64 units
-        // span two blocks); the leaves must still be the single-process
-        // leaves bit for bit, whatever the thread count.
-        for width in LANE_WIDTHS {
-            for threads in [1, 2, 8] {
-                for num_shards in [1usize, 2, 3, 5] {
-                    let mut leaves = Vec::new();
-                    for shard in 0..num_shards {
-                        leaves.extend(
-                            ensemble(Some(width), threads)
-                                .run_reduced_shard(
-                                    shard,
-                                    num_shards,
-                                    &stop,
-                                    |_trial| FinalSummary,
-                                    &reducer(),
-                                )
-                                .unwrap(),
-                        );
-                    }
-                    let merged = merge_partials(reducer(), leaves).into_inner();
-                    assert_eq!(
-                        merged, single,
-                        "{num_shards} shards at lanes={width} threads={threads} changed the bits"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_width_is_validated() {
-        use crate::observe::FinalSummary;
-        use crate::reduce::ConvergenceHistogram;
-        let game = two_links(20);
-        let start = State::from_counts(&game, vec![15, 5]).unwrap();
-        let stop = StopSpec::max_rounds(5);
-        let base = || {
-            Ensemble::new(&game, ImitationProtocol::paper_default().into(), start.clone())
-                .unwrap()
-                .trials(8)
-        };
-        // Width must be one of LANE_WIDTHS.
-        let err = base()
-            .rng_mode(RngMode::Counter)
-            .lane_width(12)
-            .run_reduced(&stop, |_t| FinalSummary, ConvergenceHistogram::new())
-            .unwrap_err();
-        assert!(err.to_string().contains("8, 16, 32, 64"), "got: {err}");
-        // Validation comes first: an empty sweep does not skip it.
-        let err = base()
-            .trials(0)
-            .rng_mode(RngMode::Counter)
-            .lane_width(12)
-            .run_reduced(&stop, |_t| FinalSummary, ConvergenceHistogram::new())
-            .unwrap_err();
-        assert!(err.to_string().contains("8, 16, 32, 64"), "got: {err}");
-        // Counter mode is required (xoshiro streams are draw-order serial).
-        let err = base()
-            .rng_mode(RngMode::Xoshiro)
-            .lane_width(8)
-            .run_reduced(&stop, |_t| FinalSummary, ConvergenceHistogram::new())
-            .unwrap_err();
-        assert!(err.to_string().contains("counter-mode RNG"), "got: {err}");
-        // Sharded entry point validates too, even for an empty shard.
-        let err = base()
-            .rng_mode(RngMode::Xoshiro)
-            .lane_width(8)
-            .run_reduced_shard(0, 1, &stop, |_t| FinalSummary, &ConvergenceHistogram::new())
-            .unwrap_err();
-        assert!(err.to_string().contains("counter-mode RNG"), "got: {err}");
-        // The materializing path is scalar-only.
-        let err = base().rng_mode(RngMode::Counter).lane_width(8).run(&stop).unwrap_err();
-        assert!(err.to_string().contains("scalar-only"), "got: {err}");
     }
 
     #[test]

@@ -92,7 +92,6 @@ mod ensemble;
 mod error;
 mod expectation;
 mod hook;
-mod lanes;
 mod observe;
 mod protocol;
 mod reduce;
@@ -106,7 +105,6 @@ pub use ensemble::{Ensemble, REDUCE_BLOCK};
 pub use error::DynamicsError;
 pub use expectation::PairFlow;
 pub use hook::RoundHook;
-pub use lanes::{LaneKernel, LANE_WIDTHS};
 pub use observe::{FinalSummary, Observer, RecordSeries};
 pub use protocol::{
     Damping, ExplorationProtocol, ImitationProtocol, NuRule, Protocol, SelfSampling,

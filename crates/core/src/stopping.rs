@@ -1,9 +1,8 @@
 //! Stopping conditions for simulation runs.
 
-use congames_model::{
-    is_imitation_stable, is_nash_equilibrium, ApproxEquilibrium, CongestionGame, State,
-};
+use congames_model::{is_imitation_stable, is_nash_equilibrium, ApproxEquilibrium};
 
+use crate::engine::Simulation;
 use crate::observe::Observer;
 use crate::trajectory::{capture_record, RecordConfig, Trajectory};
 
@@ -111,26 +110,7 @@ impl StopSpec {
     }
 }
 
-/// One run as the shared driver ([`drive_round`]) sees it: a scalar
-/// `Simulation`, or one lane of a `LaneKernel`.
-pub(crate) trait Replica {
-    /// Rounds executed so far.
-    fn round(&self) -> u64;
-    /// The current Rosenthal potential.
-    fn potential(&self) -> f64;
-    /// Players that migrated in the round that produced the current state.
-    fn last_migrations(&self) -> u64;
-    /// Whether a round hook still has scheduled fires.
-    fn events_pending(&self) -> bool;
-    /// The protocol's imitation-stability gain threshold.
-    fn stability_threshold(&self) -> f64;
-    /// The replica's game and current state, caches fresh. A lane gathers
-    /// its column here, so the driver asks only when it reads the state:
-    /// on a record, or for an expensive stop condition that is due.
-    fn view(&mut self) -> (&CongestionGame, &State);
-}
-
-/// The record/stop rule every run follows, applied at the replica's
+/// The record/stop rule every run follows, applied at the simulation's
 /// current round; `Some` when the run stops there.
 ///
 /// With a non-zero recording cadence the observer sees the record of the
@@ -138,70 +118,66 @@ pub(crate) trait Replica {
 /// record per cadence round, and the record of the stop round
 /// (deduplicated when on the cadence). `shock` marks a round whose
 /// scheduled events fired just before it.
-pub(crate) fn drive_round<R: Replica, O: Observer>(
-    replica: &mut R,
+pub(crate) fn drive_round<O: Observer>(
+    sim: &Simulation<'_>,
     stop: &StopSpec,
     record: &RecordConfig,
     start_round: u64,
     shock: bool,
     observer: &mut O,
 ) -> Option<RunSummary> {
-    let round = replica.round();
-    let potential = replica.potential();
-    let mut emit = |replica: &mut R| {
-        let migrations = replica.last_migrations();
-        let (game, state) = replica.view();
+    let round = sim.round();
+    let potential = sim.potential();
+    let mut emit = || {
         observer.observe(&capture_record(
-            game,
-            state,
+            sim.game(),
+            sim.state(),
             round,
             potential,
-            migrations,
+            sim.last_migrations(),
             record.approx.as_ref(),
             shock,
         ));
     };
     let recording = record.every > 0 && (round == start_round || round % record.every == 0);
     if recording {
-        emit(replica);
+        emit();
     }
-    let reason = stop_reason(stop, replica)?;
+    let reason = stop_reason(stop, sim)?;
     if record.every > 0 && !recording {
-        emit(replica);
+        emit();
     }
     Some(RunSummary { reason, rounds: round, potential })
 }
 
-/// The first condition of `stop`, in spec order, that holds for
-/// `replica` at its current round.
+/// The first condition of `stop`, in spec order, that holds for `sim`
+/// at its current round.
 ///
 /// While a round hook still has scheduled fires (`events_pending`), the
 /// run is nonstationary by declaration: equilibrium-type conditions are
 /// deferred until the schedule drains (today's stable state is not an
 /// outcome, it is the pre-shock reference). Only the round budget can stop
-/// a run mid-schedule. The replica's state is viewed only when an
-/// expensive condition is due.
-fn stop_reason(stop: &StopSpec, replica: &mut impl Replica) -> Option<StopReason> {
-    let round = replica.round();
-    let events_pending = replica.events_pending();
+/// a run mid-schedule.
+fn stop_reason(stop: &StopSpec, sim: &Simulation<'_>) -> Option<StopReason> {
+    let round = sim.round();
+    let events_pending = sim.events_pending();
     let expensive_due = round % stop.check_every() == 0 && !events_pending;
+    let (game, state) = (sim.game(), sim.state());
     for cond in stop.conditions() {
         let reason = match *cond {
             StopCondition::MaxRounds(r) => (round >= r).then_some(StopReason::MaxRounds),
-            StopCondition::PotentialAtMost(v) => (!events_pending && replica.potential() <= v)
-                .then_some(StopReason::PotentialReached),
+            StopCondition::PotentialAtMost(v) => {
+                (!events_pending && sim.potential() <= v).then_some(StopReason::PotentialReached)
+            }
             _ if !expensive_due => None,
             StopCondition::ImitationStable => {
-                let threshold = replica.stability_threshold();
-                let (game, state) = replica.view();
+                let threshold = sim.protocol().stability_threshold(sim.params());
                 is_imitation_stable(game, state, threshold).then_some(StopReason::ImitationStable)
             }
             StopCondition::ApproxEquilibrium(eq) => {
-                let (game, state) = replica.view();
                 eq.is_satisfied(game, state).then_some(StopReason::ApproxEquilibrium)
             }
             StopCondition::NashEquilibrium { tol } => {
-                let (game, state) = replica.view();
                 is_nash_equilibrium(game, state, tol).then_some(StopReason::NashEquilibrium)
             }
         };

@@ -528,7 +528,7 @@ impl Latency for Affine {
 
     fn eval_range_into(&self, base: u64, range: Range<u64>, out: &mut [f64]) {
         check_range_len(&range, out);
-        // Tiny windows (the converged lane kernel's two-entry case) skip
+        // Tiny windows (a cache refresh's two-entry case) skip
         // the dispatch machinery; the loop is the vector arms' own scalar
         // tail, so the bits are unchanged.
         if out.len() < 8 {

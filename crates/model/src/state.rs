@@ -1053,52 +1053,6 @@ impl State {
         self.invalidate_support_index();
     }
 
-    /// Overwrite this state's counts and loads from one lane of
-    /// replica-major SoA columns (element `k` of lane `lane` lives at
-    /// `column[k * width + lane]`), invalidating both derived caches unless
-    /// the state already held exactly that column (then the caches, which
-    /// depend only on counts, loads and base loads, stay as they were).
-    ///
-    /// This is the *gather* half of the replica-lane kernel: a lane block
-    /// evolves `width` replicas through strategy-major count columns and
-    /// resource-major load columns, and materializes a single lane into a
-    /// scratch `State` (typically a clone of the start state, so
-    /// `base_loads` carries over) only when a record or an expensive stop
-    /// check needs one. Every lane of a fresh group holds the start
-    /// column, so gathering them one after another rebuilds no cache.
-    /// Allocation-free: the destination vectors are already sized by the
-    /// state this scratch was cloned from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= width` or either column's length is not
-    /// `width ×` the corresponding vector length of this state.
-    pub fn assign_lane_column(
-        &mut self,
-        lane_counts: &[u64],
-        lane_loads: &[u64],
-        width: usize,
-        lane: usize,
-    ) {
-        assert!(lane < width, "lane {lane} out of range for width {width}");
-        assert_eq!(lane_counts.len(), self.counts.len() * width, "counts column shape");
-        assert_eq!(lane_loads.len(), self.loads.len() * width, "loads column shape");
-        let mut changed = false;
-        for (k, c) in self.counts.iter_mut().enumerate() {
-            let v = lane_counts[k * width + lane];
-            changed |= *c != v;
-            *c = v;
-        }
-        for (k, l) in self.loads.iter_mut().enumerate() {
-            let v = lane_loads[k * width + lane];
-            changed |= *l != v;
-            *l = v;
-        }
-        if changed {
-            self.invalidate_caches_for_game_change();
-        }
-    }
-
     /// Add `count` players to strategy `s` (a scenario *arrival*): bumps
     /// the strategy's count and the loads of its resources, then routes
     /// through [`State::invalidate_caches_for_game_change`] — arrivals can
@@ -1699,38 +1653,6 @@ mod tests {
         assert_eq!(s.load(rid(1)), 3);
         // Latencies see the effective load.
         assert_eq!(s.resource_latency(&game, rid(1)), 5.0);
-    }
-
-    #[test]
-    fn assign_lane_column_gathers_one_replica_and_invalidates_caches() {
-        let game = overlap_game(6);
-        let mut s = State::from_counts(&game, vec![6, 0, 0]).unwrap();
-        s.ensure_latency_cache(&game);
-        s.ensure_support_index(&game);
-        // Two lanes interleaved strategy-major / resource-major; gather
-        // lane 1 (counts [1, 2, 3]).
-        let counts = vec![6, 1, 0, 2, 0, 3];
-        let want = State::from_counts(&game, vec![1, 2, 3]).unwrap();
-        let mut loads = vec![0u64; want.loads().len() * 2];
-        for (k, &l) in s.loads().iter().enumerate() {
-            loads[k * 2] = l;
-        }
-        for (k, &l) in want.loads().iter().enumerate() {
-            loads[k * 2 + 1] = l;
-        }
-        s.assign_lane_column(&counts, &loads, 2, 1);
-        assert_eq!(s, want);
-        assert!(!s.latency_cache_valid() && !s.support_index_valid());
-        assert!(s.loads_consistent(&game));
-        // The gathered state serves fresh (uncached) latencies and
-        // supports rebuilding both caches.
-        s.ensure_latency_cache(&game);
-        s.ensure_support_index(&game);
-        assert_eq!(s.support_size(), 3);
-        // Gathering the column the state already holds keeps both caches.
-        s.assign_lane_column(&counts, &loads, 2, 1);
-        assert!(s.latency_cache_valid() && s.support_index_valid());
-        assert!(s.latency_cache_consistent(&game) && s.support_consistent(&game));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! per origin strategy in the aggregate engine, one decision per player in
 //! the player-level engine. A sequential generator forces every site to wait
 //! for every earlier site's draws; a counter-based generator instead makes
-//! each 64-bit variate a pure function of its *address*, so replica-major
-//! SIMD lanes or a GPU backend can draw any site's stream independently and
-//! still reproduce the single-threaded run bit for bit.
+//! each 64-bit variate a pure function of its *address*, so a vector sweep
+//! can draw many sites' streams at once and still reproduce the
+//! site-by-site run bit for bit.
 //!
 //! # Construction
 //!
@@ -38,8 +38,8 @@
 //! Distinct `(trial, round, site, index)` tuples therefore touch distinct
 //! counter blocks (or distinct words of one block), so the stream a site
 //! consumes does not depend on how many draws any *other* site made — the
-//! property that makes counter mode bit-identical across thread counts,
-//! shard counts, and lane widths by construction.
+//! property that makes counter mode bit-identical across thread counts
+//! and shard counts by construction.
 //!
 //! # Skipping unobservable sites
 //!
@@ -56,8 +56,8 @@
 //!
 //! Consecutive sites of one `(trial, round)` differ only in counter word 1,
 //! so their first blocks can come from one across-site Philox sweep, the
-//! same vector kernel the lane front end below runs across trials (word
-//! 3). [`DrawRng::site_blocks`](crate::DrawRng::site_blocks) is that
+//! same vector kernel [`counter_blocks`] runs across trials (word 3).
+//! [`DrawRng::site_blocks`](crate::DrawRng::site_blocks) is that
 //! sweep: `out[i]` is the first block of `sites[i]`, the four words
 //! `begin_site(sites[i])` and four draws would return. Its contract:
 //!
@@ -79,19 +79,6 @@
 //! fetches their words 256 sites per call. A pure-imitation decision reads
 //! word 0 alone, so those classes fetch `site_words`; with exploration a
 //! decision reads up to three words, so those fetch `site_blocks`.
-//!
-//! # Lane addressing
-//!
-//! Replica-major lane kernels run `W` trials of the same game in lockstep
-//! (lane = trial; see `congames_dynamics::LaneKernel`). Each lane owns one
-//! [`CounterRng`] from [`lane_streams`], positioned per round/site exactly
-//! like the scalar engine positions its single stream. Because the address
-//! tuple fully determines every variate, the interleaving the lane kernel
-//! introduces — lane 0 draws site 3, then lane 1 draws site 3, … — consumes
-//! *the same words* the scalar runs would have, so each lane's trajectory
-//! is bit-identical to the scalar counter-mode run of its trial. No
-//! cross-lane draw helper is needed: per-lane streams + pure addressing
-//! ([`CounterRng::at`] is the random-access form) are the whole mechanism.
 
 use crate::seeds::split_seed;
 use congames_simd::{philox4x64_batch, philox4x64_word0_batch, Dispatch, PhiloxSpec};
@@ -203,7 +190,7 @@ impl CounterRng {
 
     /// The variate at an explicit `(trial, round, site, index)` address —
     /// the pure function the sequential interface walks. Exposed so tests
-    /// (and lane kernels) can pin random access against it.
+    /// can pin random access against it.
     pub fn at(base_seed: u64, trial: u64, round: u64, site: u64, index: u64) -> u64 {
         philox4x64(key_for(base_seed), [index >> 2, site, round, trial])[(index & 3) as usize]
     }
@@ -242,19 +229,11 @@ impl CounterRng {
     }
 }
 
-/// One [`CounterRng`] per lane of a replica-major lane block: lane `l`
-/// draws the stream of trial `first_trial + l`, so a kernel stepping the
-/// lanes in lockstep consumes exactly the words the scalar per-trial runs
-/// would (see the [module docs](self) on lane addressing).
-pub fn lane_streams(base_seed: u64, first_trial: u64, lanes: usize) -> Vec<CounterRng> {
-    (0..lanes as u64).map(|l| CounterRng::for_trial(base_seed, first_trial + l)).collect()
-}
-
 /// Batched random access: `out[i]` receives the four words at addresses
 /// `(trials[i], round, site, block*4 .. block*4+4)` of the experiment keyed
 /// by `base_seed` — i.e. `out[i][j] == CounterRng::at(base_seed, trials[i],
-/// round, site, block*4 + j)` for every lane, produced by one across-lane
-/// Philox sweep. Bit-identical in both dispatch arms.
+/// round, site, block*4 + j)` for every `i`, produced by one across-trial
+/// Philox sweep. Bit-identical in every dispatch arm.
 ///
 /// # Panics
 ///
@@ -290,109 +269,6 @@ pub fn counter_site_blocks(
     out: &mut [[u64; 4]],
 ) {
     philox4x64_batch(dispatch, SPEC, key_for(base_seed), [0, 0, round, trial], 1, sites, out);
-}
-
-/// The lane-block stream set of a replica-major kernel: per-lane
-/// [`CounterRng`]s (lane `l` = trial `first_trial + l`, exactly
-/// [`lane_streams`]) plus a batched front end —
-/// [`prime_site`](LaneStreams::prime_site) computes the *first* Philox block of a
-/// `(round, site)` scope for every participating lane in one across-lane
-/// sweep and installs it into the lanes' block caches, so the per-lane
-/// samplers start the site with their keystream already in hand. Draws past
-/// the first block (rare: rejection loops, many-origin multinomials) fall
-/// back to the lanes' own sequential walk, which computes the same
-/// addressed words — the batching is a pure cache warm-up and cannot change
-/// any stream's bits.
-///
-/// The buffers (streams, trial scratch, block scratch) are reused across
-/// [`reset`](LaneStreams::reset) calls, so an ensemble scheduler stepping
-/// many lane groups through one kernel allocates streams once, not per
-/// group.
-#[derive(Debug)]
-pub struct LaneStreams {
-    base_seed: u64,
-    dispatch: Dispatch,
-    rngs: Vec<CounterRng>,
-    trials: Vec<u64>,
-    blocks: Vec<[u64; 4]>,
-}
-
-impl LaneStreams {
-    /// Streams for lanes `0..lanes` of the group starting at `first_trial`,
-    /// batching with `dispatch`.
-    pub fn new(base_seed: u64, first_trial: u64, lanes: usize, dispatch: Dispatch) -> Self {
-        LaneStreams {
-            base_seed,
-            dispatch: dispatch.resolve(),
-            rngs: lane_streams(base_seed, first_trial, lanes),
-            trials: Vec::with_capacity(lanes),
-            blocks: Vec::with_capacity(lanes),
-        }
-    }
-
-    /// Re-point the existing buffers at a new lane group (possibly
-    /// narrower), without reallocating: after this call the streams are
-    /// exactly `LaneStreams::new(base_seed, first_trial, lanes, dispatch)`.
-    pub fn reset(&mut self, first_trial: u64, lanes: usize) {
-        self.rngs.truncate(lanes);
-        for (l, rng) in self.rngs.iter_mut().enumerate() {
-            *rng = CounterRng::for_trial(self.base_seed, first_trial + l as u64);
-        }
-        for l in self.rngs.len() as u64..lanes as u64 {
-            self.rngs.push(CounterRng::for_trial(self.base_seed, first_trial + l));
-        }
-    }
-
-    /// Override the batching dispatch (testing hook; the streams' bits are
-    /// dispatch-independent). Resolved once so the steady-state sweep
-    /// carries an always-runnable arm.
-    pub fn set_dispatch(&mut self, dispatch: Dispatch) {
-        self.dispatch = dispatch.resolve();
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// Whether the group is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rngs.is_empty()
-    }
-
-    /// Lane `l`'s stream, for sequential draws within a primed site.
-    #[inline]
-    pub fn rng_mut(&mut self, l: usize) -> &mut CounterRng {
-        &mut self.rngs[l]
-    }
-
-    /// Position every participating lane at `(round, site, index 0)` with
-    /// the site's first keystream block already computed — one batched
-    /// Philox sweep instead of `lanes.len()` scalar block evaluations on
-    /// the lanes' first draws.
-    pub fn prime_site(&mut self, round: u64, site: u64, lanes: &[usize]) {
-        self.trials.clear();
-        self.trials.extend(lanes.iter().map(|&l| self.rngs[l].trial));
-        self.blocks.resize(lanes.len(), [0; 4]);
-        let key = self.rngs.first().map_or([0, 0], |r| r.key);
-        philox4x64_batch(
-            self.dispatch,
-            SPEC,
-            key,
-            [0, site, round, 0],
-            3,
-            &self.trials,
-            &mut self.blocks,
-        );
-        for (i, &l) in lanes.iter().enumerate() {
-            let rng = &mut self.rngs[l];
-            rng.round = round;
-            rng.site = site;
-            rng.index = 0;
-            rng.block = self.blocks[i];
-            rng.block_id = 0;
-        }
-    }
 }
 
 impl RngCore for CounterRng {
@@ -477,21 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_streams_are_the_per_trial_streams() {
-        let mut lanes = lane_streams(20090808, 5, 4);
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            lane.begin_round(3);
-            lane.begin_site(2);
-            let mut scalar = CounterRng::for_trial(20090808, 5 + l as u64);
-            scalar.begin_round(3);
-            scalar.begin_site(2);
-            for i in 0..6u64 {
-                assert_eq!(lane.next_u64(), scalar.next_u64(), "lane {l} index {i}");
-            }
-        }
-    }
-
-    #[test]
     fn counter_blocks_match_random_access() {
         let trials = [0u64, 3, 7, 8, 11, 1 << 40];
         let mut out = [[0u64; 4]; 6];
@@ -502,50 +363,9 @@ mod tests {
                     assert_eq!(
                         out[i][j as usize],
                         CounterRng::at(20090808, t, 5, 9, 2 * 4 + j),
-                        "{d:?} lane {i} word {j}"
+                        "{d:?} trial {t} word {j}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn primed_streams_match_plain_lane_streams() {
-        for d in [Dispatch::Scalar, Dispatch::Avx2] {
-            let mut primed = LaneStreams::new(20090808, 5, 6, d);
-            // Prime a strict subset of the lanes, out of order.
-            let participating = [4usize, 0, 2, 5];
-            primed.prime_site(3, 11, &participating);
-            for &l in &participating {
-                let mut scalar = CounterRng::for_trial(20090808, 5 + l as u64);
-                scalar.begin_round(3);
-                scalar.begin_site(11);
-                // Walk past the primed block to cover the fallback path.
-                for i in 0..7u64 {
-                    assert_eq!(
-                        primed.rng_mut(l).next_u64(),
-                        scalar.next_u64(),
-                        "{d:?} lane {l} index {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reset_reuses_buffers_and_matches_fresh_construction() {
-        let mut streams = LaneStreams::new(20090808, 0, 8, Dispatch::Scalar);
-        streams.prime_site(1, 2, &[0, 1, 2, 3, 4, 5, 6, 7]);
-        // Narrow tail group starting at a later trial.
-        streams.reset(64, 3);
-        assert_eq!(streams.len(), 3);
-        streams.prime_site(0, 0, &[0, 1, 2]);
-        for l in 0..3usize {
-            let mut fresh = CounterRng::for_trial(20090808, 64 + l as u64);
-            fresh.begin_round(0);
-            fresh.begin_site(0);
-            for i in 0..5u64 {
-                assert_eq!(streams.rng_mut(l).next_u64(), fresh.next_u64(), "lane {l} index {i}");
             }
         }
     }

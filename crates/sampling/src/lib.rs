@@ -34,7 +34,7 @@ mod seeds;
 mod stream;
 
 pub use binomial::binomial;
-pub use counter::{counter_blocks, counter_site_blocks, lane_streams, CounterRng, LaneStreams};
+pub use counter::{counter_blocks, counter_site_blocks, CounterRng};
 // Re-exported so downstream crates pick dispatch arms without depending on
 // `congames-simd` directly.
 pub use congames_simd::Dispatch;

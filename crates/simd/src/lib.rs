@@ -1,20 +1,15 @@
-//! Across-lane vector primitives for the replica-major lane kernels.
-//!
-//! The lane kernel (`congames-dynamics::LaneKernel`) steps `W` replicas in
-//! lockstep through structure-of-arrays blocks, so its inner loops are
-//! element-wise over lane rows: batched Philox keystream blocks, per-lane
-//! migration probabilities, per-strategy latency accumulation, load-window
-//! bounds. The player-level round's batch pass runs here too: the
-//! across-site Philox sweep ([`philox4x64_batch`], and
-//! [`philox4x64_word0_batch`] when a decision reads only word 0), the
-//! movable-site compaction ([`compact_sites`]) and the pure-imitation
-//! decision ([`imitation_decide`]). This crate provides those loops in
-//! multiple arms behind one [`Dispatch`] value: a portable scalar arm, an
-//! AVX2 `std::arch` arm, and an AVX-512 arm (which widens the Philox
-//! keystream to eight lanes per vector, runs the gather/compress kernels,
-//! and shares the AVX2 float kernels), selected by runtime feature
-//! detection. All `unsafe` code of the workspace's library crates lives in
-//! this crate's arm modules.
+//! Vector kernels behind one runtime [`Dispatch`]: the counter-mode
+//! Philox keystream swept across many counters ([`philox4x64_batch`], and
+//! [`philox4x64_word0_batch`] when a caller reads only word 0), the
+//! player-level round's batch pass — the movable-site compaction
+//! ([`compact_sites`]) and the pure-imitation decision
+//! ([`imitation_decide`]) — and the batched latency windows of the affine
+//! and low-degree monomial families ([`affine_fill`], [`monomial_fill`]).
+//! Each comes in a portable scalar arm, an AVX2 `std::arch` arm, and an
+//! AVX-512 arm (which widens the Philox keystream to eight lanes per
+//! vector, runs the gather/compress kernels, and shares the AVX2 float
+//! kernels), selected by runtime feature detection. All `unsafe` code of
+//! the workspace's library crates lives in this crate's arm modules.
 //!
 //! # Bit-identity contract
 //!
@@ -23,18 +18,18 @@
 //! * **Integer ops are exact by construction** — the AVX2/AVX-512
 //!   64×64→128 multiply is decomposed into 32-bit partial products with
 //!   full carry propagation, so the batched Philox blocks equal the scalar
-//!   blocks word for word, and `u64` min/max/compares are value-exact.
+//!   blocks word for word, and `u64` compares are value-exact.
 //! * **Gathers and compress-stores move values**, and every index they
 //!   use is checked against its slice (or bounded by a check the public
 //!   wrapper made) before it is used, so the arms agree on every input,
 //!   including the ones they reject with a panic.
-//! * **Float ops vectorize *across* lanes only.** Each lane's own
+//! * **Float ops vectorize *across* elements only.** Each element's own
 //!   operation sequence is unchanged — no reassociation, no FMA
 //!   contraction (IEEE-754 `vmulpd`/`vaddpd`/`vsubpd`/`vdivpd` round
 //!   exactly like their scalar counterparts), and `u64 → f64` conversion
 //!   uses an exponent-bias decomposition with a single final rounding,
-//!   equal to Rust's `as f64` for every input. A lane therefore computes
-//!   the same bits whichever arm runs it.
+//!   equal to Rust's `as f64` for every input. An element therefore gets
+//!   the same bits whichever arm computes it.
 //!
 //! # Dispatch
 //!
@@ -599,241 +594,6 @@ fn compact_sites_scalar(
     k
 }
 
-/// `out[l] += src[l]` — the vertical lane-row accumulation of the
-/// per-strategy latency sums and the pair-walk `ℓ_to` rows. Each lane's
-/// own add sequence is unchanged (one add per call per lane), so the
-/// arms are bit-identical.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn add_assign(d: Dispatch, out: &mut [f64], src: &[f64]) {
-    assert_eq!(out.len(), src.len(), "lane rows must have equal width");
-    match resolved(d) {
-        Dispatch::Scalar => {
-            for (o, &v) in out.iter_mut().zip(src) {
-                *o += v;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => avx2::add_assign(out, src),
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// The `(min, max)` of a non-empty `u64` lane row — the union load-window
-/// bounds when every lane is live. Value-exact in both arms.
-///
-/// # Panics
-///
-/// Panics if `vals` is empty.
-#[inline]
-pub fn min_max_u64(d: Dispatch, vals: &[u64]) -> (u64, u64) {
-    assert!(!vals.is_empty(), "min/max of an empty lane row");
-    match resolved(d) {
-        Dispatch::Scalar => {
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for &v in vals {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            (lo, hi)
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 => avx2::min_max_u64(vals),
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx512 => avx512::min_max_u64(vals),
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// Whether any lane has `a[l] > 0 && b[l] > 0 && mask[l] != 0` — the
-/// unioned pair early-out of the lane pair walk (origin occupied,
-/// destination occupied, lane live).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn any_pair_nonzero(d: Dispatch, a: &[u64], b: &[u64], mask: &[u64]) -> bool {
-    assert!(a.len() == b.len() && a.len() == mask.len(), "lane rows must have equal width");
-    match resolved(d) {
-        Dispatch::Scalar => {
-            a.iter().zip(b).zip(mask).any(|((&x, &y), &m)| x > 0 && y > 0 && m != 0)
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => avx2::any_pair_nonzero(a, b, mask),
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// Whether any lane has `a[l] > 0 && mask[l] != 0` — the pair early-out
-/// when exploration or virtual agents make every destination reachable.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn any_nonzero(d: Dispatch, a: &[u64], mask: &[u64]) -> bool {
-    assert_eq!(a.len(), mask.len(), "lane rows must have equal width");
-    match resolved(d) {
-        Dispatch::Scalar => a.iter().zip(mask).any(|(&x, &m)| x > 0 && m != 0),
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => avx2::any_nonzero(a, mask),
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// Per-lane pure-imitation migration probability of one `(from, to)`
-/// pair:
-///
-/// ```text
-/// probs[l] = (imit_scale · x_to) · clamp((coef · gain) / ℓ_from, 0, 1)
-///            where gain = ℓ_from − ℓ_to,
-/// ```
-///
-/// and `0.0` for every lane the scalar engine would skip: retired
-/// (`active[l] == 0`), empty origin (`counts_from[l] == 0`), empty
-/// destination (`counts_to[l] == 0`), non-positive `ℓ_from`, or
-/// `gain ≤ gain_threshold`. `coef` is the pre-divided `λ/d`, so the
-/// surviving lanes run exactly the scalar μ sequence
-/// `((λ/d)·gain)/ℓ_from` — same operands, same order, one rounding per
-/// operation — and a `probs[l] > 0.0` filter reproduces the scalar pair
-/// list bit for bit. Returns whether any lane's probability is positive,
-/// so callers can skip that filter scan when the row is all-zero.
-///
-/// # Panics
-///
-/// Panics if any slice length differs from `probs.len()`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn imitation_pair_probs(
-    d: Dispatch,
-    counts_from: &[u64],
-    counts_to: &[u64],
-    active: &[u64],
-    l_from: &[f64],
-    l_to: &[f64],
-    imit_scale: f64,
-    coef: f64,
-    gain_threshold: f64,
-    probs: &mut [f64],
-) -> bool {
-    let w = probs.len();
-    assert!(
-        counts_from.len() == w
-            && counts_to.len() == w
-            && active.len() == w
-            && l_from.len() == w
-            && l_to.len() == w,
-        "lane rows must have equal width"
-    );
-    match resolved(d) {
-        Dispatch::Scalar => {
-            let mut any = false;
-            for l in 0..w {
-                let mut p = 0.0;
-                if active[l] != 0 && counts_from[l] > 0 && counts_to[l] > 0 {
-                    let lf = l_from[l];
-                    let gain = lf - l_to[l];
-                    if lf > 0.0 && gain > gain_threshold {
-                        let mu = (coef * gain / lf).clamp(0.0, 1.0);
-                        p = (imit_scale * counts_to[l] as f64) * mu;
-                    }
-                }
-                any |= p > 0.0;
-                probs[l] = p;
-            }
-            any
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            let n4 = w & !3;
-            let mut any = avx2::imitation_pair_probs(
-                &counts_from[..n4],
-                &counts_to[..n4],
-                &active[..n4],
-                &l_from[..n4],
-                &l_to[..n4],
-                imit_scale,
-                coef,
-                gain_threshold,
-                &mut probs[..n4],
-            );
-            for l in n4..w {
-                let mut p = 0.0;
-                if active[l] != 0 && counts_from[l] > 0 && counts_to[l] > 0 {
-                    let lf = l_from[l];
-                    let gain = lf - l_to[l];
-                    if lf > 0.0 && gain > gain_threshold {
-                        let mu = (coef * gain / lf).clamp(0.0, 1.0);
-                        p = (imit_scale * counts_to[l] as f64) * mu;
-                    }
-                }
-                any |= p > 0.0;
-                probs[l] = p;
-            }
-            any
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// Gather each lane's `(window[idx], window[idx + 1])` pair with
-/// `idx = loads[l] - lo` — the per-resource `ℓ(x)` / `ℓ(x+1)` gather from
-/// the union-window evaluation buffer. Pure moves, so value-exact.
-///
-/// # Panics
-///
-/// Panics if the lane rows differ in length, or (in either arm) if any
-/// `loads[l] - lo + 1` falls outside `window`.
-#[inline]
-pub fn gather_window_pairs(
-    d: Dispatch,
-    window: &[f64],
-    loads: &[u64],
-    lo: u64,
-    out0: &mut [f64],
-    out1: &mut [f64],
-) {
-    let w = loads.len();
-    assert!(out0.len() == w && out1.len() == w, "lane rows must have equal width");
-    match resolved(d) {
-        Dispatch::Scalar => {
-            for l in 0..w {
-                let off = (loads[l] - lo) as usize;
-                out0[l] = window[off];
-                out1[l] = window[off + 1];
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            avx2::gather_window_pairs(window, loads, lo, out0, out1)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
 /// `out[j] = a · ((start + j) as f64) + b` — the affine latency window.
 /// The vector arm converts `start + j` with the exact exponent-bias
 /// decomposition (single final rounding, equal to `as f64`) and applies
@@ -909,6 +669,8 @@ mod avx2 {
     /// Full 64×64→128 multiply of a pre-split scalar constant against a
     /// lane vector, via four 32×32→64 partial products with exact carry
     /// propagation — bit-identical to the scalar `u128` widening multiply.
+    /// `_mm256_mul_epu32` reads only the low dword of each lane, so `b`
+    /// needs no mask for its low half.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn mulhilo(
@@ -917,11 +679,10 @@ mod avx2 {
         b: __m256i,
         lo32: __m256i,
     ) -> (__m256i, __m256i) {
-        let b_lo = _mm256_and_si256(b, lo32);
         let b_hi = _mm256_srli_epi64::<32>(b);
-        let ll = _mm256_mul_epu32(a_lo, b_lo);
+        let ll = _mm256_mul_epu32(a_lo, b);
         let lh = _mm256_mul_epu32(a_lo, b_hi);
-        let hl = _mm256_mul_epu32(a_hi, b_lo);
+        let hl = _mm256_mul_epu32(a_hi, b);
         let hh = _mm256_mul_epu32(a_hi, b_hi);
         // mid/mid2 cannot overflow: (2³²−1)² + (2³²−1) < 2⁶⁴.
         let mid = _mm256_add_epi64(lh, _mm256_srli_epi64::<32>(ll));
@@ -1144,124 +905,6 @@ mod avx2 {
         (c, k0)
     }
 
-    #[inline]
-    pub fn add_assign(out: &mut [f64], src: &[f64]) {
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { add_assign_impl(out, src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_assign_impl(out: &mut [f64], src: &[f64]) {
-        let n4 = out.len() & !3;
-        let mut i = 0;
-        while i < n4 {
-            let o = _mm256_loadu_pd(out.as_ptr().add(i));
-            let s = _mm256_loadu_pd(src.as_ptr().add(i));
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), _mm256_add_pd(o, s));
-            i += 4;
-        }
-        for l in n4..out.len() {
-            out[l] += src[l];
-        }
-    }
-
-    #[inline]
-    pub fn min_max_u64(vals: &[u64]) -> (u64, u64) {
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { min_max_u64_impl(vals) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn min_max_u64_impl(vals: &[u64]) -> (u64, u64) {
-        let n4 = vals.len() & !3;
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        if n4 >= 4 {
-            // AVX2 has no unsigned 64-bit compare; bias by 2⁶³ and compare
-            // signed, which is order-isomorphic over the full u64 range.
-            let bias = _mm256_set1_epi64x(i64::MIN);
-            let first = _mm256_xor_si256(_mm256_loadu_si256(vals.as_ptr() as *const __m256i), bias);
-            let mut vmin = first;
-            let mut vmax = first;
-            let mut i = 4;
-            while i < n4 {
-                let v = _mm256_xor_si256(
-                    _mm256_loadu_si256(vals.as_ptr().add(i) as *const __m256i),
-                    bias,
-                );
-                let gt_min = _mm256_cmpgt_epi64(vmin, v);
-                vmin = _mm256_blendv_epi8(vmin, v, gt_min);
-                let gt_max = _mm256_cmpgt_epi64(v, vmax);
-                vmax = _mm256_blendv_epi8(vmax, v, gt_max);
-                i += 4;
-            }
-            let mut mins = [0u64; 4];
-            let mut maxs = [0u64; 4];
-            _mm256_storeu_si256(mins.as_mut_ptr() as *mut __m256i, _mm256_xor_si256(vmin, bias));
-            _mm256_storeu_si256(maxs.as_mut_ptr() as *mut __m256i, _mm256_xor_si256(vmax, bias));
-            for k in 0..4 {
-                lo = lo.min(mins[k]);
-                hi = hi.max(maxs[k]);
-            }
-        }
-        for &v in &vals[n4..] {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
-    }
-
-    #[inline]
-    pub fn any_pair_nonzero(a: &[u64], b: &[u64], mask: &[u64]) -> bool {
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { any_pair_nonzero_impl(a, b, mask) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn any_pair_nonzero_impl(a: &[u64], b: &[u64], mask: &[u64]) -> bool {
-        let n4 = a.len() & !3;
-        let zero = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < n4 {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let vm = _mm256_loadu_si256(mask.as_ptr().add(i) as *const __m256i);
-            // live = !(a == 0) & !(b == 0) & !(m == 0)
-            let dead = _mm256_or_si256(
-                _mm256_or_si256(_mm256_cmpeq_epi64(va, zero), _mm256_cmpeq_epi64(vb, zero)),
-                _mm256_cmpeq_epi64(vm, zero),
-            );
-            if _mm256_movemask_epi8(dead) != -1i32 {
-                return true;
-            }
-            i += 4;
-        }
-        a[n4..].iter().zip(&b[n4..]).zip(&mask[n4..]).any(|((&x, &y), &m)| x > 0 && y > 0 && m != 0)
-    }
-
-    #[inline]
-    pub fn any_nonzero(a: &[u64], mask: &[u64]) -> bool {
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { any_nonzero_impl(a, mask) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn any_nonzero_impl(a: &[u64], mask: &[u64]) -> bool {
-        let n4 = a.len() & !3;
-        let zero = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < n4 {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vm = _mm256_loadu_si256(mask.as_ptr().add(i) as *const __m256i);
-            let dead = _mm256_or_si256(_mm256_cmpeq_epi64(va, zero), _mm256_cmpeq_epi64(vm, zero));
-            if _mm256_movemask_epi8(dead) != -1i32 {
-                return true;
-            }
-            i += 4;
-        }
-        a[n4..].iter().zip(&mask[n4..]).any(|(&x, &m)| x > 0 && m != 0)
-    }
-
     /// Exact `u64 → f64`: exponent-bias decomposition into a high part
     /// (`2⁸⁴ + hi·2³²`) and a low part (`2⁵² + lo`), both exact, combined
     /// with one rounding — equal to Rust's `as f64` for every input.
@@ -1275,142 +918,6 @@ mod avx2 {
         let v_hi = _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64::<32>(v), hi_magic));
         let v_lo = _mm256_castsi256_pd(_mm256_or_si256(_mm256_and_si256(v, lo32), lo_magic));
         _mm256_add_pd(_mm256_sub_pd(v_hi, offset), v_lo)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn imitation_pair_probs(
-        counts_from: &[u64],
-        counts_to: &[u64],
-        active: &[u64],
-        l_from: &[f64],
-        l_to: &[f64],
-        imit_scale: f64,
-        coef: f64,
-        gain_threshold: f64,
-        probs: &mut [f64],
-    ) -> bool {
-        debug_assert_eq!(probs.len() % 4, 0);
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe {
-            imitation_pair_probs_impl(
-                counts_from,
-                counts_to,
-                active,
-                l_from,
-                l_to,
-                imit_scale,
-                coef,
-                gain_threshold,
-                probs,
-            )
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn imitation_pair_probs_impl(
-        counts_from: &[u64],
-        counts_to: &[u64],
-        active: &[u64],
-        l_from: &[f64],
-        l_to: &[f64],
-        imit_scale: f64,
-        coef: f64,
-        gain_threshold: f64,
-        probs: &mut [f64],
-    ) -> bool {
-        let zero_i = _mm256_setzero_si256();
-        let zero_d = _mm256_setzero_pd();
-        let one_d = _mm256_set1_pd(1.0);
-        let lo32 = _mm256_set1_epi64x(LO32 as i64);
-        let coef_v = _mm256_set1_pd(coef);
-        let scale_v = _mm256_set1_pd(imit_scale);
-        let thr_v = _mm256_set1_pd(gain_threshold);
-        let mut any = 0i32;
-        let mut i = 0;
-        while i < probs.len() {
-            let cf = _mm256_loadu_si256(counts_from.as_ptr().add(i) as *const __m256i);
-            let ct = _mm256_loadu_si256(counts_to.as_ptr().add(i) as *const __m256i);
-            let act = _mm256_loadu_si256(active.as_ptr().add(i) as *const __m256i);
-            let dead = _mm256_or_si256(
-                _mm256_or_si256(_mm256_cmpeq_epi64(cf, zero_i), _mm256_cmpeq_epi64(ct, zero_i)),
-                _mm256_cmpeq_epi64(act, zero_i),
-            );
-            let lf = _mm256_loadu_pd(l_from.as_ptr().add(i));
-            let lt = _mm256_loadu_pd(l_to.as_ptr().add(i));
-            let gain = _mm256_sub_pd(lf, lt);
-            // Live lanes: counts and activity pass, ℓ_from > 0, gain above
-            // threshold (NaN gains compare false, exactly as the scalar
-            // `gain <= thr → skip` keeps them out of the pair list).
-            let live = _mm256_andnot_pd(
-                _mm256_castsi256_pd(dead),
-                _mm256_and_pd(
-                    _mm256_cmp_pd::<_CMP_GT_OQ>(lf, zero_d),
-                    _mm256_cmp_pd::<_CMP_GT_OQ>(gain, thr_v),
-                ),
-            );
-            // μ = clamp((coef·gain)/ℓ_from, 0, 1): same multiply, divide,
-            // and bound sequence as the scalar arm, one rounding each.
-            let mu = _mm256_div_pd(_mm256_mul_pd(coef_v, gain), lf);
-            let mu = _mm256_min_pd(_mm256_max_pd(mu, zero_d), one_d);
-            let x_to = u64_to_f64(ct, lo32);
-            let prob = _mm256_mul_pd(_mm256_mul_pd(scale_v, x_to), mu);
-            let masked = _mm256_and_pd(prob, live);
-            any |= _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(masked, zero_d));
-            _mm256_storeu_pd(probs.as_mut_ptr().add(i), masked);
-            i += 4;
-        }
-        any != 0
-    }
-
-    #[inline]
-    pub fn gather_window_pairs(
-        window: &[f64],
-        loads: &[u64],
-        lo: u64,
-        out0: &mut [f64],
-        out1: &mut [f64],
-    ) {
-        // Bounds are checked up front so the gathers below cannot touch
-        // memory outside `window` (same panic the scalar arm's indexing
-        // would raise).
-        let n = window.len();
-        for &ld in loads {
-            let off = (ld - lo) as usize;
-            assert!(off + 1 < n, "window gather out of bounds");
-        }
-        // SAFETY: the public wrapper verified AVX2 availability, and every
-        // gathered index was just bounds-checked.
-        unsafe { gather_window_pairs_impl(window, loads, lo, out0, out1) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn gather_window_pairs_impl(
-        window: &[f64],
-        loads: &[u64],
-        lo: u64,
-        out0: &mut [f64],
-        out1: &mut [f64],
-    ) {
-        let n4 = loads.len() & !3;
-        let lo_v = _mm256_set1_epi64x(lo as i64);
-        let base = window.as_ptr();
-        let mut i = 0;
-        while i < n4 {
-            let ld = _mm256_loadu_si256(loads.as_ptr().add(i) as *const __m256i);
-            let idx = _mm256_sub_epi64(ld, lo_v);
-            let g0 = _mm256_i64gather_pd::<8>(base, idx);
-            let g1 = _mm256_i64gather_pd::<8>(base.add(1), idx);
-            _mm256_storeu_pd(out0.as_mut_ptr().add(i), g0);
-            _mm256_storeu_pd(out1.as_mut_ptr().add(i), g1);
-            i += 4;
-        }
-        for l in n4..loads.len() {
-            let off = (loads[l] - lo) as usize;
-            out0[l] = window[off];
-            out1[l] = window[off + 1];
-        }
     }
 
     #[inline]
@@ -1507,7 +1014,8 @@ mod avx512 {
     /// Full 64×64→128 multiply of a pre-split scalar constant against a
     /// lane vector — the 512-bit twin of the AVX2 `mulhilo`, same partial
     /// products and carry chain, bit-identical to the scalar `u128`
-    /// widening multiply.
+    /// widening multiply. `_mm512_mul_epu32` reads only the low dword of
+    /// each lane, so `b` needs no mask for its low half.
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn mulhilo(
@@ -1516,11 +1024,10 @@ mod avx512 {
         b: __m512i,
         lo32: __m512i,
     ) -> (__m512i, __m512i) {
-        let b_lo = _mm512_and_si512(b, lo32);
         let b_hi = _mm512_srli_epi64::<32>(b);
-        let ll = _mm512_mul_epu32(a_lo, b_lo);
+        let ll = _mm512_mul_epu32(a_lo, b);
         let lh = _mm512_mul_epu32(a_lo, b_hi);
-        let hl = _mm512_mul_epu32(a_hi, b_lo);
+        let hl = _mm512_mul_epu32(a_hi, b);
         let hh = _mm512_mul_epu32(a_hi, b_hi);
         // mid/mid2 cannot overflow: (2³²−1)² + (2³²−1) < 2⁶⁴.
         let mid = _mm512_add_epi64(lh, _mm512_srli_epi64::<32>(ll));
@@ -1529,8 +1036,17 @@ mod avx512 {
             hh,
             _mm512_add_epi64(_mm512_srli_epi64::<32>(mid), _mm512_srli_epi64::<32>(mid2)),
         );
-        let lo = _mm512_or_si512(_mm512_slli_epi64::<32>(mid2), _mm512_and_si512(ll, lo32));
+        // The low half: `ll`'s low dword under `mid2`'s low dword, one
+        // masked dword shuffle (odd dwords take the even dword below).
+        let lo = _mm512_mask_shuffle_epi32::<0xA0>(ll, 0xAAAA, mid2);
         (hi, lo)
+    }
+
+    /// `a ^ b ^ c` in one instruction.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn xor3(a: __m512i, b: __m512i, c: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi64::<0x96>(a, b, c)
     }
 
     #[inline]
@@ -1678,7 +1194,7 @@ mod avx512 {
             let m1_hi = _mm512_set1_epi64((spec.m1 >> 32) as i64);
             for w in c.iter_mut() {
                 let (hi1, _) = mulhilo(m1_lo, m1_hi, w[2], lo32);
-                w[0] = _mm512_xor_si512(_mm512_xor_si512(hi1, w[1]), k0);
+                w[0] = xor3(hi1, w[1], k0);
             }
         }
         for (w, out) in c.iter().zip(words.chunks_exact_mut(8)) {
@@ -1737,51 +1253,12 @@ mod avx512 {
                 let [c0, c1, c2, c3] = *words;
                 let (hi0, lo0) = shared0.map_or_else(|| mulhilo(m0_lo, m0_hi, c0, lo32), splat);
                 let (hi1, lo1) = shared1.map_or_else(|| mulhilo(m1_lo, m1_hi, c2, lo32), splat);
-                *words = [
-                    _mm512_xor_si512(_mm512_xor_si512(hi1, c1), k0),
-                    lo1,
-                    _mm512_xor_si512(_mm512_xor_si512(hi0, c3), k1),
-                    lo0,
-                ];
+                *words = [xor3(hi1, c1, k0), lo1, xor3(hi0, c3, k1), lo0];
             }
             k0 = _mm512_add_epi64(k0, w0);
             k1 = _mm512_add_epi64(k1, w1);
         }
         (c, k0)
-    }
-
-    #[inline]
-    pub fn min_max_u64(vals: &[u64]) -> (u64, u64) {
-        // SAFETY: the public wrapper verified AVX-512 availability.
-        unsafe { min_max_u64_impl(vals) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn min_max_u64_impl(vals: &[u64]) -> (u64, u64) {
-        let n8 = vals.len() & !7;
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        if n8 >= 8 {
-            // AVX-512 has native unsigned 64-bit min/max (`vpminuq` /
-            // `vpmaxuq`) — no sign bias needed.
-            let first = _mm512_loadu_si512(vals.as_ptr() as *const __m512i);
-            let mut vmin = first;
-            let mut vmax = first;
-            let mut i = 8;
-            while i < n8 {
-                let v = _mm512_loadu_si512(vals.as_ptr().add(i) as *const __m512i);
-                vmin = _mm512_min_epu64(vmin, v);
-                vmax = _mm512_max_epu64(vmax, v);
-                i += 8;
-            }
-            lo = _mm512_reduce_min_epu64(vmin);
-            hi = _mm512_reduce_max_epu64(vmax);
-        }
-        for &v in &vals[n8..] {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
     }
 
     #[inline]
@@ -2246,144 +1723,6 @@ mod tests {
                     let mut out = vec![0u64; n];
                     let k = compact_sites(d, &players, 12, movable, 500, &mut out);
                     assert_eq!(out[..k], expect[..], "{d:?} n={n} mask {movable:#x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn add_assign_arms_agree_bitwise() {
-        for d in both_arms() {
-            for width in [1usize, 4, 7, 32] {
-                let src: Vec<f64> = (0..width).map(|i| mix(i as u64) as f64 * 1e-3).collect();
-                let mut out: Vec<f64> =
-                    (0..width).map(|i| mix(i as u64 + 77) as f64 * 1e-6).collect();
-                let mut reference = out.clone();
-                add_assign(d, &mut out, &src);
-                for (o, &s) in reference.iter_mut().zip(&src) {
-                    *o += s;
-                }
-                assert_eq!(
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{d:?} width {width}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn min_max_arms_agree_across_the_u64_range() {
-        for d in both_arms() {
-            for width in [1usize, 4, 6, 32] {
-                let vals: Vec<u64> = (0..width)
-                    .map(|i| if i % 3 == 0 { mix(i as u64) } else { mix(i as u64) >> 40 })
-                    .collect();
-                let lo = *vals.iter().min().unwrap();
-                let hi = *vals.iter().max().unwrap();
-                assert_eq!(min_max_u64(d, &vals), (lo, hi), "{d:?} width {width}");
-            }
-            // Values straddling the signed boundary exercise the bias.
-            let vals = [0u64, u64::MAX, 1 << 63, (1 << 63) - 1];
-            assert_eq!(min_max_u64(d, &vals), (0, u64::MAX), "{d:?} boundary");
-        }
-    }
-
-    #[test]
-    fn any_helpers_agree_with_reference() {
-        for d in both_arms() {
-            for width in [1usize, 4, 5, 32] {
-                for case in 0..64u64 {
-                    let a: Vec<u64> = (0..width).map(|i| mix(case * 131 + i as u64) % 3).collect();
-                    let b: Vec<u64> = (0..width).map(|i| mix(case * 137 + i as u64) % 3).collect();
-                    let m: Vec<u64> = (0..width).map(|i| mix(case * 139 + i as u64) % 2).collect();
-                    let expect_pair = (0..width).any(|l| a[l] > 0 && b[l] > 0 && m[l] != 0);
-                    let expect_one = (0..width).any(|l| a[l] > 0 && m[l] != 0);
-                    assert_eq!(any_pair_nonzero(d, &a, &b, &m), expect_pair, "{d:?} {case}");
-                    assert_eq!(any_nonzero(d, &a, &m), expect_one, "{d:?} {case}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn imitation_probs_arms_agree_bitwise() {
-        let coef = 0.25 / 2.0;
-        let scale = 1.0 / 119.0;
-        for thr in [0.0, 0.5] {
-            for width in [4usize, 8, 17, 32] {
-                let cf: Vec<u64> = (0..width).map(|i| mix(i as u64) % 4).collect();
-                let ct: Vec<u64> =
-                    (0..width).map(|i| (mix(i as u64 + 7) % 5) * 1_000_003).collect();
-                let act: Vec<u64> = (0..width).map(|i| u64::from(i % 5 != 0)).collect();
-                let lf: Vec<f64> =
-                    (0..width).map(|i| (mix(i as u64 + 13) % 100) as f64 - 2.0).collect();
-                let lt: Vec<f64> =
-                    (0..width).map(|i| (mix(i as u64 + 17) % 100) as f64 * 0.5).collect();
-                let mut scalar = vec![0.0; width];
-                imitation_pair_probs(
-                    Dispatch::Scalar,
-                    &cf,
-                    &ct,
-                    &act,
-                    &lf,
-                    &lt,
-                    scale,
-                    coef,
-                    thr,
-                    &mut scalar,
-                );
-                // Reference: the scalar engine's exact sequence.
-                for l in 0..width {
-                    let expect = if act[l] != 0 && cf[l] > 0 && ct[l] > 0 {
-                        let gain = lf[l] - lt[l];
-                        if lf[l] <= 0.0 || gain <= thr {
-                            0.0
-                        } else {
-                            (scale * ct[l] as f64) * (coef * gain / lf[l]).clamp(0.0, 1.0)
-                        }
-                    } else {
-                        0.0
-                    };
-                    assert_eq!(scalar[l].to_bits(), expect.to_bits(), "lane {l}");
-                }
-                if Dispatch::Avx2.is_available() {
-                    let mut vector = vec![0.0; width];
-                    imitation_pair_probs(
-                        Dispatch::Avx2.resolve(),
-                        &cf,
-                        &ct,
-                        &act,
-                        &lf,
-                        &lt,
-                        scale,
-                        coef,
-                        thr,
-                        &mut vector,
-                    );
-                    assert_eq!(
-                        scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        vector.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "thr {thr} width {width}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_window_pairs_arms_agree() {
-        for d in both_arms() {
-            let window: Vec<f64> = (0..50).map(|i| i as f64 * 1.5 + 0.25).collect();
-            for width in [1usize, 4, 9, 32] {
-                let loads: Vec<u64> = (0..width).map(|i| 100 + mix(i as u64) % 48).collect();
-                let mut o0 = vec![0.0; width];
-                let mut o1 = vec![0.0; width];
-                gather_window_pairs(d, &window, &loads, 100, &mut o0, &mut o1);
-                for l in 0..width {
-                    let off = (loads[l] - 100) as usize;
-                    assert_eq!(o0[l].to_bits(), window[off].to_bits(), "{d:?} lane {l}");
-                    assert_eq!(o1[l].to_bits(), window[off + 1].to_bits(), "{d:?} lane {l}");
                 }
             }
         }

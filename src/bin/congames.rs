@@ -77,12 +77,11 @@ file; `merge` (given every shard's file, in shard order) reproduces the
 single-process `run --reduce` report byte for byte.
 --rng selects the random backend: `xoshiro` (default) draws one sequential
 stream per trial; `counter` addresses every draw by (trial, round, site,
-index), so results are also invariant to future lane/GPU backends. Both
+index), so results are also invariant to how draws are batched. Both
 are bit-reproducible from the printed `# repro:` header line.
---lanes runs reduced sweeps through the replica-major lane kernel: W
-counter-mode replicas step in lockstep, sharing every latency evaluation.
-Counter mode only; the reported numbers are byte-identical with the flag
-on or off — only wall-clock time changes.
+--lanes is inert: it is checked (8, 16, 32 or 64) and otherwise ignored,
+kept only so existing invocations still run; the output is the same with
+or without it.
 --scenario replays a nonstationary trace (`# congames-trace v1` format):
 scheduled latency shocks, demand changes, and arrivals/departures fire
 between rounds, deterministically, in every trial of a sweep and in every
@@ -120,7 +119,6 @@ struct Options {
     threads: usize,
     engine: EngineKind,
     rng: RngMode,
-    lanes: Option<usize>,
     reduce: Option<ReduceMode>,
     shard: Option<usize>,
     num_shards: Option<usize>,
@@ -193,7 +191,6 @@ impl Options {
             threads: Ensemble::default_threads(),
             engine: EngineKind::Aggregate,
             rng: RngMode::Xoshiro,
-            lanes: None,
             reduce: None,
             shard: None,
             num_shards: None,
@@ -280,15 +277,15 @@ impl Options {
                         .ok_or_else(|| format!("unknown rng mode `{v}` (xoshiro|counter)"))?;
                 }
                 "--lanes" => {
+                    // Inert (see USAGE): only the value is checked.
                     let w: usize = it
                         .next()
                         .ok_or("--lanes needs a value")?
                         .parse()
                         .map_err(|e| format!("bad lane width: {e}"))?;
-                    if !congames::dynamics::LANE_WIDTHS.contains(&w) {
+                    if ![8, 16, 32, 64].contains(&w) {
                         return Err(format!("--lanes must be one of 8, 16, 32, 64 (got {w})"));
                     }
-                    o.lanes = Some(w);
                 }
                 "--reduce" => {
                     o.reduce =
@@ -336,27 +333,6 @@ impl Options {
         // defined for every trial count (0 trials is the identity, 1 trial
         // is identity + one absorb), so a single-trial "ensemble" is just
         // a well-defined small sweep.
-        if o.lanes.is_some() {
-            if o.rng != RngMode::Counter {
-                return Err("--lanes requires --rng counter: the lane kernel replays each \
-                            trial's counter-addressed Philox stream in lockstep, and xoshiro \
-                            streams are draw-order serial (pass `--rng counter`)"
-                    .into());
-            }
-            if o.reduce.is_none() {
-                return Err("--lanes needs --reduce: lane groups stream through the reduced \
-                            sweep paths"
-                    .into());
-            }
-            if o.engine != EngineKind::Aggregate {
-                return Err("--lanes supports only --engine aggregate".into());
-            }
-            if o.scenario.is_some() {
-                return Err("--lanes does not support --scenario (round hooks run per \
-                            simulation, not per lane group)"
-                    .into());
-            }
-        }
         if o.shock_csv.is_some() && o.scenario.is_none() {
             return Err("--shock-csv needs --scenario (without scheduled shocks there is \
                         nothing to recover from)"
@@ -407,8 +383,8 @@ impl Options {
     }
 
     /// Deterministic digest of everything that shapes a sweep's streams and
-    /// reduction (threads and lanes excluded — results are invariant to the
-    /// thread count and to the lane width, which is scheduling only).
+    /// reduction (threads excluded — results are invariant to the thread
+    /// count).
     /// Written into every shard header so `merge` can reject partials from
     /// a differently-configured run and rebuild the right reducer.
     fn config_digest(&self) -> String {
@@ -684,7 +660,7 @@ fn print_convergence_report(hist: &ConvergenceHistogram) {
 }
 
 /// The ensemble `run --trials` and `shard` sweep: engine, RNG, trials,
-/// seed, threads, lanes and scenario hook, all from the flags.
+/// seed, threads and scenario hook, all from the flags.
 fn ensemble<'g>(
     game: &'g CongestionGame,
     opts: &Options,
@@ -698,9 +674,6 @@ fn ensemble<'g>(
         .trials(opts.trials)
         .base_seed(opts.seed)
         .threads(opts.threads);
-    if let Some(w) = opts.lanes {
-        ensemble = ensemble.lane_width(w);
-    }
     if let Some(sc) = &opts.scenario {
         let schedule = Arc::clone(&sc.schedule);
         ensemble =
@@ -997,31 +970,24 @@ mod tests {
 
     #[test]
     fn lanes_flag_parses_and_is_validated() {
-        let o = opts(&["--rng", "counter", "--lanes", "32", "--reduce", "quantiles"]).unwrap();
-        assert_eq!(o.lanes, Some(32));
-        // Width must be a supported lane count.
+        // The inert flag parses with any backend, engine or reduction.
+        for extra in
+            [&["--rng", "counter", "--reduce", "quantiles"][..], &[], &["--engine", "player"]]
+        {
+            let args: Vec<&str> = ["--lanes", "32"].iter().chain(extra).copied().collect();
+            assert!(opts(&args).is_ok(), "{args:?}");
+        }
+        // The width must still be one of the old lane counts.
         let err = opts(&["--rng", "counter", "--lanes", "12", "--reduce", "mean"]).unwrap_err();
-        assert!(err.contains("8, 16, 32, 64"), "{err}");
-        // The lane kernel replays counter streams; xoshiro (default) is a
-        // precise, explanatory error.
-        let err = opts(&["--lanes", "8", "--reduce", "mean"]).unwrap_err();
-        assert!(err.contains("--lanes requires --rng counter"), "{err}");
-        let err = opts(&["--rng", "xoshiro", "--lanes", "8", "--reduce", "mean"]).unwrap_err();
-        assert!(err.contains("draw-order serial"), "{err}");
-        // Lane groups only stream through the reduced paths.
-        let err = opts(&["--rng", "counter", "--lanes", "8"]).unwrap_err();
-        assert!(err.contains("--lanes needs --reduce"), "{err}");
-        // Aggregate engine only.
-        let err =
-            opts(&["--rng", "counter", "--lanes", "8", "--reduce", "mean", "--engine", "player"])
-                .unwrap_err();
-        assert!(err.contains("--engine aggregate"), "{err}");
+        assert!(err.contains("--lanes must be one of 8, 16, 32, 64 (got 12)"), "{err}");
+        let err = opts(&["--lanes", "wide"]).unwrap_err();
+        assert!(err.contains("bad lane width"), "{err}");
     }
 
     #[test]
     fn config_digest_excludes_the_lane_width() {
-        // Lane-mode shards must merge with scalar shards of the same sweep:
-        // the digest (like threads) must not see the lane width.
+        // Shards run with the inert `--lanes` must merge with shards run
+        // without it: the digest (like threads) must not see the flag.
         let base = opts(&["--rng", "counter", "--trials", "96", "--reduce", "mean"]).unwrap();
         let laned =
             opts(&["--rng", "counter", "--trials", "96", "--reduce", "mean", "--lanes", "32"])

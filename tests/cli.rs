@@ -184,3 +184,71 @@ fn merge_csv_is_validated_before_the_report() {
     std::fs::remove_file(&csv).expect("remove the scratch file");
     assert!(written.lines().count() >= 2, "header plus rows:\n{written}");
 }
+
+/// `--lanes` is inert: `run`, and a two-shard `shard` + `merge`, print the
+/// same report bytes with the flag as without it, under either RNG
+/// backend; the merged report is the single-process one. An unsupported
+/// width keeps its error.
+#[test]
+fn lanes_flag_is_inert() {
+    let stdout = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_congames"))
+            .args(args)
+            .output()
+            .expect("the binary runs");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    let report = |bytes: &[u8]| -> Vec<String> {
+        String::from_utf8_lossy(bytes)
+            .lines()
+            .filter(|l| l.starts_with("  "))
+            .map(String::from)
+            .collect()
+    };
+    for rng in ["xoshiro", "counter"] {
+        let flags = |lanes: bool| {
+            let mut f = SWEEP.to_vec();
+            f.extend(["--rng", rng, "--reduce", "quantiles"]);
+            if lanes {
+                f.extend(["--lanes", "32"]);
+            }
+            f
+        };
+        let run = |lanes: bool| stdout(&[&["run"][..], &flags(lanes)].concat());
+        let single = run(false);
+        assert_eq!(single, run(true), "{rng}: run --lanes 32 changed the output");
+        let merged = |lanes: bool| {
+            let parts: Vec<PathBuf> =
+                (0..2).map(|s| scratch(&format!("lanes-{rng}-{lanes}-{s}.bin"))).collect();
+            for (s, part) in parts.iter().enumerate() {
+                let shard = s.to_string();
+                let mut args = [&["shard"][..], &flags(lanes)].concat();
+                args.extend(["--shard", &shard, "--num-shards", "2", "--out"]);
+                args.push(part.to_str().expect("utf-8 scratch path"));
+                stdout(&args);
+            }
+            let mut args = vec!["merge"];
+            args.extend(parts.iter().map(|p| p.to_str().expect("utf-8 scratch path")));
+            let out = stdout(&args);
+            for part in &parts {
+                std::fs::remove_file(part).expect("remove the scratch file");
+            }
+            out
+        };
+        let merged_plain = merged(false);
+        assert_eq!(merged_plain, merged(true), "{rng}: shard --lanes 32 changed the merge");
+        assert_eq!(report(&merged_plain), report(&single), "{rng}: merge != single process");
+        assert!(!report(&single).is_empty(), "{rng}: no report lines");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_congames"))
+        .arg("run")
+        .args(SWEEP)
+        .args(["--rng", "counter", "--reduce", "quantiles", "--lanes", "12"])
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--lanes 12 must fail");
+    assert!(stderr.contains("--lanes must be one of 8, 16, 32, 64 (got 12)"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be printed");
+}

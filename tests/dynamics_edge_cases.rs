@@ -53,7 +53,7 @@ fn player_engine_rejects_a_population_it_cannot_hold() {
 /// silently wrong potential.
 #[test]
 fn a_start_whose_cached_loads_overflow_is_rejected() {
-    use congames::dynamics::{DynamicsError, Ensemble, LaneKernel, RoundHook};
+    use congames::dynamics::{DynamicsError, Ensemble, RoundHook};
     let is_players = |err: &DynamicsError| {
         matches!(err, DynamicsError::InvalidParameter { name: "players", .. })
     };
@@ -64,8 +64,6 @@ fn a_start_whose_cached_loads_overflow_is_rejected() {
     let err = Simulation::new(&game, proto, state.clone()).unwrap_err();
     assert!(is_players(&err), "{err:?}");
     let err = Ensemble::new(&game, proto, state.clone()).unwrap_err();
-    assert!(is_players(&err), "{err:?}");
-    let err = LaneKernel::new(&game, proto, &state, 1, 0, 8).unwrap_err();
     assert!(is_players(&err), "{err:?}");
 
     // One base load is one player too many; without it the start fits.
@@ -109,7 +107,7 @@ fn a_start_whose_cached_loads_overflow_is_rejected() {
 /// entry point, not an infinite potential and NaN statistics.
 #[test]
 fn a_start_with_non_finite_latencies_is_rejected() {
-    use congames::dynamics::{DynamicsError, Ensemble, LaneKernel};
+    use congames::dynamics::{DynamicsError, Ensemble};
     use congames::model::GameError;
     let is_latency = |err: &DynamicsError, at: u64| match err {
         DynamicsError::Game(GameError::InvalidLatency { load, .. }) => *load == at,
@@ -123,8 +121,6 @@ fn a_start_with_non_finite_latencies_is_rejected() {
     assert!(is_latency(&err, 1001), "{err:?}");
     assert!(err.to_string().contains("finite and non-negative"), "{err}");
     let err = Ensemble::new(&game, proto, state.clone()).unwrap_err();
-    assert!(is_latency(&err, 1001), "{err:?}");
-    let err = LaneKernel::new(&game, proto, &state, 1, 0, 8).unwrap_err();
     assert!(is_latency(&err, 1001), "{err:?}");
 
     // The base load counts: 2 players reach load 3 only with virtual

@@ -1,25 +1,25 @@
-//! Property pins for the SIMD dispatch layer under the lane kernel.
+//! Property pins for the SIMD dispatch layer.
 //!
 //! The `congames-simd` contract is **bit-identity across dispatch arms**:
 //! integer kernels (the batched Philox keystream) compute the exact same
-//! words in every arm, and float kernels vectorize *across* lanes only —
-//! each lane's own operation sequence is unchanged, so no reassociation
-//! and no bit drift. This suite pins both halves of that contract:
+//! words in every arm, and float kernels vectorize *across* elements only
+//! — each element's own operation sequence is unchanged, so no
+//! reassociation and no bit drift. This suite pins both halves of that
+//! contract:
 //!
-//! * [`counter_blocks`] (the across-lane Philox sweep behind
-//!   `LaneStreams::prime_site`) equals the scalar random-access reference
-//!   [`CounterRng::at`] word for word, over random keys, counter
-//!   addresses, lane counts (covering every vector-width tail: the 8-,
-//!   4-, and 1-lane remainders), and lane strides — in **every** dispatch
-//!   arm the host can run;
+//! * [`counter_blocks`] (the across-trial Philox sweep) equals the scalar
+//!   random-access reference [`CounterRng::at`] word for word, over random
+//!   keys, counter addresses, trial counts (covering every vector-width
+//!   tail: the 8-, 4-, and 1-lane remainders), and trial strides — in
+//!   **every** dispatch arm the host can run;
 //! * [`counter_site_blocks`] (the across-site sweep behind the
 //!   player-level kernel's `DrawRng::site_blocks`) equals the same
 //!   reference over random keys, trials, rounds and site lists of every
 //!   length 0–19, in every arm;
-//! * a [`LaneKernel`] stepped under each vector arm realizes bit for bit
-//!   the counts, potential bits, and migration tallies of the same kernel
-//!   stepped under forced-scalar dispatch, for every supported lane width
-//!   W ∈ {8, 16, 32, 64}.
+//! * a counter-mode sweep of either engine, run by the `congames` binary
+//!   under each vector arm (`CONGAMES_SIMD`, read once per process),
+//!   writes the same shard file, byte for byte, as under forced-scalar
+//!   dispatch.
 //!
 //! Arms the host CPU cannot execute resolve to the next-best arm (that
 //! degradation is part of the dispatch contract), so the suite is
@@ -27,14 +27,14 @@
 //! Seeds in `proptest-regressions/prop_simd.txt` replay pinned cases
 //! before the random ones on every run.
 
-use congames::dynamics::{ImitationProtocol, LaneKernel, Protocol};
-use congames::model::{Affine, CongestionGame, State};
+use std::process::Command;
+
 use congames::sampling::{counter_blocks, counter_site_blocks, CounterRng, Dispatch};
 use proptest::prelude::*;
 
-/// Lockstep rounds per kernel comparison: enough churn to reach (and
-/// cross) the converged fast paths on small fixtures.
-const ROUNDS: u64 = 12;
+/// Rounds per swept trial: enough churn to reach (and cross) the
+/// converged fast paths on small fixtures.
+const ROUNDS: &str = "12";
 
 /// Every dispatch value worth forcing on this host: scalar always, plus
 /// each vector arm that resolves to itself (i.e. that the CPU can run).
@@ -48,24 +48,34 @@ fn arms() -> Vec<Dispatch> {
     arms
 }
 
-/// A random singleton fixture: `m` affine links, `n` players skewed onto
-/// one link so the first rounds migrate heavily before freezing.
-fn arb_fixture() -> impl Strategy<Value = (CongestionGame, State)> {
-    (2usize..=8, 64u64..=512, 0usize..8, proptest::collection::vec(1u32..=40, 8)).prop_map(
-        |(m, n, hot, slopes)| {
-            let game = CongestionGame::singleton(
-                (0..m).map(|i| Affine::linear(0.25 * slopes[i] as f64).into()).collect(),
-                n,
-            )
-            .expect("valid game");
-            let hot = hot % m;
-            let base = n / (2 * m as u64);
-            let mut counts = vec![base; m];
-            counts[hot] = n - base * (m as u64 - 1);
-            let start = State::from_counts(&game, counts).expect("valid start");
-            (game, start)
-        },
-    )
+/// The `CONGAMES_SIMD` value that forces `d`.
+fn env_name(d: Dispatch) -> &'static str {
+    match d {
+        Dispatch::Scalar => "scalar",
+        Dispatch::Avx2 => "avx2",
+        Dispatch::Avx512 => "avx512",
+    }
+}
+
+/// The shard file of a one-shard counter-mode sweep run under `arm`.
+fn shard_bytes(arm: Dispatch, args: &[String]) -> Vec<u8> {
+    let out = std::env::temp_dir().join(format!(
+        "congames-prop-simd-{}-{}.bin",
+        std::process::id(),
+        env_name(arm)
+    ));
+    let status = Command::new(env!("CARGO_BIN_EXE_congames"))
+        .arg("shard")
+        .args(args)
+        .args(["--shard", "0", "--num-shards", "1", "--out"])
+        .arg(&out)
+        .env("CONGAMES_SIMD", env_name(arm))
+        .output()
+        .expect("the binary runs");
+    assert!(status.status.success(), "{}", String::from_utf8_lossy(&status.stderr));
+    let bytes = std::fs::read(&out).expect("the shard file was written");
+    std::fs::remove_file(&out).expect("remove the scratch file");
+    bytes
 }
 
 proptest! {
@@ -126,42 +136,37 @@ proptest! {
         }
     }
 
-    /// A kernel stepped under each vector arm realizes the forced-scalar
-    /// trajectory bit for bit at every supported lane width.
+    /// A sweep stepped under each vector arm — the aggregate engine's
+    /// batched latency fills, and the player engine's site-batched Philox
+    /// sweeps, compaction and imitation decisions — realizes the
+    /// forced-scalar reduction bit for bit.
     #[test]
     fn simd_step_matches_scalar_dispatch(
-        (game, start) in arb_fixture(),
+        m in 2usize..=8,
+        n in 64u64..=512,
+        slopes in proptest::collection::vec(1u32..=40, 8),
         base_seed in any::<u64>(),
+        combined in any::<bool>(),
     ) {
-        let protocol: Protocol = ImitationProtocol::paper_default().into();
-        for width in [8usize, 16, 32, 64] {
-            let mut scalar = LaneKernel::new(&game, protocol, &start, base_seed, 0, width)
-                .expect("valid kernel")
-                .with_dispatch(Dispatch::Scalar);
-            for _ in 0..ROUNDS {
-                scalar.step();
-            }
+        let links: Vec<String> =
+            slopes[..m].iter().map(|&k| (0.25 * k as f64).to_string()).collect();
+        for engine in ["aggregate", "player"] {
+            let args: Vec<String> = [
+                "--links", &links.join(","), "--players", &n.to_string(),
+                "--seed", &base_seed.to_string(), "--rounds", ROUNDS,
+                "--trials", "4", "--threads", "1", "--rng", "counter",
+                "--engine", engine, "--reduce", "mean",
+                "--protocol", if combined { "combined" } else { "imitation" },
+            ]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+            let scalar = shard_bytes(Dispatch::Scalar, &args);
             for arm in arms().into_iter().filter(|&d| d != Dispatch::Scalar) {
-                let mut simd = LaneKernel::new(&game, protocol, &start, base_seed, 0, width)
-                    .expect("valid kernel")
-                    .with_dispatch(arm);
-                for _ in 0..ROUNDS {
-                    simd.step();
-                }
-                for l in 0..width {
-                    prop_assert!(
-                        simd.lane_counts(l) == scalar.lane_counts(l),
-                        "{arm:?} w{width}: lane {l} counts diverged from scalar dispatch"
-                    );
-                    prop_assert!(
-                        simd.lane_potential(l).to_bits() == scalar.lane_potential(l).to_bits(),
-                        "{arm:?} w{width}: lane {l} potential bits diverged"
-                    );
-                    prop_assert!(
-                        simd.lane_migrations(l) == scalar.lane_migrations(l),
-                        "{arm:?} w{width}: lane {l} migration tally diverged"
-                    );
-                }
+                prop_assert!(
+                    shard_bytes(arm, &args) == scalar,
+                    "{arm:?} {engine}: the shard file differs from scalar dispatch ({args:?})"
+                );
             }
         }
     }

@@ -284,46 +284,6 @@ fn assert_trial_turnover_alloc_free(game: &CongestionGame, engine: EngineKind, l
     );
 }
 
-/// Steady-state replica-major lane rounds: once the kernel's SoA blocks,
-/// union latency window, per-lane CSR pair buffers, and draw scratch have
-/// hit their high-water marks, stepping 16 lockstep replicas must not
-/// touch the heap — the lane kernel holds the same zero-allocation
-/// contract as the scalar engines it replays, under **every** SIMD
-/// dispatch arm (the vector arms share the kernel's preallocated scratch;
-/// forcing an arm the CPU lacks resolves to the next-best one, so the
-/// check is meaningful on any host).
-fn assert_lane_rounds_alloc_free(dispatch: congames::sampling::Dispatch) {
-    use congames::dynamics::LaneKernel;
-    let game = game();
-    let start = skewed_start(&game);
-    let mut kernel = LaneKernel::new(
-        &game,
-        ImitationProtocol::paper_default().with_nu_rule(NuRule::None).into(),
-        &start,
-        20090808,
-        0,
-        16,
-    )
-    .expect("valid lane kernel")
-    .with_dispatch(dispatch);
-    // Warm-up: the first rounds carry the largest flows across every lane.
-    for _ in 0..50 {
-        kernel.step();
-    }
-    assert!((0..16).all(|l| kernel.lane_active(l)), "no lane may retire in this fixture");
-    let before = allocations();
-    for _ in 0..100 {
-        kernel.step();
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "lane kernel ({dispatch:?}): {} heap allocations in 100 measured lockstep rounds",
-        after - before
-    );
-}
-
 #[test]
 fn round_kernels_do_not_allocate_in_steady_state() {
     let base = ImitationProtocol::paper_default().with_nu_rule(NuRule::None);
@@ -399,9 +359,4 @@ fn round_kernels_do_not_allocate_in_steady_state() {
         EngineKind::PlayerLevel,
         "player-level/counter/8-links/10000/imitation",
     );
-    // Replica-major lane rounds reuse the same scratch discipline, in
-    // both the scalar and the vector dispatch arms.
-    use congames::sampling::Dispatch;
-    assert_lane_rounds_alloc_free(Dispatch::Scalar);
-    assert_lane_rounds_alloc_free(Dispatch::Avx512.resolve());
 }

@@ -29,15 +29,11 @@ use std::process::ExitCode;
 /// (the big-flow `ΔΦ` walk and the latency-cache rebuild that
 /// `Latency::eval_range_into`/`sum_range` accelerate), and the RNG
 /// backends — raw word throughput of both generators (including the
-/// lane-batched Philox keystream behind the SIMD dispatch) plus a full
-/// round under each, so counter-mode overhead can't creep past the
-/// kernels —
+/// batched Philox keystream behind the SIMD dispatch) plus a full round
+/// under each, so counter-mode overhead can't creep past the kernels —
 /// and the scenario hook: a hook-free run vs. an armed-but-idle schedule,
 /// so the per-round `next_fire` poll every shocked sweep pays on every
-/// non-shock round stays in the noise. The `lanes/aggregate/*` ids pin the
-/// replica-major lane kernel at both ends of its width range — one
-/// lockstep round across W counter-mode replicas must keep amortizing the
-/// latency evaluations and pair walks it shares across lanes.
+/// non-shock round stays in the noise.
 const DEFAULT_PINS: &[&str] = &[
     "round/aggregate/n10000_m64",
     "round/aggregate/n1000000_m8",
@@ -55,8 +51,6 @@ const DEFAULT_PINS: &[&str] = &[
     "rng/round/counter",
     "scenario/shock_reconverge/none",
     "scenario/shock_reconverge/armed_idle",
-    "lanes/aggregate/w8",
-    "lanes/aggregate/w32",
 ];
 
 fn main() -> ExitCode {
@@ -266,9 +260,7 @@ mod tests {
     {"id": "rng/round/xoshiro", "ns_per_iter": 150.0, "iters": 340000},
     {"id": "rng/round/counter", "ns_per_iter": 152.0, "iters": 340000},
     {"id": "scenario/shock_reconverge/none", "ns_per_iter": 21355.7, "iters": 4700},
-    {"id": "scenario/shock_reconverge/armed_idle", "ns_per_iter": 21828.3, "iters": 4600},
-    {"id": "lanes/aggregate/w8", "ns_per_iter": 1100.0, "iters": 40000},
-    {"id": "lanes/aggregate/w32", "ns_per_iter": 3600.0, "iters": 12000}
+    {"id": "scenario/shock_reconverge/armed_idle", "ns_per_iter": 21828.3, "iters": 4600}
   ]
 }
 "#;
@@ -276,7 +268,7 @@ mod tests {
     #[test]
     fn parses_the_report_shape() {
         let parsed = parse_report(SAMPLE).unwrap();
-        assert_eq!(parsed.len(), 17);
+        assert_eq!(parsed.len(), 15);
         assert_eq!(parsed[0].0, "round/aggregate/n10000_m64");
         assert_eq!(parsed[0].1, 368.4);
         assert_eq!(parsed[2].0, "aggregate/near_converged/S1024_support8");
@@ -371,8 +363,7 @@ mod tests {
                     || pin.starts_with("potential/")
                     || pin.starts_with("cache_rebuild/")
                     || pin.starts_with("rng/")
-                    || pin.starts_with("scenario/")
-                    || pin.starts_with("lanes/"),
+                    || pin.starts_with("scenario/"),
                 "unexpected pin group: {pin}"
             );
         }
@@ -429,29 +420,6 @@ mod tests {
             // A report carrying the new id diffs cleanly against itself.
             let d = diff(&parsed, &parsed, &[id], 1.5);
             assert!(d.ok, "{}", d.text);
-        }
-    }
-
-    /// The replica-major lane-kernel ids are accepted by the parser and
-    /// covered by the default pins, so a lost cross-lane amortization (a
-    /// kernel that quietly degrades to per-lane latency evaluation) fails
-    /// the gate as a step change.
-    #[test]
-    fn lane_kernel_pins_are_parsed_and_pinned() {
-        for id in ["lanes/aggregate/w8", "lanes/aggregate/w32"] {
-            assert!(DEFAULT_PINS.contains(&id), "{id} missing from DEFAULT_PINS");
-            let report = format!(
-                "{{\n  \"benchmarks\": [\n    {{\"id\": \"{id}\", \"ns_per_iter\": 3600.0, \"iters\": 10}}\n  ]\n}}\n"
-            );
-            let parsed = parse_report(&report).unwrap();
-            assert_eq!(parsed, vec![(id.to_string(), 3600.0)]);
-            let d = diff(&parsed, &parsed, &[id], 1.5);
-            assert!(d.ok, "{}", d.text);
-            // Falling back to W independent scalar rounds would multiply
-            // the per-iteration cost by roughly the lane width.
-            let regressed = vec![(id.to_string(), 3600.0 * 8.0)];
-            let d = diff(&parsed, &regressed, &[id], 1.5);
-            assert!(!d.ok, "a lost lane amortization must fail the gate");
         }
     }
 
