@@ -28,10 +28,12 @@
 //! the only part that differs between the entry points. Each worker keeps
 //! one [`Simulation`] for its lifetime and rewinds it to the start for
 //! every trial it runs, so trial turnover copies the start instead of
-//! rebuilding it and allocates nothing. On failure the scheduler keeps the
-//! lowest failing trial and skips only the trials above it, so the error
-//! or panic reported is that trial's whatever the thread count or shard
-//! split.
+//! rebuilding it and allocates nothing; without a round hook the replica
+//! also evaluates the stop conditions at the start once and reuses that
+//! verdict for round 0 of its later trials. On failure the scheduler keeps
+//! the lowest failing trial and skips only the trials above it, so the
+//! error or panic reported is that trial's whatever the thread count or
+//! shard split.
 //!
 //! All batch entry points share one empty-input contract: zero trials
 //! yield an empty result (for the reducer path, the untouched identity
@@ -368,11 +370,17 @@ impl<'g> Ensemble<'g> {
     /// `sim` is the worker's own replica, kept across its blocks and
     /// dropped when a block panics (a replica unwound mid-trial may hold
     /// taken buffers), so the next block rebuilds it.
-    /// Workers park finished partials, and whichever worker completes the
-    /// next block in order drains them into `sink`. A block is claimed
+    /// A worker that finishes the next block in order hands its partial
+    /// straight to `sink`, then drains the parked partials whose turn has
+    /// come; a partial finished out of order is parked. A block is claimed
     /// only within a reorder window of the last delivered block, so live
-    /// partials stay `O(threads)`. With one thread the same worker body
-    /// runs on the calling thread.
+    /// partials stay `O(threads)`. A worker that would claim past the
+    /// window parks on a condition variable. A worker that delivers a block
+    /// or records a failure wakes the parked ones, but only when the count
+    /// of parked workers is non-zero, so a sweep that never reaches the
+    /// window's edge (always the case with one thread) makes no wake-up
+    /// call. With one thread the same worker body runs on the calling
+    /// thread.
     ///
     /// Failures: the sweep keeps the lowest failing trial — a replica
     /// error, or a panic in a trial, the reducer or `sink` (charged to the
@@ -398,6 +406,7 @@ impl<'g> Ensemble<'g> {
             pending: BTreeMap::new(),
             sink,
             failure: None,
+            waiting: 0,
         });
         let cv = Condvar::new();
         let worker = || {
@@ -414,7 +423,9 @@ impl<'g> Ensemble<'g> {
                             p.claimed += 1;
                             break b;
                         }
+                        p.waiting += 1;
                         p = cv.wait(p).unwrap_or_else(PoisonError::into_inner);
+                        p.waiting -= 1;
                     }
                 };
                 let mut at = b * REDUCE_BLOCK;
@@ -428,20 +439,21 @@ impl<'g> Ensemble<'g> {
                 }));
                 let mut p = pipeline.lock().unwrap_or_else(PoisonError::into_inner);
                 match result {
-                    Ok(Ok(partial)) => {
-                        p.pending.insert(b, partial);
-                        p.drain(&failed);
-                    }
+                    Ok(Ok(partial)) => p.deliver(b, partial, &failed),
                     Ok(Err(e)) => p.fail(&failed, at, Failure::Error(e)),
                     Err(payload) => {
                         sim = None;
                         p.fail(&failed, at, Failure::Panic(payload));
                     }
                 }
-                drop(p);
                 // Delivery progress unblocks window waiters; a failure must
-                // wake them too so they can exit.
-                cv.notify_all();
+                // wake them too so they can exit. Waiters count themselves
+                // under the lock before they park, so none can be missed.
+                let wake = p.waiting > 0;
+                drop(p);
+                if wake {
+                    cv.notify_all();
+                }
             }
         };
         if threads <= 1 {
@@ -488,6 +500,14 @@ impl<'g> Ensemble<'g> {
     /// keeps pending partials — and hence memory — bounded even when early
     /// blocks run long. [`Ensemble::run_reduced_shard`] runs the same
     /// scheduler over one shard's blocks.
+    ///
+    /// Without a round hook, every trial's round 0 is the same start under
+    /// the same `stop`, so each worker's replica evaluates the stop
+    /// conditions there once per sweep and answers round 0 of its later
+    /// trials from its start-verdict memo (see [`Simulation`]). A sweep
+    /// with a round hook bypasses the memo. The memo only skips
+    /// re-evaluating the same conditions on the same state, so every
+    /// result is bit-identical to evaluating each trial afresh.
     ///
     /// With zero trials the reducer is returned untouched (the identity
     /// reduction; see [`Ensemble::trials`]).
@@ -633,6 +653,8 @@ struct Pipeline<R, S> {
     sink: S,
     /// The lowest failing trial and what went wrong there.
     failure: Option<(usize, Failure)>,
+    /// Workers parked on the condition variable.
+    waiting: usize,
 }
 
 impl<R, S: FnMut(R)> Pipeline<R, S> {
@@ -643,16 +665,24 @@ impl<R, S: FnMut(R)> Pipeline<R, S> {
         }
     }
 
-    /// Hand every parked partial whose slot has come up to the sink. A
-    /// panicking sink fails the sweep at its block's first trial.
-    fn drain(&mut self, failed: &AtomicUsize) {
-        while let Some(partial) = self.pending.remove(&self.delivered) {
+    /// Take block `b`'s finished partial: park it if an earlier block is
+    /// still outstanding, otherwise hand it to the sink, followed by every
+    /// parked partial whose slot has come up. A panicking sink fails the
+    /// sweep at its block's first trial.
+    fn deliver(&mut self, b: usize, partial: R, failed: &AtomicUsize) {
+        if b != self.delivered {
+            self.pending.insert(b, partial);
+            return;
+        }
+        let mut next = Some(partial);
+        while let Some(partial) = next {
             let sink = &mut self.sink;
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| sink(partial))) {
                 self.fail(failed, self.delivered * REDUCE_BLOCK, Failure::Panic(payload));
                 return;
             }
             self.delivered += 1;
+            next = self.pending.remove(&self.delivered);
         }
     }
 }

@@ -74,10 +74,23 @@ pub enum StopReason {
 /// exempt and checked every round, so a round budget fires exactly even at
 /// `check_every > 1` while an equilibrium reached on an off-cadence round
 /// is detected at the next cadence round.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StopSpec {
     conditions: Vec<StopCondition>,
     check_every: u64,
+}
+
+impl Clone for StopSpec {
+    fn clone(&self) -> Self {
+        StopSpec { conditions: self.conditions.clone(), check_every: self.check_every }
+    }
+
+    /// Reuses the condition storage, so a simulation re-keys its
+    /// start-verdict memo to another spec without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.conditions.clone_from(&source.conditions);
+        self.check_every = source.check_every;
+    }
 }
 
 impl StopSpec {
@@ -111,7 +124,9 @@ impl StopSpec {
 }
 
 /// The record/stop rule every run follows, applied at the simulation's
-/// current round; `Some` when the run stops there.
+/// current round; `Some` when the run stops there. `reason` is the stop
+/// verdict at this round: [`stop_reason`], or the simulation's memo of it
+/// at round 0 of a hook-free run (see `Simulation::stop_verdict`).
 ///
 /// With a non-zero recording cadence the observer sees the record of the
 /// round the run started in (`start_round`, possibly off the cadence), one
@@ -120,7 +135,7 @@ impl StopSpec {
 /// scheduled events fired just before it.
 pub(crate) fn drive_round<O: Observer>(
     sim: &Simulation<'_>,
-    stop: &StopSpec,
+    reason: Option<StopReason>,
     record: &RecordConfig,
     start_round: u64,
     shock: bool,
@@ -128,7 +143,7 @@ pub(crate) fn drive_round<O: Observer>(
 ) -> Option<RunSummary> {
     let round = sim.round();
     let potential = sim.potential();
-    let mut emit = || {
+    if record.every > 0 && (reason.is_some() || round == start_round || round % record.every == 0) {
         observer.observe(&capture_record(
             sim.game(),
             sim.state(),
@@ -138,16 +153,8 @@ pub(crate) fn drive_round<O: Observer>(
             record.approx.as_ref(),
             shock,
         ));
-    };
-    let recording = record.every > 0 && (round == start_round || round % record.every == 0);
-    if recording {
-        emit();
     }
-    let reason = stop_reason(stop, sim)?;
-    if record.every > 0 && !recording {
-        emit();
-    }
-    Some(RunSummary { reason, rounds: round, potential })
+    Some(RunSummary { reason: reason?, rounds: round, potential })
 }
 
 /// The first condition of `stop`, in spec order, that holds for `sim`
@@ -158,7 +165,7 @@ pub(crate) fn drive_round<O: Observer>(
 /// deferred until the schedule drains (today's stable state is not an
 /// outcome, it is the pre-shock reference). Only the round budget can stop
 /// a run mid-schedule.
-fn stop_reason(stop: &StopSpec, sim: &Simulation<'_>) -> Option<StopReason> {
+pub(crate) fn stop_reason(stop: &StopSpec, sim: &Simulation<'_>) -> Option<StopReason> {
     let round = sim.round();
     let events_pending = sim.events_pending();
     let expensive_due = round % stop.check_every() == 0 && !events_pending;

@@ -814,13 +814,16 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails if fewer than `count` players use the origin, ids are out of
-    /// range, or the ids belong to different classes.
+    /// Fails (leaving the state unchanged) if the state was built for a
+    /// game of another shape ([`GameError::WrongLength`]), fewer than
+    /// `count` players use the origin, ids are out of range, or the ids
+    /// belong to different classes.
     pub fn apply_migration(
         &mut self,
         game: &CongestionGame,
         migration: Migration,
     ) -> Result<(), GameError> {
+        self.check_shape(game)?;
         let Migration { from, to, count } = migration;
         game.check_strategy(from)?;
         game.check_strategy(to)?;
@@ -877,9 +880,10 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails (leaving the state unchanged) if the batch over-drains a
-    /// strategy (including a total outflow past `u64::MAX`), crosses
-    /// classes, or references unknown ids.
+    /// Fails (leaving the state unchanged) if the state was built for a
+    /// game of another shape ([`GameError::WrongLength`]), or the batch
+    /// over-drains a strategy (including a total outflow past `u64::MAX`),
+    /// crosses classes, or references unknown ids.
     pub fn apply_migrations(
         &mut self,
         game: &CongestionGame,
@@ -909,6 +913,7 @@ impl State {
         migrations: &[Migration],
         mut on_change: impl FnMut(ResourceId, u64, u64, u64),
     ) -> Result<(), GameError> {
+        self.check_shape(game)?;
         // Validate jointly first. `outflow` is reusable scratch so steady
         // rounds of a simulation stay allocation-free.
         let mut outflow = std::mem::take(&mut self.cache.outflow);
@@ -956,6 +961,20 @@ impl State {
             }
         }
         self.cache.prev_loads = prev;
+        Ok(())
+    }
+
+    /// Fail with [`GameError::WrongLength`] unless the counts and loads
+    /// have `game`'s strategy and resource counts, so a mutator handed a
+    /// game of another shape errs before it indexes anything.
+    fn check_shape(&self, game: &CongestionGame) -> Result<(), GameError> {
+        for (expected, found) in
+            [(game.num_strategies(), self.counts.len()), (game.num_resources(), self.loads.len())]
+        {
+            if expected != found {
+                return Err(GameError::WrongLength { expected, found });
+            }
+        }
         Ok(())
     }
 
@@ -1065,15 +1084,17 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails (leaving the state unchanged) if `s` is out of range for
-    /// `game`, or with [`GameError::PlayerOverflow`] if the strategy's
-    /// count or one of its resource loads would overflow `u64`.
+    /// Fails (leaving the state unchanged) with [`GameError::WrongLength`]
+    /// if the state was built for a game of another shape, if `s` is out
+    /// of range for `game`, or with [`GameError::PlayerOverflow`] if the
+    /// strategy's count or one of its resource loads would overflow `u64`.
     pub fn add_players(
         &mut self,
         game: &CongestionGame,
         s: StrategyId,
         count: u64,
     ) -> Result<(), GameError> {
+        self.check_shape(game)?;
         game.check_strategy(s)?;
         if count == 0 {
             return Ok(());
@@ -1099,14 +1120,16 @@ impl State {
     ///
     /// # Errors
     ///
-    /// Fails (leaving the state unchanged) if `s` is out of range or has
-    /// fewer than `count` players.
+    /// Fails (leaving the state unchanged) with [`GameError::WrongLength`]
+    /// if the state was built for a game of another shape, or if `s` is
+    /// out of range or has fewer than `count` players.
     pub fn remove_players(
         &mut self,
         game: &CongestionGame,
         s: StrategyId,
         count: u64,
     ) -> Result<(), GameError> {
+        self.check_shape(game)?;
         game.check_strategy(s)?;
         if count == 0 {
             return Ok(());

@@ -176,6 +176,55 @@ fn populations_past_u64_are_rejected() {
     assert_eq!(game.total_players(), half);
 }
 
+/// Every state mutator handed a game of another shape fails with
+/// `WrongLength` before it touches anything, in both directions (a game
+/// with more strategies, whose ids would index past the state's counts,
+/// and one with fewer), and leaves the state as it was.
+#[test]
+fn state_mutators_reject_a_game_of_another_shape() {
+    use congames::model::{GameError, Migration};
+    let lat = |k: usize| (0..k).map(|i| Affine::linear(1.0 + i as f64).into()).collect();
+    let sid = StrategyId::new;
+    for (built_for, handed) in [(2, 3), (3, 2)] {
+        let own = links(lat(built_for), 6);
+        let other = links(lat(handed), 6);
+        let mut counts = vec![0; built_for];
+        counts[0] = 6;
+        let mut state = State::from_counts(&own, counts).unwrap();
+        state.ensure_latency_cache(&own);
+        state.ensure_support_index(&own);
+        let (counts, loads) = (state.counts().to_vec(), state.loads().to_vec());
+        // The highest strategy of the handed game: past the state's counts
+        // when the handed game is the larger one.
+        let last = sid(handed as u32 - 1);
+        let moves = [Migration::new(sid(0), last, 2)];
+        let results = [
+            ("apply_migration", state.apply_migration(&other, moves[0])),
+            ("apply_move", state.apply_move(&other, sid(0), last)),
+            ("apply_migrations", state.apply_migrations(&other, &moves)),
+            (
+                "apply_migrations_with",
+                state.apply_migrations_with(&other, &moves, |_, _, _, _| {
+                    panic!("nothing may be reported for a rejected batch")
+                }),
+            ),
+            ("add_players", state.add_players(&other, last, 1)),
+            ("remove_players", state.remove_players(&other, sid(0), 1)),
+        ];
+        for (name, result) in results {
+            assert_eq!(
+                result,
+                Err(GameError::WrongLength { expected: handed, found: built_for }),
+                "{name}: state for {built_for} links, game with {handed}"
+            );
+        }
+        assert_eq!(state.counts(), counts);
+        assert_eq!(state.loads(), loads);
+        assert!(state.latency_cache_valid() && state.support_index_valid());
+        assert!(state.latency_cache_consistent(&own) && state.support_consistent(&own));
+    }
+}
+
 #[test]
 fn zero_player_game_runs_without_panic() {
     let game = links(vec![Affine::linear(1.0).into()], 0);

@@ -284,6 +284,48 @@ fn assert_trial_turnover_alloc_free(game: &CongestionGame, engine: EngineKind, l
     );
 }
 
+/// Trial turnover inside a sweep: a single-threaded `run_reduced` with the
+/// CLI's quantile reducer (round and final-Φ `ScalarStats`) allocates as
+/// much for one block of 32 trials as for a block of one trial. The
+/// worker's replica, its start-verdict memo and the block partial are
+/// built once per sweep, and every further trial — the rewind, the stop
+/// checks, the rounds, the observer and the reducer's absorb — allocates
+/// nothing. The round budget ends every trial in the same round, so the
+/// sketches see one round value and a narrow band of final potentials.
+fn assert_sweep_turnover_alloc_free() {
+    use congames::dynamics::{
+        Ensemble, FinalSummary, MapItem, RunSummary, ScalarStats, StopCondition, StopSpec,
+    };
+    let game = game();
+    let protocol: Protocol = ImitationProtocol::paper_default().into();
+    let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(12)])
+        .with_check_every(4);
+    let sweep = |trials: usize| {
+        let ensemble = Ensemble::new(&game, protocol, skewed_start(&game))
+            .expect("valid ensemble")
+            .trials(trials)
+            .threads(1)
+            .base_seed(4321)
+            .rng_mode(RngMode::Counter);
+        let reducer = (
+            MapItem::new(|s: RunSummary| s.rounds as f64, ScalarStats::new()),
+            MapItem::new(|s: RunSummary| s.potential, ScalarStats::new()),
+        );
+        let before = allocations();
+        let (rounds, _) =
+            ensemble.run_reduced(&stop, |_| FinalSummary, reducer).expect("sweep runs");
+        let after = allocations();
+        let rounds = rounds.into_inner();
+        assert_eq!((rounds.count(), rounds.min(), rounds.max()), (trials as u64, 12.0, 12.0));
+        after - before
+    };
+    let (one, block) = (sweep(1), sweep(32));
+    assert_eq!(
+        block, one,
+        "sweep turnover: a 32-trial block made {block} heap allocations, a 1-trial one {one}"
+    );
+}
+
 #[test]
 fn round_kernels_do_not_allocate_in_steady_state() {
     let base = ImitationProtocol::paper_default().with_nu_rule(NuRule::None);
@@ -359,4 +401,6 @@ fn round_kernels_do_not_allocate_in_steady_state() {
         EngineKind::PlayerLevel,
         "player-level/counter/8-links/10000/imitation",
     );
+    // Inside a sweep, turnover adds nothing per trial either.
+    assert_sweep_turnover_alloc_free();
 }
