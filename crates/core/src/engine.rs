@@ -740,21 +740,6 @@ pub(crate) fn validate_start(
 /// keeps every buffer, so an ensemble worker runs trial after trial on one
 /// replica without allocating.
 ///
-/// # The start-verdict memo
-///
-/// The stop verdict at round 0 of a run without a [`RoundHook`] depends
-/// only on the game, the start state, the protocol and the [`StopSpec`].
-/// The simulation therefore remembers it, keyed by the spec, and a later
-/// run that again starts at round 0 under an equal spec reuses it instead
-/// of re-running the stop conditions. The memo is bypassed while a hook is
-/// attached (an event may fire at round 0 and change the game or state),
-/// and it is forgotten on [`Simulation::reset`] (the start may differ),
-/// on [`Simulation::attach_hook`], and whenever a hook changes the game.
-/// Every later round evaluates the conditions as before, and record
-/// emission at round 0 is unchanged, so the memo never changes a result:
-/// it only spares an ensemble worker, whose replica is rewound to the
-/// same start for every trial of a sweep, one stability scan per trial.
-///
 /// See the crate-level example for typical usage.
 #[derive(Debug)]
 pub struct Simulation<'g> {
@@ -804,18 +789,6 @@ pub struct Simulation<'g> {
     sites_buf: Vec<u64>,
     words_buf: Vec<u64>,
     blocks_buf: Vec<[u64; 4]>,
-    /// The stop verdict at round 0 (see the type-level docs).
-    start_verdict: StartVerdict,
-}
-
-/// The stop verdict of the start state under `stop`, valid while `valid`.
-/// `stop` keeps its storage when the memo is re-keyed or invalidated, so
-/// trial turnover allocates nothing for it.
-#[derive(Debug)]
-struct StartVerdict {
-    valid: bool,
-    stop: StopSpec,
-    reason: Option<StopReason>,
 }
 
 impl<'g> Simulation<'g> {
@@ -864,11 +837,6 @@ impl<'g> Simulation<'g> {
             sites_buf: Vec::new(),
             words_buf: Vec::new(),
             blocks_buf: Vec::new(),
-            start_verdict: StartVerdict {
-                valid: false,
-                stop: StopSpec::new(Vec::new()),
-                reason: None,
-            },
         })
     }
 
@@ -909,11 +877,9 @@ impl<'g> Simulation<'g> {
     }
 
     /// [`Simulation::with_hook`] in place: re-arm a replica after
-    /// [`Simulation::reset`], which drops the previous trial's hook. Forgets
-    /// the start-verdict memo.
+    /// [`Simulation::reset`], which drops the previous trial's hook.
     pub fn attach_hook(&mut self, hook: Box<dyn RoundHook>) {
         self.hook = Some(hook);
-        self.start_verdict.valid = false;
     }
 
     /// Rewind this replica in place to round 0 of a new trial from
@@ -928,8 +894,7 @@ impl<'g> Simulation<'g> {
     /// otherwise), the potential, the round counter, the last round's
     /// migrations, and the [`MuMemoStats`] counters. The attached hook is
     /// dropped: hooks are one-trial cursors, so re-arm the next trial's
-    /// with [`Simulation::attach_hook`]. The start-verdict memo is
-    /// forgotten, since `start` may differ from the previous start.
+    /// with [`Simulation::attach_hook`].
     ///
     /// Kept: every scratch buffer — the CSR pairs, multinomial counts,
     /// migrations, the μ table (its stamps make old entries stale), the
@@ -946,17 +911,12 @@ impl<'g> Simulation<'g> {
     pub fn reset(&mut self, start: &State) -> Result<(), DynamicsError> {
         validate_start(self.origin, &self.protocol, start)?;
         self.rewind(start, potential(self.origin, start));
-        self.start_verdict.valid = false;
         Ok(())
     }
 
     /// [`Simulation::reset`] to a validated `start` whose potential is
     /// `potential`: the ensemble computes both once per sweep (with the
     /// start's caches built), so a rewind is a copy.
-    ///
-    /// Unlike `reset`, a rewind keeps the start-verdict memo: the caller
-    /// rewinds only to the start the replica was built from (the
-    /// ensemble's), so the memo still describes round 0.
     pub(crate) fn rewind(&mut self, start: &State, potential: f64) {
         if let Cow::Owned(_) = self.game {
             self.game = Cow::Borrowed(self.origin);
@@ -1092,7 +1052,6 @@ impl<'g> Simulation<'g> {
     /// are rare, and incremental tracking across an arbitrary latency swap
     /// has no valid delta).
     fn after_game_change(&mut self) -> Result<(), DynamicsError> {
-        self.start_verdict.valid = false;
         validate_start(&self.game, &self.protocol, &self.state)?;
         self.params = self.game.params();
         fill_class_offsets(&mut self.class_offsets, &self.game);
@@ -1552,6 +1511,21 @@ impl<'g> Simulation<'g> {
         rng: &mut impl DrawRng,
         observer: &mut O,
     ) -> Result<RunSummary, DynamicsError> {
+        self.run_observed_from(stop, None, rng, observer)
+    }
+
+    /// [`Simulation::run_observed`], where `start_verdict`, when `Some`, is
+    /// the verdict `stop` reaches at the current round, so the run takes it
+    /// instead of evaluating the conditions there. The ensemble passes the
+    /// verdict it evaluated once for a hook-free sweep, whose trials all
+    /// start from the same state at round 0; no event can fire there.
+    pub(crate) fn run_observed_from<O: Observer>(
+        &mut self,
+        stop: &StopSpec,
+        mut start_verdict: Option<Option<StopReason>>,
+        rng: &mut impl DrawRng,
+        observer: &mut O,
+    ) -> Result<RunSummary, DynamicsError> {
         let start_round = self.round;
         loop {
             // Scheduled events fire before the round's record is captured
@@ -1559,7 +1533,11 @@ impl<'g> Simulation<'g> {
             // shock round already reflects the post-event game/state (the
             // pre-shock reference is the last record strictly before).
             let fired = self.fire_due_events()?;
-            let reason = self.stop_verdict(stop);
+            debug_assert!(!fired || start_verdict.is_none(), "an event fired at a known start");
+            let reason = match start_verdict.take() {
+                Some(reason) => reason,
+                None => stop_reason(stop, self),
+            };
             if let Some(summary) =
                 drive_round(self, reason, &self.record, start_round, fired, observer)
             {
@@ -1567,26 +1545,6 @@ impl<'g> Simulation<'g> {
             }
             self.step(rng)?;
         }
-    }
-
-    /// The stop verdict at the current round: from the start-verdict memo
-    /// at round 0 of a hook-free run (filling it on a miss), evaluated
-    /// otherwise. Events fire only through an attached hook, so a run in
-    /// which one fired never reaches the memo.
-    fn stop_verdict(&mut self, stop: &StopSpec) -> Option<StopReason> {
-        if self.round != 0 || self.hook.is_some() {
-            return stop_reason(stop, self);
-        }
-        let memo = &self.start_verdict;
-        if memo.valid && memo.stop == *stop {
-            return memo.reason;
-        }
-        let reason = stop_reason(stop, self);
-        let memo = &mut self.start_verdict;
-        memo.stop.clone_from(stop);
-        memo.reason = reason;
-        memo.valid = true;
-        reason
     }
 }
 

@@ -28,9 +28,9 @@
 //! the only part that differs between the entry points. Each worker keeps
 //! one [`Simulation`] for its lifetime and rewinds it to the start for
 //! every trial it runs, so trial turnover copies the start instead of
-//! rebuilding it and allocates nothing; without a round hook the replica
-//! also evaluates the stop conditions at the start once and reuses that
-//! verdict for round 0 of its later trials. On failure the scheduler keeps
+//! rebuilding it and allocates nothing; a reduced sweep without a round
+//! hook also evaluates the stop conditions at the start once and gives
+//! that verdict to round 0 of every trial. On failure the scheduler keeps
 //! the lowest failing trial and skips only the trials above it, so the
 //! error or panic reported is that trial's whatever the thread count or
 //! shard split.
@@ -45,7 +45,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use crate::engine::{validate_start, EngineKind, Simulation};
 use crate::error::DynamicsError;
@@ -53,7 +53,7 @@ use crate::hook::RoundHook;
 use crate::observe::Observer;
 use crate::protocol::Protocol;
 use crate::reduce::Reducer;
-use crate::stopping::{RunOutcome, StopSpec};
+use crate::stopping::{stop_reason, RunOutcome, StopReason, StopSpec};
 use crate::trajectory::RecordConfig;
 
 /// Trials per reduction block in [`Ensemble::run_reduced`]. The block
@@ -352,9 +352,17 @@ impl<'g> Ensemble<'g> {
         O: Observer,
         R: Reducer<Item = O::Output> + Send + Sync,
     {
+        // The verdict at the start, shared by every trial of a hook-free
+        // sweep: `one` runs on a replica just rewound to round 0.
+        let start_verdict = OnceLock::<Option<StopReason>>::new();
         let one = |sim: &mut Simulation<'_>, trial: usize| {
+            let verdict = match self.round_hook {
+                Some(_) => None,
+                None => Some(*start_verdict.get_or_init(|| stop_reason(stop, sim))),
+            };
             let mut observer = observer_factory(trial);
-            let summary = sim.run_observed(stop, &mut self.trial_stream(trial), &mut observer)?;
+            let mut rng = self.trial_stream(trial);
+            let summary = sim.run_observed_from(stop, verdict, &mut rng, &mut observer)?;
             Ok(observer.finish(&summary))
         };
         self.reduce_blocks(blocks, || prototype.identity(), one, sink)
@@ -494,20 +502,20 @@ impl<'g> Ensemble<'g> {
     /// partials are merged into the accumulator **in block order**. The
     /// reduction tree therefore depends only on the trial count, so the
     /// returned reducer is **bit-identical for every thread count**.
-    /// Workers claim blocks dynamically and park finished partials; the
-    /// partials are merged as their block's turn comes up,
+    /// Workers claim blocks dynamically, each partial is merged when its
+    /// block's turn comes up (one finished ahead of its turn is parked),
     /// and a bounded reorder window (a small multiple of the thread count)
     /// keeps pending partials — and hence memory — bounded even when early
     /// blocks run long. [`Ensemble::run_reduced_shard`] runs the same
     /// scheduler over one shard's blocks.
     ///
     /// Without a round hook, every trial's round 0 is the same start under
-    /// the same `stop`, so each worker's replica evaluates the stop
-    /// conditions there once per sweep and answers round 0 of its later
-    /// trials from its start-verdict memo (see [`Simulation`]). A sweep
-    /// with a round hook bypasses the memo. The memo only skips
-    /// re-evaluating the same conditions on the same state, so every
-    /// result is bit-identical to evaluating each trial afresh.
+    /// the same `stop`, so the sweep evaluates the stop conditions there
+    /// once, on the first replica to reach round 0, and every trial takes
+    /// that verdict. With a round hook an event may change round 0, so
+    /// every trial evaluates its own. Either way each trial sees the
+    /// verdict a fresh run from the start reaches, so every result is
+    /// bit-identical to evaluating each trial afresh.
     ///
     /// With zero trials the reducer is returned untouched (the identity
     /// reduction; see [`Ensemble::trials`]).

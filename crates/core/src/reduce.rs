@@ -456,30 +456,6 @@ pub struct QuantileSketch {
     /// Counts of negative values, keyed by `⌈ln(−x)/ln γ⌉`.
     neg: BTreeMap<i32, u64>,
     envelope: MinMax,
-    memo: BucketMemo,
-}
-
-/// The last `(magnitude bits, bucket)` pair a sketch computed. Sweeps
-/// repeat values heavily (converged trials end on a handful of final
-/// potentials), and a repeat skips the `ln`. The memo is no part of the
-/// sketch's value, so it compares equal to every other memo.
-#[derive(Debug, Clone, Copy)]
-struct BucketMemo {
-    /// `u64::MAX` (a NaN pattern, never a pushed magnitude) when empty.
-    bits: u64,
-    bucket: i32,
-}
-
-impl Default for BucketMemo {
-    fn default() -> Self {
-        BucketMemo { bits: u64::MAX, bucket: 0 }
-    }
-}
-
-impl PartialEq for BucketMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
 }
 
 impl Default for QuantileSketch {
@@ -506,7 +482,6 @@ impl QuantileSketch {
             pos: BTreeMap::new(),
             neg: BTreeMap::new(),
             envelope: MinMax::new(),
-            memo: BucketMemo::default(),
         }
     }
 
@@ -540,17 +515,10 @@ impl QuantileSketch {
         self.envelope.max()
     }
 
-    fn bucket(&mut self, magnitude: f64) -> i32 {
-        let bits = magnitude.to_bits();
-        if bits != self.memo.bits {
-            // ⌈ln(x)/ln γ⌉, clamped to i32; subnormals land in deep
-            // negative buckets, which the BTreeMap handles like any other
-            // key.
-            let bucket = (magnitude.ln() / self.ln_gamma).ceil();
-            let bucket = bucket.clamp(i32::MIN as f64, i32::MAX as f64) as i32;
-            self.memo = BucketMemo { bits, bucket };
-        }
-        self.memo.bucket
+    fn bucket(&self, magnitude: f64) -> i32 {
+        // ⌈ln(x)/ln γ⌉, clamped to i32; subnormals land in deep negative
+        // buckets, which the BTreeMap handles like any other key.
+        (magnitude.ln() / self.ln_gamma).ceil().clamp(i32::MIN as f64, i32::MAX as f64) as i32
     }
 
     fn bucket_value(&self, index: i32) -> f64 {
@@ -573,11 +541,9 @@ impl QuantileSketch {
         if x == 0.0 {
             self.zero += 1;
         } else if x > 0.0 {
-            let bucket = self.bucket(x);
-            *self.pos.entry(bucket).or_insert(0) += 1;
+            *self.pos.entry(self.bucket(x)).or_insert(0) += 1;
         } else {
-            let bucket = self.bucket(-x);
-            *self.neg.entry(bucket).or_insert(0) += 1;
+            *self.neg.entry(self.bucket(-x)).or_insert(0) += 1;
         }
     }
 
@@ -1286,28 +1252,6 @@ mod tests {
         assert_eq!(s.non_finite(), 1);
         assert!((s.mean() - 2.0).abs() < 1e-12, "one NaN must not poison the mean");
         assert_eq!((s.min(), s.max()), (1.0, 3.0));
-    }
-
-    /// Runs of repeated values, sign flips of one magnitude (which share
-    /// the bucket memo), subnormals and neighbouring floats land in the
-    /// buckets a sketch without a memo computes: each value pushed into a
-    /// fresh sketch of its own and merged gives the same counts.
-    #[test]
-    fn quantile_sketch_bucket_memo_keeps_the_buckets() {
-        let tiny = f64::from_bits(1);
-        let x = 1_839_831_800.0_f64;
-        let next = f64::from_bits(x.to_bits() + 1);
-        let xs = [x, x, x, -x, -x, x, next, next, x, 2.5, 2.5, -2.5, tiny, tiny, -tiny, 0.0, x];
-        let mut memoized = QuantileSketch::default();
-        let mut fresh = QuantileSketch::default();
-        for &x in &xs {
-            memoized.push(x);
-            let mut one = QuantileSketch::default();
-            one.push(x);
-            fresh.merge(one);
-        }
-        assert_eq!(memoized.raw_parts(), fresh.raw_parts());
-        assert_eq!(memoized, fresh);
     }
 
     #[test]

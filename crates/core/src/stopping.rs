@@ -74,23 +74,10 @@ pub enum StopReason {
 /// exempt and checked every round, so a round budget fires exactly even at
 /// `check_every > 1` while an equilibrium reached on an off-cadence round
 /// is detected at the next cadence round.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StopSpec {
     conditions: Vec<StopCondition>,
     check_every: u64,
-}
-
-impl Clone for StopSpec {
-    fn clone(&self) -> Self {
-        StopSpec { conditions: self.conditions.clone(), check_every: self.check_every }
-    }
-
-    /// Reuses the condition storage, so a simulation re-keys its
-    /// start-verdict memo to another spec without allocating.
-    fn clone_from(&mut self, source: &Self) {
-        self.conditions.clone_from(&source.conditions);
-        self.check_every = source.check_every;
-    }
 }
 
 impl StopSpec {
@@ -125,8 +112,8 @@ impl StopSpec {
 
 /// The record/stop rule every run follows, applied at the simulation's
 /// current round; `Some` when the run stops there. `reason` is the stop
-/// verdict at this round: [`stop_reason`], or the simulation's memo of it
-/// at round 0 of a hook-free run (see `Simulation::stop_verdict`).
+/// verdict at this round ([`stop_reason`], or the ensemble's verdict at
+/// its start; see `Simulation::run_observed_from`).
 ///
 /// With a non-zero recording cadence the observer sees the record of the
 /// round the run started in (`start_round`, possibly off the cadence), one

@@ -1,18 +1,18 @@
-//! The start-verdict memo: a replica remembers the stop verdict at round 0
-//! of a hook-free run and reuses it for every trial rewound to the same
-//! start (see `Simulation`'s "The start-verdict memo").
+//! The start verdict of a reduced sweep: without a round hook, the
+//! ensemble evaluates the stop conditions at the start once per sweep and
+//! gives that verdict to round 0 of every trial (see
+//! `Ensemble::run_reduced`, "Determinism").
 //!
 //! Every sweep here is compared with a per-trial evaluation — a fresh
 //! `Simulation` per trial, whose round 0 always runs the stop conditions —
 //! bit for bit: stop-reason histogram, each trial's reason, rounds and
-//! final Φ, and the recorded trajectories. The simulation-level tests pin
-//! the cases where a stale memo would answer wrongly: a hook attached after
-//! the memo was filled, a reset to another start, and another stop spec.
+//! final Φ, and the recorded trajectories. A replica driven by hand pins
+//! that `Simulation` itself carries no verdict from one run to the next.
 
 use congames::dynamics::{
     merge_partials, ConvergenceHistogram, DynamicsError, Ensemble, FinalSummary, ImitationProtocol,
-    MapItem, Protocol, RecordConfig, Reducer, RoundHook, RunOutcome, RunSummary, Simulation,
-    StopCondition, StopReason, StopSpec, REDUCE_BLOCK,
+    MapItem, Protocol, RecordConfig, Reducer, RoundHook, RunSummary, Simulation, StopCondition,
+    StopReason, StopSpec, Trajectory, REDUCE_BLOCK,
 };
 use congames::model::{CongestionGame, ResourceId, State};
 use congames::sampling::{DrawStream, RngMode};
@@ -144,9 +144,9 @@ fn assert_sweep_matches(start: &State, stop: &StopSpec, hooked: bool, label: &st
 }
 
 #[test]
-fn memoized_sweeps_equal_per_trial_evaluation() {
+fn shared_start_verdicts_equal_per_trial_evaluation() {
     let game = game();
-    // A stable start: every trial stops at round 0 on the memoized verdict.
+    // A stable start: every trial stops at round 0 on the shared verdict.
     let out = assert_sweep_matches(&stable(&game), &stable_first(500), false, "stable start");
     assert!(out.iter().all(|o| o.0 == StopReason::ImitationStable && o.1 == 0));
     // An unstable start: round 0 says "go on", later rounds decide.
@@ -157,10 +157,11 @@ fn memoized_sweeps_equal_per_trial_evaluation() {
     assert!(out.iter().all(|o| o.0 == StopReason::MaxRounds && o.1 == 0));
 }
 
-/// A hook that fires at round 0 bypasses the memo: every trial sees the
-/// post-event verdict, the same one a fresh simulation computes.
+/// A hook that fires at round 0 makes every trial evaluate its own start:
+/// each sees the post-event verdict, the same one a fresh simulation
+/// computes.
 #[test]
-fn a_hook_firing_at_round_zero_bypasses_the_memo() {
+fn a_hook_firing_at_round_zero_gets_no_shared_verdict() {
     let game = game();
     let out = assert_sweep_matches(&unstable(&game), &stable_first(500), true, "hooked");
     assert!(out.iter().all(|o| o.0 == StopReason::ImitationStable && o.1 == 0));
@@ -189,41 +190,38 @@ fn successive_sweeps_under_different_specs_do_not_share_a_verdict() {
     }
 }
 
-/// Recording at round 0 is unchanged by the memo: materialized sweeps
-/// carry the same trajectories as fresh simulations.
+/// Recording at round 0 is unchanged by the shared verdict: reduced
+/// sweeps observe the same trajectories as fresh simulations.
 #[test]
 fn round_zero_records_are_unchanged() {
     let game = game();
+    let records = |t: &Trajectory| format!("{:?}", t.records());
     for start in [stable(&game), unstable(&game)] {
         let stop = stable_first(8);
-        let records = |_: &Simulation<'_>, out: RunOutcome| {
-            format!("{:?} {} {:?}", out.reason, out.rounds, out.trajectory.records())
-        };
         let expected: Vec<String> = (0..TRIALS)
             .map(|trial| {
                 let mut sim = Simulation::new(&game, protocol(), start.clone())
                     .expect("valid start")
                     .with_recording(RecordConfig::every(3));
                 let mut rng = DrawStream::for_trial(RngMode::Counter, SEED, trial as u64);
-                let out = sim.run(&stop, &mut rng).expect("trial runs");
-                records(&sim, out)
+                records(&sim.run(&stop, &mut rng).expect("trial runs").trajectory)
             })
             .collect();
         for threads in [1, 2, 8] {
             let got = ensemble(&game, &start, threads)
                 .recording(RecordConfig::every(3))
-                .run_with(&stop, records)
+                .run_reduced(&stop, |_| Trajectory::default(), Vec::new())
                 .expect("sweep");
-            assert_eq!(got, expected, "threads {threads}");
+            assert_eq!(got.iter().map(records).collect::<Vec<_>>(), expected, "threads {threads}");
         }
     }
 }
 
-/// Round 0 of one replica, driven by hand through the cases where a memo
-/// that outlived its conditions would answer from the wrong start, spec or
-/// game.
+/// Round 0 of one replica, driven by hand through the cases where a
+/// verdict carried over from an earlier run would answer from the wrong
+/// start, spec or game.
 #[test]
-fn the_memo_is_forgotten_when_round_zero_may_change() {
+fn a_replica_evaluates_every_round_zero_afresh() {
     let game = game();
     let mut rng = DrawStream::for_trial(RngMode::Counter, SEED, 0);
     let mut verdict = |sim: &mut Simulation<'_>, stop: &StopSpec| {
@@ -233,11 +231,11 @@ fn the_memo_is_forgotten_when_round_zero_may_change() {
     };
     let zero = stable_first(0);
 
-    // A hook attached after the memo was filled: the event at round 0
-    // makes the start stable.
+    // A hook attached after an unhooked run: the event at round 0 makes
+    // the start stable.
     let mut sim = Simulation::new(&game, protocol(), unstable(&game)).expect("valid start");
     assert_eq!(verdict(&mut sim, &zero), StopReason::MaxRounds);
-    assert_eq!(verdict(&mut sim, &zero), StopReason::MaxRounds, "memo hit");
+    assert_eq!(verdict(&mut sim, &zero), StopReason::MaxRounds, "again");
     sim.attach_hook(Box::new(SteepenAtZero::default()));
     assert_eq!(verdict(&mut sim, &zero), StopReason::ImitationStable, "hooked round 0");
 

@@ -287,7 +287,7 @@ fn assert_trial_turnover_alloc_free(game: &CongestionGame, engine: EngineKind, l
 /// Trial turnover inside a sweep: a single-threaded `run_reduced` with the
 /// CLI's quantile reducer (round and final-Φ `ScalarStats`) allocates as
 /// much for one block of 32 trials as for a block of one trial. The
-/// worker's replica, its start-verdict memo and the block partial are
+/// worker's replica, the sweep's start verdict and the block partial are
 /// built once per sweep, and every further trial — the rewind, the stop
 /// checks, the rounds, the observer and the reducer's absorb — allocates
 /// nothing. The round budget ends every trial in the same round, so the
