@@ -75,6 +75,15 @@ fn check_range_len(range: &Range<u64>, out: &[f64]) {
     );
 }
 
+/// `out[j] = f((base + range.start + j) as f64)`: a family's
+/// `eval_range_into` body, one monomorphized loop per element formula.
+#[inline(always)]
+fn fill_window(base: u64, range: Range<u64>, out: &mut [f64], f: impl Fn(f64) -> f64) {
+    for (slot, i) in out.iter_mut().zip(range) {
+        *slot = f((base + i) as f64);
+    }
+}
+
 /// Drive `f` over the values `l.value(x)` for `x ∈ lo ..= hi` in order,
 /// batched through one fixed stack chunk per [`Latency::eval_range_into`]
 /// call; `f` receives each chunk's starting load and its values.
@@ -528,27 +537,8 @@ impl Latency for Affine {
 
     fn eval_range_into(&self, base: u64, range: Range<u64>, out: &mut [f64]) {
         check_range_len(&range, out);
-        // Tiny windows (a cache refresh's two-entry case) skip
-        // the dispatch machinery; the loop is the vector arms' own scalar
-        // tail, so the bits are unchanged.
-        if out.len() < 8 {
-            let start = base + range.start;
-            for (j, slot) in out.iter_mut().enumerate() {
-                *slot = self.a * (start + j as u64) as f64 + self.b;
-            }
-            return;
-        }
-        // Across-window vector arm (AVX2 when available, bit-identical
-        // scalar fallback otherwise): each element is the same
-        // `a·x + b` sequence as `value`, with the exact `u64 → f64`
-        // index conversion.
-        congames_simd::affine_fill(
-            congames_simd::Dispatch::global(),
-            self.a,
-            self.b,
-            base + range.start,
-            out,
-        );
+        // The same `a·x + b` sequence as `value`, so the bits are equal.
+        fill_window(base, range, out, |x| self.a * x + self.b);
     }
 
     /// Closed form `a·Σ_{i ∈ range}(base + i) + b·|range|`, the index sum
@@ -664,24 +654,18 @@ impl Latency for Monomial {
     fn eval_range_into(&self, base: u64, range: Range<u64>, out: &mut [f64]) {
         check_range_len(&range, out);
         let a = self.a;
-        // Degrees ≤ 4 run the across-window vector arm with the exact
-        // multiply chains that `powi` with a *runtime* exponent produces
-        // (square-and-multiply), staying bit-identical to `value`; higher
-        // degrees — and tiny windows, where the dispatch machinery would
-        // dominate — keep the per-element `powi`.
+        // Degrees ≤ 4 run the multiply chains that `powi` with a *runtime*
+        // exponent produces (square-and-multiply), bit-identical to
+        // `value`; higher degrees keep the per-element `powi`.
         match self.k {
-            k @ 1..=4 if out.len() >= 8 => congames_simd::monomial_fill(
-                congames_simd::Dispatch::global(),
-                a,
-                k,
-                base + range.start,
-                out,
-            ),
-            k => {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    *slot = a * ((base + i) as f64).powi(k as i32);
-                }
-            }
+            1 => fill_window(base, range, out, |x| a * x),
+            2 => fill_window(base, range, out, |x| a * (x * x)),
+            3 => fill_window(base, range, out, |x| a * (x * (x * x))),
+            4 => fill_window(base, range, out, |x| {
+                let x2 = x * x;
+                a * (x2 * x2)
+            }),
+            k => fill_window(base, range, out, |x| a * x.powi(k as i32)),
         }
     }
 
@@ -876,38 +860,21 @@ impl Latency for Bpr {
         // Same runtime-`powi` multiply chains as `Monomial` (k ≤ 4 covers
         // the classic k = 4 parametrization); bit-identical to `value`.
         match self.k {
-            1 => {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    let r = (base + i) as f64 / cap;
-                    *slot = t0 * (1.0 + alpha * r);
-                }
-            }
-            2 => {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    let r = (base + i) as f64 / cap;
-                    *slot = t0 * (1.0 + alpha * (r * r));
-                }
-            }
-            3 => {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    let r = (base + i) as f64 / cap;
-                    let r2 = r * r;
-                    *slot = t0 * (1.0 + alpha * (r * r2));
-                }
-            }
-            4 => {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    let r = (base + i) as f64 / cap;
-                    let r2 = r * r;
-                    *slot = t0 * (1.0 + alpha * (r2 * r2));
-                }
-            }
-            k => {
-                for (slot, i) in out.iter_mut().zip(range) {
-                    let r = (base + i) as f64 / cap;
-                    *slot = t0 * (1.0 + alpha * r.powi(k as i32));
-                }
-            }
+            1 => fill_window(base, range, out, |x| t0 * (1.0 + alpha * (x / cap))),
+            2 => fill_window(base, range, out, |x| {
+                let r = x / cap;
+                t0 * (1.0 + alpha * (r * r))
+            }),
+            3 => fill_window(base, range, out, |x| {
+                let r = x / cap;
+                t0 * (1.0 + alpha * (r * (r * r)))
+            }),
+            4 => fill_window(base, range, out, |x| {
+                let r = x / cap;
+                let r2 = r * r;
+                t0 * (1.0 + alpha * (r2 * r2))
+            }),
+            k => fill_window(base, range, out, |x| t0 * (1.0 + alpha * (x / cap).powi(k as i32))),
         }
     }
 
@@ -1059,6 +1026,29 @@ mod tests {
         for k in 1..6 {
             let l = Monomial::new(1.5, k);
             assert_close(l.elasticity_bound(1000), k as f64);
+        }
+    }
+
+    #[test]
+    fn windows_match_pointwise_bitwise() {
+        let families: Vec<LatencyFn> = std::iter::once(Affine::new(2.5, 0.75).into())
+            .chain((1..=5).map(|k| Monomial::new(1.5, k).into()))
+            .collect();
+        // Bases beyond 2⁵³ exercise the rounding of the `u64 → f64`
+        // conversion; the lengths cover tiny and longer windows.
+        for start in [0u64, 17, 1 << 40, (1 << 53) + 12_345, u64::MAX - 100] {
+            for len in [3u64, 37] {
+                for l in &families {
+                    let mut out = vec![0.0; len as usize];
+                    for (base, range) in [(start, 0..len), (0, start..start + len)] {
+                        l.eval_range_into(base, range, &mut out);
+                        for (j, v) in out.iter().enumerate() {
+                            let expect = l.value(start + j as u64);
+                            assert_eq!(v.to_bits(), expect.to_bits(), "{l:?} at {start}+{j}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -356,7 +356,7 @@ mod tests {
     fn counter_blocks_match_random_access() {
         let trials = [0u64, 3, 7, 8, 11, 1 << 40];
         let mut out = [[0u64; 4]; 6];
-        for d in [Dispatch::Scalar, Dispatch::Avx2] {
+        for d in [Dispatch::Scalar, Dispatch::Avx512] {
             counter_blocks(d, 20090808, 5, 9, 2, &trials, &mut out);
             for (i, &t) in trials.iter().enumerate() {
                 for j in 0..4u64 {

@@ -1,47 +1,41 @@
 //! Vector kernels behind one runtime [`Dispatch`]: the counter-mode
 //! Philox keystream swept across many counters ([`philox4x64_batch`], and
-//! [`philox4x64_word0_batch`] when a caller reads only word 0), the
+//! [`philox4x64_word0_batch`] when a caller reads only word 0), and the
 //! player-level round's batch pass — the movable-site compaction
 //! ([`compact_sites`]) and the pure-imitation decision
-//! ([`imitation_decide`]) — and the batched latency windows of the affine
-//! and low-degree monomial families ([`affine_fill`], [`monomial_fill`]).
-//! Each comes in a portable scalar arm, an AVX2 `std::arch` arm, and an
-//! AVX-512 arm (which widens the Philox keystream to eight lanes per
-//! vector, runs the gather/compress kernels, and shares the AVX2 float
-//! kernels), selected by runtime feature detection. All `unsafe` code of
-//! the workspace's library crates lives in this crate's arm modules.
+//! ([`imitation_decide`]). Each comes in a portable scalar arm and an
+//! AVX-512 `std::arch` arm (eight Philox lanes per vector, gathers and
+//! compress-stores), selected by runtime feature detection. All `unsafe`
+//! code of the workspace's library crates lives in this crate's
+//! `avx512` module.
 //!
 //! # Bit-identity contract
 //!
 //! Both arms of every operation produce **identical bits**:
 //!
-//! * **Integer ops are exact by construction** — the AVX2/AVX-512
-//!   64×64→128 multiply is decomposed into 32-bit partial products with
-//!   full carry propagation, so the batched Philox blocks equal the scalar
-//!   blocks word for word, and `u64` compares are value-exact.
+//! * **Integer ops are exact by construction** — the AVX-512 64×64→128
+//!   multiply is decomposed into 32-bit partial products with full carry
+//!   propagation, so the batched Philox blocks equal the scalar blocks
+//!   word for word, and `u64` compares are value-exact.
 //! * **Gathers and compress-stores move values**, and every index they
 //!   use is checked against its slice (or bounded by a check the public
 //!   wrapper made) before it is used, so the arms agree on every input,
 //!   including the ones they reject with a panic.
-//! * **Float ops vectorize *across* elements only.** Each element's own
-//!   operation sequence is unchanged — no reassociation, no FMA
-//!   contraction (IEEE-754 `vmulpd`/`vaddpd`/`vsubpd`/`vdivpd` round
-//!   exactly like their scalar counterparts), and `u64 → f64` conversion
-//!   uses an exponent-bias decomposition with a single final rounding,
-//!   equal to Rust's `as f64` for every input. An element therefore gets
-//!   the same bits whichever arm computes it.
+//! * **The one float comparison** (the imitation test) converts each
+//!   variate exactly and compares it with the same μ as the scalar arm.
 //!
 //! # Dispatch
 //!
-//! [`Dispatch::detect`] picks the widest available arm once;
-//! [`Dispatch::global`] caches it for the process. The environment
-//! variable `CONGAMES_SIMD` overrides detection for testing:
-//! `CONGAMES_SIMD=scalar` forces the fallback, `CONGAMES_SIMD=avx2` /
-//! `CONGAMES_SIMD=avx512` request a vector arm (silently degrading to the
-//! widest available one where the CPU lacks the feature), and
-//! `CONGAMES_SIMD=auto` (or unset) detects. Every operation also takes
-//! the dispatch explicitly, so tests can run all arms in one process and
-//! compare bits.
+//! [`Dispatch::detect`] picks the AVX-512 arm where the CPU has `avx512f`
+//! and the scalar arm everywhere else; [`Dispatch::global`] caches the
+//! choice for the process. The environment variable `CONGAMES_SIMD`
+//! overrides detection for testing: `CONGAMES_SIMD=scalar` forces the
+//! fallback, `CONGAMES_SIMD=avx512` requests the vector arm (silently
+//! degrading to scalar where the CPU lacks it), and `CONGAMES_SIMD=auto`
+//! (or unset) detects. [`Dispatch::env_override`] is the one reading of
+//! the variable; a front end rejects any other value with its error. Every
+//! operation also takes the dispatch explicitly, so tests can run both
+//! arms in one process and compare bits.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +43,7 @@
 use std::sync::OnceLock;
 
 /// Environment variable overriding [`Dispatch::detect`]:
-/// `scalar` | `avx2` | `avx512` | `auto`.
+/// `scalar` | `avx512` | `auto`.
 pub const DISPATCH_ENV: &str = "CONGAMES_SIMD";
 
 /// Which arm of each vector operation to run. Both arms are bit-identical
@@ -59,27 +53,38 @@ pub const DISPATCH_ENV: &str = "CONGAMES_SIMD";
 pub enum Dispatch {
     /// Portable scalar loops — the reference arm, available everywhere.
     Scalar,
-    /// 4-wide AVX2 `std::arch` loops. Selecting this on a CPU without
-    /// AVX2 is safe: every operation re-checks availability and degrades
-    /// to the scalar arm.
-    Avx2,
-    /// AVX-512 loops: the Philox keystream runs eight lanes per vector
-    /// (`avx512f`); the float kernels share the AVX2 arm's code. Selecting
+    /// AVX-512 loops (`avx512f`): the Philox keystream runs eight lanes
+    /// per vector, the player round's batch pass gathers and
+    /// compress-stores; ragged remainders run the scalar loop. Selecting
     /// this on a CPU without AVX-512 is safe: every operation re-checks
-    /// availability and degrades to the widest available arm.
+    /// availability and degrades to the scalar arm.
     Avx512,
 }
 
 impl Dispatch {
-    /// Detect the widest available arm, honoring the [`DISPATCH_ENV`]
-    /// override (unknown values fall back to auto-detection).
+    /// The arm [`DISPATCH_ENV`] requests: `scalar` or `avx512`, or `None`
+    /// (detect) when it is `auto` or unset. Any other value is an error
+    /// that names the accepted ones.
+    pub fn env_override() -> Result<Option<Dispatch>, String> {
+        let Some(value) = std::env::var_os(DISPATCH_ENV) else {
+            return Ok(None);
+        };
+        match value.to_str() {
+            Some("scalar") => Ok(Some(Dispatch::Scalar)),
+            Some("avx512") => Ok(Some(Dispatch::Avx512)),
+            Some("auto") => Ok(None),
+            _ => Err(format!(
+                "{DISPATCH_ENV}={value:?} names no SIMD arm (one of scalar|avx512|auto)"
+            )),
+        }
+    }
+
+    /// Detect the arm to run, honoring the [`DISPATCH_ENV`] override
+    /// (a value that names no arm falls back to detection; see
+    /// [`Dispatch::env_override`] to reject it instead).
     #[inline]
     pub fn detect() -> Dispatch {
-        match std::env::var(DISPATCH_ENV).as_deref() {
-            Ok("scalar") => Dispatch::Scalar,
-            Ok("avx2") => resolved(Dispatch::Avx2),
-            _ => resolved(Dispatch::Avx512),
-        }
+        Dispatch::env_override().ok().flatten().unwrap_or(Dispatch::Avx512).resolve()
     }
 
     /// The process-wide dispatch: [`Dispatch::detect`] run once and cached.
@@ -94,53 +99,33 @@ impl Dispatch {
     pub fn is_available(self) -> bool {
         match self {
             Dispatch::Scalar => true,
-            Dispatch::Avx2 => avx2_available(),
             Dispatch::Avx512 => avx512_available(),
         }
     }
 
-    /// Resolve this (possibly requested-but-unavailable) dispatch to the
-    /// widest arm that is safe to execute on the current CPU. Kernels call
-    /// this once at construction so their steady-state loops carry an
-    /// always-runnable arm.
+    /// Resolve this (possibly requested-but-unavailable) dispatch to an
+    /// arm that is safe to execute on the current CPU: itself where it is
+    /// available, scalar otherwise.
     #[inline]
     pub fn resolve(self) -> Dispatch {
-        resolved(self)
+        if self.is_available() {
+            self
+        } else {
+            Dispatch::Scalar
+        }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn avx2_available() -> bool {
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
 fn avx512_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f") && avx2_available()
+    std::arch::is_x86_feature_detected!("avx512f")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
 fn avx512_available() -> bool {
     false
-}
-
-/// Resolve a requested dispatch to one that is safe to execute here.
-#[inline]
-fn resolved(d: Dispatch) -> Dispatch {
-    match d {
-        Dispatch::Avx512 if avx512_available() => Dispatch::Avx512,
-        Dispatch::Avx512 | Dispatch::Avx2 if avx2_available() => Dispatch::Avx2,
-        _ => Dispatch::Scalar,
-    }
 }
 
 /// The Philox 4×64 round constants and round count, supplied by the
@@ -210,7 +195,7 @@ type Wide = (u64, u64);
 /// on the lane word only if one of its inputs does, so at the start of
 /// round `r < SHARED_ROUNDS` the products `M0·c0` and `M1·c2` may still be
 /// lane-independent: `m0[r]` and `m1[r]` hold their `(hi, lo)` then. The
-/// vector arms broadcast these instead of multiplying every lane (four of
+/// vector arm broadcasts these instead of multiplying every lane (four of
 /// the first six products of an across-site or across-trial sweep), with
 /// the same bits by construction.
 #[derive(Debug, Clone, Copy)]
@@ -284,34 +269,21 @@ pub fn philox4x64_batch(
             *o = philox_scalar(spec, key, c);
         }
     };
-    match resolved(d) {
-        Dispatch::Scalar => scalar_tail(out, lanes),
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 => {
-            let n4 = lanes.len() & !3;
-            avx2::philox4x64_batch(spec, key, ctr, lane_word, &lanes[..n4], &mut out[..n4]);
-            scalar_tail(&mut out[n4..], &lanes[n4..]);
-        }
+    match d.resolve() {
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => {
             let n8 = lanes.len() & !7;
             avx512::philox4x64_batch(spec, key, ctr, lane_word, &lanes[..n8], &mut out[..n8]);
-            let (tail_l, tail_o) = (&lanes[n8..], &mut out[n8..]);
-            let n4 = tail_l.len() & !3;
-            avx2::philox4x64_batch(spec, key, ctr, lane_word, &tail_l[..n4], &mut tail_o[..n4]);
-            scalar_tail(&mut tail_o[n4..], &tail_l[n4..]);
+            scalar_tail(&mut out[n8..], &lanes[n8..]);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
+        _ => scalar_tail(out, lanes),
     }
 }
 
 /// Word 0 of each lane's block: `out[i] == philox4x64_batch(..)[i][0]`
 /// for the same arguments. Every round but the last runs in full; the
 /// last computes only its `M1·c2` high half, the one product word 0
-/// reads, and the vector arms store each vector's word 0 directly, with
+/// reads, and the vector arm stores each vector's word 0 directly, with
 /// no transpose. A consumer that reads one word per lane (the pure
 /// imitation player decision) pays for one word. Bit-identical across
 /// arms (integer construction).
@@ -338,34 +310,14 @@ pub fn philox4x64_word0_batch(
             *o = philox_word0_scalar(spec, key, c);
         }
     };
-    match resolved(d) {
-        Dispatch::Scalar => scalar_tail(out, lanes),
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 => {
-            let n4 = lanes.len() & !3;
-            avx2::philox4x64_word0_batch(spec, key, ctr, lane_word, &lanes[..n4], &mut out[..n4]);
-            scalar_tail(&mut out[n4..], &lanes[n4..]);
-        }
+    match d.resolve() {
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => {
             let n8 = lanes.len() & !7;
             avx512::philox4x64_word0_batch(spec, key, ctr, lane_word, &lanes[..n8], &mut out[..n8]);
-            let (tail_l, tail_o) = (&lanes[n8..], &mut out[n8..]);
-            let n4 = tail_l.len() & !3;
-            avx2::philox4x64_word0_batch(
-                spec,
-                key,
-                ctr,
-                lane_word,
-                &tail_l[..n4],
-                &mut tail_o[..n4],
-            );
-            scalar_tail(&mut tail_o[n4..], &tail_l[n4..]);
+            scalar_tail(&mut out[n8..], &lanes[n8..]);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
+        _ => scalar_tail(out, lanes),
     }
 }
 
@@ -443,8 +395,7 @@ pub fn unit_f64(word: u64) -> f64 {
 /// AVX-512 arm decides eight players per step: it gathers both strategies,
 /// emulates the 64×64→128 product, applies self-exclusion and the
 /// virtual-agent select as masks, gathers μ and compares it with the
-/// exactly converted variate. AVX2 runs the scalar arm. Bit-identical
-/// across arms.
+/// exactly converted variate. Bit-identical across arms.
 ///
 /// # Panics
 ///
@@ -463,7 +414,7 @@ pub fn imitation_decide(
 ) -> usize {
     let s = class.strategies;
     assert!(s.checked_mul(s).is_some_and(|n| mu.len() >= n), "one μ per strategy pair");
-    match resolved(d) {
+    match d.resolve() {
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => avx512::imitation_decide(class, sites, words, mu, moves),
         _ => imitation_decide_with(class, sites, words, mu_in(mu, s), moves),
@@ -556,7 +507,6 @@ fn decide_scalar<const VIRTUAL: bool>(
 /// unspecified. The scalar arm writes every player's slot and advances
 /// past the movable ones (no branch); the AVX-512 arm tests sixteen
 /// players per step against the bitmask and compress-stores their sites.
-/// AVX2 runs the scalar arm.
 ///
 /// # Panics
 ///
@@ -571,7 +521,7 @@ pub fn compact_sites(
     out: &mut [u64],
 ) -> usize {
     assert!(out.len() >= players.len(), "one slot per player");
-    match resolved(d) {
+    match d.resolve() {
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => avx512::compact_sites(players, first, movable, start, out),
         _ => compact_sites_scalar(players, first, movable, start, out),
@@ -594,415 +544,10 @@ fn compact_sites_scalar(
     k
 }
 
-/// `out[j] = a · ((start + j) as f64) + b` — the affine latency window.
-/// The vector arm converts `start + j` with the exact exponent-bias
-/// decomposition (single final rounding, equal to `as f64`) and applies
-/// the same multiply-add sequence per element, so both arms match the
-/// pointwise evaluation bit for bit.
-#[inline]
-pub fn affine_fill(d: Dispatch, a: f64, b: f64, start: u64, out: &mut [f64]) {
-    match resolved(d) {
-        Dispatch::Scalar => {
-            for (j, slot) in out.iter_mut().enumerate() {
-                *slot = a * (start + j as u64) as f64 + b;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => avx2::affine_fill(a, b, start, out),
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// `out[j] = a · x^k` with `x = (start + j) as f64`, using the exact
-/// square-and-multiply chains of degrees 1–4 (`x`, `x·x`, `x·x²`,
-/// `x²·x²`) — the same chains the scalar monomial batch evaluator runs,
-/// so both arms match pointwise `powi` evaluation bit for bit.
-///
-/// # Panics
-///
-/// Panics unless `1 <= k <= 4` (higher degrees keep the scalar `powi`
-/// path in the caller).
-#[inline]
-pub fn monomial_fill(d: Dispatch, a: f64, k: u32, start: u64, out: &mut [f64]) {
-    assert!((1..=4).contains(&k), "monomial_fill covers degrees 1-4");
-    match resolved(d) {
-        Dispatch::Scalar => {
-            for (j, slot) in out.iter_mut().enumerate() {
-                let x = (start + j as u64) as f64;
-                *slot = match k {
-                    1 => a * x,
-                    2 => a * (x * x),
-                    3 => {
-                        let x2 = x * x;
-                        a * (x * x2)
-                    }
-                    _ => {
-                        let x2 = x * x;
-                        a * (x2 * x2)
-                    }
-                };
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 | Dispatch::Avx512 => avx2::monomial_fill(a, k, start, out),
-        #[cfg(not(target_arch = "x86_64"))]
-        Dispatch::Avx2 | Dispatch::Avx512 => {
-            unreachable!("resolved() degrades vector arms off x86_64")
-        }
-    }
-}
-
-/// The AVX2 arm. Every function is compiled with
-/// `#[target_feature(enable = "avx2")]` and must only be reached through
-/// the public wrappers, which verify availability via [`resolved`].
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx2 {
-    use super::{PhiloxSpec, SharedProducts, Wide};
-    use core::arch::x86_64::*;
-
-    const LO32: u64 = 0xFFFF_FFFF;
-
-    /// Full 64×64→128 multiply of a pre-split scalar constant against a
-    /// lane vector, via four 32×32→64 partial products with exact carry
-    /// propagation — bit-identical to the scalar `u128` widening multiply.
-    /// `_mm256_mul_epu32` reads only the low dword of each lane, so `b`
-    /// needs no mask for its low half.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mulhilo(
-        a_lo: __m256i,
-        a_hi: __m256i,
-        b: __m256i,
-        lo32: __m256i,
-    ) -> (__m256i, __m256i) {
-        let b_hi = _mm256_srli_epi64::<32>(b);
-        let ll = _mm256_mul_epu32(a_lo, b);
-        let lh = _mm256_mul_epu32(a_lo, b_hi);
-        let hl = _mm256_mul_epu32(a_hi, b);
-        let hh = _mm256_mul_epu32(a_hi, b_hi);
-        // mid/mid2 cannot overflow: (2³²−1)² + (2³²−1) < 2⁶⁴.
-        let mid = _mm256_add_epi64(lh, _mm256_srli_epi64::<32>(ll));
-        let mid2 = _mm256_add_epi64(hl, _mm256_and_si256(mid, lo32));
-        let hi = _mm256_add_epi64(
-            hh,
-            _mm256_add_epi64(_mm256_srli_epi64::<32>(mid), _mm256_srli_epi64::<32>(mid2)),
-        );
-        let lo = _mm256_or_si256(_mm256_slli_epi64::<32>(mid2), _mm256_and_si256(ll, lo32));
-        (hi, lo)
-    }
-
-    #[inline]
-    pub fn philox4x64_batch(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        lanes: &[u64],
-        out: &mut [[u64; 4]],
-    ) {
-        debug_assert_eq!(lanes.len() % 4, 0);
-        debug_assert_eq!(out.len(), lanes.len());
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { philox4x64_batch_impl(spec, key, ctr, lane_word, lanes, out) }
-    }
-
-    /// Eight lanes (two vectors) per sweep while they last: the rounds are
-    /// one long multiply chain per vector, and a second independent chain
-    /// in flight hides its latency. Then one vector for a 4-lane rest.
-    #[target_feature(enable = "avx2")]
-    unsafe fn philox4x64_batch_impl(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        lanes: &[u64],
-        out: &mut [[u64; 4]],
-    ) {
-        let products = SharedProducts::new(spec, key, ctr, lane_word);
-        let n8 = lanes.len() & !7;
-        for (chunk, blocks) in lanes[..n8].chunks_exact(8).zip(out[..n8].chunks_exact_mut(8)) {
-            sweep::<2>(spec, key, ctr, lane_word, &products, chunk, blocks);
-        }
-        for (chunk, blocks) in lanes[n8..].chunks_exact(4).zip(out[n8..].chunks_exact_mut(4)) {
-            sweep::<1>(spec, key, ctr, lane_word, &products, chunk, blocks);
-        }
-    }
-
-    /// The blocks of `N` vectors of four lanes: `chunk` and `blocks` hold
-    /// `4·N` lanes.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2. Every load and store goes through a
-    /// 4-lane `chunks_exact` piece, so no length can take it out of bounds.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sweep<const N: usize>(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        products: &SharedProducts,
-        chunk: &[u64],
-        blocks: &mut [[u64; 4]],
-    ) {
-        debug_assert!(chunk.len() == 4 * N && blocks.len() == 4 * N);
-        let (c, _) = rounds::<N>(spec, key, ctr, lane_word, products, chunk, spec.rounds);
-        // Transpose each vector's four word-vectors into per-lane blocks.
-        for (&[c0, c1, c2, c3], out) in c.iter().zip(blocks.chunks_exact_mut(4)) {
-            let t0 = _mm256_unpacklo_epi64(c0, c1);
-            let t1 = _mm256_unpackhi_epi64(c0, c1);
-            let t2 = _mm256_unpacklo_epi64(c2, c3);
-            let t3 = _mm256_unpackhi_epi64(c2, c3);
-            let base = out.as_mut_ptr() as *mut __m256i;
-            _mm256_storeu_si256(base, _mm256_permute2x128_si256::<0x20>(t0, t2));
-            _mm256_storeu_si256(base.add(1), _mm256_permute2x128_si256::<0x20>(t1, t3));
-            _mm256_storeu_si256(base.add(2), _mm256_permute2x128_si256::<0x31>(t0, t2));
-            _mm256_storeu_si256(base.add(3), _mm256_permute2x128_si256::<0x31>(t1, t3));
-        }
-    }
-
-    #[inline]
-    pub fn philox4x64_word0_batch(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        lanes: &[u64],
-        out: &mut [u64],
-    ) {
-        debug_assert_eq!(lanes.len() % 4, 0);
-        debug_assert_eq!(out.len(), lanes.len());
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { philox4x64_word0_batch_impl(spec, key, ctr, lane_word, lanes, out) }
-    }
-
-    /// Eight lanes per sweep while they last, then four, as in
-    /// [`philox4x64_batch_impl`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn philox4x64_word0_batch_impl(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        lanes: &[u64],
-        out: &mut [u64],
-    ) {
-        let products = SharedProducts::new(spec, key, ctr, lane_word);
-        let n8 = lanes.len() & !7;
-        for (chunk, words) in lanes[..n8].chunks_exact(8).zip(out[..n8].chunks_exact_mut(8)) {
-            sweep_word0::<2>(spec, key, ctr, lane_word, &products, chunk, words);
-        }
-        for (chunk, words) in lanes[n8..].chunks_exact(4).zip(out[n8..].chunks_exact_mut(4)) {
-            sweep_word0::<1>(spec, key, ctr, lane_word, &products, chunk, words);
-        }
-    }
-
-    /// Word 0 of the blocks of `N` vectors of four lanes: every round but
-    /// the last in full, then the last round's `M1·c2` high half, stored
-    /// straight from the word-0 vector.
-    ///
-    /// # Safety
-    ///
-    /// As [`sweep`]: AVX2, and 4-lane `chunks_exact` pieces throughout.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sweep_word0<const N: usize>(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        products: &SharedProducts,
-        chunk: &[u64],
-        words: &mut [u64],
-    ) {
-        debug_assert!(chunk.len() == 4 * N && words.len() == 4 * N);
-        let full = spec.rounds.saturating_sub(1);
-        let (mut c, k0) = rounds::<N>(spec, key, ctr, lane_word, products, chunk, full);
-        if spec.rounds > 0 {
-            let lo32 = _mm256_set1_epi64x(LO32 as i64);
-            let m1_lo = _mm256_set1_epi64x((spec.m1 & LO32) as i64);
-            let m1_hi = _mm256_set1_epi64x((spec.m1 >> 32) as i64);
-            for w in c.iter_mut() {
-                let (hi1, _) = mulhilo(m1_lo, m1_hi, w[2], lo32);
-                w[0] = _mm256_xor_si256(_mm256_xor_si256(hi1, w[1]), k0);
-            }
-        }
-        for (w, out) in c.iter().zip(words.chunks_exact_mut(4)) {
-            _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, w[0]);
-        }
-    }
-
-    /// The counter words of `N` vectors of four lanes after `count` full
-    /// rounds, and the first key word the next round would use.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2; `chunk` holds `4·N` lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn rounds<const N: usize>(
-        spec: PhiloxSpec,
-        key: [u64; 2],
-        ctr: [u64; 4],
-        lane_word: usize,
-        products: &SharedProducts,
-        chunk: &[u64],
-        count: u32,
-    ) -> ([[__m256i; 4]; N], __m256i) {
-        let lo32 = _mm256_set1_epi64x(LO32 as i64);
-        let m0_lo = _mm256_set1_epi64x((spec.m0 & LO32) as i64);
-        let m0_hi = _mm256_set1_epi64x((spec.m0 >> 32) as i64);
-        let m1_lo = _mm256_set1_epi64x((spec.m1 & LO32) as i64);
-        let m1_hi = _mm256_set1_epi64x((spec.m1 >> 32) as i64);
-        let w0 = _mm256_set1_epi64x(spec.w0 as i64);
-        let w1 = _mm256_set1_epi64x(spec.w1 as i64);
-        let shared = [
-            _mm256_set1_epi64x(ctr[0] as i64),
-            _mm256_set1_epi64x(ctr[1] as i64),
-            _mm256_set1_epi64x(ctr[2] as i64),
-            _mm256_set1_epi64x(ctr[3] as i64),
-        ];
-        // Select the loaded lane word by value, not by a runtime index
-        // into the state, which would keep the state in memory across
-        // every round.
-        let mut c = [shared; N];
-        for (words, lanes) in c.iter_mut().zip(chunk.chunks_exact(4)) {
-            let loaded = _mm256_loadu_si256(lanes.as_ptr() as *const __m256i);
-            for (w, word) in words.iter_mut().enumerate() {
-                if w == lane_word {
-                    *word = loaded;
-                }
-            }
-        }
-        let mut k0 = _mm256_set1_epi64x(key[0] as i64);
-        let mut k1 = _mm256_set1_epi64x(key[1] as i64);
-        let splat = |(hi, lo): Wide| (_mm256_set1_epi64x(hi as i64), _mm256_set1_epi64x(lo as i64));
-        for r in 0..count as usize {
-            let (shared0, shared1) = products.at(r);
-            for words in c.iter_mut() {
-                let [c0, c1, c2, c3] = *words;
-                let (hi0, lo0) = shared0.map_or_else(|| mulhilo(m0_lo, m0_hi, c0, lo32), splat);
-                let (hi1, lo1) = shared1.map_or_else(|| mulhilo(m1_lo, m1_hi, c2, lo32), splat);
-                *words = [
-                    _mm256_xor_si256(_mm256_xor_si256(hi1, c1), k0),
-                    lo1,
-                    _mm256_xor_si256(_mm256_xor_si256(hi0, c3), k1),
-                    lo0,
-                ];
-            }
-            k0 = _mm256_add_epi64(k0, w0);
-            k1 = _mm256_add_epi64(k1, w1);
-        }
-        (c, k0)
-    }
-
-    /// Exact `u64 → f64`: exponent-bias decomposition into a high part
-    /// (`2⁸⁴ + hi·2³²`) and a low part (`2⁵² + lo`), both exact, combined
-    /// with one rounding — equal to Rust's `as f64` for every input.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn u64_to_f64(v: __m256i, lo32: __m256i) -> __m256d {
-        let hi_magic = _mm256_set1_epi64x(0x4530_0000_0000_0000);
-        let lo_magic = _mm256_set1_epi64x(0x4330_0000_0000_0000);
-        // 2⁸⁴ + 2⁵²: the value the biased high part must shed.
-        let offset = _mm256_set1_pd(19342813118337666422669312.0);
-        let v_hi = _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64::<32>(v), hi_magic));
-        let v_lo = _mm256_castsi256_pd(_mm256_or_si256(_mm256_and_si256(v, lo32), lo_magic));
-        _mm256_add_pd(_mm256_sub_pd(v_hi, offset), v_lo)
-    }
-
-    #[inline]
-    pub fn affine_fill(a: f64, b: f64, start: u64, out: &mut [f64]) {
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { affine_fill_impl(a, b, start, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn affine_fill_impl(a: f64, b: f64, start: u64, out: &mut [f64]) {
-        let lo32 = _mm256_set1_epi64x(LO32 as i64);
-        let a_v = _mm256_set1_pd(a);
-        let b_v = _mm256_set1_pd(b);
-        let step = _mm256_set1_epi64x(4);
-        let mut idx =
-            _mm256_add_epi64(_mm256_set1_epi64x(start as i64), _mm256_setr_epi64x(0, 1, 2, 3));
-        let n4 = out.len() & !3;
-        let mut j = 0;
-        while j < n4 {
-            let x = u64_to_f64(idx, lo32);
-            _mm256_storeu_pd(out.as_mut_ptr().add(j), _mm256_add_pd(_mm256_mul_pd(a_v, x), b_v));
-            idx = _mm256_add_epi64(idx, step);
-            j += 4;
-        }
-        for (j, slot) in out[n4..].iter_mut().enumerate() {
-            *slot = a * (start + (n4 + j) as u64) as f64 + b;
-        }
-    }
-
-    #[inline]
-    pub fn monomial_fill(a: f64, k: u32, start: u64, out: &mut [f64]) {
-        // SAFETY: the public wrapper verified AVX2 availability.
-        unsafe { monomial_fill_impl(a, k, start, out) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn monomial_fill_impl(a: f64, k: u32, start: u64, out: &mut [f64]) {
-        let lo32 = _mm256_set1_epi64x(LO32 as i64);
-        let a_v = _mm256_set1_pd(a);
-        let step = _mm256_set1_epi64x(4);
-        let mut idx =
-            _mm256_add_epi64(_mm256_set1_epi64x(start as i64), _mm256_setr_epi64x(0, 1, 2, 3));
-        let n4 = out.len() & !3;
-        let mut j = 0;
-        while j < n4 {
-            let x = u64_to_f64(idx, lo32);
-            let v = match k {
-                1 => _mm256_mul_pd(a_v, x),
-                2 => _mm256_mul_pd(a_v, _mm256_mul_pd(x, x)),
-                3 => {
-                    let x2 = _mm256_mul_pd(x, x);
-                    _mm256_mul_pd(a_v, _mm256_mul_pd(x, x2))
-                }
-                _ => {
-                    let x2 = _mm256_mul_pd(x, x);
-                    _mm256_mul_pd(a_v, _mm256_mul_pd(x2, x2))
-                }
-            };
-            _mm256_storeu_pd(out.as_mut_ptr().add(j), v);
-            idx = _mm256_add_epi64(idx, step);
-            j += 4;
-        }
-        for (j, slot) in out[n4..].iter_mut().enumerate() {
-            let x = (start + (n4 + j) as u64) as f64;
-            *slot = match k {
-                1 => a * x,
-                2 => a * (x * x),
-                3 => {
-                    let x2 = x * x;
-                    a * (x * x2)
-                }
-                _ => {
-                    let x2 = x * x;
-                    a * (x2 * x2)
-                }
-            };
-        }
-    }
-}
-
-/// The AVX-512 arm of the Philox keystream: identical partial-product
-/// decomposition to the AVX2 arm, widened to eight lanes per vector
-/// (`_mm512_mul_epu32` needs only `avx512f`). Must only be reached
-/// through the public wrappers, which verify availability via
-/// [`resolved`].
+/// The AVX-512 arm: eight lanes per vector, every function compiled with
+/// `#[target_feature(enable = "avx512f")]`. Must only be reached through
+/// the public wrappers, which verify availability via
+/// [`Dispatch::resolve`].
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
@@ -1012,9 +557,9 @@ mod avx512 {
     const LO32: u64 = 0xFFFF_FFFF;
 
     /// Full 64×64→128 multiply of a pre-split scalar constant against a
-    /// lane vector — the 512-bit twin of the AVX2 `mulhilo`, same partial
-    /// products and carry chain, bit-identical to the scalar `u128`
-    /// widening multiply. `_mm512_mul_epu32` reads only the low dword of
+    /// lane vector, via four 32×32→64 partial products with exact carry
+    /// propagation — bit-identical to the scalar `u128` widening
+    /// multiply. `_mm512_mul_epu32` reads only the low dword of
     /// each lane, so `b` needs no mask for its low half.
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -1064,9 +609,10 @@ mod avx512 {
         unsafe { philox4x64_batch_impl(spec, key, ctr, lane_word, lanes, out) }
     }
 
-    /// Sixteen lanes (two vectors) per sweep while they last, to hide the
-    /// multiply-chain latency as in the AVX2 arm; then one vector for an
-    /// 8-lane rest.
+    /// Sixteen lanes (two vectors) per sweep while they last: the rounds
+    /// are one long multiply chain per vector, and a second independent
+    /// chain in flight hides its latency. Then one vector for an 8-lane
+    /// rest.
     #[target_feature(enable = "avx512f")]
     unsafe fn philox4x64_batch_impl(
         spec: PhiloxSpec,
@@ -1472,9 +1018,6 @@ mod tests {
 
     fn both_arms() -> Vec<Dispatch> {
         let mut arms = vec![Dispatch::Scalar];
-        if Dispatch::Avx2.is_available() {
-            arms.push(Dispatch::Avx2);
-        }
         if Dispatch::Avx512.is_available() {
             arms.push(Dispatch::Avx512);
         }
@@ -1512,10 +1055,7 @@ mod tests {
                         c[lane_word] = v;
                         assert_eq!(scalar[i], philox_scalar(SPEC, key, c), "scalar batch lane {i}");
                     }
-                    for d in [Dispatch::Avx2, Dispatch::Avx512] {
-                        if !d.is_available() {
-                            continue;
-                        }
+                    for d in both_arms() {
                         let mut vector = vec![[0u64; 4]; width];
                         philox4x64_batch(d, SPEC, key, ctr, lane_word, &lanes, &mut vector);
                         assert_eq!(
@@ -1729,40 +1269,29 @@ mod tests {
     }
 
     #[test]
-    fn fills_match_pointwise_bitwise() {
-        for d in both_arms() {
-            let mut out = vec![0.0; 37];
-            // Bases beyond 2⁵³ exercise the exact-conversion rounding.
-            for start in [0u64, 17, 1 << 40, (1 << 53) + 12_345, u64::MAX - 100] {
-                affine_fill(d, 2.5, 0.75, start, &mut out);
-                for (j, v) in out.iter().enumerate() {
-                    let expect = 2.5 * (start + j as u64) as f64 + 0.75;
-                    assert_eq!(v.to_bits(), expect.to_bits(), "{d:?} affine at {start}+{j}");
-                }
-                for k in 1..=4u32 {
-                    monomial_fill(d, 1.5, k, start, &mut out);
-                    for (j, v) in out.iter().enumerate() {
-                        let x = (start + j as u64) as f64;
-                        let expect = 1.5 * x.powi(k as i32);
-                        assert_eq!(v.to_bits(), expect.to_bits(), "{d:?} k={k} at {start}+{j}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn env_override_is_honored() {
         // `detect` reads the environment on every call (only `global`
         // caches), so the override can be probed directly.
         std::env::set_var(DISPATCH_ENV, "scalar");
         assert_eq!(Dispatch::detect(), Dispatch::Scalar);
-        std::env::set_var(DISPATCH_ENV, "avx2");
-        let d = Dispatch::detect();
-        assert!(d == Dispatch::Avx2 || !avx2_available());
         std::env::set_var(DISPATCH_ENV, "avx512");
-        let d = Dispatch::detect();
-        assert!(d == Dispatch::Avx512 || !avx512_available());
+        assert_eq!(Dispatch::detect(), Dispatch::Avx512.resolve());
+        assert_eq!(Dispatch::env_override(), Ok(Some(Dispatch::Avx512)));
+        std::env::set_var(DISPATCH_ENV, "auto");
+        assert_eq!(Dispatch::env_override(), Ok(None));
+        assert_eq!(Dispatch::detect(), Dispatch::Avx512.resolve());
+        // A value that names no arm (`avx2` among them) is an error to a
+        // front end and detection to `detect`.
+        for bad in ["avx2", "AVX512", ""] {
+            std::env::set_var(DISPATCH_ENV, bad);
+            let err = Dispatch::env_override().expect_err("not an arm");
+            assert!(
+                err.contains(&format!("{bad:?}")) && err.contains("scalar|avx512|auto"),
+                "{err}"
+            );
+            assert_eq!(Dispatch::detect(), Dispatch::Avx512.resolve());
+        }
         std::env::remove_var(DISPATCH_ENV);
+        assert_eq!(Dispatch::env_override(), Ok(None));
     }
 }

@@ -27,7 +27,7 @@ use congames::dynamics::{
     RoundRecord, RunSummary, ScalarStats, Simulation, StopCondition, StopSpec,
 };
 use congames::model::{average_latency, potential, LinearSingleton, ResourceId};
-use congames::sampling::{DrawStream, RngMode};
+use congames::sampling::{Dispatch, DrawStream, RngMode};
 use congames::scenario::{trace::parse_trace, Schedule, ScheduleCursor};
 use congames::RecordConfig;
 use congames::{Affine, CongestionGame, State};
@@ -89,6 +89,8 @@ shard of a distributed run. --shock-csv (single runs only) records every
 round and writes the per-shock re-convergence summary as CSV.";
 
 fn run(args: &[String]) -> Result<(), String> {
+    // A `CONGAMES_SIMD` typo would otherwise run the detected arm silently.
+    Dispatch::env_override()?;
     let cmd = args.first().ok_or("missing subcommand")?.as_str();
     if cmd == "merge" {
         // Merge is self-describing: everything comes from the shard files.

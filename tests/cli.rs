@@ -252,3 +252,41 @@ fn lanes_flag_is_inert() {
     assert!(stderr.contains("--lanes must be one of 8, 16, 32, 64 (got 12)"), "{stderr}");
     assert!(out.stdout.is_empty(), "nothing may be printed");
 }
+
+/// `CONGAMES_SIMD` must name an arm: any other value (`avx2` among them)
+/// fails every subcommand before anything is printed, instead of falling
+/// back to detection silently. The three accepted values run and print
+/// the same report.
+#[test]
+fn unknown_simd_arm_is_rejected_before_any_output() {
+    let with_arm = |arm: &str, args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_congames"))
+            .args(args)
+            .env("CONGAMES_SIMD", arm)
+            .output()
+            .expect("the binary runs")
+    };
+    let sweep = [&["run"][..], &SWEEP, &["--rng", "counter", "--engine", "player"]].concat();
+    for arm in ["avx2", "AVX512", "fast", ""] {
+        for args in [&sweep[..], &["params", "--links", "1,2", "--players", "10"], &["merge"]] {
+            let out = with_arm(arm, args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{arm:?} {args:?} must fail");
+            assert!(
+                stderr.contains(&format!("CONGAMES_SIMD={arm:?} names no SIMD arm"))
+                    && stderr.contains("scalar|avx512|auto"),
+                "{arm:?} {args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{arm:?} {args:?}: nothing may be printed");
+        }
+    }
+    let reports: Vec<Vec<u8>> = ["scalar", "avx512", "auto"]
+        .iter()
+        .map(|arm| {
+            let out = with_arm(arm, &sweep);
+            assert!(out.status.success(), "{arm}: {}", String::from_utf8_lossy(&out.stderr));
+            out.stdout
+        })
+        .collect();
+    assert!(reports.windows(2).all(|w| w[0] == w[1]), "the arms printed different reports");
+}

@@ -1,29 +1,27 @@
 //! Property pins for the SIMD dispatch layer.
 //!
-//! The `congames-simd` contract is **bit-identity across dispatch arms**:
-//! integer kernels (the batched Philox keystream) compute the exact same
-//! words in every arm, and float kernels vectorize *across* elements only
-//! — each element's own operation sequence is unchanged, so no
-//! reassociation and no bit drift. This suite pins both halves of that
-//! contract:
+//! The `congames-simd` contract is **bit-identity across dispatch arms**
+//! (`scalar` and `avx512`): the batched Philox keystream computes the
+//! exact same words in both arms, and the player round's compaction and
+//! imitation decision pick the same movers. This suite pins that contract:
 //!
 //! * [`counter_blocks`] (the across-trial Philox sweep) equals the scalar
 //!   random-access reference [`CounterRng::at`] word for word, over random
 //!   keys, counter addresses, trial counts (covering every vector-width
-//!   tail: the 8-, 4-, and 1-lane remainders), and trial strides — in
-//!   **every** dispatch arm the host can run;
+//!   tail: the 16- and 8-lane sweeps and the scalar remainder), and trial
+//!   strides — in **every** dispatch arm the host can run;
 //! * [`counter_site_blocks`] (the across-site sweep behind the
 //!   player-level kernel's `DrawRng::site_blocks`) equals the same
 //!   reference over random keys, trials, rounds and site lists of every
 //!   length 0–19, in every arm;
 //! * a counter-mode sweep of either engine, run by the `congames` binary
-//!   under each vector arm (`CONGAMES_SIMD`, read once per process),
+//!   under the vector arm (`CONGAMES_SIMD`, read once per process),
 //!   writes the same shard file, byte for byte, as under forced-scalar
 //!   dispatch.
 //!
-//! Arms the host CPU cannot execute resolve to the next-best arm (that
+//! An arm the host CPU cannot execute resolves to scalar (that
 //! degradation is part of the dispatch contract), so the suite is
-//! meaningful — if weaker — on machines without AVX2/AVX-512.
+//! meaningful — if weaker — on machines without AVX-512.
 //! Seeds in `proptest-regressions/prop_simd.txt` replay pinned cases
 //! before the random ones on every run.
 
@@ -37,13 +35,11 @@ use proptest::prelude::*;
 const ROUNDS: &str = "12";
 
 /// Every dispatch value worth forcing on this host: scalar always, plus
-/// each vector arm that resolves to itself (i.e. that the CPU can run).
+/// the vector arm if it resolves to itself (i.e. the CPU can run it).
 fn arms() -> Vec<Dispatch> {
     let mut arms = vec![Dispatch::Scalar];
-    for d in [Dispatch::Avx2, Dispatch::Avx512] {
-        if d.resolve() == d {
-            arms.push(d);
-        }
+    if Dispatch::Avx512.resolve() == Dispatch::Avx512 {
+        arms.push(Dispatch::Avx512);
     }
     arms
 }
@@ -52,7 +48,6 @@ fn arms() -> Vec<Dispatch> {
 fn env_name(d: Dispatch) -> &'static str {
     match d {
         Dispatch::Scalar => "scalar",
-        Dispatch::Avx2 => "avx2",
         Dispatch::Avx512 => "avx512",
     }
 }
@@ -112,8 +107,8 @@ proptest! {
     }
 
     /// The site-batched sweep equals the scalar random-access reference
-    /// word for word, in every arm, at every length 0–19 (so the 16-, 8-
-    /// and 4-lane sweeps and the scalar tail all run).
+    /// word for word, in every arm, at every length 0–19 (so the 16- and
+    /// 8-lane sweeps and the scalar tail all run).
     #[test]
     fn site_batched_philox_matches_scalar(
         base_seed in any::<u64>(),
@@ -136,9 +131,9 @@ proptest! {
         }
     }
 
-    /// A sweep stepped under each vector arm — the aggregate engine's
-    /// batched latency fills, and the player engine's site-batched Philox
-    /// sweeps, compaction and imitation decisions — realizes the
+    /// A sweep stepped under the vector arm — the player engine's
+    /// site-batched Philox sweeps, compaction and imitation decisions, and
+    /// the aggregate engine, which runs no vector kernel — realizes the
     /// forced-scalar reduction bit for bit.
     #[test]
     fn simd_step_matches_scalar_dispatch(
