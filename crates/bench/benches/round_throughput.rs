@@ -62,8 +62,8 @@ fn bench_rounds(c: &mut Criterion) {
 /// and the support-index origin iteration also cut the dense
 /// `round/aggregate/n10000_m64` two-hot case 369 → 140 ns/round (2.6×).
 /// The player-level twin stays `O(n)` (≈ 21–22 µs for n = 4096; its μ
-/// memo is dense at S = 1024 — the LRU row tier only engages above
-/// `2·S² > 2²¹`).
+/// table covers S = 1024 — only a class with `2·S² > 2²¹` evaluates μ
+/// per decision).
 fn bench_sparse_rounds(c: &mut Criterion) {
     let s = 1024usize;
     let k = 8usize;

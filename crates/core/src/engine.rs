@@ -93,264 +93,11 @@ impl PairBuffer {
     }
 }
 
-/// Counters of the player-level kernel's μ-memo **LRU row tier** (see
-/// [`Simulation::with_mu_memo_capacity`] for the tier split). Classes
-/// whose full dense table fits the slot budget use the counter-free dense
-/// path and leave these at zero; classes above the budget — which
-/// previously skipped memoization outright — account every lookup here.
-///
-/// All counters accumulate over the simulation's lifetime; they are
-/// diagnostics only and never influence the dynamics (memoized μ values
-/// are bit-identical to recomputation by construction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MuMemoStats {
-    /// Memoized μ values served without recomputation.
-    pub slot_hits: u64,
-    /// μ values computed (and stored in the looked-up row).
-    pub slot_misses: u64,
-    /// Origin-row lookups that found the origin's row already assigned.
-    pub row_hits: u64,
-    /// Fresh origin-row assignments (one per distinct origin per class
-    /// visit, as long as the pool has free rows).
-    pub row_allocs: u64,
-    /// Least-recently-used rows reassigned to a different origin because
-    /// the pool was full.
-    pub evictions: u64,
-}
-
-/// Two-tier μ memo for the player-level kernel.
-///
-/// * **Dense tier** — classes whose full table (`2·S_c²` slots, indexed
-///   `is_explore·S_c² + from_local·S_c + to_local`) fits the slot budget:
-///   one stamp compare per lookup, no bookkeeping. This is the common
-///   case and costs exactly what the pre-LRU dense memo did. Its first
-///   `S_c²` values are the imitation μ matrix, which the pure-imitation
-///   decide kernel reads as a plain `f64` table.
-/// * **LRU row tier** — classes above the budget (network games with
-///   thousands of paths) get one *row* per origin strategy actually
-///   visited, holding that origin's `2·S_c` destination slots. Origins
-///   are always in the support (players sit on them), so a near-converged
-///   round touches `support_c` rows, not `S_c`; the pool is bounded by
-///   `capacity / (2·S_c)` rows managed least-recently-used. Such classes
-///   previously skipped memoization entirely.
-///
-/// Freshness is stamp-based so nothing is ever cleared: class visits and
-/// row assignments draw from one monotone counter, and a slot is fresh
-/// iff it carries the stamp of the current visit (dense) or of its row's
-/// current assignment (rows). Stamps are globally unique, so a stale
-/// entry — even one written by the other tier — can never false-hit.
-/// Memoization is invisible to the dynamics: μ is a pure function of the
-/// pre-round state, so hit/miss/eviction patterns cannot change a single
-/// bit of the trajectory.
-#[derive(Debug)]
-struct MuTable {
-    /// Stamp and μ per slot, in two parallel arrays so a kernel can read
-    /// the μ values as one `f64` slice. Grown lazily (full table for
-    /// dense classes, row by row for LRU classes), so small supports in
-    /// huge classes never touch the full budget.
-    stamps: Vec<u64>,
-    mu: Vec<f64>,
-    /// Monotone stamp source shared by class visits and row assignments.
-    next_stamp: u64,
-    /// Stamp of the current class visit.
-    current: u64,
-    /// Whether the current class uses the dense tier.
-    dense: bool,
-    /// `(visit stamp, row)` per origin local id; valid iff the stamp is
-    /// the current visit's.
-    row_of: Vec<(u64, u32)>,
-    /// Owning origin local id per pooled row.
-    row_origin: Vec<u32>,
-    /// Current assignment stamp per pooled row.
-    row_tag: Vec<u64>,
-    /// Intrusive LRU list over the rows claimed this visit.
-    lru_prev: Vec<u32>,
-    lru_next: Vec<u32>,
-    head: u32,
-    tail: u32,
-    /// Rows of the pool claimed this visit.
-    rows_in_use: u32,
-    /// Slots per row (`2·S_c`), set by [`MuTable::begin`].
-    row_len: usize,
-    /// Row-pool bound for the current class, set by [`MuTable::begin`].
-    max_rows: usize,
-    /// Slot budget (default [`MU_TABLE_MAX`]; see
-    /// [`Simulation::with_mu_memo_capacity`]).
-    capacity: usize,
-    stats: MuMemoStats,
-}
-
-/// Sentinel for "no row" in the LRU links.
-const NO_ROW: u32 = u32::MAX;
-
-/// Default μ-memo slot budget: 2²¹ slots ≈ 32 MiB of stamps and μ values.
+/// Most μ values the player-level kernel keeps per class visit (2²¹,
+/// 16 MiB). A class whose `2·S_c²` values fit gets them written once per
+/// visit by [`PlayerDecider::fill_rows`]; a larger class evaluates μ at
+/// each decision.
 const MU_TABLE_MAX: usize = 1 << 21;
-
-impl Default for MuTable {
-    fn default() -> Self {
-        MuTable {
-            stamps: Vec::new(),
-            mu: Vec::new(),
-            next_stamp: 0,
-            current: 0,
-            dense: false,
-            row_of: Vec::new(),
-            row_origin: Vec::new(),
-            row_tag: Vec::new(),
-            lru_prev: Vec::new(),
-            lru_next: Vec::new(),
-            head: NO_ROW,
-            tail: NO_ROW,
-            rows_in_use: 0,
-            row_len: 0,
-            max_rows: 0,
-            capacity: MU_TABLE_MAX,
-            stats: MuMemoStats::default(),
-        }
-    }
-}
-
-impl MuTable {
-    /// Start a new class visit for a class with `s_c` strategies, picking
-    /// the tier. Returns `false` if not even one origin row fits the slot
-    /// budget (memoization disabled; recomputing μ stays cheap thanks to
-    /// the state's latency cache).
-    fn begin(&mut self, s_c: usize) -> bool {
-        self.next_stamp += 1;
-        self.current = self.next_stamp;
-        let dense_slots = s_c.saturating_mul(s_c).saturating_mul(2);
-        if dense_slots <= self.capacity {
-            self.dense = true;
-            self.grow(dense_slots);
-            return true;
-        }
-        self.dense = false;
-        self.rows_in_use = 0;
-        self.head = NO_ROW;
-        self.tail = NO_ROW;
-        self.row_len = 2 * s_c;
-        self.max_rows = self.capacity / self.row_len; // < s_c by the tier split
-        if self.max_rows == 0 {
-            return false;
-        }
-        if self.row_of.len() < s_c {
-            // Stamp-0 entries never match (stamps start at 1).
-            self.row_of.resize(s_c, (0, 0));
-        }
-        true
-    }
-
-    /// LRU tier: the row of origin `from_local`, claiming (or evicting)
-    /// one if the origin has none this visit. Touches the row to
-    /// most-recent.
-    fn row_for(&mut self, from_local: usize) -> usize {
-        let (stamp, r) = self.row_of[from_local];
-        if stamp == self.current {
-            self.stats.row_hits += 1;
-            if self.head != r {
-                self.unlink(r);
-                self.push_front(r);
-            }
-            return r as usize;
-        }
-        let r = if (self.rows_in_use as usize) < self.max_rows {
-            let r = self.rows_in_use;
-            self.rows_in_use += 1;
-            let ri = r as usize;
-            self.grow((ri + 1) * self.row_len);
-            if self.row_origin.len() <= ri {
-                self.row_origin.resize(ri + 1, 0);
-                self.row_tag.resize(ri + 1, 0);
-                self.lru_prev.resize(ri + 1, NO_ROW);
-                self.lru_next.resize(ri + 1, NO_ROW);
-            }
-            self.stats.row_allocs += 1;
-            r
-        } else {
-            // Pool full: reassign the least-recently-used row. Every
-            // pooled row was claimed this visit, so its origin mapping is
-            // current and must be orphaned.
-            let r = self.tail;
-            self.unlink(r);
-            self.row_of[self.row_origin[r as usize] as usize] = (0, 0);
-            self.stats.evictions += 1;
-            r
-        };
-        self.next_stamp += 1;
-        self.row_tag[r as usize] = self.next_stamp;
-        self.row_origin[r as usize] = from_local as u32;
-        self.row_of[from_local] = (self.current, r);
-        self.push_front(r);
-        r as usize
-    }
-
-    /// LRU tier: memoized μ of `(from_local, to_local, is_explore)`,
-    /// computing and storing it on a miss. Kept out of line so the dense
-    /// tier's hot loop stays small.
-    #[inline(never)]
-    fn row_mu(
-        &mut self,
-        from_local: usize,
-        to_local: usize,
-        is_explore: bool,
-        compute: impl FnOnce() -> f64,
-    ) -> f64 {
-        let row = self.row_for(from_local);
-        let slot = row * self.row_len + to_local * 2 + is_explore as usize;
-        let tag = self.row_tag[row];
-        if self.stamps[slot] == tag {
-            self.stats.slot_hits += 1;
-            self.mu[slot]
-        } else {
-            self.stats.slot_misses += 1;
-            let mu = compute();
-            self.set(slot, tag, mu);
-            mu
-        }
-    }
-
-    /// Grow the slot arrays to at least `slots` entries. Stamp 0 never
-    /// matches (stamps start at 1), so new slots are stale.
-    fn grow(&mut self, slots: usize) {
-        if self.stamps.len() < slots {
-            self.stamps.resize(slots, 0);
-            self.mu.resize(slots, 0.0);
-        }
-    }
-
-    /// Stamp slot `slot` with `stamp` and store its μ.
-    #[inline(always)]
-    fn set(&mut self, slot: usize, stamp: u64, mu: f64) {
-        self.stamps[slot] = stamp;
-        self.mu[slot] = mu;
-    }
-
-    fn unlink(&mut self, r: u32) {
-        let (p, n) = (self.lru_prev[r as usize], self.lru_next[r as usize]);
-        if p == NO_ROW {
-            self.head = n;
-        } else {
-            self.lru_next[p as usize] = n;
-        }
-        if n == NO_ROW {
-            self.tail = p;
-        } else {
-            self.lru_prev[n as usize] = p;
-        }
-    }
-
-    fn push_front(&mut self, r: u32) {
-        self.lru_prev[r as usize] = NO_ROW;
-        self.lru_next[r as usize] = self.head;
-        if self.head != NO_ROW {
-            self.lru_prev[self.head as usize] = r;
-        }
-        self.head = r;
-        if self.tail == NO_ROW {
-            self.tail = r;
-        }
-    }
-}
 
 /// Movable players whose first Philox words the counter-mode player walk
 /// fetches and decides per batch.
@@ -361,14 +108,16 @@ const SITE_CHUNK: usize = 256;
 /// movable-origin mask and every decision evaluate, so the two agree bit
 /// for bit.
 ///
-/// Two decision paths share it. On an addressed (counter-mode) stream,
-/// [`PlayerDecider::fill_rows`] evaluates μ once per class visit into the
-/// dense tier's rows and reads the movable mask off them. A
+/// μ has two sources: the class's μ table, which
+/// [`PlayerDecider::fill_rows`] writes once per class visit when its
+/// `2·S_c²` values fit [`MU_TABLE_MAX`] (`tabled`), or an evaluation at
+/// each decision. Two decision paths share it. On an addressed
+/// (counter-mode) stream, `fill_rows` also builds the movable mask. A
 /// pure-imitation class then decides its movable players from word 0 of
 /// their Philox blocks with `congames_simd::imitation_decide` (the
-/// vector kernel over the dense μ matrix) or `imitation_decide_with` (μ
-/// from the LRU or no-memo tier), and a class with an exploration
-/// component decides each chunk from its blocks with
+/// vector kernel over the table's imitation matrix) or
+/// `imitation_decide_with` (μ evaluated per decision), and a class with an
+/// exploration component decides each chunk from its blocks with
 /// [`PlayerDecider::decide_chunk`]: the decisions are branch-free, and
 /// only the migrations are written out. [`PlayerDecider::decide`] is the
 /// sequential path — one player at a time from the stream, as a xoshiro
@@ -393,8 +142,8 @@ struct PlayerDecider<'a> {
     real_pool: u64,
     /// `real_pool`, plus one virtual agent per strategy when they are on.
     pool: u64,
-    memoize: bool,
-    dense_memo: bool,
+    /// Whether the class's μ values live in the table.
+    tabled: bool,
 }
 
 impl PlayerDecider<'_> {
@@ -423,10 +172,10 @@ impl PlayerDecider<'_> {
         }
     }
 
-    /// The dense tier's slot of `(from_local, to_local, is_explore)`, as a
-    /// closure that owns the class size so a hot loop keeps it in a
-    /// register: the imitation matrix first, the exploration one after it.
-    fn dense_index(&self) -> impl Fn(usize, usize, bool) -> usize + Copy {
+    /// The table slot of `(from_local, to_local, is_explore)`, as a closure
+    /// that owns the class size so a hot loop keeps it in a register: the
+    /// imitation matrix first, the exploration one after it.
+    fn table_index(&self) -> impl Fn(usize, usize, bool) -> usize + Copy {
         let s = self.s_c;
         move |from, to, is_explore| is_explore as usize * s * s + from * s + to
     }
@@ -444,28 +193,26 @@ impl PlayerDecider<'_> {
         }
     }
 
-    /// Movable-origin mask of class `class`, and, for a dense-tier class,
-    /// its μ rows: origin P is movable iff some destination the protocol
+    /// Movable-origin mask of class `class`, and, for a tabled class, its
+    /// μ table: origin P is movable iff some destination the protocol
     /// could hand a player on P has μ > 0 — an imitated agent's strategy
     /// (occupied, or any with virtual agents) or an explored one (any).
     /// Every outcome for a player on an immovable origin is "stay".
     ///
-    /// A dense-tier class evaluates μ once for every occupied origin ×
-    /// every such destination and writes it into the dense slots, so the
-    /// batch decisions that follow read every μ they need without a
-    /// freshness check and none is evaluated twice. Only μ is written: the
-    /// slots keep their older stamps, so the sequential
-    /// [`PlayerDecider::decide`] still treats them as misses and recomputes
-    /// the same value. Other tiers stop at an origin's
-    /// first positive μ and leave the memo untouched, so their counters
-    /// see only the decisions' lookups. Returns whether any origin is
-    /// movable.
-    fn fill_rows(&self, class: usize, mu_table: &mut MuTable, movable: &mut Vec<bool>) -> bool {
+    /// A tabled class evaluates μ once for every occupied origin × every
+    /// such destination and writes it into `table`, so every decision that
+    /// follows, on either path, reads each μ it needs and none is evaluated
+    /// twice. An untabled class stops at an origin's first positive μ.
+    /// Returns whether any origin is movable.
+    fn fill_rows(&self, class: usize, table: &mut Vec<f64>, movable: &mut Vec<bool>) -> bool {
         let (state, game) = (self.state, self.game);
         let all = || (self.first..self.first + self.s_c as u32).map(StrategyId::new);
         let imitates = self.imit.is_some() && self.pool > 0;
         let explores = self.explore_prob > 0.0;
-        let (dense, index) = (self.dense_memo, self.dense_index());
+        let (tabled, index) = (self.tabled, self.table_index());
+        if tabled && table.len() < 2 * self.s_c * self.s_c {
+            table.resize(2 * self.s_c * self.s_c, 0.0);
+        }
         let local = |s: StrategyId| (s.raw() - self.first) as usize;
         movable.clear();
         movable.resize(self.s_c, false);
@@ -473,14 +220,14 @@ impl PlayerDecider<'_> {
         for from in state.occupied_or_scan(game, class) {
             let mut can_move = false;
             // Visit one destination; `true` once the origin's answer is
-            // settled (never for a dense class, which fills whole rows).
+            // settled (never for a tabled class, which fills whole rows).
             let mut visit = |to: StrategyId, is_explore: bool| {
                 let mu = self.mu(from, to, is_explore);
-                if dense {
-                    mu_table.mu[index(local(from), local(to), is_explore)] = mu;
+                if tabled {
+                    table[index(local(from), local(to), is_explore)] = mu;
                 }
                 can_move |= mu > 0.0;
-                can_move && !dense
+                can_move && !tabled
             };
             let settled = imitates
                 && if self.virtual_agents() {
@@ -593,7 +340,7 @@ impl PlayerDecider<'_> {
     #[inline(always)]
     fn decide<W: RngCore>(
         &self,
-        mu_table: &mut MuTable,
+        table: &[f64],
         local: usize,
         from: u32,
         words: &mut W,
@@ -634,24 +381,10 @@ impl PlayerDecider<'_> {
         // avoids an unpredictable branch on a freshly gathered value.
         let from_local = (from - self.first) as usize;
         let to_local = (to - self.first) as usize;
-        let compute_mu = || self.mu(StrategyId::new(from), StrategyId::new(to), is_explore);
-        let mu = if self.dense_memo {
-            // Dense tier: one stamp compare, no bookkeeping — the exact
-            // pre-LRU hot path.
-            let slot = self.dense_index()(from_local, to_local, is_explore);
-            if mu_table.stamps[slot] == mu_table.current {
-                mu_table.mu[slot]
-            } else {
-                let mu = compute_mu();
-                mu_table.set(slot, mu_table.current, mu);
-                mu
-            }
-        } else if self.memoize {
-            // LRU row tier: support-keyed origin row + destination slot; the
-            // row's assignment stamp doubles as the freshness stamp.
-            mu_table.row_mu(from_local, to_local, is_explore, compute_mu)
+        let mu = if self.tabled {
+            table[self.table_index()(from_local, to_local, is_explore)]
         } else {
-            compute_mu()
+            self.mu(StrategyId::new(from), StrategyId::new(to), is_explore)
         };
         // Only the explore path draws its test word, and only when it can
         // matter; `u < μ` already fails for μ = 0, so the imitation path
@@ -732,7 +465,7 @@ pub(crate) fn validate_start(
 /// A running simulation: a game, a protocol, and the evolving state.
 ///
 /// Both round kernels are *zero-steady-state-allocation*: all per-round
-/// working memory (the CSR pair buffer, multinomial counts, the μ memo,
+/// working memory (the CSR pair buffer, multinomial counts, the μ table,
 /// move/commit buffers, and the state's latency cache) lives in reusable
 /// scratch owned by the simulation, so `step` touches the heap only while
 /// buffers warm up to their high-water marks. [`Simulation::reset`]
@@ -777,7 +510,9 @@ pub struct Simulation<'g> {
     migrations_buf: Vec<Migration>,
     pairs_buf: PairBuffer,
     counts_buf: Vec<u64>,
-    mu_table: MuTable,
+    /// The player-level kernel's μ table of the class being visited (see
+    /// [`PlayerDecider::fill_rows`]).
+    mu_table: Vec<f64>,
     moves_buf: Vec<(u64, u32)>,
     commit_buf: Vec<(u32, u32)>,
     /// Per-class movable-origin mask of the player-level kernel (indexed by
@@ -830,7 +565,7 @@ impl<'g> Simulation<'g> {
             migrations_buf: Vec::new(),
             pairs_buf: PairBuffer::default(),
             counts_buf: Vec::new(),
-            mu_table: MuTable::default(),
+            mu_table: Vec::new(),
             moves_buf: Vec::new(),
             commit_buf: Vec::new(),
             movable_buf: Vec::new(),
@@ -884,20 +619,19 @@ impl<'g> Simulation<'g> {
 
     /// Rewind this replica in place to round 0 of a new trial from
     /// `start`, as if it were `Simulation::new(game, protocol,
-    /// start.clone())` with the same engine, recording and μ-memo budget.
+    /// start.clone())` with the same engine and recording.
     ///
     /// Restored: the borrowed game the simulation was built on (a hook's
     /// mutated copy is dropped, and the protocol parameters and class
     /// offsets are rebuilt from the original), the counts and loads
     /// (copied into the existing storage), the start's latency cache and
     /// support index (copied when `start` has them built, rebuilt
-    /// otherwise), the potential, the round counter, the last round's
-    /// migrations, and the [`MuMemoStats`] counters. The attached hook is
-    /// dropped: hooks are one-trial cursors, so re-arm the next trial's
-    /// with [`Simulation::attach_hook`].
+    /// otherwise), the potential, the round counter and the last round's
+    /// migrations. The attached hook is dropped: hooks are one-trial
+    /// cursors, so re-arm the next trial's with [`Simulation::attach_hook`].
     ///
     /// Kept: every scratch buffer — the CSR pairs, multinomial counts,
-    /// migrations, the μ table (its stamps make old entries stale), the
+    /// migrations, the μ table (rewritten at every class visit), the
     /// move/commit/site buffers, and the player array's capacity (the
     /// array itself is rebuilt from the new counts by the next player
     /// round). A trial run after a reset is bit-identical to the same trial
@@ -931,24 +665,6 @@ impl<'g> Simulation<'g> {
         self.round = 0;
         self.last_migrations = 0;
         self.players_built = false;
-        self.mu_table.stats = MuMemoStats::default();
-    }
-
-    /// Bound the player-level kernel's μ memo to `slots` `(stamp, μ)`
-    /// pairs (default 2²¹ ≈ 32 MiB; 16 bytes each). Classes whose dense
-    /// table (`2·S_c²` slots) fits use it outright; larger classes fall
-    /// back to `slots / (2·S_c)` LRU-managed origin rows; `0` disables
-    /// memoization entirely. Purely a memory/speed trade-off —
-    /// trajectories are bit-identical for every capacity.
-    pub fn with_mu_memo_capacity(mut self, slots: usize) -> Self {
-        self.mu_table.capacity = slots;
-        self
-    }
-
-    /// Lifetime counters of the player-level kernel's μ memo (all zero
-    /// until a [`EngineKind::PlayerLevel`] round runs).
-    pub fn mu_memo_stats(&self) -> MuMemoStats {
-        self.mu_table.stats
     }
 
     /// The game's protocol parameters (`d`, `ν`, `β`, `ℓ_min`).
@@ -1260,11 +976,15 @@ impl<'g> Simulation<'g> {
     /// One player-level round: every player of every class decides under
     /// the pre-round state, then the class commits.
     ///
+    /// A class whose μ values fit [`MU_TABLE_MAX`] has them written into
+    /// the μ table by [`PlayerDecider::fill_rows`] at the start of its
+    /// visit, on either stream; a larger class evaluates μ per decision.
+    ///
     /// On an addressed (counter-mode) stream a class visit is one batch
-    /// pass. [`PlayerDecider::fill_rows`] fills the dense-tier μ rows and
-    /// reads the movable-origin mask off them, and the movable players'
-    /// sites are compacted (for a class of at most 64 strategies by
-    /// `congames_simd::compact_sites` against the mask as a bitmask).
+    /// pass. `fill_rows` also builds the movable-origin mask, and the
+    /// movable players' sites are compacted (for a class of at most 64
+    /// strategies by `congames_simd::compact_sites` against the mask as a
+    /// bitmask).
     /// Each [`SITE_CHUNK`] of them is then decided in one pass: a
     /// pure-imitation class fetches word 0 of each player's Philox block
     /// with one [`DrawRng::site_words`] call and decides the chunk with
@@ -1291,10 +1011,10 @@ impl<'g> Simulation<'g> {
         let addressed = rng.addressed();
         let dispatch = Dispatch::global();
         // Decisions all use the pre-round state; μ values repeat across
-        // players of one class, so memoize them in the dense epoch table.
-        // Classes modify disjoint player/strategy ranges, so each class can
-        // decide *and* commit before the next is visited.
-        let mut mu_table = std::mem::take(&mut self.mu_table);
+        // players of one class, so a class that fits writes them once into
+        // the μ table. Classes modify disjoint player/strategy ranges, so
+        // each class can decide *and* commit before the next is visited.
+        let mut table = std::mem::take(&mut self.mu_table);
         let mut moves = std::mem::take(&mut self.moves_buf);
         let mut commit = std::mem::take(&mut self.commit_buf);
         let mut movable = std::mem::take(&mut self.movable_buf);
@@ -1309,7 +1029,6 @@ impl<'g> Simulation<'g> {
             let s_c = class.num_strategies();
             let start = self.class_offsets[ci];
             let first = class.strategy_range().start;
-            let memoize = mu_table.begin(s_c);
             let mut moved = 0;
             {
                 let class_players = &self.players[start..start + n_c as usize];
@@ -1331,16 +1050,18 @@ impl<'g> Simulation<'g> {
                     self_exclude,
                     real_pool,
                     pool: real_pool + if virtual_agents { s_c as u64 } else { 0 },
-                    memoize,
-                    // Loop-invariant tier split, hoisted so the hot loop
-                    // branches on registers.
-                    dense_memo: memoize && mu_table.dense,
+                    tabled: s_c.saturating_mul(s_c) <= MU_TABLE_MAX / 2,
                 };
                 // Room for every player of the class to migrate.
                 if moves.len() < class_players.len() {
                     moves.resize(class_players.len(), (0, 0));
                 }
                 if !addressed {
+                    // Every player draws here, so only the table is used,
+                    // not the mask.
+                    if decider.tabled {
+                        decider.fill_rows(ci, &mut table, &mut movable);
+                    }
                     // Sequential streams ignore the site; a counter stream
                     // behind a wrapper that hides `addressed()` is still
                     // positioned at the global player index. Every player
@@ -1349,12 +1070,12 @@ impl<'g> Simulation<'g> {
                     for (local, &from) in class_players.iter().enumerate() {
                         let site = (start + local) as u64;
                         rng.begin_site(site);
-                        let to = decider.decide(&mut mu_table, local, from, rng);
+                        let to = decider.decide(&table, local, from, rng);
                         moves[moved] = (site, to.unwrap_or(from));
                         moved += to.is_some() as usize;
                     }
                 } else {
-                    if !decider.fill_rows(ci, &mut mu_table, &mut movable) {
+                    if !decider.fill_rows(ci, &mut table, &mut movable) {
                         continue;
                     }
                     // Compact the movable players' sites (the global player
@@ -1384,20 +1105,14 @@ impl<'g> Simulation<'g> {
                     let id = |local: usize| StrategyId::new(first + local as u32);
                     if explore_prob > 0.0 {
                         // Fetch each chunk's first Philox blocks in one call
-                        // and decide the chunk from them in one pass,
-                        // reading μ from the class's tier.
+                        // and decide the chunk from them in one pass.
                         blocks.resize(SITE_CHUNK, [0; 4]);
                         for chunk in sites[..k].chunks(SITE_CHUNK) {
                             let chunk_blocks = &mut blocks[..chunk.len()];
                             rng.site_blocks(chunk, chunk_blocks);
-                            moved = if decider.dense_memo {
-                                let (mu, index) = (&mu_table.mu[..], decider.dense_index());
+                            moved = if decider.tabled {
+                                let (mu, index) = (&table[..], decider.table_index());
                                 let mu_of = move |f, t, e| mu[index(f, t, e)];
-                                decider.decide_chunk(chunk, chunk_blocks, mu_of, &mut moves, moved)
-                            } else if decider.memoize {
-                                let mu_of = |f, t, e| {
-                                    mu_table.row_mu(f, t, e, || decider.mu(id(f), id(t), e))
-                                };
                                 decider.decide_chunk(chunk, chunk_blocks, mu_of, &mut moves, moved)
                             } else {
                                 let mu_of = |f, t, e| decider.mu(id(f), id(t), e);
@@ -1407,22 +1122,17 @@ impl<'g> Simulation<'g> {
                     } else {
                         // Pure imitation reads word 0 alone: fetch each
                         // chunk's words in one call and decide the chunk in
-                        // one kernel pass, over the dense tier's imitation
-                        // μ matrix or through the class's other tier.
+                        // one kernel pass, over the table's imitation μ
+                        // matrix or evaluating μ per decision.
                         let class = decider.imitation_class();
                         words.resize(SITE_CHUNK, 0);
                         for chunk in sites[..k].chunks(SITE_CHUNK) {
                             let chunk_words = &mut words[..chunk.len()];
                             rng.site_words(chunk, chunk_words);
                             let out = &mut moves[moved..];
-                            moved += if decider.dense_memo {
-                                let mu = &mu_table.mu[..s_c * s_c];
+                            moved += if decider.tabled {
+                                let mu = &table[..s_c * s_c];
                                 imitation_decide(dispatch, &class, chunk, chunk_words, mu, out)
-                            } else if decider.memoize {
-                                let mu_of = |f, t| {
-                                    mu_table.row_mu(f, t, false, || decider.mu(id(f), id(t), false))
-                                };
-                                imitation_decide_with(&class, chunk, chunk_words, mu_of, out)
                             } else {
                                 let mu_of = |f, t| decider.mu(id(f), id(t), false);
                                 imitation_decide_with(&class, chunk, chunk_words, mu_of, out)
@@ -1452,7 +1162,7 @@ impl<'g> Simulation<'g> {
                 migrations.push(Migration::new(StrategyId::new(f), StrategyId::new(t), k));
             }
         }
-        self.mu_table = mu_table;
+        self.mu_table = table;
         self.moves_buf = moves;
         self.commit_buf = commit;
         self.movable_buf = movable;

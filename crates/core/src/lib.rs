@@ -28,8 +28,8 @@
 //! Both round kernels are **zero-steady-state-allocation**: every piece of
 //! per-round working memory is reusable scratch owned by the [`Simulation`]
 //! (a flat CSR pair buffer and a multinomial counts buffer for the
-//! aggregate kernel; an epoch-versioned dense μ memo plus move/commit
-//! buffers for the player-level kernel) or by the `State` (the per-round
+//! aggregate kernel; a μ table, written once per class visit, plus
+//! move/commit buffers for the player-level kernel) or by the `State` (the per-round
 //! latency cache, which memoizes `ℓ_e(x_e)`, `ℓ_e(x_e+1)`, and `ℓ_P(x)`
 //! and is maintained incrementally as migrations apply). An integration
 //! test pins this with a counting global allocator.
@@ -100,7 +100,7 @@ mod stopping;
 mod trajectory;
 pub mod wire;
 
-pub use engine::{EngineKind, MuMemoStats, RoundStats, Simulation};
+pub use engine::{EngineKind, RoundStats, Simulation};
 pub use ensemble::{Ensemble, REDUCE_BLOCK};
 pub use error::DynamicsError;
 pub use expectation::PairFlow;

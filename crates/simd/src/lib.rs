@@ -432,9 +432,8 @@ fn mu_in(mu: &[f64], strategies: usize) -> impl FnMut(usize, usize) -> f64 + '_ 
 }
 
 /// The scalar arm of [`imitation_decide`] with μ from `mu_of(from, to)`
-/// (class-local ids), called once per player in player order — so a
-/// memo behind `mu_of` sees exactly the lookups a player-by-player walk
-/// makes. Same panics, less the `mu` table's.
+/// (class-local ids), called once per player in player order. Same
+/// panics, less the `mu` table's.
 pub fn imitation_decide_with(
     class: &ImitationClass<'_>,
     sites: &[u64],

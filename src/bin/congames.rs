@@ -32,7 +32,7 @@ use congames::scenario::{trace::parse_trace, Schedule, ScheduleCursor};
 use congames::RecordConfig;
 use congames::{Affine, CongestionGame, State};
 use rand::SeedableRng;
-use std::io::Write;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -40,11 +40,44 @@ use std::sync::Arc;
 /// (see [`shock_recovery`]).
 const SHOCK_EPSILON: f64 = 0.05;
 
+/// `println!` whose write error (a closed pipe, a full disk) returns
+/// from the enclosing function, and so from [`run`], instead of panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*).map_err(Failure::Output)?
+    };
+}
+
+/// Why a command failed: a message for the user, or a failed write to
+/// stdout.
+enum Failure {
+    Message(String),
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Message(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Message(msg.into())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader stopped early (`| head`): it wants no more output.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
@@ -88,7 +121,7 @@ between rounds, deterministically, in every trial of a sweep and in every
 shard of a distributed run. --shock-csv (single runs only) records every
 round and writes the per-shock re-convergence summary as CSV.";
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     // A `CONGAMES_SIMD` typo would otherwise run the detected arm silently.
     Dispatch::env_override()?;
     let cmd = args.first().ok_or("missing subcommand")?.as_str();
@@ -103,7 +136,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "optimum" => optimum(&game),
         "run" => simulate(&game, &opts),
         "shard" => shard(&game, &opts),
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => Err(format!("unknown subcommand `{other}`").into()),
     }
 }
 
@@ -442,23 +475,23 @@ fn config_value<'a>(config: &'a str, key: &str) -> Option<&'a str> {
     config.split(';').find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
 }
 
-fn params(game: &CongestionGame) -> Result<(), String> {
+fn params(game: &CongestionGame) -> Result<(), Failure> {
     let p = game.params();
-    println!("links: {}, players: {}", game.num_resources(), game.total_players());
-    println!("elasticity bound d   = {}", p.d);
-    println!("slope bound ν        = {}", p.nu);
-    println!("max slope β          = {}", p.beta);
-    println!("min latency ℓ_min    = {}", p.ell_min);
-    println!("protocol damping λ/d = λ/{}", p.damping());
+    outln!("links: {}, players: {}", game.num_resources(), game.total_players());
+    outln!("elasticity bound d   = {}", p.d);
+    outln!("slope bound ν        = {}", p.nu);
+    outln!("max slope β          = {}", p.beta);
+    outln!("min latency ℓ_min    = {}", p.ell_min);
+    outln!("protocol damping λ/d = λ/{}", p.damping());
     Ok(())
 }
 
-fn optimum(game: &CongestionGame) -> Result<(), String> {
+fn optimum(game: &CongestionGame) -> Result<(), Failure> {
     let ls = LinearSingleton::analyze(game).map_err(|e| e.to_string())?;
-    println!("A_Γ = {:.6}", ls.a_gamma());
-    println!("fractional optimum average latency n/A_Γ = {:.6}", ls.fractional_optimum_cost());
+    outln!("A_Γ = {:.6}", ls.a_gamma());
+    outln!("fractional optimum average latency n/A_Γ = {:.6}", ls.fractional_optimum_cost());
     for e in 0..game.num_resources() {
-        println!(
+        outln!(
             "  link {e}: a = {}, fractional load {:.2}{}",
             ls.coefficients()[e],
             ls.fractional_load(e),
@@ -486,7 +519,7 @@ fn stop_spec(opts: &Options) -> StopSpec {
         .with_check_every(4)
 }
 
-fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
+fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), Failure> {
     // Settle everything that can fail on the flags alone before printing
     // anything or drawing the O(n) start state.
     let protocol = opts.protocol()?;
@@ -501,7 +534,7 @@ fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         // summary overwrites it at the end).
         std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
-    println!("{}", opts.repro_header());
+    outln!("{}", opts.repro_header());
     // Random start, then run. In xoshiro mode the single-run stream is the
     // historical `SmallRng::seed_from_u64(--seed)`; counter mode runs as
     // trial 0 of the keyed sweep.
@@ -512,7 +545,7 @@ fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         RngMode::Counter => DrawStream::for_trial(RngMode::Counter, opts.seed, 0),
     };
     let state = start_state(game, opts)?;
-    println!(
+    outln!(
         "start: Φ = {:.3}, L_av = {:.4}, loads {:?}",
         potential(game, &state),
         average_latency(game, &state),
@@ -533,7 +566,7 @@ fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
     }
     let mut series = RecordSeries::new();
     let summary = sim.run_observed(&stop, &mut rng, &mut series).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "after {} rounds ({:?}): Φ = {:.3}, L_av = {:.4}, loads {:?}",
         summary.rounds,
         summary.reason,
@@ -548,7 +581,7 @@ fn simulate(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         shock_recovery_csv(&shocks)
             .write_to(path)
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!(
+        outln!(
             "wrote re-convergence summary for {} shocks (ε = {SHOCK_EPSILON}) to {path}",
             shocks.len()
         );
@@ -599,16 +632,12 @@ fn quantiles_reducer() -> QuantilesReducer {
     )
 }
 
-fn print_mean_report(stats: &PerRoundStats, cadence: u64) {
-    println!(
-        "  per-round means over {} trials (recorded every {} rounds):",
-        stats.trials(),
-        cadence
-    );
-    println!("  {:>8}  {:>14}  {:>12}  {:>10}", "round", "mean Φ ± ci95", "mean L_av", "moves");
+fn print_mean_report(stats: &PerRoundStats, cadence: u64) -> Result<(), Failure> {
+    outln!("  per-round means over {} trials (recorded every {} rounds):", stats.trials(), cadence);
+    outln!("  {:>8}  {:>14}  {:>12}  {:>10}", "round", "mean Φ ± ci95", "mean L_av", "moves");
     let step = (stats.len() / 16).max(1);
     for r in stats.rounds().iter().step_by(step) {
-        println!(
+        outln!(
             "  {:>8.0}  {:>9.2} ± {:<6.2} {:>10.4}  {:>10.2}",
             r.round.mean(),
             r.potential.mean(),
@@ -617,19 +646,20 @@ fn print_mean_report(stats: &PerRoundStats, cadence: u64) {
             r.migrations.mean(),
         );
     }
+    Ok(())
 }
 
-fn print_quantiles_report(rounds: &ScalarStats, potential: &ScalarStats) {
-    println!("  {:>10}  {:>12}  {:>12}", "quantile", "rounds", "final Φ");
+fn print_quantiles_report(rounds: &ScalarStats, potential: &ScalarStats) -> Result<(), Failure> {
+    outln!("  {:>10}  {:>12}  {:>12}", "quantile", "rounds", "final Φ");
     for q in [0.10, 0.25, 0.50, 0.75, 0.90] {
-        println!(
+        outln!(
             "  {:>10}  {:>12.1}  {:>12.3}",
             format!("q{:02.0}", q * 100.0),
             rounds.quantile(q),
             potential.quantile(q),
         );
     }
-    println!(
+    outln!(
         "  rounds mean {:.1} ± {:.1}, range [{:.0}, {:.0}]",
         rounds.mean(),
         rounds.ci95(),
@@ -640,13 +670,14 @@ fn print_quantiles_report(rounds: &ScalarStats, potential: &ScalarStats) {
     // either: surface the tally whenever anything non-finite was absorbed.
     let bad = rounds.non_finite() + potential.non_finite();
     if bad > 0 {
-        println!("  non-finite samples excluded from the quantiles: {bad}");
+        outln!("  non-finite samples excluded from the quantiles: {bad}");
     }
+    Ok(())
 }
 
-fn print_convergence_report(hist: &ConvergenceHistogram) {
+fn print_convergence_report(hist: &ConvergenceHistogram) -> Result<(), Failure> {
     for (reason, stats) in hist.observed() {
-        println!(
+        outln!(
             "  {:?}: {} trials, rounds mean {:.1} (min {:.0}, max {:.0})",
             reason,
             stats.count(),
@@ -656,9 +687,10 @@ fn print_convergence_report(hist: &ConvergenceHistogram) {
         );
         for (k, &count) in stats.buckets().iter().enumerate().filter(|(_, &c)| c > 0) {
             let (lo, hi) = ReasonStats::bucket_range(k);
-            println!("      rounds {:>6}–{:<6} {:>6} trials", lo, hi - 1, count);
+            outln!("      rounds {:>6}–{:<6} {:>6} trials", lo, hi - 1, count);
         }
     }
+    Ok(())
 }
 
 /// The ensemble `run --trials` and `shard` sweep: engine, RNG, trials,
@@ -692,9 +724,9 @@ fn simulate_ensemble(
     protocol: Protocol,
     start: State,
     stop: &StopSpec,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     let ensemble = ensemble(game, opts, protocol, start)?;
-    println!("ensemble of {} trials ({} threads, seed {}):", opts.trials, opts.threads, opts.seed);
+    outln!("ensemble of {} trials ({} threads, seed {}):", opts.trials, opts.threads, opts.seed);
     match opts.reduce {
         None => {
             let results = ensemble
@@ -707,9 +739,9 @@ fn simulate_ensemble(
             let latencies: Vec<f64> = results.iter().map(|r| r.2).collect();
             let (r, p, l) =
                 (Summary::of(&rounds), Summary::of(&potentials), Summary::of(&latencies));
-            println!("  rounds: mean {:.1} (min {:.0}, max {:.0})", r.mean(), r.min(), r.max());
-            println!("  final Φ: mean {:.3} ± {:.3}", p.mean(), p.sd());
-            println!("  final L_av: mean {:.4} ± {:.4}", l.mean(), l.sd());
+            outln!("  rounds: mean {:.1} (min {:.0}, max {:.0})", r.mean(), r.min(), r.max());
+            outln!("  final Φ: mean {:.3} ± {:.3}", p.mean(), p.sd());
+            outln!("  final L_av: mean {:.4} ± {:.4}", l.mean(), l.sd());
         }
         Some(ReduceMode::Mean) => {
             let cadence = mean_cadence(opts.rounds);
@@ -718,19 +750,19 @@ fn simulate_ensemble(
                 .run_reduced(stop, |_trial| RecordSeries::new(), mean_reducer(cadence))
                 .map_err(|e| e.to_string())?
                 .into_inner();
-            print_mean_report(&stats, cadence);
+            print_mean_report(&stats, cadence)?;
         }
         Some(ReduceMode::Quantiles) => {
             let (rounds, potential) = ensemble
                 .run_reduced(stop, |_trial| FinalSummary, quantiles_reducer())
                 .map_err(|e| e.to_string())?;
-            print_quantiles_report(rounds.inner(), potential.inner());
+            print_quantiles_report(rounds.inner(), potential.inner())?;
         }
         Some(ReduceMode::Convergence) => {
             let hist = ensemble
                 .run_reduced(stop, |_trial| FinalSummary, ConvergenceHistogram::new())
                 .map_err(|e| e.to_string())?;
-            print_convergence_report(&hist);
+            print_convergence_report(&hist)?;
         }
     }
     Ok(())
@@ -738,16 +770,16 @@ fn simulate_ensemble(
 
 /// `congames shard`: run one slice of a `--reduce` sweep and write its
 /// reduction-tree leaves (one partial per 32-trial block) to `--out`.
-fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
+fn shard(game: &CongestionGame, opts: &Options) -> Result<(), Failure> {
     let mode = opts.reduce.ok_or("shard needs --reduce (the partial file carries a reducer)")?;
     let shard = opts.shard.ok_or("shard needs --shard")?;
     let num_shards = opts.num_shards.ok_or("shard needs --num-shards")?;
     let out = opts.out.as_deref().ok_or("shard needs --out")?;
     if shard >= num_shards {
-        return Err(format!("--shard {shard} is out of range for --num-shards {num_shards}"));
+        return Err(format!("--shard {shard} is out of range for --num-shards {num_shards}").into());
     }
     let protocol = opts.protocol()?;
-    println!("{}", opts.repro_header());
+    outln!("{}", opts.repro_header());
     let start = start_state(game, opts)?;
     let stop = stop_spec(opts);
     let ensemble = ensemble(game, opts, protocol, start)?;
@@ -791,7 +823,7 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
         }
     };
     file.write_all(&bytes).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!(
+    outln!(
         "wrote shard {}/{}: trials [{}, {}) of {}, {} bytes to {}",
         shard,
         num_shards,
@@ -806,7 +838,7 @@ fn shard(game: &CongestionGame, opts: &Options) -> Result<(), String> {
 
 /// `congames merge`: validate and merge every shard's partial file (given
 /// in shard order) and print the same report `run --reduce` prints.
-fn merge(args: &[String]) -> Result<(), String> {
+fn merge(args: &[String]) -> Result<(), Failure> {
     let mut csv_out: Option<String> = None;
     let mut paths: Vec<&String> = Vec::new();
     let mut it = args.iter();
@@ -814,7 +846,7 @@ fn merge(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--csv" => csv_out = Some(it.next().ok_or("--csv needs a value")?.clone()),
             flag if flag.starts_with("--") => {
-                return Err(format!("unknown flag `{flag}`"));
+                return Err(format!("unknown flag `{flag}`").into());
             }
             _ => paths.push(arg),
         }
@@ -850,15 +882,16 @@ fn merge(args: &[String]) -> Result<(), String> {
     }
     // Banner only after every payload validated and merged — a failing
     // merge must not open with a success-looking line.
-    let banner = || {
-        println!(
+    let banner = || -> Result<(), Failure> {
+        outln!(
             "merged {} shards ({} trials, seed {}, rng {}, scenario {}):",
             headers.len(),
             first.trials,
             first.base_seed,
             first.rng_mode,
             config_value(&first.config, "scenario").unwrap_or("none"),
-        )
+        );
+        Ok(())
     };
     // Decode every shard's leaves and replay the single-process merge
     // chain in global block order — bit-identical to `run_reduced`.
@@ -879,8 +912,8 @@ fn merge(args: &[String]) -> Result<(), String> {
         ReduceMode::Mean => {
             let cadence = mean_cadence(rounds);
             let stats = merge_files(&mean_reducer(cadence), &files, &paths)?.into_inner();
-            banner();
-            print_mean_report(&stats, cadence);
+            banner()?;
+            print_mean_report(&stats, cadence)?;
             if let Some(path) = csv_out {
                 per_round_stats_csv(&stats)
                     .write_to(&path)
@@ -889,13 +922,13 @@ fn merge(args: &[String]) -> Result<(), String> {
         }
         ReduceMode::Quantiles => {
             let (rounds, potential) = merge_files(&quantiles_reducer(), &files, &paths)?;
-            banner();
-            print_quantiles_report(rounds.inner(), potential.inner());
+            banner()?;
+            print_quantiles_report(rounds.inner(), potential.inner())?;
         }
         ReduceMode::Convergence => {
             let hist = merge_files(&ConvergenceHistogram::new(), &files, &paths)?;
-            banner();
-            print_convergence_report(&hist);
+            banner()?;
+            print_convergence_report(&hist)?;
             if let Some(path) = csv_out {
                 convergence_csv(&hist)
                     .write_to(&path)

@@ -290,3 +290,40 @@ fn unknown_simd_arm_is_rejected_before_any_output() {
         .collect();
     assert!(reports.windows(2).all(|w| w[0] == w[1]), "the arms printed different reports");
 }
+
+/// The sequential (xoshiro) player path, imitating and exploring, is
+/// pinned by `traces/player_xoshiro_combined.golden` (the same flags as
+/// the CI `simd-dispatch` diff).
+#[test]
+fn xoshiro_player_combined_run_matches_its_golden() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/traces/player_xoshiro_combined.golden");
+    let out = Command::new(env!("CARGO_BIN_EXE_congames"))
+        .args(["run", "--links", "1,2,4", "--players", "2000", "--trials", "32"])
+        .args(["--rounds", "400", "--threads", "1", "--seed", "5", "--engine", "player"])
+        .args(["--rng", "xoshiro", "--protocol", "combined", "--reduce", "quantiles"])
+        .output()
+        .expect("the binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let want = std::fs::read_to_string(golden).expect("the golden is committed");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+}
+
+/// A reader that closes stdout early (`run ... | head -4`) ends the run
+/// quietly: the failed write is not a panic and prints no error.
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_congames"))
+        .args(["run"])
+        .args(SWEEP)
+        .args(["--engine", "player", "--reduce", "quantiles"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("the binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+}

@@ -898,25 +898,20 @@ impl<R: DrawRng> DrawRng for SiteCounter<R> {
 }
 
 /// Per-round `(counts, potential bits)` of a counter-mode player-level run
-/// of `rounds` rounds drawing from `rng`, with the μ memo bounded to
-/// `memo` slots if given, plus the final memo counters. With a schedule,
-/// every round goes through `run` (the only entry point that fires hooks),
-/// one round per call.
+/// of `rounds` rounds drawing from `rng`. With a schedule, every round
+/// goes through `run` (the only entry point that fires hooks), one round
+/// per call.
 fn counter_player_trajectory(
     game: &CongestionGame,
     protocol: Protocol,
     start: &State,
     schedule: Option<&std::sync::Arc<congames::scenario::Schedule>>,
-    memo: Option<usize>,
     mut rng: impl DrawRng,
     rounds: u64,
-) -> (Vec<(Vec<u64>, u64)>, congames::dynamics::MuMemoStats) {
+) -> Vec<(Vec<u64>, u64)> {
     let mut sim = Simulation::new(game, protocol, start.clone())
         .expect("valid simulation")
         .with_engine(EngineKind::PlayerLevel);
-    if let Some(slots) = memo {
-        sim = sim.with_mu_memo_capacity(slots);
-    }
     if let Some(schedule) = schedule {
         sim = sim.with_hook(Box::new(congames::scenario::ScheduleCursor::new(
             std::sync::Arc::clone(schedule),
@@ -931,7 +926,7 @@ fn counter_player_trajectory(
         }
         trajectory.push((sim.state().counts().to_vec(), sim.potential().to_bits()));
     }
-    (trajectory, sim.mu_memo_stats())
+    trajectory
 }
 
 /// The counter-mode player kernel skips the draws of players on origins
@@ -958,10 +953,10 @@ fn counter_player_trajectory(
 /// starts, a shocked run, classes of 33 and 65 strategies (either side of
 /// the 32-bit halves of the movable bitmask, and past its 64-bit width),
 /// the 8-link, 10 000-player shape of the `player_shock` benchmark under
-/// pure imitation, and every μ source: the dense tier, the LRU row tier
-/// (a 32-slot memo on 8 strategies) and no memo. The two addressed streams also agree on the
-/// memo counters. Every supported-start case must also really skip some
-/// sites, or it would not test the skip.
+/// pure imitation, and both μ sources: the μ table, and per-decision μ on
+/// a 1088-link class whose `2·S²` values exceed the table's budget (its
+/// 3 000 players start on 6 links). Every supported-start case must also
+/// really skip some sites, or it would not test the skip.
 #[test]
 fn movable_origin_skip_matches_full_draw_path_bitwise() {
     use congames::dynamics::{NuRule, SelfSampling};
@@ -990,7 +985,6 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
     let wide_class = games::linear_singleton(4, 523);
     // A lone player has nobody to imitate under self-exclusion.
     let lone_player = games::two_class_overlap(150, 1);
-    // 2·8² = 128 μ slots: a 32-slot memo holds two LRU origin rows.
     let eight_links = games::linear_singleton(8, 300);
     let shock = std::sync::Arc::new(
         congames::scenario::generate::step_shock(40, 0, 3.0).expect("valid schedule"),
@@ -1001,7 +995,9 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
     let links_65 = games::linear_singleton(65, 700);
     // The shape `player_shock` times, under pure imitation only.
     let shock_shape = games::linear_singleton(8, 10_000);
-    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 9] = [
+    // 2·1088² > 2²¹ μ values: every decision evaluates μ.
+    let links_1088 = games::linear_singleton(1088, 3000);
+    let fixtures: [(&str, &CongestionGame, Option<&std::sync::Arc<_>>); 10] = [
         ("1-class", &one_class, None),
         ("2-class", &two_class, None),
         ("1-class/523", &wide_class, None),
@@ -1011,15 +1007,18 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
         ("1-class/33-links", &links_33, None),
         ("1-class/65-links", &links_65, None),
         ("1-class/8-links/10000", &shock_shape, None),
+        ("1-class/1088-links", &links_1088, None),
     ];
     // The piled start leaves strategies empty, which only virtual agents
     // and exploration can reach: the mask must count them as destinations.
     // The stranded start puts class a on {r1,r2} and the lone player of
-    // class b on r2, so the lone player is movable from round 0.
+    // class b on r2, so the lone player is movable from round 0. The
+    // sparse start spreads the 1088-link class over its first 6 links.
     let fixture_starts = fixtures.into_iter().flat_map(|f| {
         let starts: &[&str] = match f.0 {
             "2-class/1-player" => &["geometric", "piled", "stranded"],
             "1-class/8-links/10000" => &["geometric"],
+            "1-class/1088-links" => &["sparse"],
             _ => &["geometric", "piled"],
         };
         starts.iter().map(move |&s| (f, s))
@@ -1029,73 +1028,55 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
             if fixture == "1-class/8-links/10000" && protocol.exploration().is_some() {
                 continue;
             }
-            // A 32-slot memo is the dense tier on the 2- and 4-strategy
-            // classes, so only the 8-link class runs it.
-            let memos: &[Option<usize>] = if fixture == "1-class/8-links" {
-                &[None, Some(32), Some(0)]
-            } else {
-                &[None, Some(0)]
+            let virtual_agents = protocol.imitation().is_some_and(|p| p.virtual_agents());
+            let mut start = match start_name {
+                "geometric" => games::geometric_state(game),
+                "piled" => games::piled_state(game),
+                "sparse" => {
+                    let mut counts = vec![0; game.num_strategies()];
+                    counts[..6].copy_from_slice(&[500; 6]);
+                    State::from_counts(game, counts).expect("sparse start")
+                }
+                _ => State::from_counts(game, vec![0, 150, 1, 0]).expect("stranded start"),
             };
-            for &memo in memos {
-                let virtual_agents = protocol.imitation().is_some_and(|p| p.virtual_agents());
-                let mut start = match start_name {
-                    "geometric" => games::geometric_state(game),
-                    "piled" => games::piled_state(game),
-                    _ => State::from_counts(game, vec![0, 150, 1, 0]).expect("stranded start"),
-                };
-                if virtual_agents {
-                    start = start.with_virtual_agents(game);
-                }
-                let label = format!("{fixture}/{start_name}/{name}/memo={memo:?}");
-                let stream = || fixture_stream("eq/movable-skip", RngMode::Counter, 3);
-                let mut default_blocks =
-                    SiteCounter { inner: stream(), forward_addressed: true, sites: 0 };
-                let mut full = SiteCounter { inner: stream(), forward_addressed: false, sites: 0 };
-                let (batched, batched_memo) = counter_player_trajectory(
-                    game,
-                    *protocol,
-                    &start,
-                    schedule,
-                    memo,
-                    stream(),
-                    90,
-                );
-                let (walked, walked_memo) = counter_player_trajectory(
-                    game,
-                    *protocol,
-                    &start,
-                    schedule,
-                    memo,
-                    &mut default_blocks,
-                    90,
-                );
-                let (full_path, _) = counter_player_trajectory(
-                    game, *protocol, &start, schedule, memo, &mut full, 90,
-                );
-                assert_eq!(walked, full_path, "{label}: the default site_blocks walk diverged");
-                assert_eq!(batched, full_path, "{label}: the batched site_blocks diverged");
-                assert_eq!(batched_memo, walked_memo, "{label}: the memo counters diverged");
-                if memo == Some(32) && start_name == "geometric" {
-                    assert!(batched_memo.row_allocs > 0, "{label}: the LRU rows went unused");
-                }
-                // The stranded lone player can leave r2 only by exploring
-                // or by imitating a virtual agent.
-                if start_name == "stranded" && (protocol.exploration().is_some() || virtual_agents)
-                {
-                    assert!(
-                        batched.iter().any(|(counts, _)| counts[2] == 0),
-                        "{label}: the lone player never moved"
-                    );
-                }
-                // Supported starts settle within the horizon, so they must
-                // skip; unsupported starts may still be moving.
+            if virtual_agents {
+                start = start.with_virtual_agents(game);
+            }
+            let label = format!("{fixture}/{start_name}/{name}");
+            let stream = || fixture_stream("eq/movable-skip", RngMode::Counter, 3);
+            let mut default_blocks =
+                SiteCounter { inner: stream(), forward_addressed: true, sites: 0 };
+            let mut full = SiteCounter { inner: stream(), forward_addressed: false, sites: 0 };
+            let batched =
+                counter_player_trajectory(game, *protocol, &start, schedule, stream(), 90);
+            let walked = counter_player_trajectory(
+                game,
+                *protocol,
+                &start,
+                schedule,
+                &mut default_blocks,
+                90,
+            );
+            let full_path =
+                counter_player_trajectory(game, *protocol, &start, schedule, &mut full, 90);
+            assert_eq!(walked, full_path, "{label}: the default site_blocks walk diverged");
+            assert_eq!(batched, full_path, "{label}: the batched site_blocks diverged");
+            // The stranded lone player can leave r2 only by exploring
+            // or by imitating a virtual agent.
+            if start_name == "stranded" && (protocol.exploration().is_some() || virtual_agents) {
                 assert!(
-                    default_blocks.sites < full.sites || start_name != "geometric",
-                    "{label}: no site was skipped ({} of {} begun)",
-                    default_blocks.sites,
-                    full.sites
+                    batched.iter().any(|(counts, _)| counts[2] == 0),
+                    "{label}: the lone player never moved"
                 );
             }
+            // Supported starts settle within the horizon, so they must
+            // skip; unsupported starts may still be moving.
+            assert!(
+                default_blocks.sites < full.sites || start_name != "geometric",
+                "{label}: no site was skipped ({} of {} begun)",
+                default_blocks.sites,
+                full.sites
+            );
         }
     }
 }
@@ -1138,14 +1119,13 @@ impl RoundHook for Corrupt {
 
 /// A replica reused across trials through [`Simulation::reset`] gives
 /// every trial the bits a fresh `Simulation::new` gives it: the records,
-/// the final potential, the rounds, the stop reason and the μ-memo
-/// counters. Covered: both engines and both RNG backends, with and
-/// without virtual agents, with a `step_shock` hook (whose firing swaps
-/// in an owned, rescaled game the reset must drop), and a reset after a
-/// trial that returned an error mid-run.
+/// the final potential, the rounds and the stop reason. Covered: both
+/// engines and both RNG backends, with and without virtual agents, with a
+/// `step_shock` hook (whose firing swaps in an owned, rescaled game the
+/// reset must drop), and a reset after a trial that returned an error
+/// mid-run.
 #[test]
 fn reset_replica_matches_fresh_simulations_bitwise() {
-    use congames::dynamics::MuMemoStats;
     let game = games::two_class_overlap(150, 90);
     let shock = Arc::new(step_shock(6, 1, 3.0).expect("valid schedule"));
     let stop = StopSpec::new(vec![StopCondition::ImitationStable, StopCondition::MaxRounds(60)])
@@ -1172,13 +1152,13 @@ fn reset_replica_matches_fresh_simulations_bitwise() {
                             .with_engine(engine)
                             .with_recording(record)
                     };
-                    let fresh = |trial: u64| -> (TrialBits, MuMemoStats) {
+                    let fresh = |trial: u64| -> TrialBits {
                         let mut sim = build();
                         if let Some(h) = hook() {
                             sim = sim.with_hook(h);
                         }
                         let rng = DrawStream::for_trial(mode, seed, trial);
-                        (trial_bits(&mut sim, &stop, rng), sim.mu_memo_stats())
+                        trial_bits(&mut sim, &stop, rng)
                     };
                     let mut replica = build();
                     // Trial 0 fails mid-run, leaving a mutated owned game
@@ -1192,13 +1172,12 @@ fn reset_replica_matches_fresh_simulations_bitwise() {
                             replica.attach_hook(h);
                         }
                         let rng = DrawStream::for_trial(mode, seed, trial);
-                        let reused =
-                            (trial_bits(&mut replica, &stop, rng), replica.mu_memo_stats());
+                        let reused = trial_bits(&mut replica, &stop, rng);
                         let want = fresh(trial);
-                        assert!(want.0.is_ok(), "{label} trial {trial}: {:?}", want.0);
+                        assert!(want.is_ok(), "{label} trial {trial}: {want:?}");
                         assert_eq!(reused, want, "{label} trial {trial}");
                         if hooked {
-                            let (records, ..) = want.0.as_ref().unwrap();
+                            let (records, ..) = want.as_ref().unwrap();
                             assert!(records.iter().any(|r| r.5), "{label}: the shock never fired");
                         }
                     }

@@ -2,7 +2,7 @@
 //!
 //! The scratch-buffer engine design promises **zero heap allocations per
 //! round in steady state** for both kernels: all per-round working memory
-//! (CSR pair buffer, multinomial counts, μ memo, move/commit buffers,
+//! (CSR pair buffer, multinomial counts, μ table, move/commit buffers,
 //! the state's latency cache, migration scratch) is owned by the
 //! [`Simulation`] and reused. This test installs a counting global
 //! allocator, warms a simulation past its buffer high-water marks, and then
@@ -59,7 +59,7 @@ fn allocations() -> u64 {
 /// Eight asymmetric linear links with a heavily skewed start: the dynamics
 /// churn for a few hundred rounds before freezing, so a window placed
 /// right after warm-up exercises every kernel code path (pair enumeration,
-/// multinomials, the μ memo, the commit sort, migration application)
+/// multinomials, the μ table, the commit sort, migration application)
 /// while buffers are already at their high-water marks — the largest
 /// flows happen in the *first* rounds.
 fn game() -> CongestionGame {
