@@ -1,12 +1,11 @@
-//! The player-level kernel's LRU-of-origin-rows μ memo.
+//! The player-level kernel's μ sources on a class too large for the μ table.
 //!
-//! Classes whose dense μ table (`2·S²` slots) exceeds the memo budget used
-//! to skip memoization entirely; the row scheme memoizes their occupied
-//! origins instead, LRU-evicting rows when the support outgrows the pool.
-//! Memoization must be *invisible*: μ is a pure function of the pre-round
-//! state, so every capacity — including 0 (no memo at all) — must produce
-//! bit-identical trajectories, differing only in the hit/eviction
-//! counters.
+//! A class whose `2·S²` μ values exceed the table budget evaluates μ per
+//! decision; a small class reads μ from the table filled once per class
+//! visit. Under pure imitation the players on a sparse start never leave
+//! the occupied links, so a 1088-link class with six occupied links plays
+//! the same game as a 6-link class with the same latencies — and both μ
+//! sources must give the same trajectory bit for bit.
 
 use congames::dynamics::{EngineKind, ImitationProtocol, NuRule, Protocol, Simulation};
 use congames::model::{Affine, CongestionGame, State};
@@ -34,76 +33,46 @@ fn protocol() -> Protocol {
     ImitationProtocol::paper_default().with_nu_rule(NuRule::None).into()
 }
 
-/// Run `rounds` player-level rounds at the given μ-memo capacity and
-/// return the per-round counts plus the final memo counters.
+/// Run `rounds` player-level rounds and return the per-round counts.
 fn run_player_level(
     game: &CongestionGame,
     start: &State,
     rounds: u64,
-    capacity: Option<usize>,
     seed_label: &str,
-) -> (Vec<Vec<u64>>, congames::dynamics::MuMemoStats) {
+) -> Vec<Vec<u64>> {
     let mut sim = Simulation::new(game, protocol(), start.clone())
         .expect("valid simulation")
         .with_engine(EngineKind::PlayerLevel);
-    if let Some(cap) = capacity {
-        sim = sim.with_mu_memo_capacity(cap);
-    }
     let mut rng = fixture_rng(seed_label, 21);
     let mut trajectory = Vec::new();
     for _ in 0..rounds {
         sim.step(&mut rng).expect("step");
         trajectory.push(sim.state().counts().to_vec());
     }
-    (trajectory, sim.mu_memo_stats())
+    trajectory
 }
 
-/// A class with `2·S² > MU_TABLE_MAX` (S = 1088 ⇒ 2·S² ≈ 2.37M > 2²¹)
-/// used to skip memoization; it must now take the LRU row path — row
-/// allocations and slot hits accumulate, no eviction while the support
-/// fits the pool — and stay bit-identical to the unmemoized kernel.
+/// S = 1088 ⇒ 2·S² ≈ 2.37M > 2²¹ μ values, so every decision evaluates μ;
+/// its trajectory must equal the tabled 6-link class's bitwise on the
+/// occupied links and leave the other 1082 links empty.
 #[test]
 fn huge_class_hits_the_lru_rows_bit_identically() {
-    let (game, start) = sparse_game(1088, 6, 3000);
-    let (memoized, stats) = run_player_level(&game, &start, 5, None, "mu-lru/huge");
-    assert!(stats.row_allocs > 0, "huge class must claim memo rows: {stats:?}");
-    assert!(stats.slot_hits > 0, "players sharing an origin must hit memoized μ: {stats:?}");
-    assert!(stats.row_hits > 0, "repeat visits to an origin must reuse its row: {stats:?}");
-    assert_eq!(
-        stats.evictions, 0,
-        "support 6 fits the default pool (2²¹/(2·1088) ≈ 963 rows): {stats:?}"
-    );
-    let (plain, plain_stats) = run_player_level(&game, &start, 5, Some(0), "mu-lru/huge");
-    assert_eq!(plain_stats.slot_hits, 0, "capacity 0 must disable memoization");
-    assert_eq!(plain_stats.row_allocs, 0);
-    assert_eq!(memoized, plain, "LRU-memoized trajectory must match the unmemoized one bitwise");
-    assert!(memoized.last().unwrap().iter().sum::<u64>() == 3000);
-}
-
-/// Shrinking the pool below the support forces LRU evictions — and still
-/// changes nothing about the trajectory.
-#[test]
-fn full_pool_evicts_lru_rows_bit_identically() {
-    // 8 origins all occupied; capacity 32 slots = 2 rows of 2·8 = 16.
-    let (game, start) = sparse_game(8, 8, 4096);
-    let (evicting, stats) = run_player_level(&game, &start, 10, Some(32), "mu-lru/evict");
-    assert!(stats.evictions > 0, "a 2-row pool under 8 origins must evict: {stats:?}");
-    assert!(stats.slot_hits > 0, "rows must still serve hits between evictions: {stats:?}");
-    let (reference, ref_stats) = run_player_level(&game, &start, 10, None, "mu-lru/evict");
-    assert_eq!(ref_stats.evictions, 0, "default pool fits all 8 origins");
-    assert_eq!(evicting, reference, "evictions must not change the trajectory");
-    let (plain, _) = run_player_level(&game, &start, 10, Some(0), "mu-lru/evict");
-    assert_eq!(evicting, plain, "eviction path must match the unmemoized kernel bitwise");
-}
-
-/// The aggregate engine never touches the μ memo.
-#[test]
-fn aggregate_engine_leaves_the_memo_untouched() {
-    let (game, start) = sparse_game(16, 4, 1024);
-    let mut sim = Simulation::new(&game, protocol(), start).expect("valid simulation");
-    let mut rng = fixture_rng("mu-lru/agg", 3);
-    for _ in 0..5 {
-        sim.step(&mut rng).expect("step");
+    let (huge, huge_start) = sparse_game(1088, 6, 3000);
+    let (small, small_start) = sparse_game(6, 6, 3000);
+    let untabled = run_player_level(&huge, &huge_start, 5, "mu-lru/huge");
+    let tabled = run_player_level(&small, &small_start, 5, "mu-lru/huge");
+    assert_eq!(untabled.len(), tabled.len());
+    for (round, (wide, narrow)) in untabled.iter().zip(&tabled).enumerate() {
+        assert_eq!(&wide[..6], &narrow[..], "round {round}: occupied links differ");
+        assert!(
+            wide[6..].iter().all(|&c| c == 0),
+            "round {round}: imitation reached an empty link"
+        );
+        assert_eq!(wide.iter().sum::<u64>(), 3000);
     }
-    assert_eq!(sim.mu_memo_stats(), congames::dynamics::MuMemoStats::default());
+    assert_ne!(
+        untabled.last().unwrap()[..],
+        huge_start.counts()[..],
+        "the dynamics must move players"
+    );
 }
