@@ -2,7 +2,7 @@
 //!
 //! Experiment-harness utilities: summary statistics with confidence
 //! intervals, least-squares / log–log regression for scaling exponents,
-//! aligned-text and markdown table rendering, CSV output, and a
+//! aligned-text table rendering, CSV output, and a
 //! deterministic multi-seed parallel trial runner built on std scoped
 //! threads.
 //!

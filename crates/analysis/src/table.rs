@@ -1,4 +1,4 @@
-//! Aligned text / markdown tables for experiment output.
+//! Aligned text tables for experiment output.
 
 use std::fmt;
 
@@ -61,31 +61,6 @@ impl Table {
         }
         w
     }
-
-    /// Render as GitHub-flavoured markdown.
-    pub fn to_markdown(&self) -> String {
-        let w = self.widths();
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], w: &[usize]| {
-            let mut line = String::from("|");
-            for (c, width) in cells.iter().zip(w) {
-                line.push_str(&format!(" {:<width$} |", c, width = width));
-            }
-            line.push('\n');
-            line
-        };
-        out.push_str(&fmt_row(&self.header, &w));
-        let mut sep = String::from("|");
-        for width in &w {
-            sep.push_str(&format!("{:-<width$}|", "", width = width + 2));
-        }
-        sep.push('\n');
-        out.push_str(&sep);
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &w));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -128,16 +103,6 @@ mod tests {
         // Columns align: "value" column starts at the same offset everywhere.
         let col = lines[0].find("value").unwrap();
         assert_eq!(&lines[2][col..col + 1], "1");
-    }
-
-    #[test]
-    fn markdown_render() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let md = t.to_markdown();
-        assert!(md.starts_with("| a"));
-        assert!(md.contains("|---"));
-        assert_eq!(md.lines().count(), 3);
     }
 
     #[test]

@@ -21,14 +21,6 @@ pub fn braess_network(n: u64) -> NetworkGame {
     NetworkGame::build(g, s, t, n, 100).expect("braess builds")
 }
 
-/// The worst-start state for a network game: everybody on the first path.
-/// Under pure imitation this state is *absorbing* (nothing else can be
-/// sampled) — use it for the lost-strategy demonstrations, and
-/// [`geometric_spread`] for convergence measurements.
-pub fn pile_up(net: &NetworkGame) -> State {
-    State::all_on_first(net.game())
-}
-
 /// A heavily skewed but full-support start: strategy `i` of each class gets
 /// a share proportional to `4^(S−i)`, so imitation can reach everything but
 /// begins far from balance (~75% of players on the first strategy).
@@ -136,7 +128,7 @@ mod tests {
         let net = braess_network(100);
         assert_eq!(net.game().num_strategies(), 3);
         assert_eq!(net.game().total_players(), 100);
-        let s = pile_up(&net);
+        let s = State::all_on_first(net.game());
         assert_eq!(s.support_size(), 1);
     }
 

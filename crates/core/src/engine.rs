@@ -202,8 +202,10 @@ impl PlayerDecider<'_> {
     /// A tabled class evaluates μ once for every occupied origin × every
     /// such destination and writes it into `table`, so every decision that
     /// follows, on either path, reads each μ it needs and none is evaluated
-    /// twice. An untabled class stops at an origin's first positive μ.
-    /// Returns whether any origin is movable.
+    /// twice. An untabled class stops at an origin's first positive μ; when
+    /// its support² exceeds its player count, the scan could cost more than
+    /// it saves, so it evaluates no μ and marks every occupied origin
+    /// movable. Returns whether any origin is movable.
     fn fill_rows(&self, class: usize, table: &mut Vec<f64>, movable: &mut Vec<bool>) -> bool {
         let (state, game) = (self.state, self.game);
         let all = || (self.first..self.first + self.s_c as u32).map(StrategyId::new);
@@ -216,6 +218,17 @@ impl PlayerDecider<'_> {
         let local = |s: StrategyId| (s.raw() - self.first) as usize;
         movable.clear();
         movable.resize(self.s_c, false);
+        // Over-marking moves no byte: a player on an immovable origin draws
+        // and stays, and addressed words shift nobody else's.
+        if !tabled {
+            let support = state.support_of_class(game, class) as u64;
+            if support.saturating_mul(support) > self.n_c {
+                for from in state.occupied_or_scan(game, class) {
+                    movable[local(from)] = true;
+                }
+                return true;
+            }
+        }
         let mut any_movable = false;
         for from in state.occupied_or_scan(game, class) {
             let mut can_move = false;

@@ -40,7 +40,7 @@
 //! reduction) rather than panicking.
 
 use congames_model::{potential, CongestionGame, State};
-use congames_sampling::{split_seed, DrawStream, RngMode};
+use congames_sampling::{DrawStream, RngMode};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -211,11 +211,6 @@ impl<'g> Ensemble<'g> {
         self
     }
 
-    /// The RNG backend replicas draw from.
-    pub fn get_rng_mode(&self) -> RngMode {
-        self.rng_mode
-    }
-
     /// Attach a nonstationary scenario: `factory` builds one fresh
     /// [`RoundHook`] per replica (hooks are stateful cursors, so they
     /// cannot be shared), and every replica — including every shard of a
@@ -285,14 +280,6 @@ impl<'g> Ensemble<'g> {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// The seed replica `trial` derives its xoshiro stream from
-    /// (`split_seed(base_seed, trial)`; see `congames-sampling::seeds`). In
-    /// counter mode the trial index addresses the stream directly and this
-    /// seed is unused.
-    pub fn trial_seed(&self, trial: usize) -> u64 {
-        split_seed(self.base_seed, trial as u64)
     }
 
     /// The replica stream for `trial` — the single constructor all run

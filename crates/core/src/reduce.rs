@@ -33,11 +33,15 @@
 //!   [`StopReason`].
 //! * [`MapItem`] — adapts a reducer over `U` to items of type `T` via a
 //!   projection `T → U`.
-//! * `Vec<T>` and 2-/3-tuples of reducers for composition.
+//! * A pair `(A, B)` of reducers — one item stream reduced by both.
+//! * `Vec<T>` — the materializing fallback that collects every item in
+//!   trial order (`Ensemble::run_with` collects with it). It is
+//!   in-process only: it has no wire encoding.
 //!
 //! # Wire format & versioning
 //!
-//! Every stock reducer partial (and the combinators above) also has a
+//! Every stock reducer partial, and `MapItem` and the pair over such
+//! reducers, also has a
 //! **stable, versioned wire encoding** via the
 //! [`WireReduce`](crate::wire::WireReduce) extension trait in
 //! [`crate::wire`], so partials can be written by one process and merged
@@ -113,7 +117,8 @@ pub fn merge_partials<R: Reducer>(mut acc: R, partials: impl IntoIterator<Item =
 }
 
 /// The materializing fallback: collects every item, preserving trial
-/// order (block partials are merged in trial order).
+/// order (block partials are merged in trial order). In-process only: it
+/// has no wire encoding.
 impl<T> Reducer for Vec<T> {
     type Item = T;
 
@@ -146,29 +151,6 @@ impl<T: Clone, A: Reducer<Item = T>, B: Reducer<Item = T>> Reducer for (A, B) {
     fn merge(&mut self, other: Self) {
         self.0.merge(other.0);
         self.1.merge(other.1);
-    }
-}
-
-/// Reduce one item stream with three reducers at once.
-impl<T: Clone, A: Reducer<Item = T>, B: Reducer<Item = T>, C: Reducer<Item = T>> Reducer
-    for (A, B, C)
-{
-    type Item = T;
-
-    fn identity(&self) -> Self {
-        (self.0.identity(), self.1.identity(), self.2.identity())
-    }
-
-    fn absorb(&mut self, item: T) {
-        self.0.absorb(item.clone());
-        self.1.absorb(item.clone());
-        self.2.absorb(item);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.0.merge(other.0);
-        self.1.merge(other.1);
-        self.2.merge(other.2);
     }
 }
 

@@ -93,18 +93,6 @@ impl Trajectory {
     pub fn records(&self) -> &[RoundRecord] {
         &self.records
     }
-
-    /// The potential series `(round, Φ)`.
-    pub fn potential_series(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.records.iter().map(|r| (r.round, r.potential))
-    }
-
-    /// Whether the recorded potentials are non-increasing within `slack`
-    /// (diagnostic used by the super-martingale experiments — individual
-    /// runs may fluctuate, averages must not).
-    pub fn potential_monotone_within(&self, slack: f64) -> bool {
-        self.records.windows(2).all(|w| w[1].potential <= w[0].potential + slack)
-    }
 }
 
 pub(crate) fn capture_record(
@@ -136,35 +124,6 @@ pub(crate) fn capture_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(round: u64, potential: f64) -> RoundRecord {
-        RoundRecord {
-            round,
-            potential,
-            l_av: 0.0,
-            l_av_plus: 0.0,
-            max_latency: 0.0,
-            migrations: 0,
-            support: 1,
-            unsatisfied_fraction: None,
-            shock: false,
-        }
-    }
-
-    #[test]
-    fn monotone_check() {
-        let mut t = Trajectory::new();
-        t.push(rec(0, 10.0));
-        t.push(rec(1, 8.0));
-        t.push(rec(2, 8.0));
-        assert!(t.potential_monotone_within(0.0));
-        t.push(rec(3, 9.0));
-        assert!(!t.potential_monotone_within(0.5));
-        assert!(t.potential_monotone_within(1.0));
-        assert_eq!(t.records().len(), 4);
-        let series: Vec<_> = t.potential_series().collect();
-        assert_eq!(series[1], (1, 8.0));
-    }
 
     #[test]
     fn record_config_constructors() {

@@ -48,6 +48,17 @@
 //! with a precise [`WireError::Truncated`] instead of misparsing, and a
 //! flipped payload byte fails the checksum before any partial is decoded.
 //!
+//! # Payloads
+//!
+//! A frame carries one partial of a [`WireReduce`] reducer: [`Welford`],
+//! [`MinMax`], [`QuantileSketch`], [`ScalarStats`], [`PerRoundStats`],
+//! [`ConvergenceHistogram`], a [`MapItem`] over one of them, or a pair of
+//! such reducers. The CLI writes three of these shapes: `--reduce mean` is
+//! `MapItem` over `PerRoundStats`, `--reduce quantiles` a pair of
+//! `MapItem`s over `ScalarStats`, and `--reduce convergence` a
+//! `ConvergenceHistogram`. The materializing `Vec<T>` reducer has no
+//! encoding, so no shard file carries raw per-trial items.
+//!
 //! # Versioning rules
 //!
 //! [`WIRE_VERSION`] bumps whenever any encoding in this module changes
@@ -65,10 +76,8 @@ use congames_sampling::RngMode;
 
 use crate::reduce::{
     ConvergenceHistogram, MapItem, MinMax, PerRoundStats, QuantileSketch, ReasonStats, Reducer,
-    RoundIndexStats, ScalarStats, Welford, STOP_REASONS,
+    RoundIndexStats, ScalarStats, Welford,
 };
-use crate::stopping::{RunSummary, StopReason};
-use crate::trajectory::RoundRecord;
 
 /// Version tag written into (and required from) every shard file.
 /// Version 2 added the `rng_mode` header byte; version 3 added the
@@ -590,198 +599,6 @@ where
     }
 }
 
-impl<T: Clone, A, B, C> WireReduce for (A, B, C)
-where
-    A: WireReduce<Item = T>,
-    B: WireReduce<Item = T>,
-    C: WireReduce<Item = T>,
-{
-    fn wire_id(&self) -> String {
-        format!("triple({},{},{})", self.0.wire_id(), self.1.wire_id(), self.2.wire_id())
-    }
-
-    fn encode_partial(&self, out: &mut Vec<u8>) {
-        self.0.encode_partial(out);
-        self.1.encode_partial(out);
-        self.2.encode_partial(out);
-    }
-
-    fn decode_partial(&self, cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        Ok((self.0.decode_partial(cur)?, self.1.decode_partial(cur)?, self.2.decode_partial(cur)?))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WireItem: elements of the materializing Vec reducer
-// ---------------------------------------------------------------------------
-
-/// Plain-data trial outputs that can ride the wire inside the
-/// materializing `Vec<T>` reducer.
-pub trait WireItem: Sized {
-    /// Stable identifier of the item encoding.
-    fn item_id() -> String;
-
-    /// Append this item's encoding to `out`.
-    fn encode_item(&self, out: &mut Vec<u8>);
-
-    /// Decode one item.
-    fn decode_item(cur: &mut WireCursor<'_>) -> Result<Self, WireError>;
-}
-
-impl WireItem for f64 {
-    fn item_id() -> String {
-        "f64".into()
-    }
-
-    fn encode_item(&self, out: &mut Vec<u8>) {
-        put_f64(out, *self);
-    }
-
-    fn decode_item(cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        cur.f64("f64 item")
-    }
-}
-
-impl WireItem for u64 {
-    fn item_id() -> String {
-        "u64".into()
-    }
-
-    fn encode_item(&self, out: &mut Vec<u8>) {
-        put_u64(out, *self);
-    }
-
-    fn decode_item(cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        cur.u64("u64 item")
-    }
-}
-
-fn stop_reason_tag(reason: StopReason) -> u8 {
-    STOP_REASONS.iter().position(|&r| r == reason).expect("every StopReason is listed") as u8
-}
-
-fn stop_reason_from_tag(tag: u8) -> Result<StopReason, WireError> {
-    STOP_REASONS
-        .get(tag as usize)
-        .copied()
-        .ok_or(WireError::Malformed { context: "unknown stop-reason tag" })
-}
-
-impl WireItem for RunSummary {
-    fn item_id() -> String {
-        "run-summary".into()
-    }
-
-    fn encode_item(&self, out: &mut Vec<u8>) {
-        out.push(stop_reason_tag(self.reason));
-        put_u64(out, self.rounds);
-        put_f64(out, self.potential);
-    }
-
-    fn decode_item(cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        let reason = stop_reason_from_tag(cur.u8("stop-reason tag")?)?;
-        let rounds = cur.u64("summary rounds")?;
-        let potential = cur.f64("summary potential")?;
-        Ok(RunSummary { reason, rounds, potential })
-    }
-}
-
-impl WireItem for RoundRecord {
-    fn item_id() -> String {
-        "round-record".into()
-    }
-
-    fn encode_item(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.round);
-        put_f64(out, self.potential);
-        put_f64(out, self.l_av);
-        put_f64(out, self.l_av_plus);
-        put_f64(out, self.max_latency);
-        put_u64(out, self.migrations);
-        put_u64(out, self.support as u64);
-        match self.unsatisfied_fraction {
-            None => out.push(0),
-            Some(u) => {
-                out.push(1);
-                put_f64(out, u);
-            }
-        }
-        out.push(self.shock as u8);
-    }
-
-    fn decode_item(cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        let round = cur.u64("record round")?;
-        let potential = cur.f64("record potential")?;
-        let l_av = cur.f64("record l_av")?;
-        let l_av_plus = cur.f64("record l_av_plus")?;
-        let max_latency = cur.f64("record max_latency")?;
-        let migrations = cur.u64("record migrations")?;
-        let support = usize::try_from(cur.u64("record support")?)
-            .map_err(|_| WireError::Malformed { context: "record support overflows usize" })?;
-        let unsatisfied_fraction = match cur.u8("record unsatisfied tag")? {
-            0 => None,
-            1 => Some(cur.f64("record unsatisfied fraction")?),
-            _ => return Err(WireError::Malformed { context: "record unsatisfied tag" }),
-        };
-        let shock = match cur.u8("record shock flag")? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed { context: "record shock flag" }),
-        };
-        Ok(RoundRecord {
-            round,
-            potential,
-            l_av,
-            l_av_plus,
-            max_latency,
-            migrations,
-            support,
-            unsatisfied_fraction,
-            shock,
-        })
-    }
-}
-
-impl<W: WireItem> WireItem for Vec<W> {
-    fn item_id() -> String {
-        format!("vec({})", W::item_id())
-    }
-
-    fn encode_item(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.len() as u64);
-        for item in self {
-            item.encode_item(out);
-        }
-    }
-
-    fn decode_item(cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        let n = cur.u64("vec item count")?;
-        // Every item costs at least one byte; bound the allocation.
-        if n > cur.remaining() as u64 {
-            return Err(WireError::Truncated { context: "vec items" });
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(W::decode_item(cur)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<W: WireItem> WireReduce for Vec<W> {
-    fn wire_id(&self) -> String {
-        format!("vec({})", W::item_id())
-    }
-
-    fn encode_partial(&self, out: &mut Vec<u8>) {
-        self.encode_item(out);
-    }
-
-    fn decode_partial(&self, cur: &mut WireCursor<'_>) -> Result<Self, WireError> {
-        Vec::decode_item(cur)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shard files
 // ---------------------------------------------------------------------------
@@ -1202,21 +1019,5 @@ mod tests {
         fine.encode_partial(&mut buf);
         let err = QuantileSketch::new(0.01).decode_partial(&mut WireCursor::new(&buf)).unwrap_err();
         assert!(matches!(err, WireError::ReducerMismatch { .. }), "{err}");
-    }
-
-    #[test]
-    fn run_summary_items_round_trip() {
-        use crate::stopping::StopReason;
-        let items = vec![
-            RunSummary { reason: StopReason::ImitationStable, rounds: 17, potential: 3.25 },
-            RunSummary { reason: StopReason::MaxRounds, rounds: 1000, potential: -0.5 },
-        ];
-        let mut buf = Vec::new();
-        items.encode_partial(&mut buf);
-        let got: Vec<RunSummary> = Vec::new().decode_partial(&mut WireCursor::new(&buf)).unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].reason, StopReason::ImitationStable);
-        assert_eq!(got[1].rounds, 1000);
-        assert_eq!(got[1].potential.to_bits(), (-0.5f64).to_bits());
     }
 }

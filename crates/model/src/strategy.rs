@@ -137,18 +137,6 @@ impl Strategy {
             j += 1;
         }
     }
-
-    /// Visit the symmetric difference of `self` (origin) and `to`
-    /// (destination): calls `on_leave(e)` for `e ∈ self \ to` and
-    /// `on_enter(e)` for `e ∈ to \ self`.
-    pub fn diff_with(
-        &self,
-        to: &Strategy,
-        mut on_leave: impl FnMut(ResourceId),
-        mut on_enter: impl FnMut(ResourceId),
-    ) {
-        self.diff_signed(to, |r, sign| if sign < 0 { on_leave(r) } else { on_enter(r) });
-    }
 }
 
 impl FromIterator<ResourceId> for Strategy {
@@ -193,18 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn diff_with_partitions_symmetric_difference() {
+    fn diff_signed_partitions_symmetric_difference() {
         let a = Strategy::new(vec![rid(0), rid(1), rid(2)]).unwrap();
         let b = Strategy::new(vec![rid(1), rid(3)]).unwrap();
-        let mut left = vec![];
-        let mut entered = vec![];
-        a.diff_with(&b, |e| left.push(e), |e| entered.push(e));
-        assert_eq!(left, vec![rid(0), rid(2)]);
-        assert_eq!(entered, vec![rid(3)]);
+        let mut visited = vec![];
+        a.diff_signed(&b, |e, sign| visited.push((e, sign)));
+        assert_eq!(visited, vec![(rid(0), -1), (rid(2), -1), (rid(3), 1)]);
     }
 
     #[test]
-    fn diff_with_identical_strategies_is_empty() {
+    fn diff_signed_identical_strategies_is_empty() {
         let a = Strategy::new(vec![rid(1), rid(4)]).unwrap();
         let mut n = 0;
         a.diff_signed(&a.clone(), |_, _| n += 1);
@@ -212,13 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn diff_with_disjoint_strategies_is_total() {
+    fn diff_signed_disjoint_strategies_is_total() {
         let a = Strategy::new(vec![rid(0), rid(1)]).unwrap();
         let b = Strategy::new(vec![rid(2), rid(3)]).unwrap();
-        let mut left = vec![];
-        let mut entered = vec![];
-        a.diff_with(&b, |e| left.push(e), |e| entered.push(e));
-        assert_eq!(left.len() + entered.len(), 4);
+        let mut n = 0;
+        a.diff_signed(&b, |_, _| n += 1);
+        assert_eq!(n, 4);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Builders for the network families used throughout the experiments.
 
 use congames_model::LatencyFn;
-use rand::Rng;
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
 
@@ -72,86 +71,11 @@ pub fn grid(
     (g, idx(0, 0), idx(rows - 1, cols - 1))
 }
 
-/// A layered random DAG: `layers` layers of `width` nodes between source and
-/// sink. Every node of layer `i` connects to each node of layer `i+1`
-/// independently with probability `p_edge` (at least one edge per node is
-/// guaranteed by wiring a fallback to a random successor); the source
-/// connects to all of layer 0 and all of the last layer connect to the sink.
-///
-/// Latencies come from `latency(rng)`, letting callers randomize.
-pub fn layered_random<R: Rng>(
-    layers: usize,
-    width: usize,
-    p_edge: f64,
-    rng: &mut R,
-    mut latency: impl FnMut(&mut R) -> LatencyFn,
-) -> (DiGraph, NodeId, NodeId) {
-    assert!(layers >= 1 && width >= 1, "need at least one layer and one node per layer");
-    let mut g = DiGraph::new();
-    let s = g.add_node();
-    let t = g.add_node();
-    let mut layer_nodes: Vec<Vec<NodeId>> = Vec::with_capacity(layers);
-    for _ in 0..layers {
-        layer_nodes.push((0..width).map(|_| g.add_node()).collect());
-    }
-    for &v in &layer_nodes[0] {
-        let l = latency(rng);
-        g.add_edge(s, v, l).expect("valid");
-    }
-    for li in 0..layers - 1 {
-        for &u in &layer_nodes[li] {
-            let mut connected = false;
-            for &v in &layer_nodes[li + 1] {
-                if rng.gen::<f64>() < p_edge {
-                    let l = latency(rng);
-                    g.add_edge(u, v, l).expect("valid");
-                    connected = true;
-                }
-            }
-            if !connected {
-                let v = layer_nodes[li + 1][rng.gen_range(0..width)];
-                let l = latency(rng);
-                g.add_edge(u, v, l).expect("valid");
-            }
-        }
-    }
-    for &v in &layer_nodes[layers - 1] {
-        let l = latency(rng);
-        g.add_edge(v, t, l).expect("valid");
-    }
-    (g, s, t)
-}
-
-/// Series composition of two-terminal graphs: chain `k` copies of a
-/// `blocks`-wide parallel-link block, giving `blocks^k` paths with `k` edges
-/// each. A simple series-parallel family with controllable path count.
-pub fn series_parallel_chain(
-    k: usize,
-    blocks: usize,
-    mut latency: impl FnMut(usize, usize) -> LatencyFn,
-) -> (DiGraph, NodeId, NodeId) {
-    assert!(k >= 1 && blocks >= 1, "need at least one stage and one block");
-    let mut g = DiGraph::new();
-    let s = g.add_node();
-    let mut prev = s;
-    for stage in 0..k {
-        let next = g.add_node();
-        for b in 0..blocks {
-            let l = latency(stage, b);
-            g.add_edge(prev, next, l).expect("valid");
-        }
-        prev = next;
-    }
-    (g, s, prev)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paths::enumerate_paths;
     use congames_model::Affine;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn lin() -> LatencyFn {
         Affine::linear(1.0).into()
@@ -178,25 +102,6 @@ mod tests {
         // C(rows+cols-2, rows-1): 4x3 grid → C(5,3) = 10.
         let (g, s, t) = grid(4, 3, |_| lin());
         assert_eq!(enumerate_paths(&g, s, t, 1000).unwrap().len(), 10);
-    }
-
-    #[test]
-    fn layered_random_is_connected() {
-        let mut rng = SmallRng::seed_from_u64(42);
-        for seed in 0..5u64 {
-            let mut r2 = SmallRng::seed_from_u64(seed);
-            let (g, s, t) = layered_random(4, 3, 0.4, &mut r2, |_| lin());
-            let paths = enumerate_paths(&g, s, t, 100_000).unwrap();
-            assert!(!paths.is_empty());
-            let _ = &mut rng;
-        }
-    }
-
-    #[test]
-    fn series_parallel_path_count() {
-        let (g, s, t) = series_parallel_chain(3, 2, |_, _| lin());
-        assert_eq!(enumerate_paths(&g, s, t, 100).unwrap().len(), 8);
-        assert_eq!(g.num_edges(), 6);
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl DiGraph {
         NodeId(self.num_nodes - 1)
     }
 
-    /// Add `count` nodes; returns their ids.
-    pub fn add_nodes(&mut self, count: u32) -> Vec<NodeId> {
-        (0..count).map(|_| self.add_node()).collect()
-    }
-
     /// Add a directed edge `from → to` with the given latency.
     ///
     /// # Errors
@@ -250,15 +245,6 @@ mod tests {
             Err(NetworkError::UnknownNode { node: 9, nodes: 1 })
         ));
         assert!(g.check_node(a).is_ok());
-    }
-
-    #[test]
-    fn add_nodes_bulk() {
-        let mut g = DiGraph::new();
-        let ids = g.add_nodes(4);
-        assert_eq!(ids.len(), 4);
-        assert_eq!(g.num_nodes(), 4);
-        assert_eq!(ids[3].index(), 3);
     }
 
     #[test]

@@ -954,9 +954,12 @@ fn counter_player_trajectory(
 /// the 32-bit halves of the movable bitmask, and past its 64-bit width),
 /// the 8-link, 10 000-player shape of the `player_shock` benchmark under
 /// pure imitation, and both μ sources: the μ table, and per-decision μ on
-/// a 1088-link class whose `2·S²` values exceed the table's budget (its
-/// 3 000 players start on 6 links). Every supported-start case must also
-/// really skip some sites, or it would not test the skip.
+/// a 1088-link class whose `2·S²` values exceed the table's budget. Its
+/// 3 000 players start on 6 links, where the mask evaluates μ, or spread
+/// over all 1088, where support² exceeds the class size and the mask marks
+/// every occupied origin movable unevaluated (a few rounds only, to fit a
+/// debug build). Every supported-start case must also really skip some
+/// sites, or it would not test the skip.
 #[test]
 fn movable_origin_skip_matches_full_draw_path_bitwise() {
     use congames::dynamics::{NuRule, SelfSampling};
@@ -1013,12 +1016,13 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
     // and exploration can reach: the mask must count them as destinations.
     // The stranded start puts class a on {r1,r2} and the lone player of
     // class b on r2, so the lone player is movable from round 0. The
-    // sparse start spreads the 1088-link class over its first 6 links.
+    // sparse start spreads the 1088-link class over its first 6 links, the
+    // spread start over all of them (two or three players each).
     let fixture_starts = fixtures.into_iter().flat_map(|f| {
         let starts: &[&str] = match f.0 {
             "2-class/1-player" => &["geometric", "piled", "stranded"],
             "1-class/8-links/10000" => &["geometric"],
-            "1-class/1088-links" => &["sparse"],
+            "1-class/1088-links" => &["sparse", "spread"],
             _ => &["geometric", "piled"],
         };
         starts.iter().map(move |&s| (f, s))
@@ -1037,28 +1041,35 @@ fn movable_origin_skip_matches_full_draw_path_bitwise() {
                     counts[..6].copy_from_slice(&[500; 6]);
                     State::from_counts(game, counts).expect("sparse start")
                 }
+                "spread" => {
+                    let n = game.num_strategies();
+                    let extra = (game.total_players() as usize - 2 * n).min(n);
+                    let counts = (0..n).map(|i| 2 + (i < extra) as u64).collect();
+                    State::from_counts(game, counts).expect("spread start")
+                }
                 _ => State::from_counts(game, vec![0, 150, 1, 0]).expect("stranded start"),
             };
             if virtual_agents {
                 start = start.with_virtual_agents(game);
             }
             let label = format!("{fixture}/{start_name}/{name}");
+            let rounds = if start_name == "spread" { 6 } else { 90 };
             let stream = || fixture_stream("eq/movable-skip", RngMode::Counter, 3);
             let mut default_blocks =
                 SiteCounter { inner: stream(), forward_addressed: true, sites: 0 };
             let mut full = SiteCounter { inner: stream(), forward_addressed: false, sites: 0 };
             let batched =
-                counter_player_trajectory(game, *protocol, &start, schedule, stream(), 90);
+                counter_player_trajectory(game, *protocol, &start, schedule, stream(), rounds);
             let walked = counter_player_trajectory(
                 game,
                 *protocol,
                 &start,
                 schedule,
                 &mut default_blocks,
-                90,
+                rounds,
             );
             let full_path =
-                counter_player_trajectory(game, *protocol, &start, schedule, &mut full, 90);
+                counter_player_trajectory(game, *protocol, &start, schedule, &mut full, rounds);
             assert_eq!(walked, full_path, "{label}: the default site_blocks walk diverged");
             assert_eq!(batched, full_path, "{label}: the batched site_blocks diverged");
             // The stranded lone player can leave r2 only by exploring
